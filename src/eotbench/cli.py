@@ -7,6 +7,8 @@ partially failed run.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import logging
 import sys
 import time
@@ -266,7 +268,9 @@ def _render_confusion(confusion: dict[str, dict[str, float]], fmt: str) -> str:
         [p] + [f"{confusion[p][g]:.2f}" for g in labels] for p in labels
     ]
     if fmt == "csv":
-        return "\n".join(",".join(row) for row in rows) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     return (
         "\n".join(

@@ -7,11 +7,18 @@ enforced here: labels outside the 9-label vocabulary are dropped
 the review are dropped (opinion trigger verifiability). The only repair
 attempted is case/whitespace-insensitive relocation; no fuzzy matching,
 since aggressive repair would inflate scores.
+
+The structured block is the first balanced top-level object that parses
+as a JSON object, otherwise the first balanced candidate. Finding it
+takes one pass over the response however many braces are left unclosed
+(truncated responses leave many): linear time, with an O(n log n) bound
+on the worst adversarial input.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -63,46 +70,106 @@ class ParseReport:
     parse_status: ParseStatus = ParseStatus.CLEAN
 
 
-def _balanced_block(raw: str, start: int) -> int | None:
-    """End index (exclusive) of the object starting at raw[start] == '{'."""
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(raw)):
+_SCAN_CHARS = re.compile(r'[{}"\\]')
+
+
+class _ScanGroup:
+    """Brace scans that share one string state, so they see the same braces.
+
+    `depth` counts the group's unmatched '{'; `closes_at[d]` lists the
+    starts whose object closes when `depth` falls back to d.
+    """
+
+    __slots__ = ("depth", "closes_at", "size")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.closes_at: dict[int, list[int]] = {}
+        self.size = 0
+
+
+def _merge(a: _ScanGroup | None, b: _ScanGroup | None) -> _ScanGroup | None:
+    """Merge the smaller group into the larger, rebasing its depths."""
+    if a is None or b is None:
+        return a or b
+    if a.size < b.size:
+        a, b = b, a
+    shift = a.depth - b.depth
+    for depth, starts in b.closes_at.items():
+        a.closes_at.setdefault(depth + shift, []).extend(starts)
+    a.size += b.size
+    return a
+
+
+def _close_table(raw: str) -> dict[int, int]:
+    """Map each '{' index to the end (exclusive) of its balanced object.
+
+    This is where a fresh scan from that '{' alone would close: each scan
+    starts outside a string, counts braces outside strings and honours
+    backslash escapes inside them. Starts that never close are absent.
+    The string automaton is deterministic, so at any position the live
+    scans fall into at most three groups by string state (outside, inside,
+    inside after a backslash); groups that reach the same state merge
+    small-to-large. One pass over the brace, quote and backslash
+    characters, O(n log n) at worst.
+    """
+    table: dict[int, int] = {}
+    first = raw.find("{")
+    if first < 0:
+        return table
+    outside = inside = escaped = None
+    escape_at = first  # index of the backslash that made `escaped`
+    for match in _SCAN_CHARS.finditer(raw, first):
+        i = match.start()
         ch = raw[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return None
+        if escaped is not None and escape_at + 1 < i:
+            # the escaped character was plain text; the scans are back in the string
+            inside = _merge(inside, escaped)
+            escaped = None
+        if ch == '"':
+            outside, inside, escaped = inside, _merge(outside, escaped), None
+        elif ch == "\\":
+            inside, escaped = escaped, inside
+            escape_at = i
+        else:
+            if escaped is not None:  # it escapes this brace
+                inside = _merge(inside, escaped)
+                escaped = None
+            if ch == "{":
+                if outside is None:
+                    outside = _ScanGroup()
+                outside.closes_at.setdefault(outside.depth, []).append(i)
+                outside.size += 1
+                outside.depth += 1
+            elif outside is not None:
+                outside.depth -= 1
+                closed = outside.closes_at.pop(outside.depth, ())
+                for start in closed:
+                    table[start] = i + 1
+                outside.size -= len(closed)
+                if not outside.size:
+                    outside = None
+    return table
 
 
 def extract_structured_block(raw: str) -> str:
     """Return the first balanced top-level object in a raw response.
 
     Code fences and surrounding prose are skipped by construction (the
-    scan starts at brace characters). Among the balanced candidates, the
+    scan starts at brace characters). A '{' whose object never closes is
+    skipped and the scan restarts at the next '{'; a closed object is a
+    candidate and the scan resumes after it. Among the candidates, the
     first that parses as a JSON object wins; if none parses, the first
-    balanced candidate is returned as-is.
+    candidate is returned as-is.
     """
+    table = _close_table(raw)
     candidates: list[str] = []
     pos = 0
     while True:
         start = raw.find("{", pos)
         if start < 0:
             break
-        end = _balanced_block(raw, start)
+        end = table.get(start)
         if end is None:
             pos = start + 1
             continue
@@ -139,12 +206,17 @@ def _normalized_with_map(text: str) -> tuple[str, list[int]]:
     return "".join(chars), index_map
 
 
-def _repair_locate(review_text: str, trigger_text: str) -> TriggerSpan | None:
-    """Relocate a trigger ignoring case and whitespace differences."""
+def _repair_locate(
+    review_text: str, trigger_text: str, normalized: tuple[str, list[int]]
+) -> TriggerSpan | None:
+    """Relocate a trigger ignoring case and whitespace differences.
+
+    `normalized` is `_normalized_with_map(review_text)`, built once per response.
+    """
     normalized_trigger = " ".join(trigger_text.lower().split())
     if not normalized_trigger:
         return None
-    normalized_review, index_map = _normalized_with_map(review_text)
+    normalized_review, index_map = normalized
     at = normalized_review.find(normalized_trigger)
     if at < 0:
         return None
@@ -173,6 +245,7 @@ def parse_output(raw: str, review: Review) -> ParseReport:
         return report
 
     merged: dict[EmotionLabel, list[TriggerSpan]] = {}
+    normalized: tuple[str, list[int]] | None = None  # built on the first repair
     for entry in emotions:
         if not isinstance(entry, dict) or not isinstance(entry.get("emotion"), str):
             report.dropped_emotions.append(DroppedEmotion(repr(entry)[:120], REASON_MALFORMED))
@@ -203,7 +276,9 @@ def parse_output(raw: str, review: Review) -> ParseReport:
             try:
                 span = locate_span(review.text, trigger)
             except SpanNotFound:
-                span = _repair_locate(review.text, trigger)
+                if normalized is None:
+                    normalized = _normalized_with_map(review.text)
+                span = _repair_locate(review.text, trigger, normalized)
                 if span is None:
                     report.dropped_triggers.append(
                         DroppedTrigger(label.value, trigger, REASON_NOT_EXTRACTIVE)

@@ -29,7 +29,6 @@ from .errors import (
     RateLimited,
     RequestTimeout,
 )
-from .jsonio import iter_jsonl_lines
 from .model import Review
 from .prompting import (
     PROMPT_VERSION,
@@ -250,17 +249,60 @@ def ledger_path(runs_dir: Path | str, run_id: str) -> Path:
     return Path(runs_dir) / run_id / "ledger"
 
 
+def _decode_entry(line: bytes) -> RunLedgerEntry:
+    return RunLedgerEntry.from_dict(json.loads(line.decode("utf-8")))
+
+
 def read_ledger(runs_dir: Path | str, run_id: str) -> list[RunLedgerEntry]:
+    """Entries in append order.
+
+    A crash mid-append leaves a torn final line: it has no newline (the
+    newline is written last) and may stop inside a UTF-8 sequence, so lines
+    are decoded one at a time. That line is skipped with a warning; a
+    corrupt line anywhere else raises DataError.
+    """
     path = ledger_path(runs_dir, run_id)
     if not path.exists():
         return []
     entries = []
-    for line_no, line in iter_jsonl_lines(path):
-        try:
-            entries.append(RunLedgerEntry.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}:{line_no}: corrupt ledger entry: {exc}") from None
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                entries.append(_decode_entry(line))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                if not line.endswith(b"\n"):
+                    log.warning("%s:%d: skipping torn final ledger line: %s", path, line_no, exc)
+                    continue
+                raise DataError(f"{path}:{line_no}: corrupt ledger entry: {exc}") from None
     return entries
+
+
+def _seal_ledger(path: Path) -> None:
+    """End the ledger with a newline so that appends start on a fresh line.
+
+    A torn final line (skipped by read_ledger) is cut off; a complete entry
+    that only lacks its newline gets one.
+    """
+    if not path.exists():
+        return
+    with open(path, "rb+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        data = fh.read()
+        cut = data.rfind(b"\n") + 1
+        try:
+            _decode_entry(data[cut:])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            fh.truncate(cut)
+        else:
+            fh.write(b"\n")
 
 
 def ok_review_ids(entries: Sequence[RunLedgerEntry], run_id: str) -> set[str]:
@@ -288,6 +330,7 @@ def run_experiment(
     path = ledger_path(runs_dir, run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     done = ok_review_ids(read_ledger(runs_dir, run_id), run_id)
+    _seal_ledger(path)
     todo = [r for r in reviews if r.review_id not in done]
     log.info("run %s: %d reviews to process (%d already done)", run_id, len(todo), len(done))
 

@@ -11,6 +11,8 @@ descending ROUGE-L order; unmatched gold triggers score zero.
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -294,7 +296,9 @@ def render_score_rows(rows: Mapping[str, Sequence[float]], fmt: str = "table") -
         [name] + [f"{value:.4f}" for value in values] for name, values in rows.items()
     ]
     if fmt == "csv":
-        return "\n".join(",".join(row) for row in table) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(table)
+        return out.getvalue()
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"

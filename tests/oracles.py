@@ -13,6 +13,8 @@ import unicodedata
 from functools import lru_cache
 from pathlib import Path
 
+from eotbench.errors import NoStructuredBlock
+
 EMOTIONS = (
     "Joy",
     "Trust",
@@ -74,6 +76,62 @@ def oracle_rouge1_f1(a: list[str], b: list[str]) -> float:
 
 def oracle_rougeL_f1(a: list[str], b: list[str]) -> float:
     return prf_from_overlap(brute_lcs(tuple(a), tuple(b)), len(a), len(b))[2]
+
+
+def _balanced_block(raw: str, start: int) -> int | None:
+    """End index (exclusive) of the object starting at raw[start] == '{'."""
+    depth = 0
+    in_string = False
+    escaped = False
+    for i in range(start, len(raw)):
+        ch = raw[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return None
+
+
+def oracle_extract_structured_block(raw: str) -> str:
+    """Return the first balanced top-level object in a raw response.
+
+    Code fences and surrounding prose are skipped by construction (the
+    scan starts at brace characters). Among the balanced candidates, the
+    first that parses as a JSON object wins; if none parses, the first
+    balanced candidate is returned as-is.
+    """
+    candidates: list[str] = []
+    pos = 0
+    while True:
+        start = raw.find("{", pos)
+        if start < 0:
+            break
+        end = _balanced_block(raw, start)
+        if end is None:
+            pos = start + 1
+            continue
+        candidates.append(raw[start:end])
+        pos = end
+    for candidate in candidates:
+        try:
+            if isinstance(json.loads(candidate), dict):
+                return candidate
+        except (json.JSONDecodeError, RecursionError):
+            continue
+    if candidates:
+        return candidates[0]
+    raise NoStructuredBlock("no balanced object in response")
 
 
 def _norm(text: str) -> str:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
-from eotbench.cli import EXIT_DATA, EXIT_OK, main
+from eotbench.cli import EXIT_DATA, EXIT_OK, _render_confusion, main
 from eotbench.jsonio import load_json, write_jsonl
 from conftest import DATA_DIR
 from mock_provider import MockProviderServer
@@ -294,6 +295,31 @@ class TestRunAndScoreCommands:
         out = capsys.readouterr().out
         assert "demo_zs" in out
         assert "0.5000" in out
+
+    def test_report_csv_keeps_a_comma_in_the_run_id(self, tmp_path, capsys):
+        scores = {
+            "format_version": "1",
+            "run_id": "demo,v2",
+            "strategy": "zs",
+            "emotion": {"precision": 0.5, "recall": 0.25, "f1": 1 / 3},
+            "trigger": {"exact_match": 0.1, "partial_match": 0.2, "rouge1": 0.3, "rougeL": 0.25},
+        }
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps(scores))
+        assert main(["report", "--format", "csv", str(path)]) == EXIT_OK
+        header, row = csv.reader(capsys.readouterr().out.splitlines())
+        assert len(row) == len(header) == 8
+        assert row[0] == "demo,v2_zs"
+        assert row[1:] == ["0.5000", "0.2500", "0.3333", "0.1000", "0.2000", "0.3000", "0.2500"]
+
+    def test_confusion_csv_round_trips(self):
+        confusion = {"Joy": {"Joy": 1.0, "a,b": 0.5}, "a,b": {"Joy": 0.0, "a,b": 0.25}}
+        rows = list(csv.reader(_render_confusion(confusion, "csv").splitlines()))
+        assert rows == [
+            ["pred\\gold", "Joy", "a,b"],
+            ["Joy", "1.00", "0.50"],
+            ["a,b", "0.00", "0.25"],
+        ]
 
 
 class TestUsageErrors:

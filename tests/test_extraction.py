@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eotbench.errors import NoStructuredBlock
 from eotbench.extraction import (
@@ -12,11 +14,13 @@ from eotbench.extraction import (
     REASON_NOT_EXTRACTIVE,
     REASON_NO_VERIFIABLE_TRIGGER,
     REASON_OOV,
+    _close_table,
     extract_structured_block,
     parse_output,
 )
 from eotbench.model import EmotionLabel
 from conftest import make_review
+from oracles import _balanced_block, oracle_extract_structured_block
 
 
 def response(emotions: list[dict]) -> str:
@@ -45,6 +49,58 @@ class TestExtractStructuredBlock:
         inner = '{"emotions": []}'
         raw = "{broken json} and then " + inner
         assert extract_structured_block(raw) == inner
+
+
+def _extract_or_none(extract, raw: str) -> str | None:
+    try:
+        return extract(raw)
+    except NoStructuredBlock:
+        return None
+
+
+# Heavy in the characters the scan reacts to, so strings, escapes and
+# unclosed braces interleave in every way; the fragments add objects that
+# parse, behind or inside unclosed drafts.
+BRACE_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from('{}"\\'), max_size=24),
+    st.text(alphabet=st.sampled_from('{{{}}}""\\\\ax:'), max_size=80),
+    st.lists(st.sampled_from(['{"emotions": []}', "{", "}", '"', "\\", "x"]), max_size=40).map(
+        "".join
+    ),
+)
+
+
+class TestExtractMatchesOracle:
+    @settings(deadline=None, max_examples=2000)
+    @given(BRACE_TEXT)
+    @example('{{"{\\""}')  # groups at different depths merge on the escaped quote
+    def test_equals_the_rescanning_oracle(self, raw):
+        ends = {i: _balanced_block(raw, i) for i, ch in enumerate(raw) if ch == "{"}
+        assert _close_table(raw) == {i: end for i, end in ends.items() if end is not None}
+        assert _extract_or_none(extract_structured_block, raw) == _extract_or_none(
+            oracle_extract_structured_block, raw
+        )
+
+    def test_brace_seen_inside_an_unclosed_string_gets_its_own_scan(self):
+        # the scan from the first '{' never closes and sees the second '{'
+        # inside a string; a fresh scan from the second starts outside one
+        raw = '{"a {"b": 1} c'
+        assert extract_structured_block(raw) == '{"b": 1}'
+        assert oracle_extract_structured_block(raw) == '{"b": 1}'
+
+
+class TestExtractTimeBound:
+    @pytest.mark.parametrize(
+        "raw",
+        ["{" * 32000, '{"' * 16000, '{"{\\"' * 8000],
+        ids=["open-braces", "brace-quote", "brace-quote-escape"],
+    )
+    def test_adversarial_input_parses_quickly(self, raw):
+        # quadratic for the rescanning extractor: a fresh scan from every '{'
+        started = time.perf_counter()
+        with pytest.raises(NoStructuredBlock):
+            extract_structured_block(raw)
+        assert time.perf_counter() - started < 2.0
 
 
 class TestParseOutput:

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import json
+import logging
 import threading
 
 import pytest
 import requests
 
-from eotbench.errors import AuthMissing, ProviderError, RateLimited, RequestTimeout
+from eotbench.errors import AuthMissing, DataError, ProviderError, RateLimited, RequestTimeout
 from eotbench.inference import (
     LedgerStatus,
     ProviderProfile,
     complete,
+    ledger_path,
     load_provider_profiles,
     ok_review_ids,
     read_ledger,
@@ -273,6 +275,86 @@ class TestRunExperiment:
                 session=session, sleep=NO_SLEEP,
             )
         assert session.calls == 0
+
+
+class TestLedgerTail:
+    """A crash mid-append leaves a partial last line; only that line is forgiven."""
+
+    def _run(self, tmp_path, n):
+        # a non-ASCII reply, so that a tear can fall inside a UTF-8 sequence
+        reply = completion_payload("tr\u00e8s bien \u2713")
+        session = FakeSession(lambda i, body: FakeResponse(200, reply))
+        reviews = [make_review(review_id=f"r{i}", item_id="i1") for i in range(n)]
+        run_experiment(
+            reviews, Strategy.ZS, profile(), default_config(),
+            runs_dir=tmp_path, run_id="run-t", session=session, sleep=NO_SLEEP,
+        )
+        return session
+
+    def _tear(self, tmp_path, keep_bytes):
+        """Append the first keep_bytes of a copy of the last entry, as a crash would."""
+        path = ledger_path(tmp_path, "run-t")
+        data = path.read_bytes()
+        last = data[data.rstrip(b"\n").rfind(b"\n") + 1 :]
+        with open(path, "ab") as fh:
+            fh.write(last[:keep_bytes])
+        return path
+
+    def test_torn_final_line_is_skipped_with_a_warning(self, tmp_path, caplog):
+        self._run(tmp_path, 3)
+        path = self._tear(tmp_path, 40)
+        with caplog.at_level(logging.WARNING, logger="eotbench.inference"):
+            entries = read_ledger(tmp_path, "run-t")
+        assert sorted(e.review_id for e in entries) == ["r0", "r1", "r2"]
+        assert any("torn final ledger line" in r.getMessage() for r in caplog.records)
+        assert str(path) in caplog.text
+
+    def test_torn_inside_a_multibyte_character_is_skipped(self, tmp_path):
+        self._run(tmp_path, 2)
+        path = ledger_path(tmp_path, "run-t")
+        last = path.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)[-1]
+        cut = last.index("\u2713".encode()) + 1  # inside the 3-byte check mark
+        self._tear(tmp_path, cut)
+        assert len(read_ledger(tmp_path, "run-t")) == 2
+
+    @pytest.mark.parametrize("truncate", [True, False], ids=["truncated", "not-an-object"])
+    def test_corrupt_line_before_the_last_is_an_error(self, tmp_path, truncate):
+        self._run(tmp_path, 3)
+        path = ledger_path(tmp_path, "run-t")
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:30] + b"\n" if truncate else b"[1, 2]\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DataError, match=":2: corrupt ledger entry"):
+            read_ledger(tmp_path, "run-t")
+
+    def test_corrupt_final_line_ending_in_a_newline_is_an_error(self, tmp_path):
+        self._run(tmp_path, 2)
+        path = self._tear(tmp_path, 30)
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+        with pytest.raises(DataError, match=":3: corrupt ledger entry"):
+            read_ledger(tmp_path, "run-t")
+
+    def test_resume_after_a_torn_tail_appends_on_a_fresh_line(self, tmp_path, caplog):
+        self._run(tmp_path, 3)
+        self._tear(tmp_path, 40)
+        session = self._run(tmp_path, 5)
+        assert session.calls == 2  # only r3 and r4
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="eotbench.inference"):
+            entries = read_ledger(tmp_path, "run-t")
+        assert sorted(e.review_id for e in entries) == ["r0", "r1", "r2", "r3", "r4"]
+        assert not caplog.records  # the torn fragment is gone
+        assert ledger_path(tmp_path, "run-t").read_bytes().endswith(b"\n")
+
+    def test_resume_keeps_a_complete_entry_missing_its_newline(self, tmp_path):
+        self._run(tmp_path, 2)
+        path = ledger_path(tmp_path, "run-t")
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert len(read_ledger(tmp_path, "run-t")) == 2
+        session = self._run(tmp_path, 3)
+        assert session.calls == 1
+        assert sorted(e.review_id for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
 
 
 class TestProviderProfiles:
