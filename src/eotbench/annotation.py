@@ -15,12 +15,14 @@ partially overlapping spans still earn credit.
 
 from __future__ import annotations
 
-import json
+import csv
+import io
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .errors import (
     MismatchedReviewIds,
     WrongAnnotatorCount,
 )
-from .jsonio import iter_jsonl_lines
+from .jsonio import iter_jsonl
 from .model import (
     DOMAIN_ORDER,
     EMOTION_ORDER,
@@ -41,9 +43,9 @@ from .model import (
     Review,
     TriggerSpan,
     canonical_emotion,
+    count_tokens,
     locate_span,
     normalize_text,
-    tokenize,
     tokenize_with_spans,
 )
 
@@ -107,28 +109,34 @@ def parse_output_object(obj: Mapping[str, Any], review: Review) -> EotOutput:
         raise DataError(str(exc)) from None
 
 
+def _iter_objects(path: Path | str) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Yield (``path:line`` prefix, object) per non-blank line of a trusted file.
+
+    A line that is not UTF-8, not JSON or not a JSON object is a DataError.
+    """
+    for line_no, obj, error in iter_jsonl(path):
+        where = f"{path}:{line_no}"
+        if error or not isinstance(obj, dict):
+            raise DataError(f"{where}: {error or 'record is not an object'}")
+        yield where, obj
+
+
 def load_annotations(path: Path | str, reviews: Mapping[str, Review]) -> list[AnnotationRecord]:
     """Load annotator files: one JSON object per line, ``annotator_id`` plus
     the review_id / emotions shape used everywhere else."""
     records: list[AnnotationRecord] = []
-    for line_no, line in iter_jsonl_lines(path):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from None
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}:{line_no}: record is not an object")
+    for where, obj in _iter_objects(path):
         review_id = obj.get("review_id")
         annotator_id = obj.get("annotator_id")
         if not isinstance(review_id, str) or not isinstance(annotator_id, str):
-            raise DataError(f"{path}:{line_no}: review_id and annotator_id are required")
+            raise DataError(f"{where}: review_id and annotator_id are required")
         review = reviews.get(review_id)
         if review is None:
-            raise DataError(f"{path}:{line_no}: unknown review_id {review_id!r}")
+            raise DataError(f"{where}: unknown review_id {review_id!r}")
         try:
             output = parse_output_object(obj, review)
         except DataError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from None
+            raise DataError(f"{where}: {exc}") from None
         records.append(AnnotationRecord(review_id, annotator_id, output))
     return records
 
@@ -225,25 +233,27 @@ def gold_to_dict(gold: GoldRecord) -> dict[str, Any]:
 def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[GoldRecord]:
     """Read a gold file back, relocating trigger spans in the review text."""
     records: list[GoldRecord] = []
-    for line_no, line in iter_jsonl_lines(path):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from None
+    for where, obj in _iter_objects(path):
         review_id = obj.get("review_id")
-        review = reviews.get(review_id)
+        review = reviews.get(review_id) if isinstance(review_id, str) else None
         if review is None:
-            raise DataError(f"{path}:{line_no}: unknown review_id {review_id!r}")
-        output = parse_output_object(obj, review)
+            raise DataError(f"{where}: unknown review_id {review_id!r}")
+        try:
+            output = parse_output_object(obj, review)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
         prov_obj = obj.get("provenance", {})
-        provenance = GoldProvenance(
-            emotion_votes=dict(prov_obj.get("emotion_votes", {})),
-            trigger_annotators=tuple(
-                TriggerProvenance(t["emotion"], t["text"], tuple(t.get("annotators", ())))
-                for t in prov_obj.get("trigger_annotators", ())
-            ),
-            no_majority=bool(prov_obj.get("no_majority", False)),
-        )
+        try:
+            provenance = GoldProvenance(
+                emotion_votes=dict(prov_obj.get("emotion_votes", {})),
+                trigger_annotators=tuple(
+                    TriggerProvenance(t["emotion"], t["text"], tuple(t.get("annotators", ())))
+                    for t in prov_obj.get("trigger_annotators", ())
+                ),
+                no_majority=bool(prov_obj.get("no_majority", False)),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{where}: malformed provenance: {exc!r}") from None
         records.append(GoldRecord(review_id, output, provenance))
     return records
 
@@ -264,13 +274,17 @@ def kappa_from_binary_pairs(pairs: Sequence[tuple[bool, bool]]) -> float:
     perfect (1.0); chance agreement of 1 with imperfect observation
     raises DegenerateDistribution.
     """
-    n = len(pairs)
+    rated = np.asarray(pairs, dtype=bool).reshape(-1, 2)
+    return _kappa_from_counts([len(rated), *rated.sum(axis=0), rated.all(axis=1).sum()])
+
+
+def _kappa_from_counts(counts: Sequence[int]) -> float:
+    """``kappa_from_binary_pairs`` from [n, yes_a, yes_b, both]: n items,
+    ``yes_a``/``yes_b`` of them rated yes by each rater, ``both`` by both."""
+    n, yes_a, yes_b, both = (int(c) for c in counts)
     if n == 0:
         return 1.0
-    agree = sum(1 for a, b in pairs if a == b)
-    yes_a = sum(1 for a, _ in pairs if a)
-    yes_b = sum(1 for _, b in pairs if b)
-    p_o = agree / n
+    p_o = (n - yes_a - yes_b + 2 * both) / n
     p_a, p_b = yes_a / n, yes_b / n
     p_e = p_a * p_b + (1 - p_a) * (1 - p_b)
     if p_e == 1.0:
@@ -360,9 +374,9 @@ class AgreementReport:
         return [p for p in ordered if p in self.pairwise_emotion_kappa]
 
 
-def _safe_kappa(pairs: Sequence[tuple[bool, bool]]) -> float:
+def _safe_kappa(counts: np.ndarray) -> float:
     try:
-        return kappa_from_binary_pairs(pairs)
+        return _kappa_from_counts(counts)
     except DegenerateDistribution:
         return float("nan")
 
@@ -385,10 +399,103 @@ def _records_by_review(
     return grouped
 
 
-def _token_coverage(review: Review, output: EotOutput, emotion: EmotionLabel) -> list[bool]:
+_LABEL_INDEX = {label: i for i, label in enumerate(EMOTION_ORDER)}
+_IS_PRIMARY = np.array([label is not EmotionLabel.NEUTRAL for label in EMOTION_ORDER])
+
+
+def _review_items(review: Review, records: Sequence[AnnotationRecord]) -> tuple[np.ndarray, ...]:
+    """One review's labels (rater x label) and trigger coverage (rater x
+    label x token), labels in EMOTION_ORDER: a token is covered when one of
+    the rater's spans for that label overlaps its character range."""
     tokens = tokenize_with_spans(review.text)
-    spans = output.triggers_for(emotion)
-    return [any(t.start < s.end and s.start < t.end for s in spans) for t in tokens]
+    starts = [t.start for t in tokens]
+    ends = [t.end for t in tokens]
+    labels = np.zeros((len(records), len(EMOTION_ORDER)), dtype=bool)
+    covered = np.zeros(labels.shape + (len(tokens),), dtype=bool)
+    for rater, record in enumerate(records):
+        for pair in record.output.pairs:
+            label = _LABEL_INDEX[pair.emotion]
+            labels[rater, label] = True
+            for span in pair.triggers:
+                # the tokens that end after the span starts and start before it ends
+                first, stop = bisect_right(ends, span.start), bisect_left(starts, span.end)
+                covered[rater, label, first:stop] = True
+    return labels, covered
+
+
+def _co_counts(items: np.ndarray) -> list[list[int]]:
+    """Rater x rater counts of the binary items both raters marked (rater x
+    item ``items``), so each rater's own count is on the diagonal."""
+    marks = items.astype(np.int64)
+    return (marks @ marks.T).tolist()
+
+
+def _agreement_items(annotations: Sequence[AnnotationRecord], reviews: Iterable[Review]):
+    """Every kappa's binary items, counted in one pass that tokenizes each review once.
+
+    Returns pairwise emotion and trigger counts, ``pair -> domain -> [n,
+    yes_a, yes_b, both]``, then Fleiss emotion and trigger rows, ``domain ->
+    [(yes, no) arrays]``, from the reviews every annotator rated. Trigger
+    items are pooled as TRIGGER_KAPPA_POOLING_NOTE says.
+    """
+    review_map = _index_reviews(reviews)
+    annotator_ids = sorted({a.annotator_id for a in annotations})
+    rater_count = len(annotator_ids)
+    pairs = list(combinations(annotator_ids, 2))
+    emotion_pairs: dict[tuple[str, str], dict[str, np.ndarray]] = {pair: {} for pair in pairs}
+    trigger_pairs: dict[tuple[str, str], dict[str, np.ndarray]] = {pair: {} for pair in pairs}
+    emotion_rows: dict[str, list[np.ndarray]] = {}
+    trigger_rows: dict[str, list[np.ndarray]] = {}
+    for review_id, per_annotator in _records_by_review(annotations).items():
+        review = review_map.get(review_id)
+        if review is None:
+            raise DataError(f"annotations reference unknown review {review_id!r}")
+        domain = review.domain.value
+        ids = sorted(per_annotator)
+        labels, covered = _review_items(review, [per_annotator[a] for a in ids])
+        emotion_co = _co_counts(labels)
+        trigger_co = _co_counts(covered.reshape(len(ids), -1))
+        primary_co = _co_counts(labels[:, _IS_PRIMARY])
+        for i, j in combinations(range(len(ids)), 2):
+            # trigger items: every token under each non-Neutral emotion either rater used
+            n_emotions = primary_co[i][i] + primary_co[j][j] - primary_co[i][j]
+            for pools, n, co in (
+                (emotion_pairs, len(EMOTION_ORDER), emotion_co),
+                (trigger_pairs, n_emotions * covered.shape[2], trigger_co),
+            ):
+                counts = np.array([n, co[i][i], co[j][j], co[i][j]])
+                by_domain = pools[ids[i], ids[j]]
+                by_domain[domain] = by_domain.get(domain, 0) + counts
+        if len(ids) == rater_count >= 2:
+            yes = labels.sum(axis=0)
+            emotion_rows.setdefault(domain, []).append(np.column_stack((yes, rater_count - yes)))
+            in_use = labels.any(axis=0) & _IS_PRIMARY
+            if in_use.any():
+                yes = covered[:, in_use].sum(axis=0).ravel()
+                trigger_rows.setdefault(domain, []).append(np.column_stack((yes, rater_count - yes)))
+    return emotion_pairs, trigger_pairs, emotion_rows, trigger_rows
+
+
+def _pairwise_kappas(
+    counts: dict[tuple[str, str], dict[str, np.ndarray]], unseen: float
+) -> tuple[dict[tuple[str, str], dict[str, float]], dict[tuple[str, str], float]]:
+    """Per-domain and pooled kappas per pair; ``unseen`` for a pair that
+    shares no review."""
+    per_domain = {
+        pair: {domain: _safe_kappa(c) for domain, c in by_domain.items()}
+        for pair, by_domain in counts.items()
+    }
+    overall = {
+        pair: _safe_kappa(sum(by_domain.values())) if by_domain else unseen
+        for pair, by_domain in counts.items()
+    }
+    return per_domain, overall
+
+
+def _fleiss_kappas(rows: dict[str, list[np.ndarray]]) -> tuple[dict[str, float], float | None]:
+    per_domain = {domain: fleiss_kappa(np.concatenate(parts)) for domain, parts in rows.items()}
+    pooled = [part for parts in rows.values() for part in parts]
+    return per_domain, fleiss_kappa(np.concatenate(pooled)) if pooled else None
 
 
 def trigger_token_kappa(
@@ -400,120 +507,19 @@ def trigger_token_kappa(
     pair on that review: covered by one of the rater's trigger spans for
     that emotion, or not (character-range overlap).
     """
-    review_map = _index_reviews(reviews)
-    grouped = _records_by_review(annotations)
-    annotator_ids = sorted({a.annotator_id for a in annotations})
-    pools: dict[tuple[str, str], dict[str, list[tuple[bool, bool]]]] = {
-        pair: {} for pair in combinations(annotator_ids, 2)
-    }
-    for review_id, per_annotator in grouped.items():
-        review = review_map.get(review_id)
-        if review is None:
-            raise DataError(f"annotations reference unknown review {review_id!r}")
-        token_spans = tokenize_with_spans(review.text)
-        for pair in combinations(sorted(per_annotator), 2):
-            rec_a, rec_b = per_annotator[pair[0]], per_annotator[pair[1]]
-            emotions = sorted(
-                (rec_a.output.emotions | rec_b.output.emotions) - {EmotionLabel.NEUTRAL},
-                key=EMOTION_ORDER.index,
-            )
-            items = pools[pair].setdefault(review.domain.value, [])
-            for emotion in emotions:
-                spans_a = rec_a.output.triggers_for(emotion)
-                spans_b = rec_b.output.triggers_for(emotion)
-                for t in token_spans:
-                    covered_a = any(t.start < s.end and s.start < t.end for s in spans_a)
-                    covered_b = any(t.start < s.end and s.start < t.end for s in spans_b)
-                    items.append((covered_a, covered_b))
-    per_domain = {
-        pair: {domain: _safe_kappa(items) for domain, items in by_domain.items()}
-        for pair, by_domain in pools.items()
-    }
-    overall = {
-        pair: _safe_kappa([item for items in by_domain.values() for item in items])
-        for pair, by_domain in pools.items()
-    }
-    return per_domain, overall
+    _, trigger_pairs, _, _ = _agreement_items(annotations, reviews)
+    return _pairwise_kappas(trigger_pairs, unseen=1.0)
 
 
 def build_agreement_report(
     annotations: Sequence[AnnotationRecord], reviews: Iterable[Review]
 ) -> AgreementReport:
-    review_map = _index_reviews(reviews)
-    grouped = _records_by_review(annotations)
-    annotator_ids = sorted({a.annotator_id for a in annotations})
-
-    emotion_sets: dict[tuple[str, str], dict[str, tuple[list, list]]] = {
-        pair: {} for pair in combinations(annotator_ids, 2)
-    }
-    fleiss_rows: dict[str, list[tuple[int, int]]] = {}
-    rater_count = len(annotator_ids)
-    for review_id, per_annotator in grouped.items():
-        review = review_map.get(review_id)
-        if review is None:
-            raise DataError(f"annotations reference unknown review {review_id!r}")
-        domain = review.domain.value
-        for pair in combinations(sorted(per_annotator), 2):
-            sets_a, sets_b = emotion_sets[pair].setdefault(domain, ([], []))
-            sets_a.append(per_annotator[pair[0]].output.emotions)
-            sets_b.append(per_annotator[pair[1]].output.emotions)
-        if len(per_annotator) == rater_count and rater_count >= 2:
-            rows = fleiss_rows.setdefault(domain, [])
-            for label in EMOTION_ORDER:
-                yes = sum(1 for rec in per_annotator.values() if label in rec.output.emotions)
-                rows.append((yes, rater_count - yes))
-
-    pairwise_emotion = {
-        pair: {domain: cohen_kappa(a, b) for domain, (a, b) in by_domain.items()}
-        for pair, by_domain in emotion_sets.items()
-    }
-    pairwise_emotion_overall = {}
-    for pair, by_domain in emotion_sets.items():
-        all_a = [s for a, _ in by_domain.values() for s in a]
-        all_b = [s for _, b in by_domain.values() for s in b]
-        pairwise_emotion_overall[pair] = cohen_kappa(all_a, all_b) if all_a else float("nan")
-
-    fleiss_by_domain = {domain: fleiss_kappa(rows) for domain, rows in fleiss_rows.items()}
-    pooled_rows = [row for rows in fleiss_rows.values() for row in rows]
-    fleiss_overall = fleiss_kappa(pooled_rows) if pooled_rows else None
-
-    trig_by_domain, trig_overall = trigger_token_kappa(annotations, review_map.values())
-
-    trig_fleiss_rows: dict[str, list[tuple[int, int]]] = {}
-    for review_id, per_annotator in grouped.items():
-        if len(per_annotator) != rater_count or rater_count < 2:
-            continue
-        review = review_map[review_id]
-        emotions = sorted(
-            set().union(*(rec.output.emotions for rec in per_annotator.values()))
-            - {EmotionLabel.NEUTRAL},
-            key=EMOTION_ORDER.index,
-        )
-        if not emotions:
-            continue
-        rows = trig_fleiss_rows.setdefault(review.domain.value, [])
-        coverages = {
-            annotator: {e: _token_coverage(review, rec.output, e) for e in emotions}
-            for annotator, rec in per_annotator.items()
-        }
-        n_tokens = len(tokenize_with_spans(review.text))
-        for emotion in emotions:
-            for idx in range(n_tokens):
-                yes = sum(1 for annotator in per_annotator if coverages[annotator][emotion][idx])
-                rows.append((yes, rater_count - yes))
-    trig_fleiss = {domain: fleiss_kappa(rows) for domain, rows in trig_fleiss_rows.items()}
-    pooled_trig = [row for rows in trig_fleiss_rows.values() for row in rows]
-    trig_fleiss_overall = fleiss_kappa(pooled_trig) if pooled_trig else None
-
+    emotion_pairs, trigger_pairs, emotion_rows, trigger_rows = _agreement_items(annotations, reviews)
     return AgreementReport(
-        pairwise_emotion_kappa=pairwise_emotion,
-        pairwise_emotion_overall=pairwise_emotion_overall,
-        fleiss_emotion_kappa=fleiss_by_domain,
-        fleiss_emotion_overall=fleiss_overall,
-        pairwise_trigger_token_kappa=trig_by_domain,
-        pairwise_trigger_token_overall=trig_overall,
-        fleiss_trigger_token_kappa=trig_fleiss,
-        fleiss_trigger_token_overall=trig_fleiss_overall,
+        *_pairwise_kappas(emotion_pairs, unseen=float("nan")),
+        *_fleiss_kappas(emotion_rows),
+        *_pairwise_kappas(trigger_pairs, unseen=1.0),
+        *_fleiss_kappas(trigger_rows),
     )
 
 
@@ -523,6 +529,7 @@ def render_agreement_report(report: AgreementReport, fmt: str = "table") -> str:
     domains = report.domains()
     header = ["Domain"] + [f"{a}/{b}" for a, b in pairs] + ["Average", "Fleiss"]
     note = f"# {TRIGGER_KAPPA_POOLING_NOTE}"
+    nan = float("nan")
 
     def section(
         title: str,
@@ -531,26 +538,15 @@ def render_agreement_report(report: AgreementReport, fmt: str = "table") -> str:
         fleiss_overall: float | None,
     ) -> list[list[str]]:
         rows: list[list[str]] = [[f"[{title}]"] + [""] * (len(header) - 1)]
-        means: list[list[float]] = []
-        for domain in domains:
-            values = [per_pair.get(pair, {}).get(domain, float("nan")) for pair in pairs]
-            means.append(values)
-            avg = sum(values) / len(values) if values else float("nan")
-            rows.append(
-                [domain]
-                + [f"{v:.4f}" for v in values]
-                + [f"{avg:.4f}", f"{fleiss.get(domain, float('nan')):.4f}"]
-            )
-        if means:
-            col_means = [sum(col) / len(col) for col in zip(*means)]
-            rows.append(
-                ["Overall Average"]
-                + [f"{v:.4f}" for v in col_means]
-                + [
-                    f"{sum(col_means) / len(col_means):.4f}",
-                    "" if fleiss_overall is None else f"{fleiss_overall:.4f}",
-                ]
-            )
+        values = [[per_pair.get(pair, {}).get(domain, nan) for pair in pairs] for domain in domains]
+        for domain, row in zip(domains, values):
+            avg = sum(row) / len(row) if row else nan
+            rows.append([domain] + [f"{v:.4f}" for v in row + [avg, fleiss.get(domain, nan)]])
+        if values:
+            col_means = [sum(col) / len(col) for col in zip(*values)]
+            col_means.append(sum(col_means) / len(col_means))
+            overall = "" if fleiss_overall is None else f"{fleiss_overall:.4f}"
+            rows.append(["Overall Average"] + [f"{v:.4f}" for v in col_means] + [overall])
         return rows
 
     rows = [header]
@@ -566,13 +562,20 @@ def render_agreement_report(report: AgreementReport, fmt: str = "table") -> str:
         report.fleiss_trigger_token_kappa,
         report.fleiss_trigger_token_overall,
     )
+    return note + "\n" + _render_rows(rows, fmt)
+
+
+def _render_rows(rows: list[list[str]], fmt: str) -> str:
+    """Rows as CSV, or as a plain-text table with left-aligned columns."""
     if fmt == "csv":
-        return note + "\n" + "\n".join(",".join(cell for cell in row) for row in rows) + "\n"
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = [note]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
+        for row in rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +619,7 @@ def _domain_stats(records: Sequence[GoldRecord]) -> DomainStats:
                 count += 1
                 spans = gold.output.triggers_for(label)
                 trigger_count += len(spans)
-                trigger_token_lengths.extend(len(tokenize(s.text)) for s in spans)
+                trigger_token_lengths.extend(count_tokens(s.text) for s in spans)
         per_emotion[label.value] = EmotionStats(
             count=count,
             share=count / total_emotions if total_emotions else 0.0,
@@ -671,10 +674,4 @@ def render_gold_statistics(stats: GoldStatistics, fmt: str = "table") -> str:
         rows.append(
             ["Avg Trigger Length (words)"] + [f"{s.avg_trigger_tokens:.2f}" for s in stats_row]
         )
-    if fmt == "csv":
-        return "\n".join(",".join(f'"{c}"' if "," in c else c for c in row) for row in rows) + "\n"
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return _render_rows(rows, fmt)

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 from . import annotation, corpus, extraction, inference, metrics
 from .corpus import FORMAT_VERSION, SamplingPlan
 from .errors import DataError, InsufficientReviews, ProviderFailure, UnknownRun
-from .jsonio import dump_json, load_json, write_jsonl
+from .jsonio import atomic_writer, dump_json, load_json, write_jsonl
 from .model import Review
 from .prompting import PROMPT_VERSION, InferenceConfig, Strategy, default_config
 
@@ -43,7 +43,8 @@ def _review_map(corpus_file: corpus.CorpusFile) -> dict[str, Review]:
 
 def _write_text(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with atomic_writer(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

@@ -10,7 +10,6 @@ perturbs another item's sample.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -20,8 +19,8 @@ from random import Random
 from typing import Any, Sequence, TypeVar
 
 from .errors import EmptyCorpus, InsufficientReviews, SampleTooLarge
-from .jsonio import iter_jsonl_lines
-from .model import DOMAIN_SOURCE, Domain, Review, Source, tokenize
+from .jsonio import iter_jsonl
+from .model import DOMAIN_SOURCE, Domain, Review, Source, count_tokens
 
 T = TypeVar("T")
 
@@ -126,11 +125,9 @@ def load_corpus(path: Path | str) -> CorpusFile:
     records: list[Review] = []
     rejections: list[RejectedLine] = []
     seen_ids: set[str] = set()
-    for line_no, line in iter_jsonl_lines(path):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            rejections.append(RejectedLine(line_no, f"invalid JSON: {exc.msg}"))
+    for line_no, obj, error in iter_jsonl(path):
+        if error:
+            rejections.append(RejectedLine(line_no, error))
             continue
         try:
             review = _parse_review_line(obj, seen_ids)
@@ -160,9 +157,7 @@ def review_to_dict(review: Review) -> dict[str, Any]:
 
 def filter_by_length(reviews: Sequence[Review], plan: SamplingPlan) -> list[Review]:
     """Keep reviews whose token count lies in [min_tokens, max_tokens]."""
-    return [
-        r for r in reviews if plan.min_tokens <= len(tokenize(r.text)) <= plan.max_tokens
-    ]
+    return [r for r in reviews if plan.min_tokens <= count_tokens(r.text) <= plan.max_tokens]
 
 
 def derive_seed(*parts: Any) -> int:

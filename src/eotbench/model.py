@@ -7,7 +7,6 @@ are pure functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -175,11 +174,19 @@ class TokenSpan(NamedTuple):
     end: int
 
 
-_WORD_RE = re.compile(r"\S+")
+class _PunctMemo(dict):
+    """Whether a character is Unicode punctuation, looked up once per character.
+
+    Filled on first use rather than at import: scanning all of Unicode
+    would add a tenth of a second to every start-up.
+    """
+
+    def __missing__(self, ch: str) -> bool:
+        is_punct = self[ch] = unicodedata.category(ch).startswith("P")
+        return is_punct
 
 
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+_IS_PUNCT = _PunctMemo()
 
 
 def tokenize_with_spans(text: str) -> list[TokenSpan]:
@@ -189,21 +196,43 @@ def tokenize_with_spans(text: str) -> list[TokenSpan]:
     punctuation stripped; token text is lowercased. Tokens that are all
     punctuation disappear.
     """
+    is_punct = _IS_PUNCT
+    new_span = tuple.__new__  # TokenSpan(...) without its Python-level __new__
     spans: list[TokenSpan] = []
-    for match in _WORD_RE.finditer(text):
-        start, end = match.start(), match.end()
-        while start < end and _is_punct(text[start]):
-            start += 1
-        while end > start and _is_punct(text[end - 1]):
-            end -= 1
-        if start < end:
-            spans.append(TokenSpan(text[start:end].lower(), start, end))
+    find = text.find
+    end = 0
+    for word in text.split():
+        start = find(word, end)
+        end = stop = start + len(word)
+        if is_punct[word[0]] or is_punct[word[-1]]:
+            while start < stop and is_punct[text[start]]:
+                start += 1
+            while stop > start and is_punct[text[stop - 1]]:
+                stop -= 1
+            if start == stop:
+                continue
+            word = text[start:stop]
+        spans.append(new_span(TokenSpan, (word.lower(), start, stop)))
     return spans
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased whitespace tokens with end punctuation stripped."""
     return [t.text for t in tokenize_with_spans(text)]
+
+
+def count_tokens(text: str) -> int:
+    """``len(tokenize(text))`` without building the tokens.
+
+    A whitespace-separated word is a token unless every character of it
+    is punctuation.
+    """
+    is_punct = _IS_PUNCT
+    return sum(
+        1
+        for word in text.split()
+        if not is_punct[word[0]] or not all(map(is_punct.__getitem__, word))
+    )
 
 
 def normalize_text(text: str) -> str:

@@ -9,11 +9,15 @@ and a from-scratch scorer for the hand-scored fixture.
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
-from eotbench.errors import NoStructuredBlock
+import numpy as np
+
+from eotbench.errors import DataError, DegenerateDistribution, NoStructuredBlock
 
 EMOTIONS = (
     "Joy",
@@ -304,3 +308,171 @@ def load_handscored_fixture(data_dir: Path):
             responses[obj["review_id"]] = obj["raw_response"]
     expected = json.loads((base / "expected.json").read_text())
     return reviews, gold, responses, expected
+
+
+# ---------------------------------------------------------------------------
+# Agreement report: the per-(annotator, emotion) implementation that
+# re-tokenizes a review for every coverage list and tests every token
+# against every span.
+# ---------------------------------------------------------------------------
+
+
+def oracle_token_spans(text: str) -> list[tuple[int, int]]:
+    """Character ranges of the tokens ``oracle_tokenize`` returns."""
+    spans = []
+    for match in re.finditer(r"\S+", text):
+        start, end = match.start(), match.end()
+        while start < end and unicodedata.category(text[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(text[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            spans.append((start, end))
+    return spans
+
+
+def _oracle_kappa(pairs) -> float:
+    n = len(pairs)
+    if n == 0:
+        return 1.0
+    agree = sum(1 for a, b in pairs if a == b)
+    yes_a = sum(1 for a, _ in pairs if a)
+    yes_b = sum(1 for _, b in pairs if b)
+    p_o = agree / n
+    p_a, p_b = yes_a / n, yes_b / n
+    p_e = p_a * p_b + (1 - p_a) * (1 - p_b)
+    if p_e == 1.0:
+        if p_o == 1.0:
+            return 1.0
+        raise DegenerateDistribution("chance agreement is 1 but raters disagree")
+    return (p_o - p_e) / (1 - p_e)
+
+
+def _oracle_safe_kappa(pairs) -> float:
+    try:
+        return _oracle_kappa(pairs)
+    except DegenerateDistribution:
+        return float("nan")
+
+
+def _oracle_cohen(labels_a, labels_b) -> float:
+    return _oracle_kappa(
+        [(label in sa, label in sb) for sa, sb in zip(labels_a, labels_b) for label in EMOTIONS]
+    )
+
+
+def _oracle_fleiss(rows) -> float:
+    data = np.asarray(rows, dtype=float)
+    if data.ndim != 2 or data.shape[0] < 1:
+        raise DataError("need a non-empty items x categories matrix")
+    n = data.sum(axis=1)[0]
+    p_items = ((data * data).sum(axis=1) - n) / (n * (n - 1))
+    p_bar = float(p_items.mean())
+    proportions = data.sum(axis=0) / data.sum()
+    p_bar_e = float((proportions**2).sum())
+    if p_bar_e == 1.0:
+        if p_bar == 1.0:
+            return 1.0
+        raise DegenerateDistribution("chance agreement is 1 but raters disagree")
+    return (p_bar - p_bar_e) / (1 - p_bar_e)
+
+
+def _oracle_coverage(text: str, spans) -> list[bool]:
+    return [any(t0 < s.end and s.start < t1 for s in spans) for t0, t1 in oracle_token_spans(text)]
+
+
+def oracle_agreement_report(annotations, reviews) -> dict:
+    """Every kappa of ``build_agreement_report(annotations, reviews)``,
+    keyed by AgreementReport field; emotions are compared by name."""
+    review_map = {r.review_id: r for r in reviews}
+    grouped: dict[str, dict] = {}
+    for record in annotations:
+        per_review = grouped.setdefault(record.review_id, {})
+        if record.annotator_id in per_review:
+            raise DataError(f"annotator {record.annotator_id!r} appears twice")
+        per_review[record.annotator_id] = record
+    annotator_ids = sorted({a.annotator_id for a in annotations})
+    rater_count = len(annotator_ids)
+
+    def emotions_of(record) -> set[str]:
+        return {e.value for e in record.output.emotions}
+
+    def triggers_for(record, emotion: str):
+        return next((p.triggers for p in record.output.pairs if p.emotion.value == emotion), ())
+
+    emotion_sets: dict = {pair: {} for pair in combinations(annotator_ids, 2)}
+    fleiss_rows: dict[str, list] = {}
+    pools: dict = {pair: {} for pair in combinations(annotator_ids, 2)}
+    for review_id, per_annotator in grouped.items():
+        review = review_map.get(review_id)
+        if review is None:
+            raise DataError(f"annotations reference unknown review {review_id!r}")
+        domain = review.domain.value
+        for pair in combinations(sorted(per_annotator), 2):
+            rec_a, rec_b = per_annotator[pair[0]], per_annotator[pair[1]]
+            sets_a, sets_b = emotion_sets[pair].setdefault(domain, ([], []))
+            sets_a.append(emotions_of(rec_a))
+            sets_b.append(emotions_of(rec_b))
+            items = pools[pair].setdefault(domain, [])
+            used = (emotions_of(rec_a) | emotions_of(rec_b)) - {"Neutral"}
+            for emotion in sorted(used, key=EMOTIONS.index):
+                covered_a = _oracle_coverage(review.text, triggers_for(rec_a, emotion))
+                covered_b = _oracle_coverage(review.text, triggers_for(rec_b, emotion))
+                items.extend(zip(covered_a, covered_b))
+        if len(per_annotator) == rater_count and rater_count >= 2:
+            rows = fleiss_rows.setdefault(domain, [])
+            for label in EMOTIONS:
+                yes = sum(1 for rec in per_annotator.values() if label in emotions_of(rec))
+                rows.append((yes, rater_count - yes))
+
+    pairwise_emotion = {
+        pair: {domain: _oracle_cohen(a, b) for domain, (a, b) in by_domain.items()}
+        for pair, by_domain in emotion_sets.items()
+    }
+    pairwise_emotion_overall = {}
+    for pair, by_domain in emotion_sets.items():
+        all_a = [s for a, _ in by_domain.values() for s in a]
+        all_b = [s for _, b in by_domain.values() for s in b]
+        pairwise_emotion_overall[pair] = _oracle_cohen(all_a, all_b) if all_a else float("nan")
+    pooled_rows = [row for rows in fleiss_rows.values() for row in rows]
+
+    trig_fleiss_rows: dict[str, list] = {}
+    for review_id, per_annotator in grouped.items():
+        if len(per_annotator) != rater_count or rater_count < 2:
+            continue
+        review = review_map[review_id]
+        emotions = sorted(
+            set().union(*(emotions_of(rec) for rec in per_annotator.values())) - {"Neutral"},
+            key=EMOTIONS.index,
+        )
+        if not emotions:
+            continue
+        rows = trig_fleiss_rows.setdefault(review.domain.value, [])
+        coverages = {
+            annotator: {e: _oracle_coverage(review.text, triggers_for(rec, e)) for e in emotions}
+            for annotator, rec in per_annotator.items()
+        }
+        for emotion in emotions:
+            for idx in range(len(oracle_token_spans(review.text))):
+                yes = sum(1 for annotator in per_annotator if coverages[annotator][emotion][idx])
+                rows.append((yes, rater_count - yes))
+    pooled_trig = [row for rows in trig_fleiss_rows.values() for row in rows]
+
+    return {
+        "pairwise_emotion_kappa": pairwise_emotion,
+        "pairwise_emotion_overall": pairwise_emotion_overall,
+        "fleiss_emotion_kappa": {d: _oracle_fleiss(rows) for d, rows in fleiss_rows.items()},
+        "fleiss_emotion_overall": _oracle_fleiss(pooled_rows) if pooled_rows else None,
+        "pairwise_trigger_token_kappa": {
+            pair: {domain: _oracle_safe_kappa(items) for domain, items in by_domain.items()}
+            for pair, by_domain in pools.items()
+        },
+        "pairwise_trigger_token_overall": {
+            pair: _oracle_safe_kappa([item for items in by_domain.values() for item in items])
+            for pair, by_domain in pools.items()
+        },
+        "fleiss_trigger_token_kappa": {
+            d: _oracle_fleiss(rows) for d, rows in trig_fleiss_rows.items()
+        },
+        "fleiss_trigger_token_overall": _oracle_fleiss(pooled_trig) if pooled_trig else None,
+    }

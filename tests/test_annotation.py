@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import csv
+import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from eotbench import annotation
 
 from eotbench.annotation import (
     AnnotationRecord,
@@ -14,6 +20,8 @@ from eotbench.annotation import (
     gold_to_dict,
     kappa_from_binary_pairs,
     load_annotations,
+    load_gold,
+    render_agreement_report,
     resolve_overlaps,
     trigger_token_kappa,
 )
@@ -32,6 +40,7 @@ from eotbench.model import (
     locate_span,
 )
 from conftest import make_review
+from oracles import EMOTIONS, oracle_agreement_report
 
 JOY = EmotionLabel.JOY
 TRUST = EmotionLabel.TRUST
@@ -255,6 +264,105 @@ class TestAgreementReport:
         assert report.fleiss_emotion_overall == 1.0
         assert report.fleiss_trigger_token_overall == 1.0
 
+    def test_each_annotated_review_is_tokenized_once(self, monkeypatch):
+        reviews, annotations = self._three_annotator_corpus()
+        calls = []
+        tokenize_with_spans = annotation.tokenize_with_spans
+        monkeypatch.setattr(
+            annotation, "tokenize_with_spans", lambda text: calls.append(text) or tokenize_with_spans(text)
+        )
+        build_agreement_report(annotations, reviews + [make_review("unrated", "Not annotated")])
+        assert sorted(calls) == sorted(r.text for r in reviews)
+
+    def test_csv_keeps_a_comma_in_an_annotator_id(self):
+        reviews, annotations = self._three_annotator_corpus()
+        renamed = [
+            AnnotationRecord(a.review_id, "A,1" if a.annotator_id == "A1" else a.annotator_id, a.output)
+            for a in annotations
+        ]
+        text = render_agreement_report(build_agreement_report(renamed, reviews), "csv")
+        note, *lines = text.splitlines()
+        assert note.startswith("# ")
+        rows = list(csv.reader(lines))
+        assert rows[0] == ["Domain", "A,1/A2", "A2/A3", "A,1/A3", "Average", "Fleiss"]
+        assert {len(row) for row in rows} == {6}
+
+
+def _assert_same_kappas(got: dict, expected: dict) -> None:
+    def same(a, b) -> bool:
+        if a is None or b is None:
+            return a is b
+        return (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12
+
+    assert got.keys() == expected.keys()
+    for field, want in expected.items():
+        if isinstance(want, dict):
+            assert got[field].keys() == want.keys(), field
+            for key, value in want.items():
+                if isinstance(value, dict):
+                    assert got[field][key].keys() == value.keys(), (field, key)
+                    assert all(same(got[field][key][d], value[d]) for d in value), (field, key)
+                else:
+                    assert same(got[field][key], value), (field, key)
+        else:
+            assert same(got[field], want), field
+
+
+# Words of the random reviews: plain, punctuated, and punctuation only.
+_WORDS = ("good", "Bad!", "very", "«ok»", "it's", "--", "!!", "...", "fine,", "(so)")
+
+
+@st.composite
+def annotated_corpora(draw):
+    """1-4 reviews over 1-2 domains, each rated by one, two or all three of
+    A1-A3: emotions whose triggers are random substrings (punctuation and
+    whitespace included), Neutral, or an empty output."""
+    domains = draw(st.lists(st.sampled_from(list(Domain)), min_size=1, max_size=2, unique=True))
+    reviews, records = [], []
+    for i in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=8))
+        review = make_review(f"r{i}", " ".join(words), draw(st.sampled_from(domains)), f"item{i}")
+        reviews.append(review)
+        raters = draw(st.sampled_from([("A1", "A2", "A3"), ("A1", "A2"), ("A2", "A3"), ("A1", "A3"), ("A2",)]))
+        for rater in raters:
+            kind = draw(st.sampled_from(["emotions", "emotions", "neutral", "empty"]))
+            if kind == "neutral":
+                records.append(neutral_annotation(review, rater))
+                continue
+            emotions = [] if kind == "empty" else draw(
+                st.lists(st.sampled_from(EMOTIONS[:-1]), min_size=1, max_size=3, unique=True)
+            )
+            pairs = []
+            for emotion in emotions:
+                spans = []
+                for _ in range(draw(st.integers(1, 2))):
+                    start = draw(st.integers(0, len(review.text) - 1))
+                    end = draw(st.integers(start + 1, len(review.text)))
+                    spans.append(locate_span(review.text, review.text[start:end]))
+                pairs.append(EmotionTriggers(EmotionLabel(emotion), tuple(spans)))
+            records.append(AnnotationRecord(review.review_id, rater, EotOutput(review.review_id, tuple(pairs))))
+    return reviews, records
+
+
+class TestAgreementMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(annotated_corpora())
+    def test_every_kappa_matches_the_per_token_oracle(self, corpus):
+        reviews, records = corpus
+        try:
+            expected = oracle_agreement_report(records, reviews)
+        except DataError:
+            # e.g. a domain whose fully rated reviews are all punctuation:
+            # its Fleiss trigger matrix has no items
+            with pytest.raises(DataError):
+                build_agreement_report(records, reviews)
+            return
+        _assert_same_kappas(vars(build_agreement_report(records, reviews)), expected)
+        fields = ("pairwise_trigger_token_kappa", "pairwise_trigger_token_overall")
+        _assert_same_kappas(
+            dict(zip(fields, trigger_token_kappa(records, reviews))), {f: expected[f] for f in fields}
+        )
+
 
 class TestGoldStatistics:
     def test_single_record_arithmetic(self):
@@ -328,6 +436,34 @@ class TestAnnotationIo:
         as_dict = gold_to_dict(gold)
         assert as_dict["emotions"] == [{"emotion": "Joy", "triggers": ["very happy"]}]
         assert as_dict["provenance"]["emotion_votes"] == {"Joy": 3}
+
+    def test_non_utf8_line_is_a_data_error_with_its_line(self, tmp_path):
+        review = make_review("b1", "I am very happy", Domain.BEAUTY, "i1")
+        line = json.dumps({"review_id": "b1", "annotator_id": "A1", "emotions": []}).encode()
+        path = tmp_path / "annotations.jsonl"
+        path.write_bytes(line + b"\n" + line.replace(b"A1", b"A\xe9") + b"\n")
+        with pytest.raises(DataError, match=r"annotations\.jsonl:2: invalid UTF-8"):
+            load_annotations(path, {"b1": review})
+        gold = tmp_path / "gold.jsonl"
+        gold.write_bytes(b'{"review_id": "b\xe9"}\n')
+        with pytest.raises(DataError, match=r"gold\.jsonl:1: invalid UTF-8"):
+            load_gold(gold, {"b1": review})
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('["not", "an", "object"]', "record is not an object"),
+            ('{"review_id": ["b1"]}', "unknown review_id"),
+            ('{"review_id": "b1", "emotions": [{"emotion": "Joy", "triggers": ["sad"]}]}', "sad"),
+            ('{"review_id": "b1", "emotions": [], "provenance": {"trigger_annotators": [1]}}', "provenance"),
+        ],
+    )
+    def test_malformed_gold_line_is_a_data_error_with_its_line(self, tmp_path, line, message):
+        review = make_review("b1", "I am very happy", Domain.BEAUTY, "i1")
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"review_id": "b1", "emotions": [{"emotion": "Neutral"}]}\n' + line + "\n")
+        with pytest.raises(DataError, match=rf"gold\.jsonl:2: .*{message}"):
+            load_gold(path, {"b1": review})
 
     def test_non_extractive_annotation_is_rejected(self, tmp_path):
         review = make_review("b1", "I am very happy", Domain.BEAUTY, "i1")

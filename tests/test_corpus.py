@@ -90,6 +90,15 @@ class TestLoadCorpus:
         path.write_text(self._line(1) + "\n" + self._line(2, domain="Yelp") + "\n")
         assert load_corpus(path).source is None
 
+    def test_non_utf8_line_is_rejected_not_raised(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        bad = self._line(2, text="cafe is fine").encode().replace(b"cafe", b"caf\xe9")
+        path.write_bytes(self._line(1).encode() + b"\n" + bad + b"\n" + self._line(3).encode() + b"\n")
+        loaded = load_corpus(path)
+        assert [r.review_id for r in loaded.records] == ["r1", "r3"]
+        assert [r.line_no for r in loaded.rejections] == [2]
+        assert "UTF-8" in loaded.rejections[0].reason
+
     def test_bad_timestamp_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(self._line(1, timestamp="june") + "\n" + self._line(2) + "\n")

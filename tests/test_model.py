@@ -11,12 +11,20 @@ from eotbench.model import (
     Review,
     TriggerSpan,
     canonical_emotion,
+    count_tokens,
     locate_span,
     normalize_text,
     tokenize,
     tokenize_with_spans,
 )
 from conftest import make_review
+from oracles import oracle_token_spans, oracle_tokenize
+
+# Letters, ASCII and Unicode punctuation, whitespace beyond the ASCII space,
+# and any other character.
+_TOKEN_ALPHABET = st.sampled_from(
+    list("aZé9'-.,!?\"()«»¿¡—…。、「」・") + [" ", "\t", "\n", "\x1c", "\xa0", "\u3000", "\u2028"]
+) | st.characters()
 
 
 class TestTokenize:
@@ -41,6 +49,13 @@ class TestTokenize:
     def test_idempotent_on_joined_output(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+    @given(st.text(_TOKEN_ALPHABET, max_size=60))
+    def test_matches_oracle(self, text):
+        expected = oracle_tokenize(text)
+        assert tokenize(text) == expected
+        assert count_tokens(text) == len(expected)
+        assert [(t.start, t.end) for t in tokenize_with_spans(text)] == oracle_token_spans(text)
 
     def test_spans_point_into_original_text(self):
         text = "Great fit, LOVE it!"
