@@ -493,9 +493,16 @@ def _pairwise_kappas(
 
 
 def _fleiss_kappas(rows: dict[str, list[np.ndarray]]) -> tuple[dict[str, float], float | None]:
-    per_domain = {domain: fleiss_kappa(np.concatenate(parts)) for domain, parts in rows.items()}
+    """Per-domain and pooled kappas; NaN for a matrix with no items (trigger
+    rows of reviews without tokens), None when no review was rated by all."""
+
+    def kappa(parts: list[np.ndarray]) -> float:
+        matrix = np.concatenate(parts)
+        return fleiss_kappa(matrix) if len(matrix) else float("nan")
+
+    per_domain = {domain: kappa(parts) for domain, parts in rows.items()}
     pooled = [part for parts in rows.values() for part in parts]
-    return per_domain, fleiss_kappa(np.concatenate(pooled)) if pooled else None
+    return per_domain, kappa(pooled) if pooled else None
 
 
 def trigger_token_kappa(

@@ -158,12 +158,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     run_dir = runs_dir / run_id
     manifest_path = run_dir / "manifest.json"
+    # what a resumed run must share with the run it continues
+    identity = {
+        "strategy": strategy.value,
+        "profile": profile.name,
+        "prompt_version": PROMPT_VERSION,
+        "config": config.to_dict(),
+    }
     if manifest_path.exists():
         if not args.resume:
             raise DataError(f"run {run_id!r} already exists; pass --resume to continue it")
         manifest = load_json(manifest_path)
-        if manifest.get("strategy") != strategy.value or manifest.get("profile") != profile.name:
-            raise DataError("resume with a different strategy or profile is not allowed")
+        drift = [name for name, value in identity.items() if manifest.get(name) != value]
+        if drift:
+            raise DataError(f"resume with a different {', '.join(drift)} is not allowed")
     elif args.resume:
         raise UnknownRun(run_id)
     else:
@@ -172,25 +180,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             "format_version": FORMAT_VERSION,
             "run_id": run_id,
             "corpus": str(args.corpus),
-            "strategy": strategy.value,
-            "profile": profile.name,
-            "prompt_version": PROMPT_VERSION,
-            "config": config.to_dict(),
+            **identity,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "seed": args.seed,
             "notes": {"zs_cot_system_message": "none"},
         })
 
-    inference.run_experiment(
+    state = inference.run_experiment(
         corpus_file.records, strategy, profile, config,
         runs_dir=runs_dir, run_id=run_id,
     )
     print(run_id)
-    entries = inference.read_ledger(runs_dir, run_id)
-    ok = inference.ok_review_ids(entries, run_id)
-    failed = {e.review_id for e in entries if e.run_id == run_id} - ok
-    if failed:
-        log.error("run %s: %d reviews failed", run_id, len(failed))
+    if state.failed:
+        log.error("run %s: %d reviews failed", run_id, len(state.failed))
         return EXIT_PROVIDER
     return EXIT_OK
 
@@ -206,16 +208,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     reviews = _review_map(_load_reviews(corpus_path))
     golds = annotation.load_gold(args.gold, reviews)
 
-    entries = inference.read_ledger(runs_dir, args.run_id)
-    entries = [e for e in entries if e.run_id == args.run_id]
-    latest_ok: dict[str, inference.RunLedgerEntry] = {}
-    failed_ids: set[str] = set()
-    for entry in entries:
-        if entry.status == inference.LedgerStatus.OK:
-            latest_ok[entry.review_id] = entry
-            failed_ids.discard(entry.review_id)
-        elif entry.review_id not in latest_ok:
-            failed_ids.add(entry.review_id)
+    state = inference.reduce_ledger(
+        inference.read_ledger(runs_dir, args.run_id), args.run_id, manifest.get("prompt_version")
+    )
+    latest_ok = state.ok
 
     reports = []
     for review_id in sorted(latest_ok):
@@ -239,7 +235,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         "unparseable": sum(
             1 for r in reports if r.parse_status is extraction.ParseStatus.UNPARSEABLE
         ),
-        "failed_requests": len(failed_ids),
+        "failed_requests": len(state.failed),
         "dropped_triggers": sum(len(r.dropped_triggers) for r in reports),
         "dropped_emotions": sum(len(r.dropped_emotions) for r in reports),
     }

@@ -9,18 +9,18 @@ entry (old entries are never mutated).
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import logging
 import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, ContextManager, NamedTuple, Sequence
 
-import requests
-
+from . import __version__
 from .errors import (
     AuthMissing,
     DataError,
@@ -157,22 +157,42 @@ class CompletionOutcome(NamedTuple):
     attempts: int
 
 
-def _request_body(
-    profile: ProviderProfile, messages: Sequence[tuple[str, str]], config: InferenceConfig
-) -> dict[str, Any]:
-    body: dict[str, Any] = {
-        "model": profile.model_id,
-        "messages": [{"role": role, "content": content} for role, content in messages],
-    }
+class Endpoint(NamedTuple):
+    """What every request of a run shares, built once per run."""
+
+    url: str
+    headers: dict[str, str]
+    params: dict[str, Any]  # the body's fields other than the messages
+
+
+def completion_endpoint(profile: ProviderProfile, config: InferenceConfig) -> Endpoint:
+    """The URL, headers (auth included) and body parameters of the
+    profile's chat completions; raises AuthMissing when the token is unset."""
+    if not profile.base_url.lower().startswith(("http://", "https://")):
+        raise DataError(f"profile {profile.name!r}: base_url must be an http:// or https:// URL")
+    headers = {"Content-Type": "application/json", "User-Agent": f"eotbench/{__version__}"}
+    token = profile.auth_token()
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    params: dict[str, Any] = {"model": profile.model_id}
     dropped = []
     for param in _CONFIG_PARAM_NAMES:
         if param in profile.supported_params:
-            body[param] = getattr(config, param)
+            params[param] = getattr(config, param)
         else:
             dropped.append(param)
     if dropped:
         log.debug("profile %s drops unsupported params: %s", profile.name, ", ".join(dropped))
-    return body
+    return Endpoint(profile.base_url.rstrip("/") + "/chat/completions", headers, params)
+
+
+def _session_scope(session: Any) -> ContextManager[Any]:
+    """The caller's session as it is, or a new transport closed on exit."""
+    if session is not None:
+        return contextlib.nullcontext(session)
+    from .transport import HttpTransport  # imported on first use: the other commands need no HTTP
+
+    return HttpTransport()
 
 
 def _extract_choice_text(payload: Any) -> str:
@@ -188,61 +208,55 @@ def request_completion(
     config: InferenceConfig,
     *,
     session: Any = None,
+    endpoint: Endpoint | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     sleep: Callable[[float], None] = time.sleep,
     rng: random.Random | None = None,
 ) -> CompletionOutcome:
     """One chat completion with exponential backoff and full jitter.
 
-    Transient failures (timeouts, connection errors, 429, 5xx) are
-    retried up to max_attempts; other HTTP errors raise immediately.
+    ``session.post(url, json=, headers=, timeout=)`` sends it, raising
+    TimeoutError on a timeout and OSError when the exchange fails; without
+    a session a transport is opened and closed for this one call.
+    ``endpoint`` is ``completion_endpoint(profile, config)``, built here
+    when not given. Transient failures (timeouts, connection errors, 429,
+    5xx) are retried up to max_attempts; other HTTP errors, redirects
+    included, raise immediately.
     """
-    token = profile.auth_token()
-    headers = {"Content-Type": "application/json"}
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    url = profile.base_url.rstrip("/") + "/chat/completions"
-    body = _request_body(profile, messages, config)
-    http = session if session is not None else requests
-    rng = rng or random.Random()
-
-    for attempt in range(1, max_attempts + 1):
-        transient: ProviderFailure | None = None
-        try:
-            response = http.post(url, json=body, headers=headers, timeout=profile.timeout)
-        except requests.Timeout:
-            transient = RequestTimeout(attempt)
-        except requests.RequestException as exc:
-            transient = ProviderError(0, f"connection error: {exc}", attempt)
-        else:
-            status = response.status_code
-            if status == 200:
-                try:
-                    payload = response.json()
-                except ValueError:
-                    raise ProviderError(200, "response body is not JSON", attempt) from None
-                return CompletionOutcome(_extract_choice_text(payload), attempt)
-            if status == 429:
-                transient = RateLimited(attempt)
-            elif status >= 500:
-                transient = ProviderError(status, getattr(response, "text", ""), attempt)
+    if endpoint is None:
+        endpoint = completion_endpoint(profile, config)
+    body = {**endpoint.params, "messages": [{"role": role, "content": content} for role, content in messages]}
+    with _session_scope(session) as http:
+        for attempt in range(1, max_attempts + 1):
+            transient: ProviderFailure | None = None
+            try:
+                response = http.post(endpoint.url, json=body, headers=endpoint.headers, timeout=profile.timeout)
+            except TimeoutError:
+                transient = RequestTimeout(attempt)
+            except OSError as exc:
+                transient = ProviderError(0, f"connection error: {exc}", attempt)
             else:
-                raise ProviderError(status, getattr(response, "text", ""), attempt)
-        if attempt == max_attempts:
-            raise transient
-        delay = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1))
-        sleep(rng.uniform(0, delay))
+                status = response.status_code
+                if status == 200:
+                    try:
+                        payload = response.json()
+                    except ValueError:
+                        raise ProviderError(200, "response body is not JSON", attempt) from None
+                    return CompletionOutcome(_extract_choice_text(payload), attempt)
+                if status == 429:
+                    transient = RateLimited(attempt)
+                elif status >= 500:
+                    transient = ProviderError(status, response.text, attempt)
+                elif 300 <= status < 400:
+                    location = response.headers.get("Location")
+                    raise ProviderError(status, f"redirect to {location!r} not followed", attempt)
+                else:
+                    raise ProviderError(status, response.text, attempt)
+            if attempt == max_attempts:
+                raise transient
+            delay = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1))
+            sleep((rng or random.Random()).uniform(0, delay))
     raise ProviderError(0, "unreachable")  # pragma: no cover
-
-
-def complete(
-    profile: ProviderProfile,
-    messages: Sequence[tuple[str, str]],
-    config: InferenceConfig,
-    **kwargs: Any,
-) -> str:
-    """The raw text of the first completion choice."""
-    return request_completion(profile, messages, config, **kwargs).text
 
 
 def ledger_path(runs_dir: Path | str, run_id: str) -> Path:
@@ -305,8 +319,41 @@ def _seal_ledger(path: Path) -> None:
             fh.write(b"\n")
 
 
-def ok_review_ids(entries: Sequence[RunLedgerEntry], run_id: str) -> set[str]:
-    return {e.review_id for e in entries if e.run_id == run_id and e.status == LedgerStatus.OK}
+@dataclass
+class RunState:
+    """A run's ledger reduced: the latest Ok entry per review, and the
+    reviews that have entries but none of them Ok."""
+
+    ok: dict[str, RunLedgerEntry] = field(default_factory=dict)
+    failed: set[str] = field(default_factory=set)
+
+    def add(self, entry: RunLedgerEntry) -> None:
+        if entry.status == LedgerStatus.OK:
+            self.ok[entry.review_id] = entry
+            self.failed.discard(entry.review_id)
+        elif entry.review_id not in self.ok:
+            self.failed.add(entry.review_id)
+
+
+def reduce_ledger(
+    entries: Sequence[RunLedgerEntry], run_id: str, prompt_version: str | None
+) -> RunState:
+    """The state of run ``run_id`` after ``entries``, in append order.
+
+    Entries of other runs are ignored, and so are entries of another prompt
+    version unless ``prompt_version`` is None.
+    """
+    state = RunState()
+    for entry in entries:
+        if entry.run_id == run_id and prompt_version in (None, entry.prompt_version):
+            state.add(entry)
+    return state
+
+
+def ok_review_ids(
+    entries: Sequence[RunLedgerEntry], run_id: str, prompt_version: str = PROMPT_VERSION
+) -> set[str]:
+    return set(reduce_ledger(entries, run_id, prompt_version).ok)
 
 
 def run_experiment(
@@ -320,27 +367,31 @@ def run_experiment(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     session: Any = None,
     sleep: Callable[[float], None] = time.sleep,
-) -> str:
+) -> RunState:
     """Process reviews with bounded concurrency, appending one ledger entry each.
 
-    Resumable: reviews already Ok in this run's ledger are skipped.
-    Per-review failures become Failed entries and never abort the run.
+    Resumable: reviews already Ok in this run's ledger under the current
+    PROMPT_VERSION are skipped. Per-review failures become Failed entries
+    and never abort the run. Returns the run's state after it, ledger
+    entries from earlier invocations included. Without a session, the run
+    opens one transport, keeping a connection per worker, and closes it
+    before returning.
     """
-    profile.auth_token()  # fail before any request when auth is missing
+    endpoint = completion_endpoint(profile, config)  # fails before any request when auth is missing
     path = ledger_path(runs_dir, run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    done = ok_review_ids(read_ledger(runs_dir, run_id), run_id)
+    state = reduce_ledger(read_ledger(runs_dir, run_id), run_id, PROMPT_VERSION)
     _seal_ledger(path)
-    todo = [r for r in reviews if r.review_id not in done]
-    log.info("run %s: %d reviews to process (%d already done)", run_id, len(todo), len(done))
+    todo = [r for r in reviews if r.review_id not in state.ok]
+    log.info("run %s: %d reviews to process (%d already done)", run_id, len(todo), len(state.ok))
 
-    def process(review: Review) -> RunLedgerEntry:
+    def process(review: Review, http: Any) -> RunLedgerEntry:
         messages = render_messages(build_prompt(strategy, review))
         started = time.monotonic()
         try:
             outcome = request_completion(
                 profile, messages, config,
-                session=session, max_attempts=max_attempts, sleep=sleep,
+                session=http, endpoint=endpoint, max_attempts=max_attempts, sleep=sleep,
             )
         except ProviderFailure as exc:
             latency = int((time.monotonic() - started) * 1000)
@@ -357,11 +408,12 @@ def run_experiment(
         )
 
     # single writer: worker threads only compute, the main thread appends
-    with open(path, "a", encoding="utf-8") as ledger:
+    with _session_scope(session) as http, open(path, "a", encoding="utf-8") as ledger:
         with ThreadPoolExecutor(max_workers=profile.max_concurrency) as executor:
-            futures = [executor.submit(process, review) for review in todo]
+            futures = [executor.submit(process, review, http) for review in todo]
             for future in as_completed(futures):
                 entry = future.result()
                 ledger.write(json.dumps(entry.to_dict(), ensure_ascii=False) + "\n")
                 ledger.flush()
-    return run_id
+                state.add(entry)
+    return state

@@ -4,7 +4,9 @@ import csv
 import json
 import math
 import random
+from unittest import mock
 
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -312,6 +314,13 @@ def _assert_same_kappas(got: dict, expected: dict) -> None:
 _WORDS = ("good", "Bad!", "very", "«ok»", "it's", "--", "!!", "...", "fine,", "(so)")
 
 
+_real_oracle_fleiss = oracles._oracle_fleiss
+
+
+def _nan_when_empty(rows) -> float:
+    return _real_oracle_fleiss(rows) if len(rows) else float("nan")
+
+
 @st.composite
 def annotated_corpora(draw):
     """1-4 reviews over 1-2 domains, each rated by one, two or all three of
@@ -344,6 +353,30 @@ def annotated_corpora(draw):
     return reviews, records
 
 
+class TestFleissWithoutTriggerItems:
+    """Fully rated non-Neutral reviews without tokens give no Fleiss trigger items."""
+
+    def _rated(self, review, triggers):
+        return [annotate(review, a, {JOY: triggers}) for a in ("A1", "A2", "A3")]
+
+    def test_an_empty_domain_is_nan_and_the_pool_keeps_the_rest(self):
+        bare = make_review("p1", "!!! ...", Domain.HOME, "i1")
+        worded = make_review("b1", "A bright screen and a fast charger", Domain.ELECTRONICS, "i2")
+        records = self._rated(bare, ["!!!"]) + self._rated(worded, ["bright screen"])
+        report = build_agreement_report(records, [bare, worded])
+        assert math.isnan(report.fleiss_trigger_token_kappa["Home"])
+        assert report.fleiss_trigger_token_kappa["Electronics"] == 1.0
+        assert report.fleiss_trigger_token_overall == 1.0
+        assert "nan" in render_agreement_report(report, "csv")
+
+    def test_the_pool_is_nan_when_every_domain_is_empty(self):
+        bare = make_review("p1", "!!! ...", Domain.HOME, "i1")
+        report = build_agreement_report(self._rated(bare, ["..."]), [bare])
+        assert math.isnan(report.fleiss_trigger_token_kappa["Home"])
+        assert math.isnan(report.fleiss_trigger_token_overall)
+        assert report.fleiss_emotion_overall == 1.0
+
+
 class TestAgreementMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(annotated_corpora())
@@ -352,11 +385,14 @@ class TestAgreementMatchesOracle:
         try:
             expected = oracle_agreement_report(records, reviews)
         except DataError:
-            # e.g. a domain whose fully rated reviews are all punctuation:
-            # its Fleiss trigger matrix has no items
-            with pytest.raises(DataError):
-                build_agreement_report(records, reviews)
-            return
+            # a domain whose fully rated non-Neutral reviews are all punctuation:
+            # its Fleiss trigger matrix has no items, and the report gives NaN
+            # there (and pooled, when every domain is like that)
+            with mock.patch.object(oracles, "_oracle_fleiss", _nan_when_empty):
+                expected = oracle_agreement_report(records, reviews)
+            assert any(math.isnan(k) for k in expected["fleiss_trigger_token_kappa"].values())
+            if expected["fleiss_trigger_token_overall"] is None:
+                expected["fleiss_trigger_token_overall"] = float("nan")
         _assert_same_kappas(vars(build_agreement_report(records, reviews)), expected)
         fields = ("pairwise_trigger_token_kappa", "pairwise_trigger_token_overall")
         _assert_same_kappas(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from eotbench import inference
 from eotbench.cli import EXIT_DATA, EXIT_OK, _render_confusion, main
 from eotbench.jsonio import load_json, write_jsonl
 from conftest import DATA_DIR
@@ -280,6 +281,52 @@ class TestRunAndScoreCommands:
             first_requests = server.request_count
             assert main(args + ["--resume"]) == EXIT_OK
             assert server.request_count == first_requests  # everything already Ok
+
+    def _neutral_run(self, tmp_path, server, *extra):
+        reviews_path = DATA_DIR / "handscored" / "reviews.jsonl"
+        profile = write_profile(tmp_path / "profiles.ini", server.base_url)
+        return main([
+            "run", "--corpus", str(reviews_path), "--strategy", "zs", "--profile", f"{profile}:mock",
+            "--run-id", "drift", "--runs-dir", str(tmp_path / "runs"), *extra,
+        ])
+
+    def _neutral_server(self):
+        reviews_path = DATA_DIR / "handscored" / "reviews.jsonl"
+        reviews = [json.loads(l) for l in reviews_path.read_text().splitlines() if l.strip()]
+        neutral = '{"emotions": [{"emotion": "Neutral", "triggers": []}]}'
+        return MockProviderServer({r["text"]: neutral for r in reviews})
+
+    def test_resume_refuses_a_different_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"temperature": 0.7}))
+        with self._neutral_server() as server:
+            assert self._neutral_run(tmp_path, server) == EXIT_OK
+            sent = server.request_count
+            assert self._neutral_run(tmp_path, server, "--resume", "--config", str(config)) == EXIT_DATA
+            assert server.request_count == sent
+
+    def test_resume_refuses_a_different_prompt_version(self, tmp_path):
+        with self._neutral_server() as server:
+            assert self._neutral_run(tmp_path, server) == EXIT_OK
+            manifest_path = tmp_path / "runs" / "drift" / "manifest.json"
+            manifest = load_json(manifest_path)
+            manifest_path.write_text(json.dumps({**manifest, "prompt_version": "0.9"}))
+            assert self._neutral_run(tmp_path, server, "--resume") == EXIT_DATA
+            manifest_path.write_text(json.dumps(manifest))
+            assert self._neutral_run(tmp_path, server, "--resume") == EXIT_OK
+
+    def test_run_reads_the_ledger_once(self, tmp_path, monkeypatch):
+        calls = []
+        read_ledger = inference.read_ledger
+
+        def counting(*args):
+            calls.append(args)
+            return read_ledger(*args)
+
+        monkeypatch.setattr(inference, "read_ledger", counting)
+        with self._neutral_server() as server:
+            assert self._neutral_run(tmp_path, server) == EXIT_OK
+        assert len(calls) == 1
 
     def test_report_command_combines_scores(self, tmp_path, capsys):
         scores = {

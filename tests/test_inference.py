@@ -5,21 +5,21 @@ import logging
 import threading
 
 import pytest
-import requests
 
 from eotbench.errors import AuthMissing, DataError, ProviderError, RateLimited, RequestTimeout
 from eotbench.inference import (
     LedgerStatus,
     ProviderProfile,
-    complete,
+    RunLedgerEntry,
     ledger_path,
     load_provider_profiles,
     ok_review_ids,
     read_ledger,
+    reduce_ledger,
     request_completion,
     run_experiment,
 )
-from eotbench.prompting import Strategy, default_config
+from eotbench.prompting import PROMPT_VERSION, Strategy, default_config
 from conftest import make_review
 
 NO_SLEEP = lambda seconds: None
@@ -92,8 +92,10 @@ class FakeSession:
 class TestComplete:
     def test_echo_path(self):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("hello")))
-        text = complete(profile(), [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP)
-        assert text == "hello"
+        outcome = request_completion(
+            profile(), [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP
+        )
+        assert outcome.text == "hello"
         assert session.calls == 1
 
     def test_retry_on_429_then_success(self):
@@ -128,12 +130,23 @@ class TestComplete:
             )
 
     def test_timeouts_raise_after_retries(self):
-        session = FakeSession(lambda i, body: requests.Timeout("slow"))
+        session = FakeSession(lambda i, body: TimeoutError("slow"))
         with pytest.raises(RequestTimeout):
             request_completion(
                 profile(), [("user", "hi")], default_config(),
                 session=session, max_attempts=2, sleep=NO_SLEEP,
             )
+
+    def test_connection_errors_are_transient_provider_errors(self):
+        session = FakeSession(lambda i, body: ConnectionResetError("reset by peer"))
+        with pytest.raises(ProviderError) as excinfo:
+            request_completion(
+                profile(), [("user", "hi")], default_config(),
+                session=session, max_attempts=3, sleep=NO_SLEEP,
+            )
+        assert session.calls == 3
+        assert excinfo.value.status == 0
+        assert "connection error: reset by peer" in str(excinfo.value)
 
     def test_client_errors_do_not_retry(self):
         session = FakeSession(lambda i, body: FakeResponse(404, text="nope"))
@@ -146,7 +159,7 @@ class TestComplete:
     def test_auth_missing(self, monkeypatch):
         monkeypatch.delenv("MISSING_TOKEN_VAR", raising=False)
         with pytest.raises(AuthMissing):
-            complete(
+            request_completion(
                 profile(auth_env_var="MISSING_TOKEN_VAR"),
                 [("user", "hi")],
                 default_config(),
@@ -163,7 +176,7 @@ class TestComplete:
                 return super().post(url, json=json, headers=headers, timeout=timeout)
 
         session = HeaderSession(lambda i, body: FakeResponse(200, completion_payload("x")))
-        complete(
+        request_completion(
             profile(auth_env_var="TEST_TOKEN_VAR"),
             [("user", "hi")],
             default_config(),
@@ -175,7 +188,7 @@ class TestComplete:
     def test_unsupported_params_dropped_from_body(self):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("x")))
         limited = profile(supported_params=frozenset({"temperature", "max_tokens"}))
-        complete(limited, [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP)
+        request_completion(limited, [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP)
         body = session.bodies[0]
         assert "temperature" in body and "max_tokens" in body
         assert "top_p" not in body and "top_k" not in body
@@ -275,6 +288,71 @@ class TestRunExperiment:
                 session=session, sleep=NO_SLEEP,
             )
         assert session.calls == 0
+
+
+def entry(review_id, status=LedgerStatus.OK, run_id="run", prompt_version=PROMPT_VERSION, raw="x"):
+    return RunLedgerEntry(
+        run_id=run_id, review_id=review_id, strategy=Strategy.ZS, prompt_version=prompt_version,
+        raw_response=raw, latency_ms=1, attempt_count=1, status=status,
+    )
+
+
+class TestLedgerReduction:
+    def test_latest_ok_wins_and_failures_are_reviews_never_ok(self):
+        state = reduce_ledger(
+            [
+                entry("a", raw="first"),
+                entry("a", raw="second"),
+                entry("b", LedgerStatus.FAILED),
+                entry("b"),
+                entry("c", LedgerStatus.FAILED),
+                entry("d"),
+                entry("d", LedgerStatus.FAILED),  # a later failure keeps the Ok entry
+                entry("e", run_id="other"),
+            ],
+            "run",
+            PROMPT_VERSION,
+        )
+        assert {k: e.raw_response for k, e in state.ok.items()} == {"a": "second", "b": "x", "d": "x"}
+        assert state.failed == {"c"}
+
+    def test_other_prompt_versions_are_ignored_unless_none(self):
+        entries = [entry("a", prompt_version="0.9"), entry("b", LedgerStatus.FAILED, prompt_version="0.9"), entry("c")]
+        assert ok_review_ids(entries, "run") == {"c"}
+        assert reduce_ledger(entries, "run", PROMPT_VERSION).failed == set()
+        both = reduce_ledger(entries, "run", None)
+        assert set(both.ok) == {"a", "c"} and both.failed == {"b"}
+
+    def test_resume_redoes_reviews_done_under_another_prompt_version(self, tmp_path):
+        path = ledger_path(tmp_path, "run")
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(entry("r0", prompt_version="0.9").to_dict()) + "\n")
+        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
+        state = run_experiment(
+            [make_review(review_id="r0", item_id="i1")], Strategy.ZS, profile(), default_config(),
+            runs_dir=tmp_path, run_id="run", session=session, sleep=NO_SLEEP,
+        )
+        assert session.calls == 1
+        assert state.ok["r0"].prompt_version == PROMPT_VERSION
+
+    def test_run_experiment_returns_the_state_of_the_whole_ledger(self, tmp_path):
+        reviews = [
+            make_review(review_id=f"r{i}", text=f"perfectly fine product number {i}", item_id="i1")
+            for i in range(4)
+        ]
+
+        def script(i, body):
+            fails = "product number 3" in body["messages"][-1]["content"]
+            return FakeResponse(400, text="bad") if fails else FakeResponse(200, completion_payload("resp"))
+
+        session = FakeSession(script)
+        kwargs = dict(runs_dir=tmp_path, run_id="run-s", session=session, sleep=NO_SLEEP)
+        run_experiment(reviews[:2], Strategy.ZS, profile(), default_config(), **kwargs)
+        state = run_experiment(reviews, Strategy.ZS, profile(), default_config(), **kwargs)
+        assert set(state.ok) == {"r0", "r1", "r2"}
+        assert state.failed == {"r3"}
+        expected = reduce_ledger(read_ledger(tmp_path, "run-s"), "run-s", PROMPT_VERSION)
+        assert state == expected
 
 
 class TestLedgerTail:
