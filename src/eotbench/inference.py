@@ -9,7 +9,6 @@ entry (old entries are never mutated).
 from __future__ import annotations
 
 import configparser
-import contextlib
 import json
 import logging
 import os
@@ -18,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, ContextManager, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .errors import (
@@ -186,13 +185,17 @@ def completion_endpoint(profile: ProviderProfile, config: InferenceConfig) -> En
     return Endpoint(profile.base_url.rstrip("/") + "/chat/completions", headers, params)
 
 
-def _session_scope(session: Any) -> ContextManager[Any]:
-    """The caller's session as it is, or a new transport closed on exit."""
+def _http_session(session: Any, profile: ProviderProfile, url: str) -> Any:
+    """The caller's session, or else a transport to ``url``; a URL or proxy
+    the transport cannot use is a DataError, raised before any request."""
     if session is not None:
-        return contextlib.nullcontext(session)
+        return session
     from .transport import HttpTransport  # imported on first use: the other commands need no HTTP
 
-    return HttpTransport()
+    try:
+        return HttpTransport(url)
+    except ValueError as exc:
+        raise DataError(f"profile {profile.name!r}: {exc}") from None
 
 
 def _extract_choice_text(payload: Any) -> str:
@@ -217,7 +220,7 @@ def request_completion(
 
     ``session.post(url, json=, headers=, timeout=)`` sends it, raising
     TimeoutError on a timeout and OSError when the exchange fails; without
-    a session a transport is opened and closed for this one call.
+    a session a transport is made for this one call.
     ``endpoint`` is ``completion_endpoint(profile, config)``, built here
     when not given. Transient failures (timeouts, connection errors, 429,
     5xx) are retried up to max_attempts; other HTTP errors, redirects
@@ -226,36 +229,36 @@ def request_completion(
     if endpoint is None:
         endpoint = completion_endpoint(profile, config)
     body = {**endpoint.params, "messages": [{"role": role, "content": content} for role, content in messages]}
-    with _session_scope(session) as http:
-        for attempt in range(1, max_attempts + 1):
-            transient: ProviderFailure | None = None
-            try:
-                response = http.post(endpoint.url, json=body, headers=endpoint.headers, timeout=profile.timeout)
-            except TimeoutError:
-                transient = RequestTimeout(attempt)
-            except OSError as exc:
-                transient = ProviderError(0, f"connection error: {exc}", attempt)
+    http = _http_session(session, profile, endpoint.url)
+    for attempt in range(1, max_attempts + 1):
+        transient: ProviderFailure | None = None
+        try:
+            response = http.post(endpoint.url, json=body, headers=endpoint.headers, timeout=profile.timeout)
+        except TimeoutError:
+            transient = RequestTimeout(attempt)
+        except OSError as exc:
+            transient = ProviderError(0, f"connection error: {exc}", attempt)
+        else:
+            status = response.status_code
+            if status == 200:
+                try:
+                    payload = response.json()
+                except ValueError:
+                    raise ProviderError(200, "response body is not JSON", attempt) from None
+                return CompletionOutcome(_extract_choice_text(payload), attempt)
+            if status == 429:
+                transient = RateLimited(attempt)
+            elif status >= 500:
+                transient = ProviderError(status, response.text, attempt)
+            elif 300 <= status < 400:
+                location = response.headers.get("Location")
+                raise ProviderError(status, f"redirect to {location!r} not followed", attempt)
             else:
-                status = response.status_code
-                if status == 200:
-                    try:
-                        payload = response.json()
-                    except ValueError:
-                        raise ProviderError(200, "response body is not JSON", attempt) from None
-                    return CompletionOutcome(_extract_choice_text(payload), attempt)
-                if status == 429:
-                    transient = RateLimited(attempt)
-                elif status >= 500:
-                    transient = ProviderError(status, response.text, attempt)
-                elif 300 <= status < 400:
-                    location = response.headers.get("Location")
-                    raise ProviderError(status, f"redirect to {location!r} not followed", attempt)
-                else:
-                    raise ProviderError(status, response.text, attempt)
-            if attempt == max_attempts:
-                raise transient
-            delay = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1))
-            sleep((rng or random.Random()).uniform(0, delay))
+                raise ProviderError(status, response.text, attempt)
+        if attempt == max_attempts:
+            raise transient
+        delay = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1))
+        sleep((rng or random.Random()).uniform(0, delay))
     raise ProviderError(0, "unreachable")  # pragma: no cover
 
 
@@ -350,12 +353,6 @@ def reduce_ledger(
     return state
 
 
-def ok_review_ids(
-    entries: Sequence[RunLedgerEntry], run_id: str, prompt_version: str = PROMPT_VERSION
-) -> set[str]:
-    return set(reduce_ledger(entries, run_id, prompt_version).ok)
-
-
 def run_experiment(
     reviews: Sequence[Review],
     strategy: Strategy,
@@ -373,11 +370,11 @@ def run_experiment(
     Resumable: reviews already Ok in this run's ledger under the current
     PROMPT_VERSION are skipped. Per-review failures become Failed entries
     and never abort the run. Returns the run's state after it, ledger
-    entries from earlier invocations included. Without a session, the run
-    opens one transport, keeping a connection per worker, and closes it
-    before returning.
+    entries from earlier invocations included. Without a session the run
+    makes one transport, shared by its workers.
     """
     endpoint = completion_endpoint(profile, config)  # fails before any request when auth is missing
+    http = _http_session(session, profile, endpoint.url)  # and so does a URL or proxy it cannot use
     path = ledger_path(runs_dir, run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     state = reduce_ledger(read_ledger(runs_dir, run_id), run_id, PROMPT_VERSION)
@@ -408,7 +405,7 @@ def run_experiment(
         )
 
     # single writer: worker threads only compute, the main thread appends
-    with _session_scope(session) as http, open(path, "a", encoding="utf-8") as ledger:
+    with open(path, "a", encoding="utf-8") as ledger:
         with ThreadPoolExecutor(max_workers=profile.max_concurrency) as executor:
             futures = [executor.submit(process, review, http) for review in todo]
             for future in as_completed(futures):

@@ -1,16 +1,14 @@
-"""Keep-alive HTTP for JSON POSTs, on the standard library's ``http.client``.
+"""JSON POSTs to one URL, on the standard library's ``http.client``.
 
-``HttpTransport.post(url, json=, headers=, timeout=)`` keeps one persistent
-connection per thread and destination. What depends only on the URL (its
+``HttpTransport(url)`` works out once what depends only on the URL: its
 parts, the proxy chosen by ``http_proxy``/``https_proxy``/``all_proxy`` and
-``no_proxy``, and the TLS context) is worked out on the first request to it
-and reused after. Redirects are returned, not followed.
+``no_proxy``, and the TLS context. A URL or proxy it cannot use raises
+``ValueError`` there, before any request. ``post(url, json=, headers=,
+timeout=)`` sends each request on a connection of its own and closes it once
+the whole response is read. Redirects are returned, not followed.
 
 A failure to exchange a request and its response raises ``OSError``
-(``TimeoutError`` for a timeout), and the connection it happened on is
-closed, so the next request reconnects. A kept-alive connection that the
-server closed while it sat idle is noticed before it is reused and replaced
-without an error.
+(``TimeoutError`` for a timeout).
 """
 
 from __future__ import annotations
@@ -19,9 +17,7 @@ import base64
 import http.client
 import json as jsonlib
 import os
-import select
 import ssl
-import threading
 from typing import Any, NamedTuple
 from urllib.parse import SplitResult, unquote, urlsplit
 from urllib.request import getproxies_environment, proxy_bypass_environment
@@ -56,6 +52,19 @@ class _Route(NamedTuple):
     target: str  # the request target: the path, or the whole URL through a plain-HTTP proxy
 
 
+def _address(parts: SplitResult, default_port: int, what: str) -> tuple[str, int]:
+    """The host and port of ``parts``; ValueError names ``what`` and the URL
+    without its credentials."""
+    shown = parts._replace(netloc=parts.netloc.rpartition("@")[2]).geturl()
+    try:
+        port = parts.port
+    except ValueError as exc:  # not a number, or out of range
+        raise ValueError(f"{what} {shown!r}: {exc}") from None
+    if not parts.hostname:
+        raise ValueError(f"{what} {shown!r} names no host")
+    return parts.hostname, port or default_port
+
+
 def _proxy_auth(proxy: SplitResult) -> str | None:
     if not proxy.username:
         return None
@@ -68,23 +77,23 @@ def _route_for(url: str) -> _Route:
     proxy environment variables."""
     parts = urlsplit(url)
     scheme = parts.scheme.lower()
-    if scheme not in ("http", "https") or not parts.hostname:
+    if scheme not in ("http", "https"):
         raise ValueError(f"not an http or https URL: {url!r}")
     tls = scheme == "https"
-    port = parts.port or (443 if tls else 80)
+    host, port = _address(parts, 443 if tls else 80, "URL")
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     proxies = getproxies_environment()
     proxy_url = proxies.get(scheme) or proxies.get("all")
-    host_port = f"{parts.hostname}:{parts.port}" if parts.port else parts.hostname
-    if not proxy_url or proxy_bypass_environment(host_port, proxies):
-        return _Route(tls, parts.hostname, port, None, None, target)
+    if not proxy_url or proxy_bypass_environment(f"{host}:{port}" if parts.port else host, proxies):
+        return _Route(tls, host, port, None, None, target)
     proxy = urlsplit(proxy_url if "://" in proxy_url else "http://" + proxy_url)
-    if not proxy.hostname:
-        raise ValueError(f"cannot use proxy {proxy_url!r}")
+    proxy_host, proxy_port = _address(proxy, 80, "proxy")
+    if proxy.scheme.lower() != "http":
+        raise ValueError(f"proxy {proxy_host}:{proxy_port}: only http:// proxies are supported")
     if tls:
         # CONNECT through the proxy, then TLS with the origin
-        return _Route(True, proxy.hostname, proxy.port or 80, (parts.hostname, port), _proxy_auth(proxy), target)
-    return _Route(False, proxy.hostname, proxy.port or 80, None, _proxy_auth(proxy), parts._replace(fragment="").geturl())
+        return _Route(True, proxy_host, proxy_port, (host, port), _proxy_auth(proxy), target)
+    return _Route(False, proxy_host, proxy_port, None, _proxy_auth(proxy), parts._replace(fragment="").geturl())
 
 
 def _tls_context() -> ssl.SSLContext:
@@ -96,65 +105,14 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context(cafile=bundle)
 
 
-def _closed_by_peer(sock: Any) -> bool:
-    # an idle kept-alive socket that reads as ready has seen the server's FIN
-    # (or bytes it never asked for): either way it cannot carry a request
-    return bool(select.select([sock], [], [], 0)[0])
-
-
 class HttpTransport:
-    """JSON POSTs over one kept-alive connection per thread and destination.
+    """JSON POSTs to ``url``, each on a connection of its own; safe to share
+    between threads."""
 
-    Close it (or use it as a context manager) to close every connection it
-    opened; a request after that reconnects.
-    """
-
-    def __init__(self) -> None:
-        self._routes: dict[str, _Route] = {}
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._opened: list[http.client.HTTPConnection] = []
-        self._context: ssl.SSLContext | None = None
-
-    def __enter__(self) -> "HttpTransport":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        with self._lock:
-            opened = list(self._opened)
-        for conn in opened:
-            conn.close()
-
-    def _connection(self, route: _Route, timeout: float | None) -> http.client.HTTPConnection:
-        connections = getattr(self._local, "connections", None)
-        if connections is None:
-            connections = self._local.connections = {}
-        key = route[:5]  # all but the target: URLs on one server share its connection
-        conn = connections.get(key)
-        if conn is None:
-            if route.tls:
-                with self._lock:
-                    if self._context is None:
-                        self._context = _tls_context()
-                conn = http.client.HTTPSConnection(route.host, route.port, timeout=timeout, context=self._context)
-            else:
-                conn = http.client.HTTPConnection(route.host, route.port, timeout=timeout)
-            if route.tunnel:
-                tunnel_headers = {"Proxy-Authorization": route.proxy_auth} if route.proxy_auth else None
-                conn.set_tunnel(*route.tunnel, headers=tunnel_headers)
-            with self._lock:
-                self._opened.append(conn)
-            connections[key] = conn
-        elif conn.sock is not None and _closed_by_peer(conn.sock):
-            conn.close()  # http.client reconnects on the next request
-        if conn.timeout != timeout:
-            conn.timeout = timeout
-            if conn.sock is not None:
-                conn.sock.settimeout(timeout)
-        return conn
+    def __init__(self, url: str) -> None:
+        self.url = url
+        self._route = _route_for(url)
+        self._context = _tls_context() if self._route.tls else None
 
     def post(
         self,
@@ -163,21 +121,25 @@ class HttpTransport:
         headers: dict[str, str] | None = None,
         timeout: float | None = None,
     ) -> Response:
-        route = self._routes.get(url)
-        if route is None:
-            route = self._routes.setdefault(url, _route_for(url))
+        if url != self.url:
+            raise ValueError(f"this transport posts to {self.url!r}, not {url!r}")
+        route = self._route
+        headers = {**(headers or {}), "Connection": "close"}  # HTTP/1.1: a client that will not reuse says so
         if route.proxy_auth and route.tunnel is None:
-            headers = {**(headers or {}), "Proxy-Authorization": route.proxy_auth}
+            headers["Proxy-Authorization"] = route.proxy_auth
         body = jsonlib.dumps(json).encode("utf-8")
-        conn = self._connection(route, timeout)
+        if route.tls:
+            conn = http.client.HTTPSConnection(route.host, route.port, timeout=timeout, context=self._context)
+        else:
+            conn = http.client.HTTPConnection(route.host, route.port, timeout=timeout)
+        if route.tunnel:
+            tunnel_headers = {"Proxy-Authorization": route.proxy_auth} if route.proxy_auth else None
+            conn.set_tunnel(*route.tunnel, headers=tunnel_headers)
         try:
-            conn.request("POST", route.target, body, headers or {})
+            conn.request("POST", route.target, body, headers)
             response = conn.getresponse()
-            content = response.read()  # all of it, so that the connection can be reused
-        except OSError:
-            conn.close()
-            raise
+            return Response(response.status, response.msg, response.read())
         except http.client.HTTPException as exc:
-            conn.close()
             raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
-        return Response(response.status, response.msg, content)
+        finally:
+            conn.close()

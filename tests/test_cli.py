@@ -315,6 +315,15 @@ class TestRunAndScoreCommands:
             manifest_path.write_text(json.dumps(manifest))
             assert self._neutral_run(tmp_path, server, "--resume") == EXIT_OK
 
+    def test_run_with_an_unusable_base_url_is_a_data_error(self, tmp_path):
+        profile = write_profile(tmp_path / "profiles.ini", "http://127.0.0.1:abc/v1")
+        code = main([
+            "run", "--corpus", str(DATA_DIR / "handscored" / "reviews.jsonl"), "--strategy", "zs",
+            "--profile", f"{profile}:mock", "--run-id", "bad", "--runs-dir", str(tmp_path / "runs"),
+        ])
+        assert code == EXIT_DATA
+        assert not (tmp_path / "runs" / "bad" / "ledger").exists()
+
     def test_run_reads_the_ledger_once(self, tmp_path, monkeypatch):
         calls = []
         read_ledger = inference.read_ledger

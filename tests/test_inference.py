@@ -13,7 +13,6 @@ from eotbench.inference import (
     RunLedgerEntry,
     ledger_path,
     load_provider_profiles,
-    ok_review_ids,
     read_ledger,
     reduce_ledger,
     request_completion,
@@ -209,7 +208,7 @@ class TestRunExperiment:
         assert len(entries) == 10
         assert all(e.status == LedgerStatus.OK for e in entries)
         assert all(e.prompt_version for e in entries)
-        assert len(ok_review_ids(entries, "run-a")) == 10
+        assert len(reduce_ledger(entries, "run-a", PROMPT_VERSION).ok) == 10
 
     def test_resume_skips_completed_reviews(self, tmp_path):
         reviews = self._reviews(10)
@@ -226,7 +225,7 @@ class TestRunExperiment:
         assert session.calls == 10  # exactly 5 new requests
         entries = read_ledger(tmp_path, "run-b")
         assert len(entries) == 10
-        assert len(ok_review_ids(entries, "run-b")) == 10
+        assert len(reduce_ledger(entries, "run-b", PROMPT_VERSION).ok) == 10
 
     def test_partial_failure_recorded_without_aborting(self, tmp_path):
         # review r3 is identifiable in the prompt by its unique text
@@ -318,8 +317,8 @@ class TestLedgerReduction:
 
     def test_other_prompt_versions_are_ignored_unless_none(self):
         entries = [entry("a", prompt_version="0.9"), entry("b", LedgerStatus.FAILED, prompt_version="0.9"), entry("c")]
-        assert ok_review_ids(entries, "run") == {"c"}
-        assert reduce_ledger(entries, "run", PROMPT_VERSION).failed == set()
+        current = reduce_ledger(entries, "run", PROMPT_VERSION)
+        assert set(current.ok) == {"c"} and current.failed == set()
         both = reduce_ledger(entries, "run", None)
         assert set(both.ok) == {"a", "c"} and both.failed == {"b"}
 
