@@ -15,8 +15,6 @@ partially overlapping spans still earn credit.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -26,14 +24,14 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FORMAT_VERSION
+from .corpus import FORMAT_VERSION, reviews_by_id
 from .errors import (
     DataError,
     DegenerateDistribution,
     MismatchedReviewIds,
     WrongAnnotatorCount,
 )
-from .jsonio import iter_jsonl
+from .jsonio import iter_jsonl, render_table
 from .model import (
     DOMAIN_ORDER,
     EMOTION_ORDER,
@@ -109,35 +107,39 @@ def parse_output_object(obj: Mapping[str, Any], review: Review) -> EotOutput:
         raise DataError(str(exc)) from None
 
 
-def _iter_objects(path: Path | str) -> Iterator[tuple[str, dict[str, Any]]]:
-    """Yield (``path:line`` prefix, object) per non-blank line of a trusted file.
+def _iter_outputs(
+    path: Path | str, reviews: Mapping[str, Review]
+) -> Iterator[tuple[str, dict[str, Any], EotOutput]]:
+    """Yield (``path:line`` prefix, object, output) per non-blank line of a
+    trusted file of the review_id / emotions shape.
 
-    A line that is not UTF-8, not JSON or not a JSON object is a DataError.
+    A line that is not UTF-8, not JSON or not a JSON object, that names a
+    review not in ``reviews`` or whose output is invalid is a DataError.
     """
     for line_no, obj, error in iter_jsonl(path):
         where = f"{path}:{line_no}"
         if error or not isinstance(obj, dict):
             raise DataError(f"{where}: {error or 'record is not an object'}")
-        yield where, obj
-
-
-def load_annotations(path: Path | str, reviews: Mapping[str, Review]) -> list[AnnotationRecord]:
-    """Load annotator files: one JSON object per line, ``annotator_id`` plus
-    the review_id / emotions shape used everywhere else."""
-    records: list[AnnotationRecord] = []
-    for where, obj in _iter_objects(path):
         review_id = obj.get("review_id")
-        annotator_id = obj.get("annotator_id")
-        if not isinstance(review_id, str) or not isinstance(annotator_id, str):
-            raise DataError(f"{where}: review_id and annotator_id are required")
-        review = reviews.get(review_id)
+        review = reviews.get(review_id) if isinstance(review_id, str) else None
         if review is None:
             raise DataError(f"{where}: unknown review_id {review_id!r}")
         try:
             output = parse_output_object(obj, review)
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
-        records.append(AnnotationRecord(review_id, annotator_id, output))
+        yield where, obj, output
+
+
+def load_annotations(path: Path | str, reviews: Mapping[str, Review]) -> list[AnnotationRecord]:
+    """Load annotator files: one JSON object per line, ``annotator_id`` plus
+    the review_id / emotions shape used everywhere else."""
+    records: list[AnnotationRecord] = []
+    for where, obj, output in _iter_outputs(path, reviews):
+        annotator_id = obj.get("annotator_id")
+        if not isinstance(annotator_id, str):
+            raise DataError(f"{where}: annotator_id is required")
+        records.append(AnnotationRecord(output.review_id, annotator_id, output))
     return records
 
 
@@ -213,18 +215,13 @@ def aggregate_gold(annotations: Sequence[AnnotationRecord]) -> GoldRecord:
 
 def gold_to_dict(gold: GoldRecord) -> dict[str, Any]:
     return {
-        "review_id": gold.review_id,
-        "emotions": [
-            {"emotion": p.emotion.value, "triggers": [s.text for s in p.triggers]}
-            for p in gold.output.pairs
-        ],
+        **gold.output.to_dict(),
         "provenance": {
-            "emotion_votes": gold.provenance.emotion_votes,
+            **vars(gold.provenance),
             "trigger_annotators": [
-                {"emotion": t.emotion, "text": t.text, "annotators": list(t.annotators)}
+                {**vars(t), "annotators": list(t.annotators)}
                 for t in gold.provenance.trigger_annotators
             ],
-            "no_majority": gold.provenance.no_majority,
         },
         "format_version": FORMAT_VERSION,
     }
@@ -233,15 +230,7 @@ def gold_to_dict(gold: GoldRecord) -> dict[str, Any]:
 def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[GoldRecord]:
     """Read a gold file back, relocating trigger spans in the review text."""
     records: list[GoldRecord] = []
-    for where, obj in _iter_objects(path):
-        review_id = obj.get("review_id")
-        review = reviews.get(review_id) if isinstance(review_id, str) else None
-        if review is None:
-            raise DataError(f"{where}: unknown review_id {review_id!r}")
-        try:
-            output = parse_output_object(obj, review)
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
+    for where, obj, output in _iter_outputs(path, reviews):
         prov_obj = obj.get("provenance", {})
         try:
             provenance = GoldProvenance(
@@ -254,7 +243,7 @@ def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[GoldRecor
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{where}: malformed provenance: {exc!r}") from None
-        records.append(GoldRecord(review_id, output, provenance))
+        records.append(GoldRecord(output.review_id, output, provenance))
     return records
 
 
@@ -365,9 +354,7 @@ class AgreementReport:
     def pairs(self) -> list[tuple[str, str]]:
         # Table layout order: adjacent pairs first (A1/A2, A2/A3), then A1/A3
         ids = sorted({a for pair in self.pairwise_emotion_kappa for a in pair})
-        ordered = []
-        for i in range(len(ids) - 1):
-            ordered.append((ids[i], ids[i + 1]))
+        ordered = list(zip(ids, ids[1:]))
         if len(ids) > 2:
             ordered.append((ids[0], ids[-1]))
         ordered += sorted(p for p in self.pairwise_emotion_kappa if p not in ordered)
@@ -379,10 +366,6 @@ def _safe_kappa(counts: np.ndarray) -> float:
         return _kappa_from_counts(counts)
     except DegenerateDistribution:
         return float("nan")
-
-
-def _index_reviews(reviews: Iterable[Review]) -> dict[str, Review]:
-    return {r.review_id: r for r in reviews}
 
 
 def _records_by_review(
@@ -438,7 +421,7 @@ def _agreement_items(annotations: Sequence[AnnotationRecord], reviews: Iterable[
     [(yes, no) arrays]``, from the reviews every annotator rated. Trigger
     items are pooled as TRIGGER_KAPPA_POOLING_NOTE says.
     """
-    review_map = _index_reviews(reviews)
+    review_map = reviews_by_id(reviews)
     annotator_ids = sorted({a.annotator_id for a in annotations})
     rater_count = len(annotator_ids)
     pairs = list(combinations(annotator_ids, 2))
@@ -569,20 +552,7 @@ def render_agreement_report(report: AgreementReport, fmt: str = "table") -> str:
         report.fleiss_trigger_token_kappa,
         report.fleiss_trigger_token_overall,
     )
-    return note + "\n" + _render_rows(rows, fmt)
-
-
-def _render_rows(rows: list[list[str]], fmt: str) -> str:
-    """Rows as CSV, or as a plain-text table with left-aligned columns."""
-    if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        return out.getvalue()
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return "".join(
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
-        for row in rows
-    )
+    return note + "\n" + render_table(rows, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +618,7 @@ def _domain_stats(records: Sequence[GoldRecord]) -> DomainStats:
 
 def gold_statistics(gold: Sequence[GoldRecord], reviews: Iterable[Review]) -> GoldStatistics:
     """Per-domain and overall emotion/trigger statistics of a gold set."""
-    review_map = _index_reviews(reviews)
+    review_map = reviews_by_id(reviews)
     by_domain: dict[str, list[GoldRecord]] = {d.value: [] for d in DOMAIN_ORDER}
     for record in gold:
         review = review_map.get(record.review_id)
@@ -681,4 +651,4 @@ def render_gold_statistics(stats: GoldStatistics, fmt: str = "table") -> str:
         rows.append(
             ["Avg Trigger Length (words)"] + [f"{s.avg_trigger_tokens:.2f}" for s in stats_row]
         )
-    return _render_rows(rows, fmt)
+    return render_table(rows, fmt)

@@ -7,18 +7,17 @@ partially failed run.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import annotation, corpus, extraction, inference, metrics
 from .corpus import FORMAT_VERSION, SamplingPlan
-from .errors import DataError, InsufficientReviews, ProviderFailure, UnknownRun
-from .jsonio import atomic_writer, dump_json, load_json, write_jsonl
+from .errors import DataError, InsufficientReviews, ProviderFailure, UnknownRun, data_errors
+from .jsonio import atomic_writer, dump_json, load_json, render_table, write_jsonl
 from .model import Review
 from .prompting import PROMPT_VERSION, InferenceConfig, Strategy, default_config
 
@@ -37,10 +36,6 @@ def _load_reviews(path: str) -> corpus.CorpusFile:
     return loaded
 
 
-def _review_map(corpus_file: corpus.CorpusFile) -> dict[str, Review]:
-    return {r.review_id: r for r in corpus_file.records}
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out:
         with atomic_writer(out) as fh:
@@ -53,7 +48,8 @@ def _load_plan(args: argparse.Namespace) -> SamplingPlan:
     data = load_json(args.plan)
     if args.seed is not None:
         data["seed"] = args.seed
-    return SamplingPlan.from_dict(data)
+    with data_errors(args.plan, "sampling plan"):
+        return SamplingPlan.from_dict(data)
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -61,12 +57,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     loaded = _load_reviews(args.corpus)
     filtered = corpus.filter_by_length(loaded.records, plan)
 
-    items_by_domain: dict[str, list[str]] = {}
+    items_by_domain: dict[str, dict[str, None]] = {}  # item ids in first-seen order
     for review in loaded.records:
-        key = review.domain.value
-        bucket = items_by_domain.setdefault(key, [])
-        if review.item_id not in bucket:
-            bucket.append(review.item_id)
+        items_by_domain.setdefault(review.domain.value, {})[review.item_id] = None
     filtered_by_item: dict[str, list[Review]] = {}
     for review in filtered:
         filtered_by_item.setdefault(review.item_id, []).append(review)
@@ -75,7 +68,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     manifest_items: dict[str, Any] = {}
     domain_summary: dict[str, Any] = {}
     for domain in sorted(items_by_domain):
-        items = items_by_domain[domain]
+        items = list(items_by_domain[domain])
         chosen = corpus.srswor(items, plan.items_per_group, corpus.derive_seed(plan.seed, "items", domain))
         domain_summary[domain] = {
             "items_available": len(items),
@@ -109,7 +102,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    reviews = _review_map(_load_reviews(args.corpus))
+    reviews = corpus.reviews_by_id(_load_reviews(args.corpus).records)
     records = annotation.load_annotations(args.annotations, reviews)
     grouped: dict[str, list[annotation.AnnotationRecord]] = {}
     for record in records:
@@ -121,17 +114,17 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_agreement(args: argparse.Namespace) -> int:
-    corpus_file = _load_reviews(args.corpus)
-    records = annotation.load_annotations(args.annotations, _review_map(corpus_file))
-    report = annotation.build_agreement_report(records, corpus_file.records)
+    reviews = corpus.reviews_by_id(_load_reviews(args.corpus).records)
+    records = annotation.load_annotations(args.annotations, reviews)
+    report = annotation.build_agreement_report(records, reviews.values())
     _write_text(annotation.render_agreement_report(report, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    corpus_file = _load_reviews(args.corpus)
-    golds = annotation.load_gold(args.gold, _review_map(corpus_file))
-    stats = annotation.gold_statistics(golds, corpus_file.records)
+    reviews = corpus.reviews_by_id(_load_reviews(args.corpus).records)
+    golds = annotation.load_gold(args.gold, reviews)
+    stats = annotation.gold_statistics(golds, reviews.values())
     _write_text(annotation.render_gold_statistics(stats, args.format), args.out)
     return EXIT_OK
 
@@ -204,8 +197,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not manifest_path.exists():
         raise UnknownRun(args.run_id)
     manifest = load_json(manifest_path)
-    corpus_path = args.corpus or manifest["corpus"]
-    reviews = _review_map(_load_reviews(corpus_path))
+    with data_errors(manifest_path, "run manifest"):
+        corpus_path = args.corpus or manifest["corpus"]
+    reviews = corpus.reviews_by_id(_load_reviews(corpus_path).records)
     golds = annotation.load_gold(args.gold, reviews)
 
     state = inference.reduce_ledger(
@@ -229,12 +223,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     predictions = [r.output for r in reports]
     score = metrics.score_predictions(predictions, golds)
+    statuses = Counter(r.parse_status for r in reports)
     parse_stats = {
-        "clean": sum(1 for r in reports if r.parse_status is extraction.ParseStatus.CLEAN),
-        "repaired": sum(1 for r in reports if r.parse_status is extraction.ParseStatus.REPAIRED),
-        "unparseable": sum(
-            1 for r in reports if r.parse_status is extraction.ParseStatus.UNPARSEABLE
-        ),
+        **{status.value.lower(): statuses[status] for status in extraction.ParseStatus},
         "failed_requests": len(state.failed),
         "dropped_triggers": sum(len(r.dropped_triggers) for r in reports),
         "dropped_emotions": sum(len(r.dropped_emotions) for r in reports),
@@ -251,7 +242,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     dump_json(run_dir / "scores.json", document)
 
     label = f"{manifest.get('profile', args.run_id)}_{manifest.get('strategy', '')}"
-    text = metrics.render_score_rows({label: metrics.score_row(score)}, args.format)
+    text = metrics.render_score_rows({label: metrics.score_row(document)}, args.format)
     text += "\nparse stats: " + ", ".join(f"{k}={v}" for k, v in parse_stats.items()) + "\n"
     text += _render_confusion(document["confusion"], args.format)
     _write_text(text, args.out)
@@ -260,21 +251,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def _render_confusion(confusion: dict[str, dict[str, float]], fmt: str) -> str:
     labels = list(confusion)
-    header = ["pred\\gold"] + labels
-    rows = [header] + [
-        [p] + [f"{confusion[p][g]:.2f}" for g in labels] for p in labels
-    ]
-    if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        return out.getvalue()
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    return (
-        "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
-        )
-        + "\n"
-    )
+    rows = [["pred\\gold", *labels]]
+    rows += [[p] + [f"{confusion[p][g]:.2f}" for g in labels] for p in labels]
+    return render_table(rows, fmt, align="right")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -282,15 +261,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in args.scores:
         document = load_json(path)
         name = f"{document.get('run_id', path)}_{document.get('strategy', '')}"
-        rows[name] = (
-            document["emotion"]["precision"],
-            document["emotion"]["recall"],
-            document["emotion"]["f1"],
-            document["trigger"]["exact_match"],
-            document["trigger"]["partial_match"],
-            document["trigger"]["rouge1"],
-            document["trigger"]["rougeL"],
-        )
+        with data_errors(path, "scores file"):
+            rows[name] = metrics.score_row(document)
     _write_text(metrics.render_score_rows(rows, args.format), args.out)
     return EXIT_OK
 

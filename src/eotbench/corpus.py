@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from random import Random
-from typing import Any, Sequence, TypeVar
+from typing import Any, Iterable, Sequence, TypeVar
 
 from .errors import EmptyCorpus, InsufficientReviews, SampleTooLarge
 from .jsonio import iter_jsonl
@@ -51,14 +51,7 @@ class SamplingPlan:
             raise ValueError("items_per_group and reviews_per_item must be >= 1")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "items_per_group": self.items_per_group,
-            "reviews_per_item": self.reviews_per_item,
-            "min_tokens": self.min_tokens,
-            "max_tokens": self.max_tokens,
-            "strata_granularity": self.strata_granularity.value,
-        }
+        return {**vars(self), "strata_granularity": self.strata_granularity.value}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SamplingPlan":
@@ -143,16 +136,14 @@ def load_corpus(path: Path | str) -> CorpusFile:
 
 
 def review_to_dict(review: Review) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "review_id": review.review_id,
-        "text": review.text,
-        "domain": review.domain.value,
-        "item_id": review.item_id,
-    }
-    if review.timestamp is not None:
-        out["timestamp"] = review.timestamp
-    out["format_version"] = FORMAT_VERSION
+    out = {**vars(review), "domain": review.domain.value, "format_version": FORMAT_VERSION}
+    if review.timestamp is None:
+        del out["timestamp"]
     return out
+
+
+def reviews_by_id(reviews: Iterable[Review]) -> dict[str, Review]:
+    return {r.review_id: r for r in reviews}
 
 
 def filter_by_length(reviews: Sequence[Review], plan: SamplingPlan) -> list[Review]:

@@ -7,6 +7,9 @@ endpoint problems, CLI exit code 4).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class HarnessError(Exception):
     """Base class for every error raised by this package."""
@@ -14,6 +17,18 @@ class HarnessError(Exception):
 
 class DataError(HarnessError):
     """Invalid, malformed, or mutually inconsistent input data."""
+
+
+@contextmanager
+def data_errors(where: object, what: str) -> Iterator[None]:
+    """Turn a KeyError, TypeError or ValueError raised while reading ``what``
+    from the file ``where`` into a DataError that names both."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{where}: {what} has no {exc} key") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}: bad {what}: {exc}") from None
 
 
 class UnknownEmotion(DataError):

@@ -318,18 +318,9 @@ def parse_output(raw: str, review: Review) -> ParseReport:
 def parse_report_to_dict(report: ParseReport) -> dict[str, Any]:
     """Line-record form of a parse report (annotation shape + parse_status)."""
     return {
-        "review_id": report.output.review_id,
-        "emotions": [
-            {"emotion": p.emotion.value, "triggers": [s.text for s in p.triggers]}
-            for p in report.output.pairs
-        ],
+        **report.output.to_dict(),
         "parse_status": report.parse_status.value,
         "repair_applied": report.repair_applied,
-        "dropped_triggers": [
-            {"emotion": d.emotion, "text": d.text, "reason": d.reason}
-            for d in report.dropped_triggers
-        ],
-        "dropped_emotions": [
-            {"label": d.label, "reason": d.reason} for d in report.dropped_emotions
-        ],
+        "dropped_triggers": [dict(vars(d)) for d in report.dropped_triggers],
+        "dropped_emotions": [dict(vars(d)) for d in report.dropped_emotions],
     }

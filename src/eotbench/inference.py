@@ -27,6 +27,7 @@ from .errors import (
     ProviderFailure,
     RateLimited,
     RequestTimeout,
+    data_errors,
 )
 from .model import Review
 from .prompting import (
@@ -43,8 +44,6 @@ BACKOFF_BASE_SECONDS = 1.0
 BACKOFF_FACTOR = 2.0
 BACKOFF_CAP_SECONDS = 60.0
 DEFAULT_MAX_ATTEMPTS = 5
-
-_CONFIG_PARAM_NAMES = ("temperature", "top_p", "top_k", "max_tokens", "n")
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,10 @@ def load_provider_profiles(path: Path | str) -> dict[str, ProviderProfile]:
     max_concurrency, timeout.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not a profile file: {exc}") from None
     if not read:
         raise DataError(f"cannot read profile file: {path}")
     profiles: dict[str, ProviderProfile] = {}
@@ -90,17 +92,18 @@ def load_provider_profiles(path: Path | str) -> dict[str, ProviderProfile]:
         if "base_url" not in values or "model_id" not in values:
             raise DataError(f"profile {section!r} needs base_url and model_id")
         supported = values.get("supported_params", "temperature, top_p, max_tokens")
-        profiles[section] = ProviderProfile(
-            name=section,
-            base_url=values["base_url"],
-            model_id=values["model_id"],
-            auth_env_var=values.get("auth_env_var", ""),
-            supported_params=frozenset(
-                p.strip() for p in supported.split(",") if p.strip()
-            ),
-            max_concurrency=values.getint("max_concurrency", fallback=4),
-            timeout=values.getfloat("timeout", fallback=60.0),
-        )
+        with data_errors(path, f"profile {section!r}"):
+            profiles[section] = ProviderProfile(
+                name=section,
+                base_url=values["base_url"],
+                model_id=values["model_id"],
+                auth_env_var=values.get("auth_env_var", ""),
+                supported_params=frozenset(
+                    p.strip() for p in supported.split(",") if p.strip()
+                ),
+                max_concurrency=values.getint("max_concurrency", fallback=4),
+                timeout=values.getfloat("timeout", fallback=60.0),
+            )
     if not profiles:
         raise DataError(f"no profiles defined in {path}")
     return profiles
@@ -124,17 +127,7 @@ class RunLedgerEntry:
     error: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "review_id": self.review_id,
-            "strategy": self.strategy.value,
-            "prompt_version": self.prompt_version,
-            "raw_response": self.raw_response,
-            "latency_ms": self.latency_ms,
-            "attempt_count": self.attempt_count,
-            "status": self.status,
-            "error": self.error,
-        }
+        return {**vars(self), "strategy": self.strategy.value}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunLedgerEntry":
@@ -175,9 +168,9 @@ def completion_endpoint(profile: ProviderProfile, config: InferenceConfig) -> En
         headers["Authorization"] = f"Bearer {token}"
     params: dict[str, Any] = {"model": profile.model_id}
     dropped = []
-    for param in _CONFIG_PARAM_NAMES:
+    for param, value in config.to_dict().items():
         if param in profile.supported_params:
-            params[param] = getattr(config, param)
+            params[param] = value
         else:
             dropped.append(param)
     if dropped:

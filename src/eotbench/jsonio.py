@@ -1,15 +1,19 @@
-"""Small helpers for line-delimited JSON files, and writes that never leave
-a file half-written."""
+"""Small helpers for JSON and line-delimited JSON files, writes that never
+leave a file half-written, and the one table/CSV renderer."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import json
 import os
 import stat
 import uuid
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, Sequence, TextIO
+
+from .errors import DataError
 
 
 def iter_jsonl(path: Path | str) -> Iterator[tuple[int, Any, str | None]]:
@@ -76,6 +80,31 @@ def dump_json(path: Path | str, document: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def load_json(path: Path | str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_json(path: Path | str) -> dict[str, Any]:
+    """Read a JSON document whose top level is an object.
+
+    A file that is not UTF-8, not JSON or not an object is a DataError that
+    names it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise DataError(f"{path}: the JSON document is not an object")
+    return document
+
+
+def render_table(rows: Sequence[Sequence[str]], fmt: str, align: str = "left") -> str:
+    """Rows of cells as CSV, or as plain text: each column padded to its
+    widest cell (``align`` is "left" or "right"), columns two spaces apart."""
+    out = io.StringIO()
+    if fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    pad = str.ljust if align == "left" else str.rjust
+    for row in rows:
+        out.write("  ".join(pad(cell, width) for cell, width in zip(row, widths)).rstrip() + "\n")
+    return out.getvalue()

@@ -11,14 +11,13 @@ descending ROUGE-L order; unmatched gold triggers score zero.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .annotation import GoldRecord
 from .errors import MissingGold
+from .jsonio import render_table
 from .model import (
     EMOTION_ORDER,
     EmotionLabel,
@@ -73,12 +72,8 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _gold_by_id(gold: Sequence[GoldRecord]) -> dict[str, GoldRecord]:
-    return {g.review_id: g for g in gold}
-
-
 def _aligned(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]):
-    gold_map = _gold_by_id(gold)
+    gold_map = {g.review_id: g for g in gold}
     for output in pred:
         record = gold_map.get(output.review_id)
         if record is None:
@@ -146,16 +141,20 @@ def trigger_em_pm(
     return em, pm, TriggerCounts(n_pred, n_gold, n_em, n_pm, n_nomatch)
 
 
-def rouge1(pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore:
-    """Unigram overlap with multiset clipping."""
-    if not pred_tokens and not gold_tokens:
-        return RougeScore(1.0, 1.0, 1.0)
+def _rouge(overlap: int, pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore:
+    """P/R/F1 of ``overlap`` shared tokens; two empty sequences match perfectly."""
     if not pred_tokens or not gold_tokens:
-        return RougeScore(0.0, 0.0, 0.0)
-    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+        score = float(not pred_tokens and not gold_tokens)
+        return RougeScore(score, score, score)
     precision = overlap / len(pred_tokens)
     recall = overlap / len(gold_tokens)
     return RougeScore(precision, recall, _f1(precision, recall))
+
+
+def rouge1(pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore:
+    """Unigram overlap with multiset clipping."""
+    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    return _rouge(overlap, pred_tokens, gold_tokens)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -175,14 +174,7 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
 
 def rougeL(pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore:
     """Longest-common-subsequence overlap over token sequences."""
-    if not pred_tokens and not gold_tokens:
-        return RougeScore(1.0, 1.0, 1.0)
-    if not pred_tokens or not gold_tokens:
-        return RougeScore(0.0, 0.0, 0.0)
-    lcs = _lcs_length(pred_tokens, gold_tokens)
-    precision = lcs / len(pred_tokens)
-    recall = lcs / len(gold_tokens)
-    return RougeScore(precision, recall, _f1(precision, recall))
+    return _rouge(_lcs_length(pred_tokens, gold_tokens), pred_tokens, gold_tokens)
 
 
 def align_and_average_rouge(
@@ -273,62 +265,38 @@ def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> 
     )
 
 
-SCORE_COLUMNS = ("P", "R", "F1", "EM", "PM", "R1", "RL")
+# where each headline column lives in a scores dict: (group, key)
+_SCORE_FIELDS = {
+    "P": ("emotion", "precision"),
+    "R": ("emotion", "recall"),
+    "F1": ("emotion", "f1"),
+    "EM": ("trigger", "exact_match"),
+    "PM": ("trigger", "partial_match"),
+    "R1": ("trigger", "rouge1"),
+    "RL": ("trigger", "rougeL"),
+}
+SCORE_COLUMNS = tuple(_SCORE_FIELDS)
 
 
-def score_row(report: ScoreReport) -> tuple[float, ...]:
-    """The headline row in Table order: P, R, F1, EM, PM, R1, RL."""
-    return (
-        report.emotion.precision,
-        report.emotion.recall,
-        report.emotion.f1,
-        report.trigger.exact_match,
-        report.trigger.partial_match,
-        report.trigger.rouge1,
-        report.trigger.rougeL,
-    )
+def score_row(scores: Mapping[str, Any]) -> tuple[float, ...]:
+    """The headline row of a scores dict in Table order: P, R, F1, EM, PM, R1, RL."""
+    return tuple(float(scores[group][key]) for group, key in _SCORE_FIELDS.values())
 
 
 def render_score_rows(rows: Mapping[str, Sequence[float]], fmt: str = "table") -> str:
     """Render named score rows with the standard column order."""
-    header = ["Model"] + list(SCORE_COLUMNS)
-    table = [header] + [
-        [name] + [f"{value:.4f}" for value in values] for name, values in rows.items()
-    ]
-    if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(table)
-        return out.getvalue()
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
-    return "\n".join(lines) + "\n"
+    table = [["Model", *SCORE_COLUMNS]]
+    table += [[name] + [f"{value:.4f}" for value in values] for name, values in rows.items()]
+    return render_table(table, fmt)
+
+
+def _value_keys(mapping: Mapping[Any, Any]) -> dict[str, Any]:
+    return {key.value: value for key, value in mapping.items()}
 
 
 def score_report_to_dict(report: ScoreReport) -> dict[str, Any]:
-    return {
-        "emotion": {
-            "precision": report.emotion.precision,
-            "recall": report.emotion.recall,
-            "f1": report.emotion.f1,
-            "per_emotion": {
-                label.value: {
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "support": s.support,
-                }
-                for label, s in report.emotion.per_emotion.items()
-            },
-        },
-        "trigger": {
-            "exact_match": report.trigger.exact_match,
-            "partial_match": report.trigger.partial_match,
-            "rouge1": report.trigger.rouge1,
-            "rougeL": report.trigger.rougeL,
-            "counts": report.trigger.counts._asdict(),
-        },
-        "confusion": {
-            p.value: {g.value: count for g, count in row.items()}
-            for p, row in report.confusion.items()
-        },
-    }
+    document = asdict(report)
+    document["emotion"]["per_emotion"] = _value_keys(document["emotion"]["per_emotion"])
+    document["trigger"]["counts"] = report.trigger.counts._asdict()
+    document["confusion"] = {p.value: _value_keys(row) for p, row in report.confusion.items()}
+    return document

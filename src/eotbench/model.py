@@ -10,7 +10,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import SpanNotFound, UnknownEmotion
 
@@ -151,6 +151,16 @@ class EotOutput:
                     raise ValueError("Neutral must be the only pair and carry no triggers")
             elif not pair.triggers:
                 raise ValueError(f"{pair.emotion.value} has no triggers")
+
+    def to_dict(self) -> dict[str, Any]:
+        """The ``review_id``/``emotions`` line shape of annotation, gold and parsed files."""
+        return {
+            "review_id": self.review_id,
+            "emotions": [
+                {"emotion": p.emotion.value, "triggers": [s.text for s in p.triggers]}
+                for p in self.pairs
+            ],
+        }
 
     @property
     def emotions(self) -> set[EmotionLabel]:

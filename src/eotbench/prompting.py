@@ -10,12 +10,13 @@ task description and review only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any
 
+from .errors import data_errors
+from .jsonio import load_json
 from .model import Review
 
 PROMPT_VERSION = "1.0.0"
@@ -143,15 +144,10 @@ class InferenceConfig:
     def from_dict(cls, data: dict[str, Any]) -> "InferenceConfig":
         return cls(**{k: data[k] for k in ("temperature", "top_p", "top_k", "max_tokens", "n") if k in data})
 
-    def to_file(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_file(cls, path: Path | str) -> "InferenceConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        with data_errors(path, "inference config"):
+            return cls.from_dict(load_json(path))
 
 
 def default_config() -> InferenceConfig:

@@ -378,6 +378,90 @@ class TestRunAndScoreCommands:
         ]
 
 
+class TestBadInputFiles:
+    """A bad plan, config, profile, run manifest or scores file is a data error
+    that names the file (exit 3), not a traceback."""
+
+    def _assert_data_error(self, caplog, argv, path):
+        caplog.clear()
+        assert main([str(a) for a in argv]) == EXIT_DATA
+        assert str(path) in caplog.text
+
+    @pytest.mark.parametrize("plan", [
+        {"items_per_group": 2, "reviews_per_item": 3, "min_tokens": 1, "max_tokens": 9},
+        {"seed": 1, "items_per_group": 2, "reviews_per_item": 3, "min_tokens": 0, "max_tokens": 9},
+        "{not json",
+    ])
+    def test_bad_plan(self, tmp_path, caplog, plan):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, toy_corpus_lines())
+        path = tmp_path / "plan.json"
+        path.write_text(plan if isinstance(plan, str) else json.dumps(plan))
+        argv = ["sample", "--corpus", corpus, "--plan", path, "--out", tmp_path / "s.jsonl"]
+        self._assert_data_error(caplog, argv, path)
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def _run_argv(self, tmp_path, profile_text, config_text=None):
+        profile = tmp_path / "profiles.ini"
+        profile.write_text(profile_text)
+        argv = [
+            "run", "--corpus", DATA_DIR / "handscored" / "reviews.jsonl", "--strategy", "zs",
+            "--profile", profile, "--run-id", "bad", "--runs-dir", tmp_path / "runs",
+        ]
+        if config_text is not None:
+            (tmp_path / "config.json").write_text(config_text)
+            argv += ["--config", tmp_path / "config.json"]
+        return argv
+
+    # the run fails while reading its inputs, before any request to this URL
+    PROFILE = "[mock]\nbase_url = http://127.0.0.1:9/v1\nmodel_id = m\n"
+
+    @pytest.mark.parametrize("config", ['{"temperature": -1}', "{not json", "[1]",
+                                        '{"top_k": "many"}'])
+    def test_bad_config(self, tmp_path, caplog, config):
+        argv = self._run_argv(tmp_path, self.PROFILE, config)
+        self._assert_data_error(caplog, argv, tmp_path / "config.json")
+        assert not (tmp_path / "runs" / "bad").exists()
+
+    @pytest.mark.parametrize("line", ["max_concurrency = 0", "max_concurrency = abc",
+                                      "timeout = 0"])
+    def test_bad_profile_value(self, tmp_path, caplog, line):
+        argv = self._run_argv(tmp_path, self.PROFILE + line + "\n")
+        self._assert_data_error(caplog, argv, tmp_path / "profiles.ini")
+
+    def test_profile_without_a_section_header(self, tmp_path, caplog):
+        argv = self._run_argv(tmp_path, "base_url = http://127.0.0.1:9/v1\nmodel_id = m\n")
+        self._assert_data_error(caplog, argv, tmp_path / "profiles.ini")
+
+    @pytest.mark.parametrize("manifest", ["{not json", json.dumps({"run_id": "r"})])
+    def test_bad_run_manifest(self, tmp_path, caplog, manifest):
+        path = tmp_path / "runs" / "r" / "manifest.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(manifest)
+        argv = ["score", "--run-id", "r", "--gold", DATA_DIR / "handscored" / "gold.jsonl",
+                "--runs-dir", tmp_path / "runs"]
+        self._assert_data_error(caplog, argv, path)
+
+    def test_resume_with_a_bad_run_manifest(self, tmp_path, caplog):
+        path = tmp_path / "runs" / "bad" / "manifest.json"
+        path.parent.mkdir(parents=True)
+        path.write_text("{not json")
+        argv = self._run_argv(tmp_path, self.PROFILE) + ["--resume"]
+        self._assert_data_error(caplog, argv, path)
+
+    @pytest.mark.parametrize("document", [
+        {"run_id": "demo", "trigger": {"exact_match": 0.1}},
+        {"run_id": "demo", "emotion": [], "trigger": {}},
+        {"emotion": {"precision": "high", "recall": 1, "f1": 1},
+         "trigger": {"exact_match": 1, "partial_match": 0, "rouge1": 1, "rougeL": 1}},
+        [1],
+    ])
+    def test_report_on_a_file_that_is_not_a_scores_file(self, tmp_path, caplog, document):
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps(document))
+        self._assert_data_error(caplog, ["report", path], path)
+
+
 class TestUsageErrors:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

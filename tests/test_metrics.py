@@ -14,6 +14,7 @@ from eotbench.metrics import (
     rouge1,
     rougeL,
     score_predictions,
+    score_report_to_dict,
     score_row,
     trigger_em_pm,
 )
@@ -280,7 +281,7 @@ class TestGoldEcho:
             gold_for(reviews[2], {NEUTRAL: []}),
         ]
         report = score_predictions([g.output for g in golds], golds)
-        assert score_row(report) == (1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        assert score_row(score_report_to_dict(report)) == (1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
 
 
 class TestRandomizedPartition:

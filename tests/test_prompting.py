@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from eotbench.model import Domain, Review
@@ -125,7 +127,7 @@ class TestInferenceConfig:
     def test_file_roundtrip(self, tmp_path):
         config = InferenceConfig(temperature=0.7, top_p=0.8, top_k=10, max_tokens=128, n=2)
         path = tmp_path / "config.json"
-        config.to_file(path)
+        path.write_text(json.dumps(config.to_dict()))
         assert InferenceConfig.from_file(path) == config
 
     def test_validation(self):
