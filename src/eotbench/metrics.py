@@ -1,12 +1,22 @@
 """Emotion and trigger metrics between predicted and gold outputs.
 
-Emotion P/R/F1 are micro-averaged over (review, emotion) pairs across
-the 9-label space, with a one-vs-rest per-emotion breakdown. Trigger
-classification is a partition of the predicted triggers: exact match
-(normalized-text equality with a same-emotion gold trigger), partial
-match (token overlap but not exact), or no match. ROUGE-1/ROUGE-L are
-averaged over gold triggers after a greedy one-to-one alignment in
-descending ROUGE-L order; unmatched gold triggers score zero.
+``score_predictions`` computes the whole suite in one pass over the
+predictions: it takes each review's predicted and gold label sets once and
+tokenizes each of its gold and predicted triggers once. ``emotion_prf``,
+``trigger_em_pm``, ``align_and_average_rouge`` and ``confusion_matrix`` are
+views of its result.
+
+- Emotion P/R/F1 are micro-averaged over (review, emotion) pairs across the
+  9-label space, with a one-vs-rest per-emotion breakdown.
+- Each predicted trigger is an exact match (normalized-text equality with a
+  same-emotion gold trigger), a partial match (token overlap but not
+  exact), or no match; under an emotion absent from gold it matches nothing.
+- ROUGE-1/ROUGE-L are averaged over gold triggers after a greedy one-to-one
+  alignment within each (review, emotion) in descending ROUGE-L order;
+  unmatched gold triggers score zero, and with no gold triggers both are 1.0.
+- The 9x9 (predicted, gold) confusion matrix counts correct labels on the
+  diagonal; each spurious label pairs with each missed gold label of the
+  same review with weight 1 / (|spurious| * |missed|).
 """
 
 from __future__ import annotations
@@ -66,79 +76,13 @@ class TriggerScores:
     counts: TriggerCounts
 
 
-def _f1(precision: float, recall: float) -> float:
-    if precision <= 0 or recall <= 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
-def _aligned(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]):
-    gold_map = {g.review_id: g for g in gold}
-    for output in pred:
-        record = gold_map.get(output.review_id)
-        if record is None:
-            raise MissingGold(output.review_id)
-        yield output, record
-
-
-def emotion_prf(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> EmotionScores:
-    """Micro P/R/F1 over (review, emotion) pairs, Neutral included."""
-    hits = 0
-    n_pred = 0
-    n_gold = 0
-    label_hits: Counter[EmotionLabel] = Counter()
-    label_pred: Counter[EmotionLabel] = Counter()
-    label_gold: Counter[EmotionLabel] = Counter()
-    for output, record in _aligned(pred, gold):
-        predicted = output.emotions
-        expected = record.output.emotions
-        hits += len(predicted & expected)
-        n_pred += len(predicted)
-        n_gold += len(expected)
-        label_hits.update(predicted & expected)
-        label_pred.update(predicted)
-        label_gold.update(expected)
+def _prf(hits: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of ``hits`` among ``n_pred`` predicted and ``n_gold`` gold."""
     precision = hits / n_pred if n_pred else 0.0
     recall = hits / n_gold if n_gold else 0.0
-    per_emotion = {}
-    for label in EMOTION_ORDER:
-        p = label_hits[label] / label_pred[label] if label_pred[label] else 0.0
-        r = label_hits[label] / label_gold[label] if label_gold[label] else 0.0
-        per_emotion[label] = PerEmotionScore(p, r, _f1(p, r), label_gold[label])
-    return EmotionScores(precision, recall, _f1(precision, recall), per_emotion)
-
-
-def trigger_em_pm(
-    pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
-) -> tuple[float, float, TriggerCounts]:
-    """Classify every predicted trigger as exact match, partial match, or no match.
-
-    Matching is scoped to the trigger's (review, emotion); predictions
-    under emotions absent from gold cannot match anything.
-    """
-    n_pred = n_em = n_pm = 0
-    n_gold = 0
-    for output, record in _aligned(pred, gold):
-        gold_norm: dict[EmotionLabel, set[str]] = {}
-        gold_tokens: dict[EmotionLabel, list[set[str]]] = {}
-        for pair in record.output.pairs:
-            gold_norm[pair.emotion] = {normalize_text(s.text) for s in pair.triggers}
-            gold_tokens[pair.emotion] = [set(tokenize(s.text)) for s in pair.triggers]
-            n_gold += len(pair.triggers)
-        for pair in output.pairs:
-            for span in pair.triggers:
-                n_pred += 1
-                norms = gold_norm.get(pair.emotion, set())
-                if normalize_text(span.text) in norms:
-                    n_em += 1
-                    continue
-                tokens = set(tokenize(span.text))
-                if any(tokens & g for g in gold_tokens.get(pair.emotion, [])):
-                    n_pm += 1
-    n_nomatch = n_pred - n_em - n_pm
-    em = n_em / n_pred if n_pred else 0.0
-    pm = n_pm / n_pred if n_pred else 0.0
-    return em, pm, TriggerCounts(n_pred, n_gold, n_em, n_pm, n_nomatch)
+    if precision <= 0 or recall <= 0:
+        return precision, recall, 0.0
+    return precision, recall, 2 * precision * recall / (precision + recall)
 
 
 def _rouge(overlap: int, pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore:
@@ -146,9 +90,7 @@ def _rouge(overlap: int, pred_tokens: Sequence[str], gold_tokens: Sequence[str])
     if not pred_tokens or not gold_tokens:
         score = float(not pred_tokens and not gold_tokens)
         return RougeScore(score, score, score)
-    precision = overlap / len(pred_tokens)
-    recall = overlap / len(gold_tokens)
-    return RougeScore(precision, recall, _f1(precision, recall))
+    return RougeScore(*_prf(overlap, len(pred_tokens), len(gold_tokens)))
 
 
 def rouge1(pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore:
@@ -177,73 +119,22 @@ def rougeL(pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore
     return _rouge(_lcs_length(pred_tokens, gold_tokens), pred_tokens, gold_tokens)
 
 
-def align_and_average_rouge(
-    pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
-) -> tuple[float, float]:
-    """Mean trigger ROUGE over all gold triggers, greedily aligned.
-
-    Within each (review, emotion) present in gold, predicted triggers
-    pair off with gold triggers one-to-one in descending ROUGE-L F1
-    order; unmatched gold triggers contribute zero. With no gold
-    triggers at all the result is vacuously perfect (1.0, 1.0).
-    """
-    total_gold = 0
-    sum_r1 = 0.0
-    sum_rl = 0.0
-    for output, record in _aligned(pred, gold):
-        for pair in record.output.pairs:
-            gold_spans = pair.triggers
-            if not gold_spans:
-                continue
-            total_gold += len(gold_spans)
-            pred_spans = output.triggers_for(pair.emotion)
-            if not pred_spans:
-                continue
-            gold_tok = [tokenize(s.text) for s in gold_spans]
-            pred_tok = [tokenize(s.text) for s in pred_spans]
-            scored = [
-                (rougeL(pt, gt).f1, pi, gi)
-                for pi, pt in enumerate(pred_tok)
-                for gi, gt in enumerate(gold_tok)
-            ]
-            scored.sort(key=lambda item: (-item[0], item[2], item[1]))
-            used_pred: set[int] = set()
-            used_gold: set[int] = set()
-            for rl_f1, pi, gi in scored:
-                if pi in used_pred or gi in used_gold:
-                    continue
-                used_pred.add(pi)
-                used_gold.add(gi)
-                sum_rl += rl_f1
-                sum_r1 += rouge1(pred_tok[pi], gold_tok[gi]).f1
-    if total_gold == 0:
-        return 1.0, 1.0
-    return sum_r1 / total_gold, sum_rl / total_gold
-
-
-def confusion_matrix(
-    pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
-) -> dict[EmotionLabel, dict[EmotionLabel, float]]:
-    """9x9 (predicted, gold) count matrix for the error analysis.
-
-    Correct labels count on the diagonal. Each spurious prediction pairs
-    against each missed gold label of the same review with weight
-    1 / (|spurious| * |missed|).
-    """
-    matrix = {p: {g: 0.0 for g in EMOTION_ORDER} for p in EMOTION_ORDER}
-    for output, record in _aligned(pred, gold):
-        predicted = output.emotions
-        expected = record.output.emotions
-        for label in predicted & expected:
-            matrix[label][label] += 1.0
-        spurious = sorted(predicted - expected, key=EMOTION_ORDER.index)
-        missed = sorted(expected - predicted, key=EMOTION_ORDER.index)
-        if spurious and missed:
-            weight = 1.0 / (len(spurious) * len(missed))
-            for s in spurious:
-                for m in missed:
-                    matrix[s][m] += weight
-    return matrix
+def _greedy_alignment(pred_tok: Sequence[list[str]], gold_tok: Sequence[list[str]]):
+    """Yield (ROUGE-L F1, pred tokens, gold tokens) for each one-to-one pair,
+    taken in descending ROUGE-L F1 order, ties by gold then prediction index."""
+    scored = [
+        (rougeL(pt, gt).f1, pi, gi)
+        for pi, pt in enumerate(pred_tok)
+        for gi, gt in enumerate(gold_tok)
+    ]
+    scored.sort(key=lambda item: (-item[0], item[2], item[1]))
+    used_pred, used_gold = set(), set()
+    for rl_f1, pi, gi in scored:
+        if pi in used_pred or gi in used_gold:
+            continue
+        used_pred.add(pi)
+        used_gold.add(gi)
+        yield rl_f1, pred_tok[pi], gold_tok[gi]
 
 
 @dataclass(frozen=True)
@@ -254,15 +145,102 @@ class ScoreReport:
 
 
 def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> ScoreReport:
-    """Run the full metric suite for one prediction set."""
-    emotion = emotion_prf(pred, gold)
-    em, pm, counts = trigger_em_pm(pred, gold)
-    r1, rl = align_and_average_rouge(pred, gold)
+    """Run the full metric suite for one prediction set in one pass.
+
+    Each aligned pair's ROUGE F1 goes straight into the run-wide sums, in
+    review order, then gold-pair order, then alignment order: summing in
+    another order can change the last digit of the means.
+    """
+    gold_map = {g.review_id: g.output for g in gold}
+    label_hits: Counter[EmotionLabel] = Counter()
+    label_pred: Counter[EmotionLabel] = Counter()
+    label_gold: Counter[EmotionLabel] = Counter()
+    matrix = {p: {g: 0.0 for g in EMOTION_ORDER} for p in EMOTION_ORDER}
+    n_pred = n_gold = n_em = n_pm = 0
+    sum_r1 = sum_rl = 0.0
+    for output in pred:
+        expected_output = gold_map.get(output.review_id)
+        if expected_output is None:
+            raise MissingGold(output.review_id)
+        predicted = output.emotions
+        expected = expected_output.emotions
+        hits = predicted & expected
+        label_hits.update(hits)
+        label_pred.update(predicted)
+        label_gold.update(expected)
+        for label in hits:
+            matrix[label][label] += 1.0
+        spurious = sorted(predicted - expected, key=EMOTION_ORDER.index)
+        missed = sorted(expected - predicted, key=EMOTION_ORDER.index)
+        if spurious and missed:
+            weight = 1.0 / (len(spurious) * len(missed))
+            for s in spurious:
+                for m in missed:
+                    matrix[s][m] += weight
+        pred_tokens = {p.emotion: [tokenize(s.text) for s in p.triggers] for p in output.pairs}
+        n_pred += sum(map(len, pred_tokens.values()))
+        for pair in expected_output.pairs:
+            gold_tok = [tokenize(s.text) for s in pair.triggers]
+            n_gold += len(gold_tok)
+            pred_tok = pred_tokens.get(pair.emotion)
+            if not pred_tok:
+                continue
+            gold_norms = {normalize_text(s.text) for s in pair.triggers}
+            gold_vocab = set().union(*gold_tok)
+            for span, tokens in zip(output.triggers_for(pair.emotion), pred_tok):
+                if normalize_text(span.text) in gold_norms:
+                    n_em += 1
+                elif not gold_vocab.isdisjoint(tokens):
+                    n_pm += 1
+            for rl_f1, pt, gt in _greedy_alignment(pred_tok, gold_tok):
+                sum_rl += rl_f1
+                sum_r1 += rouge1(pt, gt).f1
+
+    per_emotion = {
+        e: PerEmotionScore(*_prf(label_hits[e], label_pred[e], label_gold[e]), label_gold[e])
+        for e in EMOTION_ORDER
+    }
+    micro = _prf(*(sum(c.values()) for c in (label_hits, label_pred, label_gold)))
+    counts = TriggerCounts(n_pred, n_gold, n_em, n_pm, n_pred - n_em - n_pm)
     return ScoreReport(
-        emotion=emotion,
-        trigger=TriggerScores(em, pm, r1, rl, counts),
-        confusion=confusion_matrix(pred, gold),
+        emotion=EmotionScores(*micro, per_emotion),
+        trigger=TriggerScores(
+            exact_match=n_em / n_pred if n_pred else 0.0,
+            partial_match=n_pm / n_pred if n_pred else 0.0,
+            rouge1=sum_r1 / n_gold if n_gold else 1.0,
+            rougeL=sum_rl / n_gold if n_gold else 1.0,
+            counts=counts,
+        ),
+        confusion=matrix,
     )
+
+
+def emotion_prf(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> EmotionScores:
+    """Micro P/R/F1 over (review, emotion) pairs, Neutral included."""
+    return score_predictions(pred, gold).emotion
+
+
+def trigger_em_pm(
+    pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
+) -> tuple[float, float, TriggerCounts]:
+    """Exact-match and partial-match shares of the predicted triggers, with the counts."""
+    trigger = score_predictions(pred, gold).trigger
+    return trigger.exact_match, trigger.partial_match, trigger.counts
+
+
+def align_and_average_rouge(
+    pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
+) -> tuple[float, float]:
+    """Mean ROUGE-1 and ROUGE-L F1 over all gold triggers, greedily aligned."""
+    trigger = score_predictions(pred, gold).trigger
+    return trigger.rouge1, trigger.rougeL
+
+
+def confusion_matrix(
+    pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
+) -> dict[EmotionLabel, dict[EmotionLabel, float]]:
+    """9x9 (predicted, gold) count matrix for the error analysis."""
+    return score_predictions(pred, gold).confusion
 
 
 # where each headline column lives in a scores dict: (group, key)

@@ -10,7 +10,7 @@ task description and review only.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any
@@ -130,6 +130,9 @@ class InferenceConfig:
     n: int = 1
 
     def __post_init__(self):
+        for field in fields(self):
+            if isinstance(getattr(self, field.name), bool):
+                raise TypeError(f"{field.name} must be a number, not a boolean")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if not (0 < self.top_p <= 1):
@@ -142,7 +145,10 @@ class InferenceConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "InferenceConfig":
-        return cls(**{k: data[k] for k in ("temperature", "top_p", "top_k", "max_tokens", "n") if k in data})
+        unknown = sorted(set(data) - {field.name for field in fields(cls)})
+        if unknown:
+            raise ValueError(f"not a config field: {', '.join(map(repr, unknown))}")
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path: Path | str) -> "InferenceConfig":
@@ -152,7 +158,7 @@ class InferenceConfig:
 
 def default_config() -> InferenceConfig:
     """The standardized sampling configuration used across providers."""
-    return InferenceConfig(temperature=0.2, top_p=0.95, top_k=25, max_tokens=2500, n=1)
+    return InferenceConfig()
 
 
 def build_prompt(strategy: Strategy, review: Review) -> PromptSpec:

@@ -3,7 +3,10 @@
 Everything here is deliberately written against the definitions rather
 than sharing code with the package: recursive LCS instead of iterative
 DP, explicit per-token clipped counting instead of Counter intersection,
-and a from-scratch scorer for the hand-scored fixture.
+and a from-scratch scorer for the hand-scored fixture. The one exception is
+``oracle_score_report``: it uses the package's tokenizer and ROUGE functions
+(checked against the brute-force ones here) and differs from the package in
+how it walks the predictions.
 """
 
 from __future__ import annotations
@@ -11,13 +14,24 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from eotbench.errors import DataError, DegenerateDistribution, NoStructuredBlock
+from eotbench.errors import DataError, DegenerateDistribution, MissingGold, NoStructuredBlock
+from eotbench.metrics import (
+    EmotionScores,
+    PerEmotionScore,
+    ScoreReport,
+    TriggerCounts,
+    TriggerScores,
+    rouge1,
+    rougeL,
+)
+from eotbench.model import EMOTION_ORDER, normalize_text, tokenize
 
 EMOTIONS = (
     "Joy",
@@ -476,3 +490,142 @@ def oracle_agreement_report(annotations, reviews) -> dict:
         },
         "fleiss_trigger_token_overall": _oracle_fleiss(pooled_trig) if pooled_trig else None,
     }
+
+
+# ---------------------------------------------------------------------------
+# Metric suite: four walks over the (prediction, gold) pairs, each rebuilding
+# the gold map and tokenizing the triggers it needs again. ROUGE F1s are
+# summed in the same order as the one-pass scorer, so the floats agree
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_f1(precision: float, recall: float) -> float:
+    if precision <= 0 or recall <= 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def _aligned(pred, gold):
+    gold_map = {g.review_id: g for g in gold}
+    for output in pred:
+        record = gold_map.get(output.review_id)
+        if record is None:
+            raise MissingGold(output.review_id)
+        yield output, record
+
+
+def _oracle_emotion_prf(pred, gold) -> EmotionScores:
+    hits = 0
+    n_pred = 0
+    n_gold = 0
+    label_hits: Counter = Counter()
+    label_pred: Counter = Counter()
+    label_gold: Counter = Counter()
+    for output, record in _aligned(pred, gold):
+        predicted = output.emotions
+        expected = record.output.emotions
+        hits += len(predicted & expected)
+        n_pred += len(predicted)
+        n_gold += len(expected)
+        label_hits.update(predicted & expected)
+        label_pred.update(predicted)
+        label_gold.update(expected)
+    precision = hits / n_pred if n_pred else 0.0
+    recall = hits / n_gold if n_gold else 0.0
+    per_emotion = {}
+    for label in EMOTION_ORDER:
+        p = label_hits[label] / label_pred[label] if label_pred[label] else 0.0
+        r = label_hits[label] / label_gold[label] if label_gold[label] else 0.0
+        per_emotion[label] = PerEmotionScore(p, r, _oracle_f1(p, r), label_gold[label])
+    return EmotionScores(precision, recall, _oracle_f1(precision, recall), per_emotion)
+
+
+def _oracle_trigger_em_pm(pred, gold):
+    n_pred = n_em = n_pm = 0
+    n_gold = 0
+    for output, record in _aligned(pred, gold):
+        gold_norm = {}
+        gold_tokens = {}
+        for pair in record.output.pairs:
+            gold_norm[pair.emotion] = {normalize_text(s.text) for s in pair.triggers}
+            gold_tokens[pair.emotion] = [set(tokenize(s.text)) for s in pair.triggers]
+            n_gold += len(pair.triggers)
+        for pair in output.pairs:
+            for span in pair.triggers:
+                n_pred += 1
+                norms = gold_norm.get(pair.emotion, set())
+                if normalize_text(span.text) in norms:
+                    n_em += 1
+                    continue
+                tokens = set(tokenize(span.text))
+                if any(tokens & g for g in gold_tokens.get(pair.emotion, [])):
+                    n_pm += 1
+    n_nomatch = n_pred - n_em - n_pm
+    em = n_em / n_pred if n_pred else 0.0
+    pm = n_pm / n_pred if n_pred else 0.0
+    return em, pm, TriggerCounts(n_pred, n_gold, n_em, n_pm, n_nomatch)
+
+
+def _oracle_align_and_average_rouge(pred, gold) -> tuple[float, float]:
+    total_gold = 0
+    sum_r1 = 0.0
+    sum_rl = 0.0
+    for output, record in _aligned(pred, gold):
+        for pair in record.output.pairs:
+            gold_spans = pair.triggers
+            if not gold_spans:
+                continue
+            total_gold += len(gold_spans)
+            pred_spans = output.triggers_for(pair.emotion)
+            if not pred_spans:
+                continue
+            gold_tok = [tokenize(s.text) for s in gold_spans]
+            pred_tok = [tokenize(s.text) for s in pred_spans]
+            scored = [
+                (rougeL(pt, gt).f1, pi, gi)
+                for pi, pt in enumerate(pred_tok)
+                for gi, gt in enumerate(gold_tok)
+            ]
+            scored.sort(key=lambda item: (-item[0], item[2], item[1]))
+            used_pred: set[int] = set()
+            used_gold: set[int] = set()
+            for rl_f1, pi, gi in scored:
+                if pi in used_pred or gi in used_gold:
+                    continue
+                used_pred.add(pi)
+                used_gold.add(gi)
+                sum_rl += rl_f1
+                sum_r1 += rouge1(pred_tok[pi], gold_tok[gi]).f1
+    if total_gold == 0:
+        return 1.0, 1.0
+    return sum_r1 / total_gold, sum_rl / total_gold
+
+
+def _oracle_confusion_matrix(pred, gold):
+    matrix = {p: {g: 0.0 for g in EMOTION_ORDER} for p in EMOTION_ORDER}
+    for output, record in _aligned(pred, gold):
+        predicted = output.emotions
+        expected = record.output.emotions
+        for label in predicted & expected:
+            matrix[label][label] += 1.0
+        spurious = sorted(predicted - expected, key=EMOTION_ORDER.index)
+        missed = sorted(expected - predicted, key=EMOTION_ORDER.index)
+        if spurious and missed:
+            weight = 1.0 / (len(spurious) * len(missed))
+            for s in spurious:
+                for m in missed:
+                    matrix[s][m] += weight
+    return matrix
+
+
+def oracle_score_report(pred, gold) -> ScoreReport:
+    """The full metric suite as four independent walks over the predictions."""
+    emotion = _oracle_emotion_prf(pred, gold)
+    em, pm, counts = _oracle_trigger_em_pm(pred, gold)
+    r1, rl = _oracle_align_and_average_rouge(pred, gold)
+    return ScoreReport(
+        emotion=emotion,
+        trigger=TriggerScores(em, pm, r1, rl, counts),
+        confusion=_oracle_confusion_matrix(pred, gold),
+    )

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from eotbench.annotation import aggregate_gold
+from eotbench import metrics
+from eotbench.annotation import GoldProvenance, GoldRecord, aggregate_gold
 from eotbench.errors import MissingGold
 from eotbench.metrics import (
     align_and_average_rouge,
@@ -23,11 +25,14 @@ from eotbench.model import (
     EmotionLabel,
     EmotionTriggers,
     EotOutput,
+    PRIMARY_EMOTIONS,
     Review,
+    TriggerSpan,
     locate_span,
+    tokenize,
 )
 from conftest import make_review
-from oracles import brute_clipped_overlap, brute_lcs, prf_from_overlap
+from oracles import brute_clipped_overlap, brute_lcs, oracle_score_report, prf_from_overlap
 from test_annotation import annotate
 
 JOY = EmotionLabel.JOY
@@ -312,3 +317,110 @@ class TestRandomizedPartition:
             pred = output(review, pred_emos) if pred_emos else EotOutput("r1", ())
             _, _, counts = trigger_em_pm([pred], [gold])
             assert counts.n_em + counts.n_pm + counts.n_nomatch == counts.n_pred
+
+
+# Reviews from a small vocabulary, so random triggers share tokens. Case and
+# whitespace variants of a gold trigger take the exact-match path; a gold
+# trigger with a word added takes the partial-match path.
+WORDS = ("great", "Great", "GREAT", "battery", "battery,", "died", "fan", "bad!", "the", "...")
+SEPARATORS = (" ", "  ", "\n", " - ")
+VARIANTS = (
+    str,
+    str.upper,
+    str.swapcase,
+    lambda t: f"  {t}\t",
+    lambda t: "\n".join(t.split(" ")),
+    lambda t: f"the {t}",
+    lambda t: f"{t} fan",
+)
+# Predictions draw from five labels and gold from four, so both predicted
+# labels absent from gold and gold labels the prediction misses are common.
+PRED_LABELS = PRIMARY_EMOTIONS[:5]
+GOLD_LABELS = PRIMARY_EMOTIONS[1:5]
+
+
+@st.composite
+def substring_span(draw, text: str) -> TriggerSpan:
+    start = draw(st.integers(0, len(text) - 1))
+    end = draw(st.integers(start + 1, min(len(text), start + 30)))
+    return TriggerSpan(text[start:end], start, end)
+
+
+@st.composite
+def eot_output(draw, review_id: str, text: str, labels, gold: EotOutput | None = None):
+    kind = draw(st.sampled_from(("empty", "neutral", "emotions", "emotions", "emotions")))
+    if kind == "empty":
+        return EotOutput(review_id, ())
+    if kind == "neutral":
+        return EotOutput(review_id, (EmotionTriggers(NEUTRAL, ()),))
+    if gold is not None:  # favour the gold labels, so that triggers meet gold ones
+        labels = (*labels, *[p.emotion for p in gold.pairs if p.triggers] * 3)
+    emotions = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
+    pairs = []
+    for emotion in emotions:
+        gold_spans = gold.triggers_for(emotion) if gold is not None else ()
+        spans = []
+        for _ in range(draw(st.integers(1, 3))):
+            if gold_spans and draw(st.booleans()):
+                variant = draw(st.sampled_from(VARIANTS))(draw(st.sampled_from(gold_spans)).text)
+                spans.append(TriggerSpan(variant, 0, len(variant)))
+            else:
+                spans.append(draw(substring_span(text)))
+        pairs.append(EmotionTriggers(emotion, tuple(spans)))
+    return EotOutput(review_id, tuple(pairs))
+
+
+@st.composite
+def scored_sets(draw):
+    """(predictions, gold records), with gold for some reviews that are not predicted."""
+    pred, gold = [], []
+    for i in range(draw(st.integers(1, 10))):
+        words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12))
+        seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(words), max_size=len(words)))
+        text = "".join(w + s for w, s in zip(words, seps))
+        expected = draw(eot_output(f"r{i}", text, GOLD_LABELS))
+        gold.append(GoldRecord(f"r{i}", expected, GoldProvenance({}, ())))
+        if draw(st.integers(0, 4)):
+            pred.append(draw(eot_output(f"r{i}", text, PRED_LABELS, expected)))
+    return draw(st.permutations(pred)), draw(st.permutations(gold))
+
+
+class TestOnePassMatchesTheFourWalks:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_sets())
+    def test_every_field_is_identical(self, data):
+        pred, gold = data
+        report = score_predictions(pred, gold)
+        oracle = oracle_score_report(pred, gold)
+        assert report.emotion.per_emotion == oracle.emotion.per_emotion
+        assert report.emotion == oracle.emotion
+        assert report.trigger.counts == oracle.trigger.counts
+        assert report.trigger == oracle.trigger
+        assert sum(len(row) for row in report.confusion.values()) == 81
+        assert report.confusion == oracle.confusion
+        assert emotion_prf(pred, gold) == report.emotion
+        assert trigger_em_pm(pred, gold) == (
+            report.trigger.exact_match, report.trigger.partial_match, report.trigger.counts
+        )
+        assert align_and_average_rouge(pred, gold) == (report.trigger.rouge1, report.trigger.rougeL)
+        assert confusion_matrix(pred, gold) == report.confusion
+
+    @settings(max_examples=50, deadline=None)
+    @given(scored_sets())
+    def test_a_prediction_without_gold_raises_in_both(self, data):
+        pred, gold = data
+        orphan = EotOutput("no-gold", (EmotionTriggers(NEUTRAL, ()),))
+        for scorer in (score_predictions, oracle_score_report):
+            with pytest.raises(MissingGold):
+                scorer([*pred, orphan], gold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scored_sets())
+    def test_each_trigger_is_tokenized_once(self, data):
+        pred, gold = data
+        scored = {o.review_id for o in pred}
+        n_gold = sum(len(p.triggers) for g in gold if g.review_id in scored for p in g.output.pairs)
+        n_pred = sum(len(p.triggers) for o in pred for p in o.pairs)
+        with mock.patch.object(metrics, "tokenize", wraps=tokenize) as counted:
+            score_predictions(pred, gold)
+        assert counted.call_count == n_gold + n_pred

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from eotbench.errors import DataError
 from eotbench.model import Domain, Review
 from eotbench.prompting import (
     InferenceConfig,
@@ -129,6 +130,19 @@ class TestInferenceConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()))
         assert InferenceConfig.from_file(path) == config
+
+    def test_unknown_key_is_a_data_error_naming_key_and_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"temprature": 0.7}))
+        with pytest.raises(DataError, match=r"config\.json.*'temprature'"):
+            InferenceConfig.from_file(path)
+
+    @pytest.mark.parametrize("field", ["temperature", "top_k", "n"])
+    def test_a_boolean_is_not_a_number(self, tmp_path, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: True}))
+        with pytest.raises(DataError, match=rf"config\.json.*{field} must be a number"):
+            InferenceConfig.from_file(path)
 
     def test_validation(self):
         with pytest.raises(ValueError):
