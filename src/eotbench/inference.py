@@ -13,8 +13,8 @@ import json
 import logging
 import os
 import random
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -346,6 +346,32 @@ def reduce_ledger(
     return state
 
 
+class _Progress:
+    """Logs a run's progress about every 5% of its to-do list or every 30 s:
+    done/total, requests per second, failures so far and an ETA."""
+
+    EVERY_SECONDS = 30.0
+
+    def __init__(self, run_id: str, total: int, started: float):
+        self.run_id = run_id
+        self.total = total
+        self.step = -(-total // 20)  # 5%, rounded up
+        self.done = self.failed = 0
+        self.started = self.logged = started
+
+    def add(self, ok: bool, now: float) -> None:
+        self.done += 1
+        self.failed += not ok
+        if self.done % self.step and self.done < self.total and now - self.logged < self.EVERY_SECONDS:
+            return
+        self.logged = now
+        rate = self.done / max(now - self.started, 1e-9)
+        log.info(
+            "run %s: %d/%d reviews, %.1f req/s, %d failed, ETA %.0f s",
+            self.run_id, self.done, self.total, rate, self.failed, (self.total - self.done) / rate,
+        )
+
+
 def run_experiment(
     reviews: Sequence[Review],
     strategy: Strategy,
@@ -360,11 +386,15 @@ def run_experiment(
 ) -> RunState:
     """Process reviews with bounded concurrency, appending one ledger entry each.
 
+    ``profile.max_concurrency`` workers, the calling thread among them, take
+    reviews from one shared iterator; each worker appends its own entries.
     Resumable: reviews already Ok in this run's ledger under the current
     PROMPT_VERSION are skipped. Per-review failures become Failed entries
-    and never abort the run. Returns the run's state after it, ledger
-    entries from earlier invocations included. Without a session the run
-    makes one transport, shared by its workers.
+    and never abort the run; any other exception stops the workers taking
+    reviews and is raised once they have all finished, the entries of the
+    reviews they finished appended. Progress is logged at INFO. Returns the
+    run's state after it, ledger entries from earlier invocations included.
+    Without a session the run makes one transport, shared by its workers.
     """
     endpoint = completion_endpoint(profile, config)  # fails before any request when auth is missing
     http = _http_session(session, profile, endpoint.url)  # and so does a URL or proxy it cannot use
@@ -397,13 +427,40 @@ def run_experiment(
             attempt_count=outcome.attempts, status=LedgerStatus.OK,
         )
 
-    # single writer: worker threads only compute, the main thread appends
+    pending = iter(todo)
+    progress = _Progress(run_id, len(todo), time.monotonic())
+    errors: list[BaseException] = []
+    # one lock covers the ledger, the state, the progress, the iterator and
+    # the errors: a worker appends the entry it has and takes its next review
+    # in one hold, and each line is flushed whole before another starts
+    lock = threading.Lock()
+
+    def work() -> None:
+        entry = None
+        try:
+            while True:
+                with lock:
+                    if entry is not None:
+                        ledger.write(line)
+                        ledger.flush()
+                        state.add(entry)
+                        progress.add(entry.status == LedgerStatus.OK, time.monotonic())
+                    review = None if errors else next(pending, None)
+                if review is None:
+                    return
+                entry = process(review, http)
+                line = json.dumps(entry.to_dict(), ensure_ascii=False) + "\n"
+        except BaseException as exc:  # raised by run_experiment once every worker is done
+            with lock:
+                errors.append(exc)
+
     with open(path, "a", encoding="utf-8") as ledger:
-        with ThreadPoolExecutor(max_workers=profile.max_concurrency) as executor:
-            futures = [executor.submit(process, review, http) for review in todo]
-            for future in as_completed(futures):
-                entry = future.result()
-                ledger.write(json.dumps(entry.to_dict(), ensure_ascii=False) + "\n")
-                ledger.flush()
-                state.add(entry)
+        workers = [threading.Thread(target=work) for _ in range(min(profile.max_concurrency, len(todo)) - 1)]
+        for worker in workers:
+            worker.start()
+        work()
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
     return state

@@ -131,8 +131,11 @@ class InferenceConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            if isinstance(getattr(self, field.name), bool):
+            value = getattr(self, field.name)
+            if isinstance(value, bool):
                 raise TypeError(f"{field.name} must be a number, not a boolean")
+            if field.type == "int" and not isinstance(value, int):
+                raise TypeError(f"{field.name} must be an integer, not {value!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if not (0 < self.top_p <= 1):

@@ -1,26 +1,52 @@
-"""JSON POSTs to one URL, on the standard library's ``http.client``.
+"""JSON POSTs to one URL over HTTP/1.1, on the standard library's sockets.
 
 ``HttpTransport(url)`` works out once what depends only on the URL: its
 parts, the proxy chosen by ``http_proxy``/``https_proxy``/``all_proxy`` and
-``no_proxy``, and the TLS context. A URL or proxy it cannot use raises
-``ValueError`` there, before any request. ``post(url, json=, headers=,
-timeout=)`` sends each request on a connection of its own and closes it once
-the whole response is read. Redirects are returned, not followed.
+``no_proxy``, the TLS context and the fixed lines of the request head. A URL
+or proxy it cannot use raises ``ValueError`` there, before any request.
+``post(url, json=, headers=, timeout=)`` opens a connection of its own for
+each request, sends the request head and body in one write, reads the whole
+response and closes the connection. Redirects are returned, not followed.
+
+The response reader skips 1xx responses and reads the body by chunked
+transfer coding, by ``Content-Length``, or up to the point where the server
+closes the connection.
 
 A failure to exchange a request and its response raises ``OSError``
-(``TimeoutError`` for a timeout).
+(``TimeoutError`` for a timeout). A malformed status or header line, a
+response head over 64 KiB and a body cut short raise ``ConnectionError``.
 """
 
 from __future__ import annotations
 
 import base64
-import http.client
 import json as jsonlib
 import os
+import re
+import socket
 import ssl
 from typing import Any, NamedTuple
 from urllib.parse import SplitResult, unquote, urlsplit
-from urllib.request import getproxies_environment, proxy_bypass_environment
+
+MAX_HEAD_BYTES = 64 * 1024
+_RECV_BYTES = 65536
+_STATUS_LINE = re.compile(rb"HTTP/\S+ ([0-9]{3})(?: .*)?")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_TOO_LONG = f"response head or line over {MAX_HEAD_BYTES // 1024} KiB"
+
+
+class Headers(dict):
+    """Response headers by lower-case name; lookups ignore case. A header
+    sent more than once holds its values joined by ", "."""
+
+    def __getitem__(self, name: str) -> str:
+        return super().__getitem__(name.lower())
+
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and super().__contains__(name.lower())
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return super().get(name.lower(), default)
 
 
 class Response:
@@ -28,7 +54,7 @@ class Response:
 
     __slots__ = ("status_code", "headers", "content")
 
-    def __init__(self, status_code: int, headers: http.client.HTTPMessage, content: bytes):
+    def __init__(self, status_code: int, headers: Headers, content: bytes):
         self.status_code = status_code
         self.headers = headers
         self.content = content
@@ -50,6 +76,7 @@ class _Route(NamedTuple):
     tunnel: tuple[str, int] | None  # the origin, when an https URL goes through a proxy
     proxy_auth: str | None  # the Proxy-Authorization value, if the proxy URL has credentials
     target: str  # the request target: the path, or the whole URL through a plain-HTTP proxy
+    authority: str  # the Host header: the origin, with its port unless it is the scheme's default
 
 
 def _address(parts: SplitResult, default_port: int, what: str) -> tuple[str, int]:
@@ -60,9 +87,20 @@ def _address(parts: SplitResult, default_port: int, what: str) -> tuple[str, int
         port = parts.port
     except ValueError as exc:  # not a number, or out of range
         raise ValueError(f"{what} {shown!r}: {exc}") from None
-    if not parts.hostname:
+    host = parts.hostname
+    if not host:
         raise ValueError(f"{what} {shown!r} names no host")
-    return parts.hostname, port or default_port
+    if not host.isascii():
+        try:
+            host = host.encode("idna").decode("ascii")
+        except UnicodeError as exc:
+            raise ValueError(f"{what} {shown!r}: {exc}") from None
+    return host, port or default_port
+
+
+def _bracketed(host: str) -> str:
+    """``host`` as it is written before a port: an IPv6 address in brackets."""
+    return f"[{host}]" if ":" in host else host
 
 
 def _proxy_auth(proxy: SplitResult) -> str | None:
@@ -72,28 +110,54 @@ def _proxy_auth(proxy: SplitResult) -> str | None:
     return "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii")
 
 
+def _proxy_variable(name: str) -> str:
+    """The proxy variable ``name`` ("http_proxy", ...) as urllib reads it:
+    the lower-case spelling wins even when empty, and a CGI script ignores
+    HTTP_PROXY, which a client can set through a "Proxy:" request header."""
+    if name in os.environ:
+        return os.environ[name]
+    if name == "http_proxy" and "REQUEST_METHOD" in os.environ:
+        return ""
+    return os.environ.get(name.upper(), "")
+
+
+def _bypasses_proxy(hosts: tuple[str, ...], no_proxy: str) -> bool:
+    """Whether ``no_proxy``, "*" or a comma-separated list of domain
+    suffixes, names one of ``hosts`` (the host, and host:port)."""
+    if no_proxy == "*":
+        return True
+    for name in no_proxy.split(","):
+        name = name.strip().lstrip(".").lower()
+        if name and any(host == name or host.endswith("." + name) for host in hosts):
+            return True
+    return False
+
+
 def _route_for(url: str) -> _Route:
-    """The connection and request target for ``url`` under the current
-    proxy environment variables."""
+    """The connection, request target and Host header for ``url`` under the
+    current proxy environment variables."""
     parts = urlsplit(url)
     scheme = parts.scheme.lower()
     if scheme not in ("http", "https"):
         raise ValueError(f"not an http or https URL: {url!r}")
     tls = scheme == "https"
-    host, port = _address(parts, 443 if tls else 80, "URL")
+    default_port = 443 if tls else 80
+    host, port = _address(parts, default_port, "URL")
+    authority = _bracketed(host) if port == default_port else f"{_bracketed(host)}:{port}"
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    proxies = getproxies_environment()
-    proxy_url = proxies.get(scheme) or proxies.get("all")
-    if not proxy_url or proxy_bypass_environment(f"{host}:{port}" if parts.port else host, proxies):
-        return _Route(tls, host, port, None, None, target)
+    proxy_url = _proxy_variable(f"{scheme}_proxy") or _proxy_variable("all_proxy")
+    hosts = (host, f"{host}:{parts.port}") if parts.port else (host,)
+    if not proxy_url or _bypasses_proxy(hosts, _proxy_variable("no_proxy")):
+        return _Route(tls, host, port, None, None, target, authority)
     proxy = urlsplit(proxy_url if "://" in proxy_url else "http://" + proxy_url)
     proxy_host, proxy_port = _address(proxy, 80, "proxy")
     if proxy.scheme.lower() != "http":
         raise ValueError(f"proxy {proxy_host}:{proxy_port}: only http:// proxies are supported")
     if tls:
         # CONNECT through the proxy, then TLS with the origin
-        return _Route(True, proxy_host, proxy_port, (host, port), _proxy_auth(proxy), target)
-    return _Route(False, proxy_host, proxy_port, None, _proxy_auth(proxy), parts._replace(fragment="").geturl())
+        return _Route(True, proxy_host, proxy_port, (host, port), _proxy_auth(proxy), target, authority)
+    whole_url = parts._replace(fragment="").geturl()
+    return _Route(False, proxy_host, proxy_port, None, _proxy_auth(proxy), whole_url, authority)
 
 
 def _tls_context() -> ssl.SSLContext:
@@ -105,14 +169,158 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context(cafile=bundle)
 
 
+def _header_lines(headers: dict[str, str]) -> str:
+    """``name: value`` lines; ValueError when a name or value would break a line."""
+    text = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+    if text.count("\n") != len(headers) or text.count("\r") != len(headers):
+        raise ValueError("a request header name or value holds a line break")
+    return text
+
+
+class _Reader:
+    """The bytes a server sends on one connection, received as they are needed."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buf = b""
+        self._pos = 0  # where the bytes not yet consumed start in _buf
+
+    def _recv(self) -> bool:
+        """Receive more bytes; False when the server has closed."""
+        chunk = self._sock.recv(_RECV_BYTES)
+        self._buf = self._buf[self._pos:] + chunk
+        self._pos = 0
+        return bool(chunk)
+
+    def _line(self, limit: int) -> bytes | None:
+        """The next line without its line end, None when the server closed
+        before sending another byte; ConnectionError when the line runs past
+        ``limit`` bytes or the connection closes inside it."""
+        scanned = self._pos
+        while (end := self._buf.find(b"\n", scanned)) < 0:
+            if len(self._buf) - self._pos > limit:
+                raise ConnectionError(_TOO_LONG)
+            scanned = len(self._buf) - self._pos  # _recv drops the consumed bytes: the unsearched ones start here
+            if not self._recv():
+                if self._buf:
+                    raise ConnectionError("connection closed inside a response line")
+                return None
+        if end - self._pos > limit:
+            raise ConnectionError(_TOO_LONG)
+        line = self._buf[self._pos:end]
+        self._pos = end + 1
+        return line[:-1] if line.endswith(b"\r") else line
+
+    def _exactly(self, size: int) -> bytes:
+        while len(self._buf) - self._pos < size:
+            if not self._recv():
+                raise ConnectionError(f"response body cut short: {len(self._buf) - self._pos} of {size} bytes")
+        data = self._buf[self._pos:self._pos + size]
+        self._pos += size
+        return data
+
+    def head(self) -> tuple[int, Headers]:
+        """The status and headers of the next response head."""
+        budget = MAX_HEAD_BYTES
+        status_line = self._line(budget)
+        if status_line is None:
+            raise ConnectionError("the server closed the connection without a response")
+        match = _STATUS_LINE.fullmatch(status_line)
+        if match is None:
+            raise ConnectionError(f"malformed status line: {status_line[:100]!r}")
+        budget -= len(status_line) + 1
+        fields: dict[str, str] = {}
+        name = ""
+        while line := self._line(budget):
+            budget -= len(line) + 1
+            if line[:1] in (b" ", b"\t") and name:  # an obsolete folded continuation
+                fields[name] += " " + line.strip().decode("latin-1")
+                continue
+            raw_name, colon, value = line.partition(b":")
+            if not colon or not raw_name or raw_name != raw_name.strip():
+                raise ConnectionError(f"malformed header line: {line[:100]!r}")
+            name = raw_name.decode("latin-1").lower()
+            value_text = value.strip().decode("latin-1")
+            fields[name] = f"{fields[name]}, {value_text}" if name in fields else value_text
+        if line is None:
+            raise ConnectionError("connection closed inside the response head")
+        return int(match[1]), Headers(fields)
+
+    def body(self, status: int, headers: Headers) -> bytes:
+        if status in (204, 304):
+            return b""
+        if headers.get("transfer-encoding", "").rpartition(",")[2].strip().lower() == "chunked":
+            return self._chunked()
+        length = headers.get("content-length")
+        if length is not None:
+            if not length.isdigit():
+                raise ConnectionError(f"malformed Content-Length: {length[:100]!r}")
+            return self._exactly(int(length))
+        parts = [self._buf[self._pos:]]
+        while chunk := self._sock.recv(_RECV_BYTES):
+            parts.append(chunk)
+        return b"".join(parts)
+
+    def _chunked(self) -> bytes:
+        parts = []
+        while True:
+            line = self._line(MAX_HEAD_BYTES)
+            if line is None:
+                raise ConnectionError("response body cut short before its last chunk")
+            size = line.partition(b";")[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise ConnectionError(f"malformed chunk size line: {line[:100]!r}")
+            chunk_size = int(size, 16)
+            if chunk_size == 0:
+                break
+            parts.append(self._exactly(chunk_size))
+            if self._line(MAX_HEAD_BYTES) != b"":
+                raise ConnectionError("chunk data not followed by a line end")
+        while self._line(MAX_HEAD_BYTES):  # trailer fields, up to the blank line or the close
+            pass
+        return b"".join(parts)
+
+    def response(self) -> Response:
+        while True:
+            status, headers = self.head()
+            if not 100 <= status < 200:
+                return Response(status, headers, self.body(status, headers))
+
+
 class HttpTransport:
     """JSON POSTs to ``url``, each on a connection of its own; safe to share
     between threads."""
 
     def __init__(self, url: str) -> None:
         self.url = url
-        self._route = _route_for(url)
-        self._context = _tls_context() if self._route.tls else None
+        route = self._route = _route_for(url)
+        self._context = _tls_context() if route.tls else None
+        if not route.target.isascii() or re.search(r"[\x00-\x20\x7f]", route.target):
+            raise ValueError("URL path or query holds a space, a control or a non-ASCII character")
+        self._head_start = f"POST {route.target} HTTP/1.1\r\nHost: {route.authority}\r\nAccept-Encoding: identity\r\n"
+        proxy_line = f"Proxy-Authorization: {route.proxy_auth}\r\n" if route.proxy_auth and not route.tunnel else ""
+        self._head_end = f"Connection: close\r\n{proxy_line}\r\n"  # HTTP/1.1: a client that will not reuse says so
+
+    def _open(self, timeout: float | None) -> socket.socket:
+        """A connection to the origin: through the proxy's tunnel and TLS
+        when the route has them."""
+        route = self._route
+        sock = socket.create_connection((route.host, route.port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if route.tunnel:
+                auth = f"Proxy-Authorization: {route.proxy_auth}\r\n" if route.proxy_auth else ""
+                origin, port = route.tunnel
+                sock.sendall(f"CONNECT {_bracketed(origin)}:{port} HTTP/1.0\r\n{auth}\r\n".encode("latin-1"))
+                status, _ = _Reader(sock).head()
+                if status != 200:
+                    raise ConnectionError(f"tunnel connection failed: {status}")
+            if self._context is not None:
+                return self._context.wrap_socket(sock, server_hostname=route.tunnel[0] if route.tunnel else route.host)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
 
     def post(
         self,
@@ -123,23 +331,12 @@ class HttpTransport:
     ) -> Response:
         if url != self.url:
             raise ValueError(f"this transport posts to {self.url!r}, not {url!r}")
-        route = self._route
-        headers = {**(headers or {}), "Connection": "close"}  # HTTP/1.1: a client that will not reuse says so
-        if route.proxy_auth and route.tunnel is None:
-            headers["Proxy-Authorization"] = route.proxy_auth
         body = jsonlib.dumps(json).encode("utf-8")
-        if route.tls:
-            conn = http.client.HTTPSConnection(route.host, route.port, timeout=timeout, context=self._context)
-        else:
-            conn = http.client.HTTPConnection(route.host, route.port, timeout=timeout)
-        if route.tunnel:
-            tunnel_headers = {"Proxy-Authorization": route.proxy_auth} if route.proxy_auth else None
-            conn.set_tunnel(*route.tunnel, headers=tunnel_headers)
-        try:
-            conn.request("POST", route.target, body, headers)
-            response = conn.getresponse()
-            return Response(response.status, response.msg, response.read())
-        except http.client.HTTPException as exc:
-            raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
-        finally:
-            conn.close()
+        head = (
+            f"{self._head_start}Content-Length: {len(body)}\r\n"
+            f"{_header_lines(headers or {})}{self._head_end}"
+        )
+        request = head.encode("latin-1") + body
+        with self._open(timeout) as sock:
+            sock.sendall(request)
+            return _Reader(sock).response()

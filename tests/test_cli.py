@@ -417,7 +417,7 @@ class TestBadInputFiles:
     PROFILE = "[mock]\nbase_url = http://127.0.0.1:9/v1\nmodel_id = m\n"
 
     @pytest.mark.parametrize("config", ['{"temperature": -1}', "{not json", "[1]",
-                                        '{"top_k": "many"}'])
+                                        '{"top_k": "many"}', '{"top_k": 2.5}'])
     def test_bad_config(self, tmp_path, caplog, config):
         argv = self._run_argv(tmp_path, self.PROFILE, config)
         self._assert_data_error(caplog, argv, tmp_path / "config.json")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import threading
 
 import pytest
@@ -11,6 +12,7 @@ from eotbench.inference import (
     LedgerStatus,
     ProviderProfile,
     RunLedgerEntry,
+    _Progress,
     ledger_path,
     load_provider_profiles,
     read_ledger,
@@ -276,6 +278,74 @@ class TestRunExperiment:
             runs_dir=tmp_path, run_id="run-e", session=session, sleep=NO_SLEEP,
         )
         assert session.max_in_flight <= 3
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_an_unexpected_error_is_raised_and_the_ledger_stays_whole(self, tmp_path, concurrency):
+        def script(i, body):
+            return RuntimeError("boom") if i == 2 else FakeResponse(200, completion_payload("resp"))
+
+        session = FakeSession(script)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_experiment(
+                self._reviews(40), Strategy.ZS, profile(max_concurrency=concurrency), default_config(),
+                runs_dir=tmp_path, run_id="run-x", session=session, sleep=NO_SLEEP,
+            )
+        data = ledger_path(tmp_path, "run-x").read_bytes()
+        assert data.endswith(b"\n")
+        entries = [RunLedgerEntry.from_dict(json.loads(line)) for line in data.splitlines()]
+        # every request but the one that raised left its entry, and the workers stopped early
+        assert len(entries) == session.calls - 1 < 40
+        assert all(e.status == LedgerStatus.OK for e in entries)
+        if concurrency == 1:
+            assert [e.review_id for e in entries] == ["r0", "r1"]
+
+    def test_concurrent_workers_append_one_whole_line_per_review(self, tmp_path):
+        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("r\u00e9ponse " * 50)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_experiment(
+                self._reviews(40), Strategy.ZS, profile(max_concurrency=4), default_config(),
+                runs_dir=tmp_path, run_id="run-w", session=session, sleep=NO_SLEEP,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        lines = ledger_path(tmp_path, "run-w").read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        entries = [RunLedgerEntry.from_dict(json.loads(line)) for line in lines[:-1]]
+        assert sorted(e.review_id for e in entries) == sorted(f"r{i}" for i in range(40))
+        assert all(e.status == LedgerStatus.OK for e in entries)
+        assert session.calls == 40
+
+    def test_progress_is_logged_every_5_percent(self, tmp_path, caplog):
+        reviews = [
+            make_review(review_id=f"r{i}", text=f"perfectly fine product number {i}.", item_id="i1")
+            for i in range(40)
+        ]
+
+        def script(i, body):
+            fails = "product number 7." in body["messages"][-1]["content"]
+            return FakeResponse(400, text="bad") if fails else FakeResponse(200, completion_payload("resp"))
+
+        with caplog.at_level(logging.INFO, logger="eotbench.inference"):
+            run_experiment(
+                reviews, Strategy.ZS, profile(max_concurrency=2), default_config(),
+                runs_dir=tmp_path, run_id="run-p", session=FakeSession(script), sleep=NO_SLEEP,
+            )
+        progress = [r.getMessage() for r in caplog.records if "req/s" in r.getMessage()]
+        assert [m.split()[2] for m in progress] == [f"{done}/40" for done in range(2, 41, 2)]
+        assert progress[-1].startswith("run run-p: 40/40 reviews, ")
+        assert progress[-1].endswith(" req/s, 1 failed, ETA 0 s")
+
+    def test_progress_is_logged_every_30_seconds_between_steps(self, caplog):
+        progress = _Progress("slow", 1000, started=0.0)
+        with caplog.at_level(logging.INFO, logger="eotbench.inference"):
+            progress.add(True, now=10.0)
+            progress.add(False, now=31.0)
+            progress.add(True, now=40.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "run slow: 2/1000 reviews, 0.1 req/s, 1 failed, ETA 15469 s"
+        ]
 
     def test_auth_checked_before_any_request(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NOPE_VAR", raising=False)

@@ -144,6 +144,13 @@ class TestInferenceConfig:
         with pytest.raises(DataError, match=rf"config\.json.*{field} must be a number"):
             InferenceConfig.from_file(path)
 
+    @pytest.mark.parametrize("field, value", [("top_k", 2.5), ("max_tokens", 1e3), ("n", 1.0)])
+    def test_a_float_for_an_integer_field_is_a_data_error(self, tmp_path, field, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(DataError, match=rf"config\.json.*{field} must be an integer"):
+            InferenceConfig.from_file(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             InferenceConfig(temperature=-0.1)

@@ -12,12 +12,13 @@ import sys
 import threading
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+from eotbench import __version__
 from eotbench.errors import DataError, ProviderError, RequestTimeout
 from eotbench.inference import (
     LedgerStatus,
@@ -133,6 +134,51 @@ def reviews(n: int):
     return [make_review(review_id=f"r{i}", item_id="i1") for i in range(n)]
 
 
+def read_request(conn: socket.socket) -> bytes:
+    """One whole HTTP request, head and Content-Length body."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+    head = data.partition(b"\r\n\r\n")[0].decode("latin-1")
+    length = next(int(line.split(":", 1)[1]) for line in head.split("\r\n") if line.lower().startswith("content-length:"))
+    while len(data) - len(head) - 4 < length:
+        data += conn.recv(65536)
+    return data
+
+
+@contextmanager
+def raw_server(*replies: bytes | list[bytes]):
+    """A server on 127.0.0.1 that answers one connection per reply, each with
+    its bytes as given (a list is sent piece by piece, pausing between
+    pieces), then closes it; yields its URL and the requests it read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    requests: list[bytes] = []
+
+    def serve():
+        for reply in replies:
+            conn, _ = listener.accept()
+            with conn, suppress(ConnectionError):  # the client may hang up before the reply is all sent
+                requests.append(read_request(conn))
+                for piece in reply if isinstance(reply, list) else [reply]:
+                    conn.sendall(piece)
+                    time.sleep(0.01)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", requests
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    assert not server.is_alive()
+
+
+PAYLOAD = json.dumps({"choices": [{"message": {"content": "hello"}}]}).encode()
+
+
 @contextmanager
 def silent_listener():
     """A port that accepts connections (the kernel's backlog) but never answers."""
@@ -214,6 +260,81 @@ class TestFailures:
         assert len(server.targets) == 1
 
 
+class TestResponseReader:
+    def post(self, url: str):
+        transport = HttpTransport(f"{url}/v1/chat/completions")
+        return transport.post(transport.url, json={"q": 1}, timeout=5)
+
+    def test_a_chunked_body_is_joined(self):
+        reply = [
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nX-Test: a\r\n\r\n",
+            b"%x;ext=1\r\n%s\r\n" % (10, PAYLOAD[:10]),
+            b"%X\r\n%s\r\n0\r\nTrailer: t\r\n\r\n" % (len(PAYLOAD) - 10, PAYLOAD[10:]),
+        ]
+        with raw_server(reply) as (url, _):
+            response = self.post(url)
+        assert response.status_code == 200
+        assert response.content == PAYLOAD
+        assert response.headers["x-test"] == response.headers.get("X-TEST") == "a"
+
+    def test_a_body_without_a_length_ends_when_the_server_closes(self):
+        head = b"HTTP/1.0 200 OK\nContent-Type: application/json\nX-Folded: a\n\tb\n\n"  # bare LFs, a folded value
+        with raw_server([head, PAYLOAD[:7], PAYLOAD[7:]]) as (url, _):
+            response = self.post(url)
+        assert (response.status_code, response.content) == (200, PAYLOAD)
+        assert response.headers["X-Folded"] == "a b"
+
+    def test_an_interim_100_continue_is_skipped(self):
+        reply = [
+            b"HTTP/1.1 100 Continue\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(PAYLOAD), PAYLOAD),
+        ]
+        with raw_server(reply) as (url, _):
+            assert ask(url).text == "hello"
+
+    def test_a_short_content_length_body_is_retried_as_transient(self):
+        short = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(PAYLOAD), PAYLOAD[:-3])
+        with raw_server(short, short) as (url, requests):
+            with pytest.raises(ProviderError) as excinfo:
+                ask(url, max_attempts=2)
+        assert (excinfo.value.status, excinfo.value.attempts) == (0, 2)
+        assert "cut short" in str(excinfo.value)
+        assert len(requests) == 2
+
+    def test_a_head_over_64_kib_is_transient(self):
+        huge = b"HTTP/1.1 200 OK\r\n" + b"X-Pad: %s\r\n" % (b"p" * 1000) * 70 + b"Content-Length: 0\r\n\r\n"
+        with raw_server(huge, huge) as (url, requests):
+            with pytest.raises(ProviderError) as excinfo:
+                ask(url, max_attempts=2)
+        assert (excinfo.value.status, excinfo.value.attempts) == (0, 2)
+        assert "64 KiB" in str(excinfo.value)
+
+    @pytest.mark.parametrize("through_proxy", [False, True], ids=["direct", "plain-proxy"])
+    def test_the_request_head_is_sent_exactly(self, monkeypatch, through_proxy):
+        ok = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(PAYLOAD), PAYLOAD)
+        with raw_server(ok) as (url, requests):
+            if through_proxy:
+                monkeypatch.setenv("http_proxy", url.replace("://", "://u:p@"))
+                base_url = "http://provider.invalid:8080/v1"
+            else:
+                base_url = f"{url}/v1"
+            assert ask(base_url).text == "hello"
+        head, _, body = requests[0].partition(b"\r\n\r\n")
+        request_line, *headers = head.decode("latin-1").split("\r\n")
+        authority = "provider.invalid:8080" if through_proxy else url.partition("://")[2]
+        target = f"http://{authority}/v1/chat/completions" if through_proxy else "/v1/chat/completions"
+        assert request_line == f"POST {target} HTTP/1.1"
+        assert headers == [
+            f"Host: {authority}",
+            "Accept-Encoding: identity",
+            f"Content-Length: {len(body)}",
+            "Content-Type: application/json",
+            f"User-Agent: eotbench/{__version__}",
+            "Connection: close",
+        ] + (["Proxy-Authorization: Basic " + base64.b64encode(b"u:p").decode()] if through_proxy else [])
+        assert json.loads(body)["messages"] == [{"role": "user", "content": "hi"}]
+
+
 class TestProxy:
     UNRESOLVABLE = "http://provider.invalid/v1"
 
@@ -278,6 +399,11 @@ class TestRoute:
         with pytest.raises(DataError, match="profile 'local': URL"):
             ask(base_url)
 
+    @pytest.mark.parametrize("path", ["/v 1", "/v1?q=\x7f", "/v\u00e91"])
+    def test_a_path_that_cannot_go_in_a_request_line_is_a_data_error(self, path):
+        with pytest.raises(DataError, match="profile 'local': URL path or query holds"):
+            ask(f"http://127.0.0.1:9{path}")
+
     def test_an_unusable_url_fails_the_run_before_its_ledger_is_touched(self, tmp_path):
         with pytest.raises(DataError):
             run_experiment(
@@ -326,7 +452,10 @@ class TestResources:
     def test_importing_the_cli_does_not_import_requests(self):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        probe = "import sys, eotbench.cli; print('requests' in sys.modules)"
+        probe = (
+            "import sys, eotbench.cli; print('requests' in sys.modules);"
+            "import eotbench.transport; print(sorted({'http.client', 'email.parser'} & set(sys.modules)))"
+        )
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split("\n")[:2] == ["False", "[]"]
