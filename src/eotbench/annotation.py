@@ -10,7 +10,9 @@ disagreement falls back to Neutral with a "no majority" provenance flag.
 Agreement: pairwise Cohen kappa and three-rater Fleiss kappa for
 emotions (multi-label sets expanded to per-(review, emotion) binary
 items over the 9-label space), plus token-level kappas for triggers so
-partially overlapping spans still earn credit.
+partially overlapping spans still earn credit. Every kappa is read from
+rater x rater co-counts of each review's items, the items packed one bit
+each into an int per rater.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .corpus import FORMAT_VERSION, reviews_by_id
 from .errors import (
@@ -263,8 +263,9 @@ def kappa_from_binary_pairs(pairs: Sequence[tuple[bool, bool]]) -> float:
     perfect (1.0); chance agreement of 1 with imperfect observation
     raises DegenerateDistribution.
     """
-    rated = np.asarray(pairs, dtype=bool).reshape(-1, 2)
-    return _kappa_from_counts([len(rated), *rated.sum(axis=0), rated.all(axis=1).sum()])
+    rated = [(bool(a), bool(b)) for a, b in pairs]
+    counts = [sum(a for a, _ in rated), sum(b for _, b in rated), sum(a and b for a, b in rated)]
+    return _kappa_from_counts([len(rated), *counts])
 
 
 def _kappa_from_counts(counts: Sequence[int]) -> float:
@@ -304,22 +305,30 @@ def cohen_kappa(
 def fleiss_kappa(item_category_counts: Sequence[Sequence[int]]) -> float:
     """Multi-rater kappa from an items x categories count matrix.
 
-    Every row must sum to the same rater count n >= 2. Implements
-    kappa = (P_bar - P_bar_e) / (1 - P_bar_e) with P_bar the mean
-    per-item pairwise agreement and P_bar_e the squared category
+    Rows must be of one length and sum to the same rater count n >= 2.
+    Implements kappa = (P_bar - P_bar_e) / (1 - P_bar_e) with P_bar the
+    mean per-item pairwise agreement and P_bar_e the squared category
     proportions.
     """
-    data = np.asarray(item_category_counts, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
+    try:
+        rows = [[float(c) for c in row] for row in item_category_counts]
+    except (TypeError, ValueError):
+        rows = []
+    if not rows or len({len(row) for row in rows}) != 1:
         raise DataError("need a non-empty items x categories matrix")
-    row_sums = data.sum(axis=1)
-    n = row_sums[0]
-    if n < 2 or not np.all(row_sums == n):
+    n = sum(rows[0])
+    if n < 2 or any(sum(row) != n for row in rows):
         raise DataError("all rows must sum to the same rater count >= 2")
-    p_items = ((data * data).sum(axis=1) - n) / (n * (n - 1))
-    p_bar = float(p_items.mean())
-    proportions = data.sum(axis=0) / data.sum()
-    p_bar_e = float((proportions**2).sum())
+    return _fleiss(len(rows), n, sum(c * c for row in rows for c in row), map(sum, zip(*rows)))
+
+
+def _fleiss(items: int, raters: float, sum_of_squared_cells: float, category_totals) -> float:
+    """``fleiss_kappa`` from item and rater counts, squared-cell sum and column totals."""
+    if not items:
+        return float("nan")
+    ratings = items * raters
+    p_bar = (sum_of_squared_cells - ratings) / (ratings * (raters - 1))
+    p_bar_e = sum((total / ratings) ** 2 for total in category_totals)
     if p_bar_e == 1.0:
         if p_bar == 1.0:
             return 1.0
@@ -361,7 +370,7 @@ class AgreementReport:
         return [p for p in ordered if p in self.pairwise_emotion_kappa]
 
 
-def _safe_kappa(counts: np.ndarray) -> float:
+def _safe_kappa(counts: Sequence[int]) -> float:
     try:
         return _kappa_from_counts(counts)
     except DegenerateDistribution:
@@ -383,84 +392,39 @@ def _records_by_review(
 
 
 _LABEL_INDEX = {label: i for i, label in enumerate(EMOTION_ORDER)}
-_IS_PRIMARY = np.array([label is not EmotionLabel.NEUTRAL for label in EMOTION_ORDER])
+_PRIMARY = sum(1 << i for label, i in _LABEL_INDEX.items() if label is not EmotionLabel.NEUTRAL)
 
 
-def _review_items(review: Review, records: Sequence[AnnotationRecord]) -> tuple[np.ndarray, ...]:
-    """One review's labels (rater x label) and trigger coverage (rater x
-    label x token), labels in EMOTION_ORDER: a token is covered when one of
-    the rater's spans for that label overlaps its character range."""
+def _review_items(review: Review, records: Sequence[AnnotationRecord]) -> tuple[int, list, list]:
+    """A review's token count, and per rater bitmasks of labels (bit i is EMOTION_ORDER[i])
+    and of tokens covered (bit ``label * n_tokens + token``): a token is covered when
+    one of the rater's spans for that label overlaps its character range."""
     tokens = tokenize_with_spans(review.text)
-    starts = [t.start for t in tokens]
-    ends = [t.end for t in tokens]
-    labels = np.zeros((len(records), len(EMOTION_ORDER)), dtype=bool)
-    covered = np.zeros(labels.shape + (len(tokens),), dtype=bool)
+    starts, ends = [t.start for t in tokens], [t.end for t in tokens]
+    labels, covered = [0] * len(records), [0] * len(records)
     for rater, record in enumerate(records):
         for pair in record.output.pairs:
             label = _LABEL_INDEX[pair.emotion]
-            labels[rater, label] = True
+            labels[rater] |= 1 << label
             for span in pair.triggers:
                 # the tokens that end after the span starts and start before it ends
                 first, stop = bisect_right(ends, span.start), bisect_left(starts, span.end)
-                covered[rater, label, first:stop] = True
-    return labels, covered
+                covered[rater] |= ((1 << stop) - (1 << first)) << label * len(tokens)
+    return len(tokens), labels, covered
 
 
-def _co_counts(items: np.ndarray) -> list[list[int]]:
-    """Rater x rater counts of the binary items both raters marked (rater x
-    item ``items``), so each rater's own count is on the diagonal."""
-    marks = items.astype(np.int64)
-    return (marks @ marks.T).tolist()
+def _co_counts(marks: Sequence[int]) -> list[list[int]]:
+    """Rater x rater counts of the binary items both raters marked (one
+    bitmask per rater), so each rater's own count is on the diagonal."""
+    return [[(a & b).bit_count() for b in marks] for a in marks]
 
 
-def _agreement_items(annotations: Sequence[AnnotationRecord], reviews: Iterable[Review]):
-    """Every kappa's binary items, counted in one pass that tokenizes each review once.
-
-    Returns pairwise emotion and trigger counts, ``pair -> domain -> [n,
-    yes_a, yes_b, both]``, then Fleiss emotion and trigger rows, ``domain ->
-    [(yes, no) arrays]``, from the reviews every annotator rated. Trigger
-    items are pooled as TRIGGER_KAPPA_POOLING_NOTE says.
-    """
-    review_map = reviews_by_id(reviews)
-    annotator_ids = sorted({a.annotator_id for a in annotations})
-    rater_count = len(annotator_ids)
-    pairs = list(combinations(annotator_ids, 2))
-    emotion_pairs: dict[tuple[str, str], dict[str, np.ndarray]] = {pair: {} for pair in pairs}
-    trigger_pairs: dict[tuple[str, str], dict[str, np.ndarray]] = {pair: {} for pair in pairs}
-    emotion_rows: dict[str, list[np.ndarray]] = {}
-    trigger_rows: dict[str, list[np.ndarray]] = {}
-    for review_id, per_annotator in _records_by_review(annotations).items():
-        review = review_map.get(review_id)
-        if review is None:
-            raise DataError(f"annotations reference unknown review {review_id!r}")
-        domain = review.domain.value
-        ids = sorted(per_annotator)
-        labels, covered = _review_items(review, [per_annotator[a] for a in ids])
-        emotion_co = _co_counts(labels)
-        trigger_co = _co_counts(covered.reshape(len(ids), -1))
-        primary_co = _co_counts(labels[:, _IS_PRIMARY])
-        for i, j in combinations(range(len(ids)), 2):
-            # trigger items: every token under each non-Neutral emotion either rater used
-            n_emotions = primary_co[i][i] + primary_co[j][j] - primary_co[i][j]
-            for pools, n, co in (
-                (emotion_pairs, len(EMOTION_ORDER), emotion_co),
-                (trigger_pairs, n_emotions * covered.shape[2], trigger_co),
-            ):
-                counts = np.array([n, co[i][i], co[j][j], co[i][j]])
-                by_domain = pools[ids[i], ids[j]]
-                by_domain[domain] = by_domain.get(domain, 0) + counts
-        if len(ids) == rater_count >= 2:
-            yes = labels.sum(axis=0)
-            emotion_rows.setdefault(domain, []).append(np.column_stack((yes, rater_count - yes)))
-            in_use = labels.any(axis=0) & _IS_PRIMARY
-            if in_use.any():
-                yes = covered[:, in_use].sum(axis=0).ravel()
-                trigger_rows.setdefault(domain, []).append(np.column_stack((yes, rater_count - yes)))
-    return emotion_pairs, trigger_pairs, emotion_rows, trigger_rows
+def _add(totals: dict[str, list[int]], domain: str, counts: Sequence[int]) -> None:
+    totals[domain] = [a + b for a, b in zip(totals.get(domain, [0] * len(counts)), counts)]
 
 
 def _pairwise_kappas(
-    counts: dict[tuple[str, str], dict[str, np.ndarray]], unseen: float
+    counts: dict[tuple[str, str], dict[str, list[int]]], unseen: float
 ) -> tuple[dict[tuple[str, str], dict[str, float]], dict[tuple[str, str], float]]:
     """Per-domain and pooled kappas per pair; ``unseen`` for a pair that
     shares no review."""
@@ -469,23 +433,25 @@ def _pairwise_kappas(
         for pair, by_domain in counts.items()
     }
     overall = {
-        pair: _safe_kappa(sum(by_domain.values())) if by_domain else unseen
+        pair: _safe_kappa([sum(c) for c in zip(*by_domain.values())]) if by_domain else unseen
         for pair, by_domain in counts.items()
     }
     return per_domain, overall
 
 
-def _fleiss_kappas(rows: dict[str, list[np.ndarray]]) -> tuple[dict[str, float], float | None]:
-    """Per-domain and pooled kappas; NaN for a matrix with no items (trigger
-    rows of reviews without tokens), None when no review was rated by all."""
+def _fleiss_kappas(counts: dict[str, list], raters: int) -> tuple[dict[str, float], float | None]:
+    """Per-domain and pooled kappas from [n, sum of yes, sum of yes squared]
+    of binary items; NaN with no items (trigger items of reviews without
+    tokens), None when no review was rated by all."""
 
-    def kappa(parts: list[np.ndarray]) -> float:
-        matrix = np.concatenate(parts)
-        return fleiss_kappa(matrix) if len(matrix) else float("nan")
+    def kappa(items: int, yes: int, yes_squared: int) -> float:
+        # an item's two cells are yes and raters - yes
+        squares = 2 * yes_squared - 2 * raters * yes + items * raters * raters
+        return _fleiss(items, raters, squares, (yes, items * raters - yes))
 
-    per_domain = {domain: kappa(parts) for domain, parts in rows.items()}
-    pooled = [part for parts in rows.values() for part in parts]
-    return per_domain, kappa(pooled) if pooled else None
+    per_domain = {domain: kappa(*c) for domain, c in counts.items()}
+    pooled = [sum(c) for c in zip(*counts.values())]
+    return per_domain, kappa(*pooled) if pooled else None
 
 
 def trigger_token_kappa(
@@ -497,19 +463,59 @@ def trigger_token_kappa(
     pair on that review: covered by one of the rater's trigger spans for
     that emotion, or not (character-range overlap).
     """
-    _, trigger_pairs, _, _ = _agreement_items(annotations, reviews)
-    return _pairwise_kappas(trigger_pairs, unseen=1.0)
+    report = build_agreement_report(annotations, reviews)
+    return report.pairwise_trigger_token_kappa, report.pairwise_trigger_token_overall
 
 
 def build_agreement_report(
     annotations: Sequence[AnnotationRecord], reviews: Iterable[Review]
 ) -> AgreementReport:
-    emotion_pairs, trigger_pairs, emotion_rows, trigger_rows = _agreement_items(annotations, reviews)
+    """Every kappa, from binary items counted in one pass that tokenizes each review once.
+
+    Pairwise counts are ``pair -> domain -> [n, yes_a, yes_b, both]``; Fleiss
+    counts, from the reviews every annotator rated, ``domain -> [n, sum of yes,
+    sum of yes squared]``, the trace and the total of the co-count matrix.
+    Trigger items are pooled as TRIGGER_KAPPA_POOLING_NOTE says.
+    """
+    review_map = reviews_by_id(reviews)
+    annotator_ids = sorted({a.annotator_id for a in annotations})
+    rater_count = len(annotator_ids)
+    pairs = list(combinations(annotator_ids, 2))
+    emotion_pairs: dict[tuple[str, str], dict[str, list[int]]] = {pair: {} for pair in pairs}
+    trigger_pairs: dict[tuple[str, str], dict[str, list[int]]] = {pair: {} for pair in pairs}
+    emotion_fleiss: dict[str, list[int]] = {}
+    trigger_fleiss: dict[str, list[int]] = {}
+    for review_id, per_annotator in _records_by_review(annotations).items():
+        review = review_map.get(review_id)
+        if review is None:
+            raise DataError(f"annotations reference unknown review {review_id!r}")
+        domain = review.domain.value
+        ids = sorted(per_annotator)
+        n_tokens, labels, covered = _review_items(review, [per_annotator[a] for a in ids])
+        emotion_co, trigger_co = _co_counts(labels), _co_counts(covered)
+        for i, j in combinations(range(len(ids)), 2):
+            # trigger items: every token under each non-Neutral emotion either rater used
+            in_use = (labels[i] | labels[j]) & _PRIMARY
+            for pools, n, co in (
+                (emotion_pairs, len(EMOTION_ORDER), emotion_co),
+                (trigger_pairs, in_use.bit_count() * n_tokens, trigger_co),
+            ):
+                _add(pools[ids[i], ids[j]], domain, (n, co[i][i], co[j][j], co[i][j]))
+        if len(ids) == rater_count >= 2:
+            in_use = 0
+            for label_bits in labels:
+                in_use |= label_bits & _PRIMARY
+            fleiss = [(emotion_fleiss, len(EMOTION_ORDER), emotion_co)]
+            if in_use:
+                fleiss.append((trigger_fleiss, in_use.bit_count() * n_tokens, trigger_co))
+            for totals, n, co in fleiss:
+                trace = sum(co[i][i] for i in range(rater_count))
+                _add(totals, domain, (n, trace, sum(map(sum, co))))
     return AgreementReport(
         *_pairwise_kappas(emotion_pairs, unseen=float("nan")),
-        *_fleiss_kappas(emotion_rows),
+        *_fleiss_kappas(emotion_fleiss, rater_count),
         *_pairwise_kappas(trigger_pairs, unseen=1.0),
-        *_fleiss_kappas(trigger_rows),
+        *_fleiss_kappas(trigger_fleiss, rater_count),
     )
 
 

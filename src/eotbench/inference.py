@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -59,8 +60,8 @@ class ProviderProfile:
     def __post_init__(self):
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if not (self.timeout > 0 and math.isfinite(self.timeout)):
+            raise ValueError(f"timeout must be a finite number > 0, not {self.timeout!r}")
 
     def auth_token(self) -> str | None:
         """Resolve the bearer token; empty auth_env_var means no auth."""

@@ -10,6 +10,7 @@ task description and review only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -136,6 +137,9 @@ class InferenceConfig:
                 raise TypeError(f"{field.name} must be a number, not a boolean")
             if field.type == "int" and not isinstance(value, int):
                 raise TypeError(f"{field.name} must be an integer, not {value!r}")
+            finite = isinstance(value, (int, float)) and math.isfinite(value)
+            if field.type == "float" and not finite:
+                raise ValueError(f"{field.name} must be a finite number, not {value!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if not (0 < self.top_p <= 1):

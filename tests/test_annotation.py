@@ -192,6 +192,12 @@ class TestKappa:
         with pytest.raises(DataError):
             fleiss_kappa([(3, 0), (2, 2)])
 
+    @pytest.mark.parametrize("matrix", [[(3, 0), (1, 1, 1)], [3, 0], [], [[]]])
+    def test_fleiss_requires_an_items_by_categories_matrix(self, matrix):
+        # the ragged rows both sum to 3
+        with pytest.raises(DataError):
+            fleiss_kappa(matrix)
+
 
 class TestTriggerTokenKappa:
     def test_identical_spans_everywhere(self):

@@ -417,17 +417,19 @@ class TestBadInputFiles:
     PROFILE = "[mock]\nbase_url = http://127.0.0.1:9/v1\nmodel_id = m\n"
 
     @pytest.mark.parametrize("config", ['{"temperature": -1}', "{not json", "[1]",
-                                        '{"top_k": "many"}', '{"top_k": 2.5}'])
+                                        '{"top_k": "many"}', '{"top_k": 2.5}',
+                                        '{"temperature": NaN}'])
     def test_bad_config(self, tmp_path, caplog, config):
         argv = self._run_argv(tmp_path, self.PROFILE, config)
         self._assert_data_error(caplog, argv, tmp_path / "config.json")
         assert not (tmp_path / "runs" / "bad").exists()
 
     @pytest.mark.parametrize("line", ["max_concurrency = 0", "max_concurrency = abc",
-                                      "timeout = 0"])
+                                      "timeout = 0", "timeout = nan", "timeout = inf"])
     def test_bad_profile_value(self, tmp_path, caplog, line):
         argv = self._run_argv(tmp_path, self.PROFILE + line + "\n")
         self._assert_data_error(caplog, argv, tmp_path / "profiles.ini")
+        assert not (tmp_path / "runs" / "bad").exists()
 
     def test_profile_without_a_section_header(self, tmp_path, caplog):
         argv = self._run_argv(tmp_path, "base_url = http://127.0.0.1:9/v1\nmodel_id = m\n")

@@ -12,6 +12,7 @@ with ``python tests/test_cli_golden.py``.
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import DATA_DIR, GOLDEN_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, src_env
 from eotbench.cli import EXIT_OK, main
 from eotbench.jsonio import write_jsonl
 from mock_provider import MockProviderServer
@@ -132,6 +133,19 @@ def _run(*argv: str) -> None:
     assert main(list(argv)) == EXIT_OK, argv
 
 
+def write_agreement_inputs(work: Path) -> tuple[Path, Path]:
+    """Write the three-annotator corpus and annotations; return their paths."""
+    corpus = work / "agreement-corpus.jsonl"
+    annotations = work / "annotations.jsonl"
+    write_jsonl(corpus, AGREEMENT_CORPUS)
+    write_jsonl(annotations, (
+        {"review_id": review_id, "annotator_id": annotator, "emotions": emotions}
+        for review_id, by_annotator in AGREEMENT_LABELS.items()
+        for annotator, emotions in by_annotator.items()
+    ))
+    return corpus, annotations
+
+
 def produce_outputs(work: Path) -> None:
     """Run every command whose output is pinned, writing into ``work``."""
     reviews = HANDSCORED / "reviews.jsonl"
@@ -158,14 +172,7 @@ def produce_outputs(work: Path) -> None:
         _run("stats", "--gold", gold, "--corpus", str(reviews), "--format", fmt,
              "--out", str(work / f"stats.{ext}"))
 
-    corpus = work / "agreement-corpus.jsonl"
-    annotations = work / "annotations.jsonl"
-    write_jsonl(corpus, AGREEMENT_CORPUS)
-    write_jsonl(annotations, (
-        {"review_id": review_id, "annotator_id": annotator, "emotions": emotions}
-        for review_id, by_annotator in AGREEMENT_LABELS.items()
-        for annotator, emotions in by_annotator.items()
-    ))
+    corpus, annotations = write_agreement_inputs(work)
     _run("aggregate", "--annotations", str(annotations), "--corpus", str(corpus),
          "--out", str(work / "aggregate.jsonl"))
     for ext, fmt in (("txt", "table"), ("csv", "csv")):
@@ -204,6 +211,26 @@ def test_sample_keeps_a_review_without_timestamp(work):
     lines = [json.loads(l) for l in (work / "sample.jsonl").read_text().splitlines()]
     assert any("timestamp" not in line for line in lines)
     assert any("timestamp" in line for line in lines)
+
+
+def test_agreement_and_stats_run_without_numpy(tmp_path):
+    # numpy set to None in sys.modules makes any import of it an ImportError
+    corpus, annotations = write_agreement_inputs(tmp_path)
+    probe = (
+        "import sys; sys.modules['numpy'] = None; from eotbench.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    inputs = {
+        "agreement": ["--annotations", annotations, "--corpus", corpus],
+        "stats": ["--gold", HANDSCORED / "gold.jsonl", "--corpus", HANDSCORED / "reviews.jsonl"],
+    }
+    for command, args in inputs.items():
+        for ext, fmt in (("txt", "table"), ("csv", "csv")):
+            out = tmp_path / f"{command}.{ext}"
+            argv = [sys.executable, "-c", probe, command, *map(str, args), "--format", fmt, "--out", str(out)]
+            done = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=60)
+            assert done.returncode == EXIT_OK, done.stderr
+            assert out.read_bytes() == (CLI_GOLDEN_DIR / out.name).read_bytes(), out.name
 
 
 if __name__ == "__main__":

@@ -151,6 +151,16 @@ class TestInferenceConfig:
         with pytest.raises(DataError, match=rf"config\.json.*{field} must be an integer"):
             InferenceConfig.from_file(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", "NaN"), ("temperature", "Infinity"), ("top_p", "NaN"),
+    ])
+    def test_a_non_finite_float_is_a_data_error(self, tmp_path, field, value):
+        # json.load reads NaN and Infinity, which no JSON document may hold
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"{field}": {value}}}')
+        with pytest.raises(DataError, match=rf"config\.json.*{field} must be a finite number"):
+            InferenceConfig.from_file(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             InferenceConfig(temperature=-0.1)

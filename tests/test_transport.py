@@ -5,7 +5,6 @@ from __future__ import annotations
 import base64
 import gc
 import json
-import os
 import socket
 import subprocess
 import sys
@@ -14,7 +13,6 @@ import time
 import warnings
 from contextlib import contextmanager, suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +28,7 @@ from eotbench.inference import (
 )
 from eotbench.prompting import Strategy, default_config
 from eotbench.transport import HttpTransport
-from conftest import make_review
+from conftest import make_review, src_env
 
 NO_SLEEP = lambda seconds: None
 PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
@@ -450,12 +448,10 @@ class TestResources:
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_importing_the_cli_does_not_import_requests(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         probe = (
-            "import sys, eotbench.cli; print('requests' in sys.modules);"
+            "import sys, eotbench.cli; print(sorted({'requests', 'numpy'} & set(sys.modules)));"
             "import eotbench.transport; print(sorted({'http.client', 'email.parser'} & set(sys.modules)))"
         )
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        out = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split("\n")[:2] == ["False", "[]"]
+        assert out.stdout.split("\n")[:2] == ["[]", "[]"]
