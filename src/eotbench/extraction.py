@@ -9,10 +9,14 @@ attempted is case/whitespace-insensitive relocation; no fuzzy matching,
 since aggressive repair would inflate scores.
 
 The structured block is the first balanced top-level object that parses
-as a JSON object, otherwise the first balanced candidate. Finding it
-takes one pass over the response however many braces are left unclosed
-(truncated responses leave many): linear time, with an O(n log n) bound
-on the worst adversarial input.
+as a JSON object, otherwise the first balanced candidate. Most responses
+need one JSON decode: when the first '{' begins a JSON object, that
+object is the first candidate and parses, so it wins, and it is used as
+decoded. Only when that decode fails is the one-pass close table built
+and the candidates walked; the table takes one pass over the response
+however many braces are left unclosed (truncated responses leave many):
+linear time, with an O(n log n) bound on the worst adversarial input.
+The block that wins is decoded once.
 """
 
 from __future__ import annotations
@@ -152,6 +156,46 @@ def _close_table(raw: str) -> dict[int, int]:
     return table
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+# What decoding a candidate can raise: JSONDecodeError, a ValueError for an
+# integer longer than sys.get_int_max_str_digits(), or RecursionError.
+_DECODE_ERRORS = (ValueError, RecursionError)
+
+
+def _structured_block(raw: str) -> tuple[str, dict | None]:
+    """The structured block and its decoded object, None when it does not parse.
+
+    Raises NoStructuredBlock when the response holds no balanced object.
+    """
+    first = raw.find("{")
+    if first < 0:
+        raise NoStructuredBlock("no balanced object in response")
+    try:
+        parsed, end = _raw_decode(raw, first)
+    except _DECODE_ERRORS:
+        pass
+    else:
+        return raw[first:end], parsed
+    table = _close_table(raw)
+    candidates: list[str] = []
+    pos = first
+    while pos >= 0:
+        end = table.get(pos)
+        if end is None:
+            pos = raw.find("{", pos + 1)
+            continue
+        candidate = raw[pos:end]
+        try:
+            return candidate, json.loads(candidate)  # it starts with '{': a dict or an error
+        except _DECODE_ERRORS:
+            candidates.append(candidate)
+        pos = raw.find("{", end)
+    if candidates:
+        return candidates[0], None
+    raise NoStructuredBlock("no balanced object in response")
+
+
 def extract_structured_block(raw: str) -> str:
     """Return the first balanced top-level object in a raw response.
 
@@ -162,48 +206,36 @@ def extract_structured_block(raw: str) -> str:
     first that parses as a JSON object wins; if none parses, the first
     candidate is returned as-is.
     """
-    table = _close_table(raw)
-    candidates: list[str] = []
-    pos = 0
-    while True:
-        start = raw.find("{", pos)
-        if start < 0:
-            break
-        end = table.get(start)
-        if end is None:
-            pos = start + 1
-            continue
-        candidates.append(raw[start:end])
-        pos = end
-    for candidate in candidates:
-        try:
-            if isinstance(json.loads(candidate), dict):
-                return candidate
-        except (json.JSONDecodeError, RecursionError):
-            continue
-    if candidates:
-        return candidates[0]
-    raise NoStructuredBlock("no balanced object in response")
+    return _structured_block(raw)[0]
 
 
 def _normalized_with_map(text: str) -> tuple[str, list[int]]:
-    """Casefolded, whitespace-collapsed text plus normalized->original index map."""
-    chars: list[str] = []
+    """Casefolded, whitespace-collapsed text plus normalized->original index map.
+
+    Each whitespace run between two words becomes one space, mapped to the
+    end of the word before it. An ASCII word lowercases as a whole; any other
+    word is lowered one character at a time, since a whole-word lower() can
+    differ (final sigma) and one character can lower to two ("İ").
+    """
+    parts: list[str] = []
     index_map: list[int] = []
-    pending_space_at: int | None = None
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            if chars and pending_space_at is None:
-                pending_space_at = i
+    find = text.find
+    end = 0
+    for word in text.split():
+        start = find(word, end)
+        if parts:
+            parts.append(" ")
+            index_map.append(end)
+        end = start + len(word)
+        if word.isascii():
+            parts.append(word.lower())
+            index_map.extend(range(start, end))
             continue
-        if pending_space_at is not None:
-            chars.append(" ")
-            index_map.append(pending_space_at)
-            pending_space_at = None
-        for folded in ch.lower():
-            chars.append(folded)
-            index_map.append(i)
-    return "".join(chars), index_map
+        for i, ch in enumerate(word, start):
+            for folded in ch.lower():
+                parts.append(folded)
+                index_map.append(i)
+    return "".join(parts), index_map
 
 
 def _repair_locate(
@@ -234,12 +266,10 @@ def parse_output(raw: str, review: Review) -> ParseReport:
     """
     report = ParseReport(output=EotOutput(review.review_id, ()))
     try:
-        block = extract_structured_block(raw)
-        parsed = json.loads(block)
-    except (NoStructuredBlock, json.JSONDecodeError, RecursionError, TypeError):
-        report.parse_status = ParseStatus.UNPARSEABLE
-        return report
-    emotions = parsed.get("emotions") if isinstance(parsed, dict) else None
+        _, parsed = _structured_block(raw)
+    except (NoStructuredBlock, TypeError):  # TypeError: raw is not a str
+        parsed = None
+    emotions = parsed.get("emotions") if parsed is not None else None
     if not isinstance(emotions, list):
         report.parse_status = ParseStatus.UNPARSEABLE
         return report

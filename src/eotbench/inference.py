@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import json
 import logging
-import math
 import os
 import random
 import threading
@@ -60,8 +59,12 @@ class ProviderProfile:
     def __post_init__(self):
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
-        if not (self.timeout > 0 and math.isfinite(self.timeout)):
-            raise ValueError(f"timeout must be a finite number > 0, not {self.timeout!r}")
+        # a socket timeout above threading.TIMEOUT_MAX overflows the platform's time_t
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be a number of seconds > 0 and <= {threading.TIMEOUT_MAX:.0f},"
+                f" not {self.timeout!r}"
+            )
 
     def auth_token(self) -> str | None:
         """Resolve the bearer token; empty auth_env_var means no auth."""

@@ -34,8 +34,8 @@ def iter_jsonl(path: Path | str) -> Iterator[tuple[int, Any, str | None]]:
                 continue
             try:
                 yield line_no, json.loads(line), None
-            except json.JSONDecodeError as exc:
-                yield line_no, None, f"invalid JSON: {exc.msg}"
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+                yield line_no, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
 
 
 @contextlib.contextmanager
@@ -68,10 +68,13 @@ def atomic_writer(path: Path | str) -> Iterator[TextIO]:
         raise
 
 
+# json.dumps(..., ensure_ascii=False) builds a new encoder on every call
+_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_jsonl(path: Path | str, records: Iterable[dict[str, Any]]) -> None:
     with atomic_writer(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.writelines(_encode_record(record) + "\n" for record in records)
 
 
 def dump_json(path: Path | str, document: dict[str, Any]) -> None:

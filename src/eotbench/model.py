@@ -28,6 +28,10 @@ class EmotionLabel(Enum):
     ANTICIPATION = "Anticipation"
     NEUTRAL = "Neutral"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and skips Enum's Python-level hash(self._name_).
+    __hash__ = object.__hash__
+
 
 # Canonical ordering used by reports and deterministic aggregation.
 EMOTION_ORDER: tuple[EmotionLabel, ...] = tuple(EmotionLabel)
@@ -199,6 +203,17 @@ class _PunctMemo(dict):
 _IS_PUNCT = _PunctMemo()
 
 
+def _trim_punct(word: str) -> tuple[int, int]:
+    """The range of ``word`` left once leading and trailing punctuation is stripped."""
+    is_punct = _IS_PUNCT
+    start, stop = 0, len(word)
+    while start < stop and is_punct[word[start]]:
+        start += 1
+    while stop > start and is_punct[word[stop - 1]]:
+        stop -= 1
+    return start, stop
+
+
 def tokenize_with_spans(text: str) -> list[TokenSpan]:
     """Tokenize, keeping each token's character range in the original text.
 
@@ -215,20 +230,28 @@ def tokenize_with_spans(text: str) -> list[TokenSpan]:
         start = find(word, end)
         end = stop = start + len(word)
         if is_punct[word[0]] or is_punct[word[-1]]:
-            while start < stop and is_punct[text[start]]:
-                start += 1
-            while stop > start and is_punct[text[stop - 1]]:
-                stop -= 1
-            if start == stop:
+            first, last = _trim_punct(word)
+            if first == last:
                 continue
-            word = text[start:stop]
+            word = word[first:last]
+            start, stop = start + first, start + last
         spans.append(new_span(TokenSpan, (word.lower(), start, stop)))
     return spans
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased whitespace tokens with end punctuation stripped."""
-    return [t.text for t in tokenize_with_spans(text)]
+    """Lowercased whitespace tokens with end punctuation stripped: the
+    texts of ``tokenize_with_spans(text)``."""
+    is_punct = _IS_PUNCT
+    tokens: list[str] = []
+    for word in text.split():
+        if is_punct[word[0]] or is_punct[word[-1]]:
+            first, last = _trim_punct(word)
+            if first == last:
+                continue
+            word = word[first:last]
+        tokens.append(word.lower())
+    return tokens
 
 
 def count_tokens(text: str) -> int:

@@ -20,6 +20,15 @@ def src_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def over_long_integer() -> str:
+    """JSON integer text with more digits than ``int`` converts from a string,
+    which ``json`` rejects with a plain ValueError; skips where there is no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integer text of any length")
+    return "9" * (limit + 1)
+
+
 def make_review(
     review_id: str = "r1",
     text: str = "The blender works perfectly and arrived two days early.",

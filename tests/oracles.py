@@ -6,7 +6,10 @@ DP, explicit per-token clipped counting instead of Counter intersection,
 and a from-scratch scorer for the hand-scored fixture. The one exception is
 ``oracle_score_report``: it uses the package's tokenizer and ROUGE functions
 (checked against the brute-force ones here) and differs from the package in
-how it walks the predictions.
+how it walks the predictions. ``oracle_parse_output`` likewise shares the
+package's report types and label vocabulary; it finds the block with the
+rescanning extractor, decodes it twice and builds the repair map one
+character at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +24,25 @@ from pathlib import Path
 
 import numpy as np
 
-from eotbench.errors import DataError, DegenerateDistribution, MissingGold, NoStructuredBlock
+from eotbench.errors import (
+    DataError,
+    DegenerateDistribution,
+    MissingGold,
+    NoStructuredBlock,
+    UnknownEmotion,
+)
+from eotbench.extraction import (
+    REASON_MALFORMED,
+    REASON_NEUTRAL_TRIGGER,
+    REASON_NEUTRAL_WITH_OTHERS,
+    REASON_NO_VERIFIABLE_TRIGGER,
+    REASON_NOT_EXTRACTIVE,
+    REASON_OOV,
+    DroppedEmotion,
+    DroppedTrigger,
+    ParseReport,
+    ParseStatus,
+)
 from eotbench.metrics import (
     EmotionScores,
     PerEmotionScore,
@@ -31,7 +52,17 @@ from eotbench.metrics import (
     rouge1,
     rougeL,
 )
-from eotbench.model import EMOTION_ORDER, normalize_text, tokenize
+from eotbench.model import (
+    EMOTION_ORDER,
+    EmotionLabel,
+    EmotionTriggers,
+    EotOutput,
+    Review,
+    TriggerSpan,
+    canonical_emotion,
+    normalize_text,
+    tokenize,
+)
 
 EMOTIONS = (
     "Joy",
@@ -145,11 +176,121 @@ def oracle_extract_structured_block(raw: str) -> str:
         try:
             if isinstance(json.loads(candidate), dict):
                 return candidate
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # ValueError: also an over-long integer
             continue
     if candidates:
         return candidates[0]
     raise NoStructuredBlock("no balanced object in response")
+
+
+def _oracle_normalized_with_map(text: str) -> tuple[str, list[int]]:
+    """Casefolded, whitespace-collapsed text plus normalized->original index
+    map, built one character at a time."""
+    chars: list[str] = []
+    index_map: list[int] = []
+    pending_space_at: int | None = None
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            if chars and pending_space_at is None:
+                pending_space_at = i
+            continue
+        if pending_space_at is not None:
+            chars.append(" ")
+            index_map.append(pending_space_at)
+            pending_space_at = None
+        for folded in ch.lower():
+            chars.append(folded)
+            index_map.append(i)
+    return "".join(chars), index_map
+
+
+def oracle_parse_output(raw: str, review: Review) -> ParseReport:
+    """``extraction.parse_output`` as two decodes of the rescanning oracle's
+    block and a repair map built one character at a time."""
+    report = ParseReport(output=EotOutput(review.review_id, ()))
+    try:
+        parsed = json.loads(oracle_extract_structured_block(raw))
+    except (NoStructuredBlock, ValueError, RecursionError):
+        report.parse_status = ParseStatus.UNPARSEABLE
+        return report
+    emotions = parsed.get("emotions") if isinstance(parsed, dict) else None
+    if not isinstance(emotions, list):
+        report.parse_status = ParseStatus.UNPARSEABLE
+        return report
+
+    merged: dict[EmotionLabel, list[TriggerSpan]] = {}
+    normalized = None
+    for entry in emotions:
+        if not isinstance(entry, dict) or not isinstance(entry.get("emotion"), str):
+            report.dropped_emotions.append(DroppedEmotion(repr(entry)[:120], REASON_MALFORMED))
+            continue
+        try:
+            label = canonical_emotion(entry["emotion"])
+        except UnknownEmotion:
+            report.dropped_emotions.append(DroppedEmotion(entry["emotion"], REASON_OOV))
+            continue
+        triggers = entry.get("triggers", [])
+        if not isinstance(triggers, list):
+            report.dropped_triggers.append(
+                DroppedTrigger(label.value, repr(triggers)[:120], REASON_MALFORMED)
+            )
+            triggers = []
+        spans = merged.setdefault(label, [])
+        for trigger in triggers:
+            if not isinstance(trigger, str):
+                report.dropped_triggers.append(
+                    DroppedTrigger(label.value, repr(trigger)[:120], REASON_MALFORMED)
+                )
+                continue
+            if label is EmotionLabel.NEUTRAL:
+                report.dropped_triggers.append(
+                    DroppedTrigger(label.value, trigger, REASON_NEUTRAL_TRIGGER)
+                )
+                continue
+            at = review.text.find(trigger) if trigger else -1
+            if at >= 0:
+                span = TriggerSpan(trigger, at, at + len(trigger))
+            else:
+                if normalized is None:
+                    normalized = _oracle_normalized_with_map(review.text)
+                normalized_review, index_map = normalized
+                normalized_trigger = " ".join(trigger.lower().split())
+                at = normalized_review.find(normalized_trigger) if normalized_trigger else -1
+                if at < 0:
+                    report.dropped_triggers.append(
+                        DroppedTrigger(label.value, trigger, REASON_NOT_EXTRACTIVE)
+                    )
+                    continue
+                start = index_map[at]
+                end = index_map[at + len(normalized_trigger) - 1] + 1
+                span = TriggerSpan(review.text[start:end], start, end)
+                report.repair_applied = True
+            if not any(s.start == span.start and s.end == span.end for s in spans):
+                spans.append(span)
+
+    survivors = []
+    for label, spans in merged.items():
+        if label is EmotionLabel.NEUTRAL:
+            continue
+        if spans:
+            survivors.append((label, spans))
+        else:
+            report.dropped_emotions.append(
+                DroppedEmotion(label.value, REASON_NO_VERIFIABLE_TRIGGER)
+            )
+    if EmotionLabel.NEUTRAL in merged:
+        if survivors:
+            report.dropped_emotions.append(
+                DroppedEmotion(EmotionLabel.NEUTRAL.value, REASON_NEUTRAL_WITH_OTHERS)
+            )
+        else:
+            survivors = [(EmotionLabel.NEUTRAL, [])]
+    report.output = EotOutput(
+        review.review_id,
+        tuple(EmotionTriggers(label, tuple(spans)) for label, spans in survivors),
+    )
+    report.parse_status = ParseStatus.REPAIRED if report.repair_applied else ParseStatus.CLEAN
+    return report
 
 
 def _norm(text: str) -> str:

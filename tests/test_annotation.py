@@ -41,7 +41,7 @@ from eotbench.model import (
     Review,
     locate_span,
 )
-from conftest import make_review
+from conftest import make_review, over_long_integer
 from oracles import EMOTIONS, oracle_agreement_report
 
 JOY = EmotionLabel.JOY
@@ -505,6 +505,14 @@ class TestAnnotationIo:
         path = tmp_path / "gold.jsonl"
         path.write_text('{"review_id": "b1", "emotions": [{"emotion": "Neutral"}]}\n' + line + "\n")
         with pytest.raises(DataError, match=rf"gold\.jsonl:2: .*{message}"):
+            load_gold(path, {"b1": review})
+
+    def test_over_long_integer_is_a_data_error_with_its_line(self, tmp_path):
+        review = make_review("b1", "I am very happy", Domain.BEAUTY, "i1")
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"review_id": "b1", "emotions": [{"emotion": "Neutral"}]}\n'
+                        f'{{"review_id": "b1", "emotions": [], "n": {over_long_integer()}}}\n')
+        with pytest.raises(DataError, match=r"gold\.jsonl:2: invalid JSON"):
             load_gold(path, {"b1": review})
 
     def test_non_extractive_annotation_is_rejected(self, tmp_path):

@@ -425,7 +425,8 @@ class TestBadInputFiles:
         assert not (tmp_path / "runs" / "bad").exists()
 
     @pytest.mark.parametrize("line", ["max_concurrency = 0", "max_concurrency = abc",
-                                      "timeout = 0", "timeout = nan", "timeout = inf"])
+                                      "timeout = 0", "timeout = nan", "timeout = inf",
+                                      "timeout = 1e10"])
     def test_bad_profile_value(self, tmp_path, caplog, line):
         argv = self._run_argv(tmp_path, self.PROFILE + line + "\n")
         self._assert_data_error(caplog, argv, tmp_path / "profiles.ini")

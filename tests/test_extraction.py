@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from eotbench import extraction
 from eotbench.errors import NoStructuredBlock
 from eotbench.extraction import (
     ParseStatus,
@@ -17,10 +18,11 @@ from eotbench.extraction import (
     _close_table,
     extract_structured_block,
     parse_output,
+    parse_report_to_dict,
 )
 from eotbench.model import EmotionLabel
-from conftest import make_review
-from oracles import _balanced_block, oracle_extract_structured_block
+from conftest import make_review, over_long_integer
+from oracles import _balanced_block, oracle_extract_structured_block, oracle_parse_output
 
 
 def response(emotions: list[dict]) -> str:
@@ -213,6 +215,125 @@ class TestParseOutput:
         )
         assert report.output.emotions == {EmotionLabel.JOY}
         assert len(report.dropped_emotions) == 2
+
+
+class TestOverLongInteger:
+    """``json`` raises a plain ValueError, not a JSONDecodeError, on integer
+    text longer than ``sys.get_int_max_str_digits()``."""
+
+    def test_a_response_holding_one_is_unparseable(self, sample_review):
+        raw = f'{{"emotions": [{{"emotion": "Joy", "triggers": ["works perfectly"]}}], "n": {over_long_integer()}}}'
+        assert parse_output(raw, sample_review).parse_status is ParseStatus.UNPARSEABLE
+
+    def test_a_later_candidate_that_parses_wins(self, sample_review):
+        later = response([{"emotion": "Joy", "triggers": ["works perfectly"]}])
+        raw = f'{{"n": {over_long_integer()}}} then {later}'
+        assert extract_structured_block(raw) == later
+        report = parse_output(raw, sample_review)
+        assert report.parse_status is ParseStatus.CLEAN
+        assert report.output.emotions == {EmotionLabel.JOY}
+
+
+class TestCloseTableOnlyAsFallback:
+    @pytest.fixture
+    def close_table_calls(self, monkeypatch):
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return _close_table(raw)
+
+        monkeypatch.setattr(extraction, "_close_table", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "raw",
+        ['{"emotions": []}', 'Sure:\n```json\n{"emotions": []}\n``` {unclosed', '{"a": 1} {"emotions": []}'],
+    )
+    def test_not_built_when_the_first_brace_starts_a_json_object(self, close_table_calls, sample_review, raw):
+        parse_output(raw, sample_review)
+        assert close_table_calls == []
+
+    def test_built_once_for_a_truncated_response(self, close_table_calls, sample_review):
+        raw = '{"emotions": [{"emotion": "Joy", "triggers": ["works perf'
+        assert parse_output(raw, sample_review).parse_status is ParseStatus.UNPARSEABLE
+        assert close_table_calls == [raw]
+
+
+# Words that fold differently one character at a time than as a whole
+# ("ΟΔΟΣ": final sigma), fold to more characters ("İ"), are titlecase
+# digraphs ("ǅ") or carry punctuation, joined by ASCII and Unicode spaces.
+REVIEW_WORDS = st.sampled_from(
+    ["The", "blender", "WORKS", "perfectly,", "ΟΔΟΣ", "İstanbul", "ǅemal", "Straße",
+     "naïve", "(café)!", "x", "Σ", "arrived", "early."]
+)
+SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", " \u2028 "])
+
+
+@st.composite
+def review_texts(draw) -> str:
+    words = draw(st.lists(REVIEW_WORDS, min_size=1, max_size=12))
+    gaps = draw(st.lists(SPACES, min_size=len(words) + 1, max_size=len(words) + 1))
+    gaps[0] = draw(st.sampled_from(["", gaps[0]]))
+    gaps[-1] = draw(st.sampled_from(["", gaps[-1]]))
+    return gaps[0] + "".join(word + gap for word, gap in zip(words, gaps[1:]))
+
+
+@st.composite
+def triggers_for(draw, text: str):
+    kind = draw(st.sampled_from(["verbatim", "case", "case", "spaces", "spaces", "other", "malformed"]))
+    if kind == "malformed":
+        return draw(st.sampled_from([3, None, ["x"], ""]))
+    if kind == "other":
+        return draw(st.sampled_from(["not in it", "ΟΔΟΣ", "ὀδός", "i̇stanbul", "ǆemal", "STRASSE"]))
+    start = draw(st.integers(0, len(text) - 1))
+    trigger = text[start : draw(st.integers(start + 1, len(text)))]
+    if kind == "case":
+        trigger = draw(st.sampled_from([str.upper, str.lower, str.swapcase, str.title]))(trigger)
+    elif kind == "spaces":
+        trigger = draw(SPACES).join(trigger.split())
+    return trigger
+
+
+@st.composite
+def responses(draw, text: str) -> str:
+    labels = st.sampled_from(["Joy", "trust", " Fear ", "Neutral", "happiness", 3])
+    entries = draw(
+        st.lists(
+            st.one_of(
+                st.fixed_dictionaries(
+                    {"emotion": labels, "triggers": st.lists(triggers_for(text), max_size=4)}
+                ),
+                st.fixed_dictionaries({"emotion": labels}),
+                st.fixed_dictionaries({"emotion": labels, "triggers": st.just("works")}),
+                st.just("not an entry"),
+            ),
+            max_size=4,
+        )
+    )
+    document = json.dumps({"emotions": entries}, ensure_ascii=draw(st.booleans()))
+    shape = draw(st.sampled_from(["bare", "fenced", "prose braces", "invalid first", "truncated"]))
+    if shape == "fenced":
+        return f"Here it is:\n```json\n{document}\n```\nHope this {{helps}}."
+    if shape == "prose braces":
+        return f"The {{customer}} is {{ upbeat. {document}"
+    if shape == "invalid first":
+        first = draw(st.sampled_from(["{draft}", '{"emotions": [}', f'{{"n": {over_long_integer()}}}']))
+        return f"{first} then {document}"
+    if shape == "truncated":
+        return document[: draw(st.integers(0, len(document) - 1))]
+    return document
+
+
+class TestParseMatchesOracle:
+    @settings(deadline=None, max_examples=400)
+    @given(st.data())
+    def test_equals_the_two_decode_per_character_oracle(self, data):
+        review = make_review(text=data.draw(review_texts()))
+        raw = data.draw(responses(review.text))
+        assert parse_report_to_dict(parse_output(raw, review)) == parse_report_to_dict(
+            oracle_parse_output(raw, review)
+        )
 
 
 class TestFuzz:

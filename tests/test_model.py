@@ -55,7 +55,9 @@ class TestTokenize:
         expected = oracle_tokenize(text)
         assert tokenize(text) == expected
         assert count_tokens(text) == len(expected)
-        assert [(t.start, t.end) for t in tokenize_with_spans(text)] == oracle_token_spans(text)
+        spans = tokenize_with_spans(text)
+        assert [t.text for t in spans] == expected
+        assert [(t.start, t.end) for t in spans] == oracle_token_spans(text)
 
     def test_spans_point_into_original_text(self):
         text = "Great fit, LOVE it!"
