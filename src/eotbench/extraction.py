@@ -25,9 +25,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 from .errors import NoStructuredBlock, SpanNotFound, UnknownEmotion
+from .jsonio import DECODE_ERRORS
 from .model import (
     EmotionLabel,
     EmotionTriggers,
@@ -158,10 +159,6 @@ def _close_table(raw: str) -> dict[int, int]:
 
 _raw_decode = json.JSONDecoder().raw_decode
 
-# What decoding a candidate can raise: JSONDecodeError, a ValueError for an
-# integer longer than sys.get_int_max_str_digits(), or RecursionError.
-_DECODE_ERRORS = (ValueError, RecursionError)
-
 
 def _structured_block(raw: str) -> tuple[str, dict | None]:
     """The structured block and its decoded object, None when it does not parse.
@@ -173,7 +170,7 @@ def _structured_block(raw: str) -> tuple[str, dict | None]:
         raise NoStructuredBlock("no balanced object in response")
     try:
         parsed, end = _raw_decode(raw, first)
-    except _DECODE_ERRORS:
+    except DECODE_ERRORS:
         pass
     else:
         return raw[first:end], parsed
@@ -188,7 +185,7 @@ def _structured_block(raw: str) -> tuple[str, dict | None]:
         candidate = raw[pos:end]
         try:
             return candidate, json.loads(candidate)  # it starts with '{': a dict or an error
-        except _DECODE_ERRORS:
+        except DECODE_ERRORS:
             candidates.append(candidate)
         pos = raw.find("{", end)
     if candidates:
@@ -238,22 +235,53 @@ def _normalized_with_map(text: str) -> tuple[str, list[int]]:
     return "".join(parts), index_map
 
 
+_WORD = re.compile(r"\S+")
+_match_start = re.Match.start
+
+
+def _normalized_review(text: str) -> tuple[str, Callable[[int], int]]:
+    """The review casefolded and whitespace-collapsed, and a map from its
+    indices to the review's.
+
+    An ASCII review lowercases without changing a length, and ``str.split``
+    and ``_WORD`` agree on its whitespace. So its normalized text is its
+    words one space apart, and index i lies in word k, k being the number of
+    spaces before i, at the same offset as in the review (a space maps to
+    the end of the word before it). The word starts are found on the first
+    lookup, so only once a repaired trigger is found. Any other review keeps
+    ``_normalized_with_map``.
+    """
+    if not text.isascii():
+        normalized, index_map = _normalized_with_map(text)
+        return normalized, index_map.__getitem__
+    normalized = " ".join(text.lower().split())
+    starts: list[int] = []
+
+    def to_original(i: int) -> int:
+        if not starts:
+            starts.extend(map(_match_start, _WORD.finditer(text)))
+        word_start = normalized.rfind(" ", 0, i) + 1
+        return starts[normalized.count(" ", 0, i)] + i - word_start
+
+    return normalized, to_original
+
+
 def _repair_locate(
-    review_text: str, trigger_text: str, normalized: tuple[str, list[int]]
+    review_text: str, trigger_text: str, normalized: tuple[str, Callable[[int], int]]
 ) -> TriggerSpan | None:
     """Relocate a trigger ignoring case and whitespace differences.
 
-    `normalized` is `_normalized_with_map(review_text)`, built once per response.
+    `normalized` is `_normalized_review(review_text)`, built once per response.
     """
     normalized_trigger = " ".join(trigger_text.lower().split())
     if not normalized_trigger:
         return None
-    normalized_review, index_map = normalized
+    normalized_review, to_original = normalized
     at = normalized_review.find(normalized_trigger)
     if at < 0:
         return None
-    start = index_map[at]
-    end = index_map[at + len(normalized_trigger) - 1] + 1
+    start = to_original(at)
+    end = to_original(at + len(normalized_trigger) - 1) + 1
     return TriggerSpan(text=review_text[start:end], start=start, end=end)
 
 
@@ -275,7 +303,7 @@ def parse_output(raw: str, review: Review) -> ParseReport:
         return report
 
     merged: dict[EmotionLabel, list[TriggerSpan]] = {}
-    normalized: tuple[str, list[int]] | None = None  # built on the first repair
+    normalized: tuple[str, Callable[[int], int]] | None = None  # built on the first repair
     for entry in emotions:
         if not isinstance(entry, dict) or not isinstance(entry.get("emotion"), str):
             report.dropped_emotions.append(DroppedEmotion(repr(entry)[:120], REASON_MALFORMED))
@@ -307,7 +335,7 @@ def parse_output(raw: str, review: Review) -> ParseReport:
                 span = locate_span(review.text, trigger)
             except SpanNotFound:
                 if normalized is None:
-                    normalized = _normalized_with_map(review.text)
+                    normalized = _normalized_review(review.text)
                 span = _repair_locate(review.text, trigger, normalized)
                 if span is None:
                     report.dropped_triggers.append(

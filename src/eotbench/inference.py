@@ -29,6 +29,7 @@ from .errors import (
     RequestTimeout,
     data_errors,
 )
+from .jsonio import DECODE_ERRORS
 from .model import Review
 from .prompting import (
     PROMPT_VERSION,
@@ -44,6 +45,9 @@ BACKOFF_BASE_SECONDS = 1.0
 BACKOFF_FACTOR = 2.0
 BACKOFF_CAP_SECONDS = 60.0
 DEFAULT_MAX_ATTEMPTS = 5
+# the most workers a profile may ask for: run_experiment starts a thread for
+# each worker beyond the first
+MAX_CONCURRENCY = 64
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,10 @@ class ProviderProfile:
     timeout: float = 60.0
 
     def __post_init__(self):
-        if self.max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1")
+        if not 1 <= self.max_concurrency <= MAX_CONCURRENCY:
+            raise ValueError(
+                f"max_concurrency must be >= 1 and <= {MAX_CONCURRENCY}, not {self.max_concurrency}"
+            )
         # a socket timeout above threading.TIMEOUT_MAX overflows the platform's time_t
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:
             raise ValueError(
@@ -285,7 +291,7 @@ def read_ledger(runs_dir: Path | str, run_id: str) -> list[RunLedgerEntry]:
                 continue
             try:
                 entries.append(_decode_entry(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (*DECODE_ERRORS, KeyError, TypeError) as exc:
                 if not line.endswith(b"\n"):
                     log.warning("%s:%d: skipping torn final ledger line: %s", path, line_no, exc)
                     continue
@@ -313,7 +319,7 @@ def _seal_ledger(path: Path) -> None:
         cut = data.rfind(b"\n") + 1
         try:
             _decode_entry(data[cut:])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (*DECODE_ERRORS, KeyError, TypeError):
             fh.truncate(cut)
         else:
             fh.write(b"\n")

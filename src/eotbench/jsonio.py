@@ -15,6 +15,11 @@ from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataError
 
+# What decoding JSON can raise on bad input: JSONDecodeError, a ValueError for
+# an integer longer than sys.get_int_max_str_digits() (or UnicodeDecodeError
+# from a text file), and RecursionError for deep nesting.
+DECODE_ERRORS = (ValueError, RecursionError)
+
 
 def iter_jsonl(path: Path | str) -> Iterator[tuple[int, Any, str | None]]:
     """Yield (1-based line number, value, None) for each non-blank line.
@@ -34,7 +39,7 @@ def iter_jsonl(path: Path | str) -> Iterator[tuple[int, Any, str | None]]:
                 continue
             try:
                 yield line_no, json.loads(line), None
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            except DECODE_ERRORS as exc:
                 yield line_no, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
 
 
@@ -92,7 +97,7 @@ def load_json(path: Path | str) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except DECODE_ERRORS as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise DataError(f"{path}: the JSON document is not an object")

@@ -2,7 +2,10 @@
 
 ``score_predictions`` computes the whole suite in one pass over the
 predictions: it takes each review's predicted and gold label sets once and
-tokenizes each of its gold and predicted triggers once. ``emotion_prf``,
+tokenizes a trigger once, and only under an emotion that both the
+prediction and the gold of its review have, since a trigger under any other
+emotion matches nothing. Each aligned pair's ROUGE F1 comes from integer
+counts; identical token lists score 1.0 directly (P = R = 1). ``emotion_prf``,
 ``trigger_em_pm``, ``align_and_average_rouge`` and ``confusion_matrix`` are
 views of its result.
 
@@ -35,6 +38,9 @@ from .model import (
     normalize_text,
     tokenize,
 )
+
+
+_LABEL_INDEX = {label: i for i, label in enumerate(EMOTION_ORDER)}
 
 
 class RougeScore(NamedTuple):
@@ -119,11 +125,46 @@ def rougeL(pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore
     return _rouge(_lcs_length(pred_tokens, gold_tokens), pred_tokens, gold_tokens)
 
 
+def _f1(overlap: int, len_a: int, len_b: int) -> float:
+    """``_rouge(overlap, a, b).f1`` for sequences of lengths ``len_a`` and
+    ``len_b``, without building the RougeScore."""
+    if not len_a or not len_b:
+        return float(not len_a and not len_b)
+    if not overlap:
+        return 0.0
+    precision = overlap / len_a
+    recall = overlap / len_b
+    return 2 * precision * recall / (precision + recall)
+
+
+def _rougeL_f1(a: list[str], b: list[str]) -> float:
+    """``rougeL(a, b).f1``; identical lists score 1.0 (P = R = 1) without the LCS."""
+    if a == b:
+        return 1.0
+    return _f1(_lcs_length(a, b), len(a), len(b))
+
+
+def _rouge1_f1(a: list[str], b: list[str]) -> float:
+    """``rouge1(a, b).f1``. When either side repeats no token, clipping
+    changes nothing and the overlap is that of the two token sets."""
+    if a == b:
+        return 1.0
+    distinct = set(a)
+    if len(distinct) == len(a) or len(set(b)) == len(b):
+        overlap = len(distinct.intersection(b))
+    else:
+        overlap = sum((Counter(a) & Counter(b)).values())
+    return _f1(overlap, len(a), len(b))
+
+
 def _greedy_alignment(pred_tok: Sequence[list[str]], gold_tok: Sequence[list[str]]):
     """Yield (ROUGE-L F1, pred tokens, gold tokens) for each one-to-one pair,
     taken in descending ROUGE-L F1 order, ties by gold then prediction index."""
+    if len(pred_tok) == 1 and len(gold_tok) == 1:
+        yield _rougeL_f1(pred_tok[0], gold_tok[0]), pred_tok[0], gold_tok[0]
+        return
     scored = [
-        (rougeL(pt, gt).f1, pi, gi)
+        (_rougeL_f1(pt, gt), pi, gi)
         for pi, pt in enumerate(pred_tok)
         for gi, gt in enumerate(gold_tok)
     ]
@@ -152,9 +193,9 @@ def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> 
     another order can change the last digit of the means.
     """
     gold_map = {g.review_id: g.output for g in gold}
-    label_hits: Counter[EmotionLabel] = Counter()
-    label_pred: Counter[EmotionLabel] = Counter()
-    label_gold: Counter[EmotionLabel] = Counter()
+    label_hits = [0] * len(EMOTION_ORDER)
+    label_pred = [0] * len(EMOTION_ORDER)
+    label_gold = [0] * len(EMOTION_ORDER)
     matrix = {p: {g: 0.0 for g in EMOTION_ORDER} for p in EMOTION_ORDER}
     n_pred = n_gold = n_em = n_pm = 0
     sum_r1 = sum_rl = 0.0
@@ -165,42 +206,47 @@ def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> 
         predicted = output.emotions
         expected = expected_output.emotions
         hits = predicted & expected
-        label_hits.update(hits)
-        label_pred.update(predicted)
-        label_gold.update(expected)
         for label in hits:
+            label_hits[_LABEL_INDEX[label]] += 1
             matrix[label][label] += 1.0
-        spurious = sorted(predicted - expected, key=EMOTION_ORDER.index)
-        missed = sorted(expected - predicted, key=EMOTION_ORDER.index)
+        for label in predicted:
+            label_pred[_LABEL_INDEX[label]] += 1
+        for label in expected:
+            label_gold[_LABEL_INDEX[label]] += 1
+        spurious = predicted - expected
+        missed = expected - predicted
         if spurious and missed:
+            # each cell gets one addend per review, so the order is free
             weight = 1.0 / (len(spurious) * len(missed))
             for s in spurious:
                 for m in missed:
                     matrix[s][m] += weight
-        pred_tokens = {p.emotion: [tokenize(s.text) for s in p.triggers] for p in output.pairs}
-        n_pred += sum(map(len, pred_tokens.values()))
+        for pair in output.pairs:
+            n_pred += len(pair.triggers)
         for pair in expected_output.pairs:
-            gold_tok = [tokenize(s.text) for s in pair.triggers]
-            n_gold += len(gold_tok)
-            pred_tok = pred_tokens.get(pair.emotion)
-            if not pred_tok:
+            n_gold += len(pair.triggers)
+            # only a label both sides have can match; Neutral has no triggers
+            if pair.emotion not in hits or not pair.triggers:
                 continue
+            pred_spans = output.triggers_for(pair.emotion)
+            pred_tok = [tokenize(s.text) for s in pred_spans]
+            gold_tok = [tokenize(s.text) for s in pair.triggers]
             gold_norms = {normalize_text(s.text) for s in pair.triggers}
             gold_vocab = set().union(*gold_tok)
-            for span, tokens in zip(output.triggers_for(pair.emotion), pred_tok):
+            for span, tokens in zip(pred_spans, pred_tok):
                 if normalize_text(span.text) in gold_norms:
                     n_em += 1
                 elif not gold_vocab.isdisjoint(tokens):
                     n_pm += 1
             for rl_f1, pt, gt in _greedy_alignment(pred_tok, gold_tok):
                 sum_rl += rl_f1
-                sum_r1 += rouge1(pt, gt).f1
+                sum_r1 += _rouge1_f1(pt, gt)
 
     per_emotion = {
-        e: PerEmotionScore(*_prf(label_hits[e], label_pred[e], label_gold[e]), label_gold[e])
-        for e in EMOTION_ORDER
+        e: PerEmotionScore(*_prf(label_hits[i], label_pred[i], label_gold[i]), label_gold[i])
+        for i, e in enumerate(EMOTION_ORDER)
     }
-    micro = _prf(*(sum(c.values()) for c in (label_hits, label_pred, label_gold)))
+    micro = _prf(sum(label_hits), sum(label_pred), sum(label_gold))
     counts = TriggerCounts(n_pred, n_gold, n_em, n_pm, n_pred - n_em - n_pm)
     return ScoreReport(
         emotion=EmotionScores(*micro, per_emotion),

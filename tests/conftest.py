@@ -12,6 +12,8 @@ from eotbench.model import Domain, Review
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# JSON text nested deeper than the decoder recurses: decoding raises RecursionError
+DEEPLY_NESTED = "[" * 200_000
 
 
 def src_env() -> dict[str, str]:

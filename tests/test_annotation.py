@@ -41,7 +41,7 @@ from eotbench.model import (
     Review,
     locate_span,
 )
-from conftest import make_review, over_long_integer
+from conftest import DEEPLY_NESTED, make_review, over_long_integer
 from oracles import EMOTIONS, oracle_agreement_report
 
 JOY = EmotionLabel.JOY
@@ -498,6 +498,7 @@ class TestAnnotationIo:
             ('{"review_id": ["b1"]}', "unknown review_id"),
             ('{"review_id": "b1", "emotions": [{"emotion": "Joy", "triggers": ["sad"]}]}', "sad"),
             ('{"review_id": "b1", "emotions": [], "provenance": {"trigger_annotators": [1]}}', "provenance"),
+            pytest.param(DEEPLY_NESTED, "invalid JSON", id="deeply-nested"),
         ],
     )
     def test_malformed_gold_line_is_a_data_error_with_its_line(self, tmp_path, line, message):

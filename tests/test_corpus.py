@@ -21,7 +21,7 @@ from eotbench.corpus import (
 )
 from eotbench.errors import EmptyCorpus, InsufficientReviews, SampleTooLarge
 from eotbench.model import Source
-from conftest import make_review, over_long_integer
+from conftest import DEEPLY_NESTED, make_review, over_long_integer
 
 
 def _ts(year: int, month: int = 6) -> int:
@@ -103,6 +103,14 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.jsonl"
         long_line = self._line(2).replace("}", f', "timestamp": {over_long_integer()}}}')
         path.write_text(self._line(1) + "\n" + long_line + "\n" + self._line(3) + "\n")
+        loaded = load_corpus(path)
+        assert [r.review_id for r in loaded.records] == ["r1", "r3"]
+        assert [r.line_no for r in loaded.rejections] == [2]
+        assert loaded.rejections[0].reason.startswith("invalid JSON: ")
+
+    def test_deeply_nested_line_is_rejected_not_raised(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(self._line(1) + "\n" + DEEPLY_NESTED + "\n" + self._line(3) + "\n")
         loaded = load_corpus(path)
         assert [r.review_id for r in loaded.records] == ["r1", "r3"]
         assert [r.line_no for r in loaded.rejections] == [2]

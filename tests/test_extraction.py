@@ -16,6 +16,7 @@ from eotbench.extraction import (
     REASON_NO_VERIFIABLE_TRIGGER,
     REASON_OOV,
     _close_table,
+    _normalized_with_map,
     extract_structured_block,
     parse_output,
     parse_report_to_dict,
@@ -296,13 +297,13 @@ def triggers_for(draw, text: str):
 
 
 @st.composite
-def responses(draw, text: str) -> str:
+def responses(draw, text: str, triggers=triggers_for) -> str:
     labels = st.sampled_from(["Joy", "trust", " Fear ", "Neutral", "happiness", 3])
     entries = draw(
         st.lists(
             st.one_of(
                 st.fixed_dictionaries(
-                    {"emotion": labels, "triggers": st.lists(triggers_for(text), max_size=4)}
+                    {"emotion": labels, "triggers": st.lists(triggers(text), max_size=4)}
                 ),
                 st.fixed_dictionaries({"emotion": labels}),
                 st.fixed_dictionaries({"emotion": labels, "triggers": st.just("works")}),
@@ -334,6 +335,70 @@ class TestParseMatchesOracle:
         assert parse_report_to_dict(parse_output(raw, review)) == parse_report_to_dict(
             oracle_parse_output(raw, review)
         )
+
+
+# Every character that str.split treats as whitespace in ASCII.
+ASCII_WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+ASCII_WORDS = st.sampled_from(["The", "blender", "WORKS", "perfectly,", "x", "arrived", "early.", "(cafe)!", "aB"])
+ASCII_GAPS = st.text(alphabet=ASCII_WHITESPACE, min_size=1, max_size=4)
+
+
+@st.composite
+def ascii_review_texts(draw) -> str:
+    words = draw(st.lists(ASCII_WORDS, min_size=1, max_size=10))
+    gaps = draw(st.lists(ASCII_GAPS, min_size=len(words) + 1, max_size=len(words) + 1))
+    gaps[0] = draw(st.sampled_from(["", gaps[0]]))
+    gaps[-1] = draw(st.sampled_from(["", gaps[-1]]))
+    return gaps[0] + "".join(word + gap for word, gap in zip(words, gaps[1:]))
+
+
+@st.composite
+def ascii_triggers_for(draw, text: str):
+    """Substrings that may start or end mid-word or at either end of the
+    text, with their case or whitespace changed so that only repair finds them."""
+    start = draw(st.one_of(st.just(0), st.integers(0, len(text) - 1)))
+    end = draw(st.one_of(st.just(len(text)), st.integers(start + 1, len(text))))
+    trigger = text[start:end]
+    kind = draw(st.sampled_from(["verbatim", "case", "spaces", "both"]))
+    if kind in ("case", "both"):
+        trigger = draw(st.sampled_from([str.upper, str.lower, str.swapcase]))(trigger)
+    if kind in ("spaces", "both"):
+        trigger = draw(ASCII_GAPS).join(trigger.split())
+    return trigger
+
+
+class TestAsciiRepairMatchesOracle:
+    @settings(deadline=None, max_examples=400)
+    @given(st.data())
+    def test_equals_the_per_character_oracle(self, data):
+        review = make_review(text=data.draw(ascii_review_texts()))
+        raw = data.draw(responses(review.text, ascii_triggers_for))
+        assert parse_report_to_dict(parse_output(raw, review)) == parse_report_to_dict(
+            oracle_parse_output(raw, review)
+        )
+
+    @pytest.mark.parametrize(
+        "text, trigger, found",
+        [
+            ("Works\x1c\x1dWELL\x0b\x0c\r\n", "works well", "Works\x1c\x1dWELL"),
+            ("\t\x1fgreat  blender", "GREAT BLENDER", "great  blender"),
+            ("the BLENDER works", "nder wor", "NDER wor"),
+        ],
+    )
+    def test_hand_cases(self, text, trigger, found):
+        report = parse_output(response([{"emotion": "Joy", "triggers": [trigger]}]), make_review(text=text))
+        assert report.parse_status is ParseStatus.REPAIRED
+        assert [s.text for s in report.output.triggers_for(EmotionLabel.JOY)] == [found]
+
+    @pytest.mark.parametrize("text, calls", [("The BLENDER works", 0), ("The BLENDER works, ΟΔΟΣ", 1)])
+    def test_per_character_map_only_for_a_non_ascii_review(self, monkeypatch, text, calls):
+        counted = []
+        monkeypatch.setattr(
+            extraction, "_normalized_with_map", lambda t: counted.append(t) or _normalized_with_map(t)
+        )
+        report = parse_output(response([{"emotion": "Joy", "triggers": ["the blender"]}]), make_review(text=text))
+        assert report.parse_status is ParseStatus.REPAIRED
+        assert len(counted) == calls
 
 
 class TestFuzz:

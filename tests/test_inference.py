@@ -9,6 +9,7 @@ import pytest
 
 from eotbench.errors import AuthMissing, DataError, ProviderError, RateLimited, RequestTimeout
 from eotbench.inference import (
+    MAX_CONCURRENCY,
     LedgerStatus,
     ProviderProfile,
     RunLedgerEntry,
@@ -21,7 +22,7 @@ from eotbench.inference import (
     run_experiment,
 )
 from eotbench.prompting import PROMPT_VERSION, Strategy, default_config
-from conftest import make_review
+from conftest import DEEPLY_NESTED, make_review
 
 NO_SLEEP = lambda seconds: None
 
@@ -464,12 +465,16 @@ class TestLedgerTail:
         self._tear(tmp_path, cut)
         assert len(read_ledger(tmp_path, "run-t")) == 2
 
-    @pytest.mark.parametrize("truncate", [True, False], ids=["truncated", "not-an-object"])
-    def test_corrupt_line_before_the_last_is_an_error(self, tmp_path, truncate):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda line: line[:30] + b"\n", lambda line: b"[1, 2]\n", lambda line: DEEPLY_NESTED.encode() + b"\n"],
+        ids=["truncated", "not-an-object", "deeply-nested"],
+    )
+    def test_corrupt_line_before_the_last_is_an_error(self, tmp_path, corrupt):
         self._run(tmp_path, 3)
         path = ledger_path(tmp_path, "run-t")
         lines = path.read_bytes().splitlines(keepends=True)
-        lines[1] = lines[1][:30] + b"\n" if truncate else b"[1, 2]\n"
+        lines[1] = corrupt(lines[1])
         path.write_bytes(b"".join(lines))
         with pytest.raises(DataError, match=":2: corrupt ledger entry"):
             read_ledger(tmp_path, "run-t")
@@ -481,6 +486,17 @@ class TestLedgerTail:
             fh.write(b"\n")
         with pytest.raises(DataError, match=":3: corrupt ledger entry"):
             read_ledger(tmp_path, "run-t")
+
+    def test_deeply_nested_torn_final_line_is_skipped_then_cut_off(self, tmp_path):
+        self._run(tmp_path, 2)
+        path = ledger_path(tmp_path, "run-t")
+        with open(path, "ab") as fh:
+            fh.write(DEEPLY_NESTED.encode())
+        assert sorted(e.review_id for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1"]
+        session = self._run(tmp_path, 3)  # the resume seals the ledger first
+        assert session.calls == 1
+        assert not path.read_bytes().count(b"[[")
+        assert sorted(e.review_id for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
 
     def test_resume_after_a_torn_tail_appends_on_a_fresh_line(self, tmp_path, caplog):
         self._run(tmp_path, 3)
@@ -522,3 +538,19 @@ class TestProviderProfiles:
         assert loaded.max_concurrency == 2
         assert loaded.timeout == 30.0
         assert loaded.auth_env_var == ""
+
+    @pytest.mark.parametrize("concurrency", [0, MAX_CONCURRENCY + 1, 100_000])
+    def test_max_concurrency_out_of_bounds_is_rejected(self, concurrency):
+        # constructing the profile starts no thread; run_experiment would start
+        # one for each worker beyond the first
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="max_concurrency"):
+            profile(max_concurrency=concurrency)
+        assert profile(max_concurrency=MAX_CONCURRENCY).max_concurrency == MAX_CONCURRENCY
+        assert threading.active_count() == threads
+
+    def test_max_concurrency_above_the_bound_is_a_data_error(self, tmp_path):
+        path = tmp_path / "profiles.ini"
+        path.write_text("[big]\nbase_url = http://127.0.0.1:9/v1\nmodel_id = m\nmax_concurrency = 100000\n")
+        with pytest.raises(DataError, match="max_concurrency"):
+            load_provider_profiles(path)

@@ -7,7 +7,9 @@ import threading
 import pytest
 
 from eotbench.cli import _write_text
-from eotbench.jsonio import dump_json, iter_jsonl, write_jsonl
+from eotbench.errors import DataError
+from eotbench.jsonio import dump_json, iter_jsonl, load_json, write_jsonl
+from conftest import DEEPLY_NESTED
 
 
 def test_iter_jsonl_reports_bad_lines_and_goes_on(tmp_path):
@@ -19,6 +21,13 @@ def test_iter_jsonl_reports_bad_lines_and_goes_on(tmp_path):
         (4, None, "invalid JSON: Expecting property name enclosed in double quotes"),
         (6, [2], None),
     ]
+
+
+def test_load_json_of_a_deeply_nested_file_is_a_data_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(DEEPLY_NESTED)
+    with pytest.raises(DataError, match=r"config\.json: not valid JSON: maximum recursion depth"):
+        load_json(path)
 
 
 class TestAtomicWrites:

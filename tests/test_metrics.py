@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eotbench import metrics
 from eotbench.annotation import GoldProvenance, GoldRecord, aggregate_gold
@@ -417,10 +417,54 @@ class TestOnePassMatchesTheFourWalks:
     @settings(max_examples=100, deadline=None)
     @given(scored_sets())
     def test_each_trigger_is_tokenized_once(self, data):
+        # only a (review, emotion) pair that both sides have is tokenized
         pred, gold = data
-        scored = {o.review_id for o in pred}
-        n_gold = sum(len(p.triggers) for g in gold if g.review_id in scored for p in g.output.pairs)
-        n_pred = sum(len(p.triggers) for o in pred for p in o.pairs)
+        gold_map = {g.review_id: g.output for g in gold}
+        expected = sum(
+            len(output.triggers_for(emotion)) + len(gold_map[output.review_id].triggers_for(emotion))
+            for output in pred
+            for emotion in output.emotions & gold_map[output.review_id].emotions
+        )
         with mock.patch.object(metrics, "tokenize", wraps=tokenize) as counted:
             score_predictions(pred, gold)
-        assert counted.call_count == n_gold + n_pred
+        assert counted.call_count == expected
+
+    def test_a_review_sharing_no_emotion_tokenizes_nothing(self):
+        review = make_review(text="The battery died but the fan is great.")
+        gold = gold_for(review, {JOY: ["fan is great"], ANGER: ["battery died"]})
+        pred = output(review, {TRUST: ["fan is great"], EmotionLabel.SADNESS: ["battery died"]})
+        with mock.patch.object(metrics, "tokenize", wraps=tokenize) as counted:
+            report = score_predictions([pred], [gold])
+        assert counted.call_count == 0
+        assert report.trigger.counts == (2, 2, 0, 0, 2)
+        assert (report.trigger.rouge1, report.trigger.rougeL) == (0.0, 0.0)
+
+
+TOKEN_LISTS = st.lists(st.sampled_from("abcd"), max_size=8)
+
+
+class TestPairF1FastPaths:
+    """The pair-F1 helpers equal the public ROUGE F1s bit for bit."""
+
+    @given(st.one_of(
+        st.tuples(TOKEN_LISTS, TOKEN_LISTS),
+        TOKEN_LISTS.map(lambda a: (a, list(a))),  # identical
+        st.tuples(st.lists(st.sampled_from("ab"), max_size=6), st.lists(st.sampled_from("cd"), max_size=6)),
+        st.tuples(st.lists(st.sampled_from("ab"), min_size=3, max_size=8),
+                  st.lists(st.sampled_from("ab"), min_size=3, max_size=8)),  # repeats
+    ))
+    @example(([], []))
+    @example(([], ["a"]))
+    @example((["a", "a"], ["a"]))
+    @example((["a", "b", "a"], ["b", "a", "a"]))
+    def test_equal_to_rougeL_and_rouge1(self, pair):
+        a, b = pair
+        assert metrics._rougeL_f1(a, b) == rougeL(a, b).f1
+        assert metrics._rouge1_f1(a, b) == rouge1(a, b).f1
+        assert metrics._f1(metrics._lcs_length(a, b), len(a), len(b)) == rougeL(a, b).f1
+
+    def test_identical_lists_skip_the_lcs(self):
+        with mock.patch.object(metrics, "_lcs_length") as lcs:
+            assert metrics._rougeL_f1(["great", "fan"], ["great", "fan"]) == 1.0
+            assert metrics._rougeL_f1([], []) == 1.0
+        lcs.assert_not_called()
