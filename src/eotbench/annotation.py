@@ -398,9 +398,8 @@ _PRIMARY = sum(1 << i for label, i in _LABEL_INDEX.items() if label is not Emoti
 def _review_items(review: Review, records: Sequence[AnnotationRecord]) -> tuple[int, list, list]:
     """A review's token count, and per rater bitmasks of labels (bit i is EMOTION_ORDER[i])
     and of tokens covered (bit ``label * n_tokens + token``): a token is covered when
-    one of the rater's spans for that label overlaps its character range."""
-    tokens = tokenize_with_spans(review.text)
-    starts, ends = [t.start for t in tokens], [t.end for t in tokens]
+    one of the rater's spans for that label overlaps its ``tokenize_with_spans`` range."""
+    starts, ends = tokenize_with_spans(review.text)
     labels, covered = [0] * len(records), [0] * len(records)
     for rater, record in enumerate(records):
         for pair in record.output.pairs:
@@ -409,8 +408,8 @@ def _review_items(review: Review, records: Sequence[AnnotationRecord]) -> tuple[
             for span in pair.triggers:
                 # the tokens that end after the span starts and start before it ends
                 first, stop = bisect_right(ends, span.start), bisect_left(starts, span.end)
-                covered[rater] |= ((1 << stop) - (1 << first)) << label * len(tokens)
-    return len(tokens), labels, covered
+                covered[rater] |= ((1 << stop) - (1 << first)) << label * len(starts)
+    return len(starts), labels, covered
 
 
 def _co_counts(marks: Sequence[int]) -> list[list[int]]:

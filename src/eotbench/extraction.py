@@ -5,8 +5,9 @@ exception. The machine-checkable half of the final self-check is
 enforced here: labels outside the 9-label vocabulary are dropped
 (emotion faithfulness) and triggers that cannot be located verbatim in
 the review are dropped (opinion trigger verifiability). The only repair
-attempted is case/whitespace-insensitive relocation; no fuzzy matching,
-since aggressive repair would inflate scores.
+attempted is relocation under ``normalize_text``, the case/whitespace
+fold of exact matching and gold dedup; no fuzzy matching, since
+aggressive repair would inflate scores.
 
 The structured block is the first balanced top-level object that parses
 as a JSON object, otherwise the first balanced candidate. Most responses
@@ -37,6 +38,7 @@ from .model import (
     TriggerSpan,
     canonical_emotion,
     locate_span,
+    normalize_text,
 )
 
 REASON_OOV = "OOV"
@@ -206,62 +208,33 @@ def extract_structured_block(raw: str) -> str:
     return _structured_block(raw)[0]
 
 
-def _normalized_with_map(text: str) -> tuple[str, list[int]]:
-    """Casefolded, whitespace-collapsed text plus normalized->original index map.
-
-    Each whitespace run between two words becomes one space, mapped to the
-    end of the word before it. An ASCII word lowercases as a whole; any other
-    word is lowered one character at a time, since a whole-word lower() can
-    differ (final sigma) and one character can lower to two ("İ").
-    """
-    parts: list[str] = []
-    index_map: list[int] = []
-    find = text.find
-    end = 0
-    for word in text.split():
-        start = find(word, end)
-        if parts:
-            parts.append(" ")
-            index_map.append(end)
-        end = start + len(word)
-        if word.isascii():
-            parts.append(word.lower())
-            index_map.extend(range(start, end))
-            continue
-        for i, ch in enumerate(word, start):
-            for folded in ch.lower():
-                parts.append(folded)
-                index_map.append(i)
-    return "".join(parts), index_map
-
-
 _WORD = re.compile(r"\S+")
-_match_start = re.Match.start
 
 
 def _normalized_review(text: str) -> tuple[str, Callable[[int], int]]:
-    """The review casefolded and whitespace-collapsed, and a map from its
-    indices to the review's.
+    """``normalize_text(text)``, and a map from its indices to the review's.
 
-    An ASCII review lowercases without changing a length, and ``str.split``
-    and ``_WORD`` agree on its whitespace. So its normalized text is its
-    words one space apart, and index i lies in word k, k being the number of
-    spaces before i, at the same offset as in the review (a space maps to
-    the end of the word before it). The word starts are found on the first
-    lookup, so only once a repaired trigger is found. Any other review keeps
-    ``_normalized_with_map``.
+    Lowering makes or removes no whitespace and ``_WORD`` agrees with
+    ``str.split``, so index i lies in word k (k spaces before i) at its offset
+    in the review; i is never a space, as no normalized trigger starts or ends
+    with one. Only a word holding "İ", which lowers to two characters, is
+    walked a character at a time. The words are found on the first lookup.
     """
-    if not text.isascii():
-        normalized, index_map = _normalized_with_map(text)
-        return normalized, index_map.__getitem__
-    normalized = " ".join(text.lower().split())
-    starts: list[int] = []
+    normalized = normalize_text(text)
+    words: list[re.Match] = []
 
     def to_original(i: int) -> int:
-        if not starts:
-            starts.extend(map(_match_start, _WORD.finditer(text)))
-        word_start = normalized.rfind(" ", 0, i) + 1
-        return starts[normalized.count(" ", 0, i)] + i - word_start
+        if not words:
+            words.extend(_WORD.finditer(text))
+        word = words[normalized.count(" ", 0, i)]
+        offset = i - normalized.rfind(" ", 0, i) - 1
+        if len(word[0].lower()) == len(word[0]):
+            return word.start() + offset
+        for at, ch in enumerate(word[0], word.start()):
+            offset -= len(ch.lower())
+            if offset < 0:
+                break
+        return at
 
     return normalized, to_original
 
@@ -269,11 +242,9 @@ def _normalized_review(text: str) -> tuple[str, Callable[[int], int]]:
 def _repair_locate(
     review_text: str, trigger_text: str, normalized: tuple[str, Callable[[int], int]]
 ) -> TriggerSpan | None:
-    """Relocate a trigger ignoring case and whitespace differences.
-
-    `normalized` is `_normalized_review(review_text)`, built once per response.
-    """
-    normalized_trigger = " ".join(trigger_text.lower().split())
+    """Find ``normalize_text(trigger_text)`` in the review's; `normalized` is
+    ``_normalized_review(review_text)``, built once per response."""
+    normalized_trigger = normalize_text(trigger_text)
     if not normalized_trigger:
         return None
     normalized_review, to_original = normalized
@@ -289,13 +260,13 @@ def parse_output(raw: str, review: Review) -> ParseReport:
     """Parse one raw response against one review.
 
     All failures are recorded in the report, never raised: an
-    unparseable response yields an empty output so it scores as a
-    prediction with no pairs.
+    unparseable response, or a ``raw`` that is not a str, yields an empty
+    output so it scores as a prediction with no pairs.
     """
     report = ParseReport(output=EotOutput(review.review_id, ()))
     try:
-        _, parsed = _structured_block(raw)
-    except (NoStructuredBlock, TypeError):  # TypeError: raw is not a str
+        parsed = _structured_block(raw)[1] if isinstance(raw, str) else None
+    except NoStructuredBlock:
         parsed = None
     emotions = parsed.get("emotions") if parsed is not None else None
     if not isinstance(emotions, list):

@@ -141,6 +141,8 @@ class RunLedgerEntry:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunLedgerEntry":
+        if not isinstance(data["raw_response"], str):
+            raise TypeError("raw_response is not a string")
         return cls(
             run_id=data["run_id"],
             review_id=data["review_id"],
@@ -201,11 +203,15 @@ def _http_session(session: Any, profile: ProviderProfile, url: str) -> Any:
         raise DataError(f"profile {profile.name!r}: {exc}") from None
 
 
-def _extract_choice_text(payload: Any) -> str:
+def _extract_choice_text(payload: Any, attempt: int) -> str:
+    """The first choice's text; absent or null (a refusal, a tool call), a ProviderError."""
     try:
-        return payload["choices"][0]["message"]["content"]
+        content = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
-        raise ProviderError(200, f"malformed completion body: {str(payload)[:200]}") from None
+        content = None
+    if not isinstance(content, str):
+        raise ProviderError(200, f"malformed completion body: {str(payload)[:200]}", attempt)
+    return content
 
 
 def request_completion(
@@ -246,9 +252,9 @@ def request_completion(
             if status == 200:
                 try:
                     payload = response.json()
-                except ValueError:
+                except DECODE_ERRORS:
                     raise ProviderError(200, "response body is not JSON", attempt) from None
-                return CompletionOutcome(_extract_choice_text(payload), attempt)
+                return CompletionOutcome(_extract_choice_text(payload, attempt), attempt)
             if status == 429:
                 transient = RateLimited(attempt)
             elif status >= 500:

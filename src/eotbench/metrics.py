@@ -91,18 +91,18 @@ def _prf(hits: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
     return precision, recall, 2 * precision * recall / (precision + recall)
 
 
-def _rouge(overlap: int, pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore:
-    """P/R/F1 of ``overlap`` shared tokens; two empty sequences match perfectly."""
-    if not pred_tokens or not gold_tokens:
-        score = float(not pred_tokens and not gold_tokens)
-        return RougeScore(score, score, score)
-    return RougeScore(*_prf(overlap, len(pred_tokens), len(gold_tokens)))
+def _rouge(overlap: int, len_a: int, len_b: int) -> tuple[float, float, float]:
+    """P/R/F1 of ``overlap`` tokens shared by sequences ``len_a`` and ``len_b`` long; two empty ones match."""
+    if not len_a or not len_b:
+        score = float(not len_a and not len_b)
+        return score, score, score
+    return _prf(overlap, len_a, len_b)
 
 
 def rouge1(pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore:
     """Unigram overlap with multiset clipping."""
     overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
-    return _rouge(overlap, pred_tokens, gold_tokens)
+    return RougeScore(*_rouge(overlap, len(pred_tokens), len(gold_tokens)))
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -122,26 +122,14 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
 
 def rougeL(pred_tokens: Sequence[str], gold_tokens: Sequence[str]) -> RougeScore:
     """Longest-common-subsequence overlap over token sequences."""
-    return _rouge(_lcs_length(pred_tokens, gold_tokens), pred_tokens, gold_tokens)
-
-
-def _f1(overlap: int, len_a: int, len_b: int) -> float:
-    """``_rouge(overlap, a, b).f1`` for sequences of lengths ``len_a`` and
-    ``len_b``, without building the RougeScore."""
-    if not len_a or not len_b:
-        return float(not len_a and not len_b)
-    if not overlap:
-        return 0.0
-    precision = overlap / len_a
-    recall = overlap / len_b
-    return 2 * precision * recall / (precision + recall)
+    return RougeScore(*_rouge(_lcs_length(pred_tokens, gold_tokens), len(pred_tokens), len(gold_tokens)))
 
 
 def _rougeL_f1(a: list[str], b: list[str]) -> float:
     """``rougeL(a, b).f1``; identical lists score 1.0 (P = R = 1) without the LCS."""
     if a == b:
         return 1.0
-    return _f1(_lcs_length(a, b), len(a), len(b))
+    return _rouge(_lcs_length(a, b), len(a), len(b))[2]
 
 
 def _rouge1_f1(a: list[str], b: list[str]) -> float:
@@ -154,7 +142,7 @@ def _rouge1_f1(a: list[str], b: list[str]) -> float:
         overlap = len(distinct.intersection(b))
     else:
         overlap = sum((Counter(a) & Counter(b)).values())
-    return _f1(overlap, len(a), len(b))
+    return _rouge(overlap, len(a), len(b))[2]
 
 
 def _greedy_alignment(pred_tok: Sequence[list[str]], gold_tok: Sequence[list[str]]):

@@ -1,8 +1,8 @@
 """Domain types and text primitives shared by every other module.
 
 Reviews, emotion labels, trigger spans, and emotion-trigger outputs are
-immutable after construction; tokenize / canonical_emotion / locate_span
-are pure functions, so everything here is safe to share across threads.
+immutable after construction; tokenize / normalize_text / canonical_emotion /
+locate_span are pure functions, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, NamedTuple
+from typing import Any
 
 from .errors import SpanNotFound, UnknownEmotion
 
@@ -182,12 +182,6 @@ class EotOutput:
                 span.validate_against(review_text)
 
 
-class TokenSpan(NamedTuple):
-    text: str  # lowercased, end-punctuation stripped
-    start: int  # character offsets into the original text
-    end: int
-
-
 class _PunctMemo(dict):
     """Whether a character is Unicode punctuation, looked up once per character.
 
@@ -214,16 +208,12 @@ def _trim_punct(word: str) -> tuple[int, int]:
     return start, stop
 
 
-def tokenize_with_spans(text: str) -> list[TokenSpan]:
-    """Tokenize, keeping each token's character range in the original text.
-
-    A token is a maximal non-whitespace run with leading/trailing
-    punctuation stripped; token text is lowercased. Tokens that are all
-    punctuation disappear.
-    """
+def tokenize_with_spans(text: str) -> tuple[list[int], list[int]]:
+    """Two lists: the start and the end (exclusive) offset in ``text`` of
+    each token of ``tokenize(text)``."""
     is_punct = _IS_PUNCT
-    new_span = tuple.__new__  # TokenSpan(...) without its Python-level __new__
-    spans: list[TokenSpan] = []
+    starts: list[int] = []
+    ends: list[int] = []
     find = text.find
     end = 0
     for word in text.split():
@@ -233,15 +223,15 @@ def tokenize_with_spans(text: str) -> list[TokenSpan]:
             first, last = _trim_punct(word)
             if first == last:
                 continue
-            word = word[first:last]
             start, stop = start + first, start + last
-        spans.append(new_span(TokenSpan, (word.lower(), start, stop)))
-    return spans
+        starts.append(start)
+        ends.append(stop)
+    return starts, ends
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased whitespace tokens with end punctuation stripped: the
-    texts of ``tokenize_with_spans(text)``."""
+    """Lowercased whitespace tokens with end punctuation stripped; their
+    offsets in ``text`` are ``tokenize_with_spans(text)``."""
     is_punct = _IS_PUNCT
     tokens: list[str] = []
     for word in text.split():
@@ -269,7 +259,8 @@ def count_tokens(text: str) -> int:
 
 
 def normalize_text(text: str) -> str:
-    """Lowercase and collapse all whitespace runs to single spaces."""
+    """Lowercase and collapse all whitespace runs to single spaces: the one
+    case/whitespace fold, of exact matching, gold dedup and trigger repair."""
     return " ".join(text.lower().split())
 
 

@@ -185,11 +185,17 @@ def oracle_extract_structured_block(raw: str) -> str:
 
 def _oracle_normalized_with_map(text: str) -> tuple[str, list[int]]:
     """Casefolded, whitespace-collapsed text plus normalized->original index
-    map, built one character at a time."""
+    map, built one character at a time. Each character's folded text is its
+    share of ``text.lower()``, so a word-final sigma folds as it does in the
+    whole string (to "ς"); a character lowers to as many characters either way."""
+    lowered = text.lower()
     chars: list[str] = []
     index_map: list[int] = []
     pending_space_at: int | None = None
+    at = 0  # where the character's folded text starts in `lowered`
     for i, ch in enumerate(text):
+        folded = lowered[at : at + len(ch.lower())]
+        at += len(folded)
         if ch.isspace():
             if chars and pending_space_at is None:
                 pending_space_at = i
@@ -198,9 +204,10 @@ def _oracle_normalized_with_map(text: str) -> tuple[str, list[int]]:
             chars.append(" ")
             index_map.append(pending_space_at)
             pending_space_at = None
-        for folded in ch.lower():
-            chars.append(folded)
+        for c in folded:
+            chars.append(c)
             index_map.append(i)
+    assert at == len(lowered)
     return "".join(chars), index_map
 
 

@@ -15,8 +15,8 @@ from eotbench.extraction import (
     REASON_NOT_EXTRACTIVE,
     REASON_NO_VERIFIABLE_TRIGGER,
     REASON_OOV,
+    _WORD,
     _close_table,
-    _normalized_with_map,
     extract_structured_block,
     parse_output,
     parse_report_to_dict,
@@ -205,6 +205,12 @@ class TestParseOutput:
         assert report.parse_status is ParseStatus.UNPARSEABLE
         assert report.output.pairs == ()
 
+    @pytest.mark.parametrize("raw", [None, 42, b'{"emotions": []}'])
+    def test_a_raw_that_is_not_a_str_is_unparseable(self, sample_review, raw):
+        report = parse_output(raw, sample_review)
+        assert report.parse_status is ParseStatus.UNPARSEABLE
+        assert report.output.pairs == ()
+
     def test_wrong_schema_is_unparseable(self, sample_review):
         report = parse_output('{"labels": ["Joy"]}', sample_review)
         assert report.parse_status is ParseStatus.UNPARSEABLE
@@ -390,15 +396,56 @@ class TestAsciiRepairMatchesOracle:
         assert report.parse_status is ParseStatus.REPAIRED
         assert [s.text for s in report.output.triggers_for(EmotionLabel.JOY)] == [found]
 
-    @pytest.mark.parametrize("text, calls", [("The BLENDER works", 0), ("The BLENDER works, ΟΔΟΣ", 1)])
-    def test_per_character_map_only_for_a_non_ascii_review(self, monkeypatch, text, calls):
-        counted = []
-        monkeypatch.setattr(
-            extraction, "_normalized_with_map", lambda t: counted.append(t) or _normalized_with_map(t)
-        )
-        report = parse_output(response([{"emotion": "Joy", "triggers": ["the blender"]}]), make_review(text=text))
+
+class TestOneFold:
+    """Repair finds ``normalize_text(trigger)`` in ``normalize_text(review)``:
+    the fold of exact matching and gold dedup, final sigma included."""
+
+    @pytest.mark.parametrize(
+        "text, trigger, found",
+        [
+            ("ΚΑΛΟΣ  ΚΑΦΕΣ here", "ΚΑΛΟΣ ΚΑΦΕΣ", "ΚΑΛΟΣ  ΚΑΦΕΣ"),  # final sigma, as a whole string folds it
+            ("ΚΑΛΟΣ  ΚΑΦΕΣ here", "καλος", "ΚΑΛΟΣ"),
+            ("İstanbul  ok", "i̇stanbul", "İstanbul"),  # "İ" lowers to two characters
+            ("İstanbul  ok", "STANBUL ok", "stanbul  ok"),
+        ],
+    )
+    def test_hand_cases(self, text, trigger, found):
+        report = parse_output(response([{"emotion": "Joy", "triggers": [trigger]}]), make_review(text=text))
         assert report.parse_status is ParseStatus.REPAIRED
+        assert [s.text for s in report.output.triggers_for(EmotionLabel.JOY)] == [found]
+
+    def test_a_medial_sigma_no_longer_matches_a_final_one(self):
+        report = parse_output(response([{"emotion": "Joy", "triggers": ["καλοσ"]}]), make_review(text="ΚΑΛΟΣ here"))
+        assert [d.reason for d in report.dropped_triggers] == [REASON_NOT_EXTRACTIVE]
+
+    @pytest.mark.parametrize(
+        "triggers, calls",
+        [(["The BLENDER"], 0), (["the blender", "BLENDER  WORKS", "not in it"], 1), (["ΟΔΟΣ", "the blender"], 1)],
+    )
+    def test_word_starts_found_at_most_once_and_only_for_a_repair(self, monkeypatch, triggers, calls):
+        counted = []
+
+        class CountingWord:
+            def finditer(self, text):
+                counted.append(text)
+                return _WORD.finditer(text)
+
+        monkeypatch.setattr(extraction, "_WORD", CountingWord())
+        review = make_review(text="The BLENDER works, ΟΔΟΣ")
+        report = parse_output(response([{"emotion": "Joy", "triggers": triggers}]), review)
         assert len(counted) == calls
+        assert report.parse_status is (ParseStatus.REPAIRED if calls else ParseStatus.CLEAN)
+
+    def test_word_pattern_and_lowering_agree_with_split_on_every_code_point(self):
+        # one plane at a time, each character between two "a"s, to keep memory small
+        for plane in range(17):
+            text = "a".join(
+                chr(c) for c in range(plane << 16, (plane + 1) << 16) if not 0xD800 <= c < 0xE000
+            )
+            words = _WORD.findall(text)
+            assert words == text.split()
+            assert [w.lower() for w in words] == text.lower().split()
 
 
 class TestFuzz:

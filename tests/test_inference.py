@@ -158,6 +158,24 @@ class TestComplete:
             )
         assert session.calls == 1
 
+    def test_malformed_body_after_retries_counts_every_attempt(self):
+        session = FakeSession(
+            lambda i, body: FakeResponse(500, text="boom") if i < 2 else FakeResponse(200, {"choices": []})
+        )
+        with pytest.raises(ProviderError) as excinfo:
+            request_completion(profile(), [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP)
+        assert excinfo.value.attempts == 3
+
+    def test_deeply_nested_body_is_a_provider_error(self):
+        class NestedBody(FakeResponse):
+            def json(self):
+                return json.loads(self.text)
+
+        session = FakeSession(lambda i, body: NestedBody(200, text=DEEPLY_NESTED))
+        with pytest.raises(ProviderError, match="not JSON") as excinfo:
+            request_completion(profile(), [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP)
+        assert excinfo.value.status == 200
+
     def test_auth_missing(self, monkeypatch):
         monkeypatch.delenv("MISSING_TOKEN_VAR", raising=False)
         with pytest.raises(AuthMissing):
@@ -256,6 +274,17 @@ class TestRunExperiment:
         assert by_status[LedgerStatus.FAILED] == ["r3"]
         failed = [e for e in entries if e.status == LedgerStatus.FAILED][0]
         assert failed.error
+
+    @pytest.mark.parametrize("content", [None, 42, ["tool call"]])
+    def test_content_that_is_not_a_string_is_a_failed_entry(self, tmp_path, content):
+        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload(content)))
+        run_experiment(
+            self._reviews(2), Strategy.ZS, profile(), default_config(),
+            runs_dir=tmp_path, run_id="run-n", session=session, sleep=NO_SLEEP,
+        )
+        entries = read_ledger(tmp_path, "run-n")
+        assert [(e.status, e.raw_response) for e in entries] == [(LedgerStatus.FAILED, "")] * 2
+        assert all("HTTP 200" in e.error for e in entries)
 
     def test_ledger_is_append_only_across_reruns(self, tmp_path):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
@@ -467,8 +496,13 @@ class TestLedgerTail:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [lambda line: line[:30] + b"\n", lambda line: b"[1, 2]\n", lambda line: DEEPLY_NESTED.encode() + b"\n"],
-        ids=["truncated", "not-an-object", "deeply-nested"],
+        [
+            lambda line: line[:30] + b"\n",
+            lambda line: b"[1, 2]\n",
+            lambda line: DEEPLY_NESTED.encode() + b"\n",
+            lambda line: json.dumps({**json.loads(line), "raw_response": None}).encode() + b"\n",
+        ],
+        ids=["truncated", "not-an-object", "deeply-nested", "null-raw-response"],
     )
     def test_corrupt_line_before_the_last_is_an_error(self, tmp_path, corrupt):
         self._run(tmp_path, 3)

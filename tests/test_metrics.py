@@ -461,7 +461,7 @@ class TestPairF1FastPaths:
         a, b = pair
         assert metrics._rougeL_f1(a, b) == rougeL(a, b).f1
         assert metrics._rouge1_f1(a, b) == rouge1(a, b).f1
-        assert metrics._f1(metrics._lcs_length(a, b), len(a), len(b)) == rougeL(a, b).f1
+        assert metrics._rouge(metrics._lcs_length(a, b), len(a), len(b))[2] == rougeL(a, b).f1
 
     def test_identical_lists_skip_the_lcs(self):
         with mock.patch.object(metrics, "_lcs_length") as lcs:
