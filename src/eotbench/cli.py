@@ -55,14 +55,12 @@ def _load_plan(args: argparse.Namespace) -> SamplingPlan:
 def cmd_sample(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
     loaded = _load_reviews(args.corpus)
-    filtered = corpus.filter_by_length(loaded.records, plan)
 
     items_by_domain: dict[str, dict[str, None]] = {}  # item ids in first-seen order
+    reviews_by_item: dict[str, list[Review]] = {}
     for review in loaded.records:
         items_by_domain.setdefault(review.domain.value, {})[review.item_id] = None
-    filtered_by_item: dict[str, list[Review]] = {}
-    for review in filtered:
-        filtered_by_item.setdefault(review.item_id, []).append(review)
+        reviews_by_item.setdefault(review.item_id, []).append(review)
 
     sample: list[Review] = []
     manifest_items: dict[str, Any] = {}
@@ -76,7 +74,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
             "inclusion_probability": plan.items_per_group / len(items),
         }
         for item_id in chosen:
-            item_reviews = filtered_by_item.get(item_id, [])
+            # filtered per drawn item: the corpus can be far larger than the sample
+            item_reviews = corpus.filter_by_length(reviews_by_item[item_id], plan)
             if len(item_reviews) < plan.reviews_per_item:
                 raise InsufficientReviews(item_id, len(item_reviews), plan.reviews_per_item)
             taken = corpus.stratified_review_sample(item_reviews, plan)

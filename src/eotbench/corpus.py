@@ -34,6 +34,11 @@ class StrataGranularity(Enum):
 
 UNKNOWN_STRATUM = "unknown"
 
+# Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the range
+# datetime.fromtimestamp(..., tz=timezone.utc) accepts for a stratum key.
+MIN_TIMESTAMP = -62_135_596_800
+MAX_TIMESTAMP = 253_402_300_799
+
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -103,8 +108,11 @@ def _parse_review_line(obj: Any, seen_ids: set[str]) -> Review:
     if not isinstance(item_id, str) or not item_id:
         raise ValueError("missing or empty item_id")
     timestamp = obj.get("timestamp")
-    if timestamp is not None and (isinstance(timestamp, bool) or not isinstance(timestamp, int)):
-        raise ValueError("timestamp must be an integer (epoch seconds)")
+    if timestamp is not None:
+        if isinstance(timestamp, bool) or not isinstance(timestamp, int):
+            raise ValueError("timestamp must be an integer (epoch seconds)")
+        if not MIN_TIMESTAMP <= timestamp <= MAX_TIMESTAMP:
+            raise ValueError("timestamp out of range: epoch seconds in years 1-9999")
     return Review(review_id=review_id, text=text, domain=domain, item_id=item_id, timestamp=timestamp)
 
 
@@ -147,7 +155,11 @@ def reviews_by_id(reviews: Iterable[Review]) -> dict[str, Review]:
 
 
 def filter_by_length(reviews: Sequence[Review], plan: SamplingPlan) -> list[Review]:
-    """Keep reviews whose token count lies in [min_tokens, max_tokens]."""
+    """Keep reviews whose token count lies in [min_tokens, max_tokens].
+
+    ``sample`` calls it on the reviews of each drawn item only: items are
+    drawn from every item of the corpus, before any length filter.
+    """
     return [r for r in reviews if plan.min_tokens <= count_tokens(r.text) <= plan.max_tokens]
 
 

@@ -141,8 +141,11 @@ class RunLedgerEntry:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunLedgerEntry":
-        if not isinstance(data["raw_response"], str):
-            raise TypeError("raw_response is not a string")
+        for name in ("run_id", "review_id", "prompt_version", "raw_response", "status"):
+            if not isinstance(data[name], str):
+                raise TypeError(f"{name} is not a string")
+        if not isinstance(data.get("error"), (str, type(None))):
+            raise TypeError("error is neither a string nor null")
         return cls(
             run_id=data["run_id"],
             review_id=data["review_id"],

@@ -10,6 +10,8 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import itemgetter
 from typing import Any
 
 from .errors import SpanNotFound, UnknownEmotion
@@ -248,14 +250,16 @@ def count_tokens(text: str) -> int:
     """``len(tokenize(text))`` without building the tokens.
 
     A whitespace-separated word is a token unless every character of it
-    is punctuation.
+    is punctuation. Only a word whose first character is punctuation can
+    fail that, so only those words are read further.
     """
-    is_punct = _IS_PUNCT
-    return sum(
-        1
-        for word in text.split()
-        if not is_punct[word[0]] or not all(map(is_punct.__getitem__, word))
-    )
+    words = text.split()
+    is_punct = _IS_PUNCT.__getitem__
+    n = len(words)
+    for word in compress(words, map(is_punct, map(itemgetter(0), words))):
+        if all(map(is_punct, word)):
+            n -= 1
+    return n
 
 
 def normalize_text(text: str) -> str:

@@ -9,7 +9,9 @@ and a from-scratch scorer for the hand-scored fixture. The one exception is
 how it walks the predictions. ``oracle_parse_output`` likewise shares the
 package's report types and label vocabulary; it finds the block with the
 rescanning extractor, decodes it twice and builds the repair map one
-character at a time.
+character at a time. ``oracle_sample`` shares the package's draws (item
+and per-stratum) and differs in when it length-filters: every review of the
+corpus, before any item is drawn.
 """
 
 from __future__ import annotations
@@ -24,9 +26,18 @@ from pathlib import Path
 
 import numpy as np
 
+from eotbench.corpus import (
+    FORMAT_VERSION,
+    SamplingPlan,
+    derive_seed,
+    srswor,
+    stratified_review_sample,
+    stratum_counts,
+)
 from eotbench.errors import (
     DataError,
     DegenerateDistribution,
+    InsufficientReviews,
     MissingGold,
     NoStructuredBlock,
     UnknownEmotion,
@@ -777,3 +788,54 @@ def oracle_score_report(pred, gold) -> ScoreReport:
         trigger=TriggerScores(em, pm, r1, rl, counts),
         confusion=_oracle_confusion_matrix(pred, gold),
     )
+
+
+# ---------------------------------------------------------------------------
+# Sampling: the eager command that length-filters every review of the corpus,
+# drawn or not, before it draws items; tokens are counted with oracle_tokenize.
+# ---------------------------------------------------------------------------
+
+
+def oracle_sample(records: list[Review], plan: SamplingPlan) -> tuple[list[Review], dict]:
+    """The reviews and the manifest ``eotbench sample`` writes for ``records``
+    under ``plan``; raises what the command raises."""
+    filtered = [
+        r for r in records if plan.min_tokens <= len(oracle_tokenize(r.text)) <= plan.max_tokens
+    ]
+    items_by_domain: dict[str, dict[str, None]] = {}
+    for review in records:
+        items_by_domain.setdefault(review.domain.value, {})[review.item_id] = None
+    filtered_by_item: dict[str, list[Review]] = {}
+    for review in filtered:
+        filtered_by_item.setdefault(review.item_id, []).append(review)
+
+    sample: list[Review] = []
+    manifest_items = {}
+    domain_summary = {}
+    for domain in sorted(items_by_domain):
+        items = list(items_by_domain[domain])
+        chosen = srswor(items, plan.items_per_group, derive_seed(plan.seed, "items", domain))
+        domain_summary[domain] = {
+            "items_available": len(items),
+            "items_sampled": len(chosen),
+            "inclusion_probability": plan.items_per_group / len(items),
+        }
+        for item_id in chosen:
+            item_reviews = filtered_by_item.get(item_id, [])
+            if len(item_reviews) < plan.reviews_per_item:
+                raise InsufficientReviews(item_id, len(item_reviews), plan.reviews_per_item)
+            sample.extend(stratified_review_sample(item_reviews, plan))
+            manifest_items[item_id] = {
+                "domain": domain,
+                "strata": stratum_counts(item_reviews, plan),
+                "sampling_fraction": plan.reviews_per_item / len(item_reviews),
+            }
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "seed": plan.seed,
+        "plan": plan.to_dict(),
+        "domains": domain_summary,
+        "items": manifest_items,
+        "n_reviews": len(sample),
+    }
+    return sample, manifest

@@ -6,11 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from eotbench import inference
-from eotbench.cli import EXIT_DATA, EXIT_OK, _render_confusion, main
-from eotbench.jsonio import load_json, write_jsonl
+from collections import Counter
+from datetime import datetime, timezone
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from eotbench import corpus, inference
+from eotbench.cli import EXIT_DATA, EXIT_OK, _render_confusion, build_parser, main
+from eotbench.corpus import MAX_TIMESTAMP, MIN_TIMESTAMP, SamplingPlan, derive_seed, load_corpus, srswor
+from eotbench.errors import DataError, InsufficientReviews
+from eotbench.jsonio import dump_json, load_json, write_jsonl
 from conftest import DATA_DIR
 from mock_provider import MockProviderServer
+from oracles import oracle_sample
 
 
 def write_plan(path: Path, **overrides) -> Path:
@@ -55,6 +63,138 @@ def write_profile(path: Path, base_url: str) -> Path:
     return path
 
 
+def _sample_outcome(work: Path, lines: list[dict], plan: dict, oracle: bool) -> tuple:
+    """The bytes of the sample and its manifest, or the data error raised,
+    from ``eotbench sample`` or, with ``oracle``, from ``oracle_sample``."""
+    corpus_path, plan_path, out = work / "corpus.jsonl", work / "plan.json", work / "sample.jsonl"
+    write_jsonl(corpus_path, lines)
+    plan_path.write_text(json.dumps(plan))
+    out.unlink(missing_ok=True)
+    try:
+        if oracle:
+            sample, manifest = oracle_sample(load_corpus(corpus_path).records, SamplingPlan.from_dict(plan))
+            write_jsonl(out, (corpus.review_to_dict(r) for r in sample))
+            dump_json(str(out) + ".manifest.json", manifest)
+        else:
+            args = build_parser().parse_args(
+                ["sample", "--corpus", str(corpus_path), "--plan", str(plan_path), "--out", str(out)]
+            )
+            args.func(args)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return out.read_bytes(), Path(str(out) + ".manifest.json").read_bytes()
+
+
+def _assert_sample_matches_oracle(work: Path, lines: list[dict], plan: dict) -> tuple:
+    got = _sample_outcome(work, lines, plan, oracle=False)
+    assert got == _sample_outcome(work, lines, plan, oracle=True)
+    return got
+
+
+def _review_line(i: int, item_id: str, text: str, domain: str = "Home", timestamp: int | None = None) -> dict:
+    line = {"review_id": f"r{i}", "text": text, "domain": domain, "item_id": item_id}
+    if timestamp is not None:
+        line["timestamp"] = timestamp
+    return line
+
+
+def _ts(year: int, month: int = 6) -> int:
+    return int(datetime(year, month, 15, tzinfo=timezone.utc).timestamp())
+
+
+# words that tokenize to nothing ("!!") or to less than the word ('"great')
+_SAMPLE_WORDS = ("good", "Fine", "kettle", "!!", "...", "\u2014", '"great', "'tis", "\u00abbon\u00bb",
+                 "(nice)", "?!", "\u00bfque?")
+_SAMPLE_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(("Home", "Yelp", "Beauty")),
+        st.sampled_from(("a", "b", "c", "d")),
+        st.lists(st.sampled_from(_SAMPLE_WORDS), min_size=1, max_size=6).map(" ".join),
+        st.none() | st.sampled_from((_ts(2015, 2), _ts(2015, 8), _ts(2017, 11), MIN_TIMESTAMP, MAX_TIMESTAMP)),
+    ),
+    min_size=1,
+    max_size=30,
+).map(lambda rows: [_review_line(i, item, text, domain, ts) for i, (domain, item, text, ts) in enumerate(rows)])
+_SAMPLE_PLANS = st.builds(
+    lambda seed, items, reviews, low, width, granularity: {
+        "seed": seed, "items_per_group": items, "reviews_per_item": reviews,
+        "min_tokens": low, "max_tokens": low + width, "strata_granularity": granularity,
+    },
+    st.integers(0, 40), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 3),
+    st.sampled_from(("Year", "Quarter")),
+)
+
+
+def _seed_drawing(items: list[str], domain: str, wanted: str) -> int:
+    """A plan seed whose one-item draw in ``domain`` is ``wanted``."""
+    return next(s for s in range(100) if srswor(items, 1, derive_seed(s, "items", domain)) == [wanted])
+
+
+class TestSampleAgainstOracle:
+    """``sample`` length-filters only the drawn items' reviews; the oracle
+    filters every review first. Outputs and errors must be the same."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=_SAMPLE_LINES, plan=_SAMPLE_PLANS)
+    def test_same_bytes_or_same_error(self, tmp_path, lines, plan):
+        _assert_sample_matches_oracle(tmp_path, lines, plan)
+
+    def _plan(self, **overrides) -> dict:
+        return {"seed": 1, "items_per_group": 1, "reviews_per_item": 2, "min_tokens": 2,
+                "max_tokens": 4, "strata_granularity": "Year", **overrides}
+
+    def test_undrawn_item_with_every_review_out_of_range(self, tmp_path):
+        lines = [_review_line(i, "a", f"kettle works fine {i}", timestamp=_ts(2015 + i)) for i in range(3)]
+        lines += [_review_line(10 + i, "b", "!! ok ...") for i in range(3)]  # one token each
+        plan = self._plan(seed=_seed_drawing(["a", "b"], "Home", "a"))
+        sample, manifest = _assert_sample_matches_oracle(tmp_path, lines, plan)
+        assert list(json.loads(manifest)["items"]) == ["a"]
+
+    def test_drawn_item_with_too_few_in_range_reviews(self, tmp_path):
+        lines = [_review_line(i, "a", f"kettle works fine {i}") for i in range(3)]
+        lines += [_review_line(10, "b", "kettle works fine"), _review_line(11, "b", '"!!" fine')]
+        plan = self._plan(seed=_seed_drawing(["a", "b"], "Home", "b"))
+        assert _assert_sample_matches_oracle(tmp_path, lines, plan) == (
+            InsufficientReviews, str(InsufficientReviews("b", 1, 2))
+        )
+
+    def test_same_item_id_under_two_domains(self, tmp_path):
+        lines = [_review_line(i, "shared", f"kettle works fine {i}", "Home") for i in range(2)]
+        lines += [_review_line(10 + i, "shared", f"dinner was '{i}' good", "Yelp") for i in range(2)]
+        sample, manifest = _assert_sample_matches_oracle(tmp_path, lines, self._plan())
+        assert json.loads(manifest)["items"]["shared"]["domain"] == "Yelp"
+
+    def test_punctuation_only_and_quote_led_words_at_the_bounds(self, tmp_path):
+        # 2, 1, 3, 1 and 2 tokens: only r0, r2 and r4 lie in [2, 3]
+        texts = ['"great kettle', "\u00ab !! \u00bb fine", '"x" "y" -- "z"', "\u2014 \u2014 ok", "'tis (fine) -- !"]
+        lines = [_review_line(i, "a", text, timestamp=_ts(2016, 2 * i + 1)) for i, text in enumerate(texts)]
+        for granularity in ("Year", "Quarter"):
+            sample, _ = _assert_sample_matches_oracle(
+                tmp_path, lines, self._plan(max_tokens=3, strata_granularity=granularity)
+            )
+            sampled = {json.loads(line)["review_id"] for line in sample.splitlines()}
+            assert len(sampled) == 2 and sampled <= {"r0", "r2", "r4"}
+
+    def test_counts_tokens_once_per_review_of_each_drawn_item(self, tmp_path, monkeypatch):
+        counted = Counter()
+        count_tokens = corpus.count_tokens
+
+        def counting(text):
+            counted[text] += 1
+            return count_tokens(text)
+
+        monkeypatch.setattr(corpus, "count_tokens", counting)
+        lines = toy_corpus_lines(n_items=6, reviews_per_item=4)
+        for line in lines:
+            line["domain"] = ("Home", "Yelp")[int(line["item_id"][-1]) % 2]
+        sample, manifest = _sample_outcome(
+            tmp_path, lines, self._plan(items_per_group=2, max_tokens=100), oracle=False
+        )
+        drawn = json.loads(manifest)["items"]
+        assert len(drawn) == 4
+        assert counted == Counter(line["text"] for line in lines if line["item_id"] in drawn)
+
+
 class TestSampleCommand:
     def test_toy_sample_size_and_determinism(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -90,6 +230,17 @@ class TestSampleCommand:
             ["sample", "--corpus", str(corpus), "--plan", str(plan), "--out", str(tmp_path / "s.jsonl")]
         )
         assert code == EXIT_DATA
+
+    def test_millisecond_timestamp_is_a_rejected_line(self, tmp_path, caplog):
+        lines = toy_corpus_lines()
+        lines[0]["timestamp"] = 1_600_000_000_000  # milliseconds since the epoch
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus_path, lines)
+        plan = write_plan(tmp_path / "plan.json", items_per_group=5)  # every item is drawn
+        out = tmp_path / "s.jsonl"
+        assert main(["sample", "--corpus", str(corpus_path), "--plan", str(plan), "--out", str(out)]) == EXIT_OK
+        assert f"{corpus_path}:1 rejected: timestamp out of range" in caplog.text
+        assert lines[0]["review_id"] not in out.read_text()
 
     def test_seed_flag_overrides_plan(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -295,6 +446,18 @@ class TestRunAndScoreCommands:
         reviews = [json.loads(l) for l in reviews_path.read_text().splitlines() if l.strip()]
         neutral = '{"emotions": [{"emotion": "Neutral", "triggers": []}]}'
         return MockProviderServer({r["text"]: neutral for r in reviews})
+
+    def test_score_on_a_ledger_line_with_a_list_review_id(self, tmp_path, caplog):
+        with self._neutral_server() as server:
+            assert self._neutral_run(tmp_path, server) == EXIT_OK
+        ledger = tmp_path / "runs" / "drift" / "ledger"
+        lines = ledger.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), "review_id": ["a"]}) + "\n"
+        ledger.write_text("".join(lines), encoding="utf-8")
+        argv = ["score", "--run-id", "drift", "--gold", str(DATA_DIR / "handscored" / "gold.jsonl"),
+                "--runs-dir", str(tmp_path / "runs")]
+        assert main(argv) == EXIT_DATA
+        assert f"{ledger}:2: corrupt ledger entry" in caplog.text
 
     def test_resume_refuses_a_different_config(self, tmp_path):
         config = tmp_path / "config.json"

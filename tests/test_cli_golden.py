@@ -4,7 +4,8 @@ Every output is produced once from fixed inputs and compared with its file
 under ``tests/golden/cli``: the ``score`` and ``report`` tables and CSVs,
 ``parsed`` and ``scores.json`` on the hand-scored fixture, ``stats`` on the
 hand-scored gold, ``aggregate`` and ``agreement`` on a small three-annotator
-set, and the ``sample`` output with its manifest. A ledger line's key order
+set, and the ``sample`` output with its manifest on the corpus and plan in
+``tests/data/sample``. A ledger line's key order
 is pinned as well. After a deliberate format change, refresh the snapshots
 with ``python tests/test_cli_golden.py``.
 """
@@ -28,6 +29,7 @@ from mock_provider import MockProviderServer
 
 CLI_GOLDEN_DIR = GOLDEN_DIR / "cli"
 HANDSCORED = DATA_DIR / "handscored"
+SAMPLE_INPUTS = DATA_DIR / "sample"  # a corpus and a plan for `sample`
 
 LEDGER_KEYS = [
     "run_id",
@@ -40,40 +42,6 @@ LEDGER_KEYS = [
     "status",
     "error",
 ]
-
-SAMPLE_CORPUS = [
-    *(
-        {
-            "review_id": f"h{item}-{i}",
-            "text": f"the kettle number {item} boils water fast and looks nice {i}",
-            "domain": "Home",
-            "item_id": f"h{item}",
-            "timestamp": 1500000000 + 31536000 * (i % 3),
-        }
-        for item in range(3)
-        for i in range(5)
-    ),
-    {"review_id": "h0-short", "text": "fine", "domain": "Home", "item_id": "h0"},
-    *(
-        {
-            "review_id": f"y{item}-{i}",
-            "text": f"dinner at place {item} was cold and slow, sadly {i}",
-            "domain": "Yelp",
-            "item_id": f"y{item}",
-        }
-        for item in range(2)
-        for i in range(3)
-    ),
-]
-
-SAMPLE_PLAN = {
-    "seed": 11,
-    "items_per_group": 2,
-    "reviews_per_item": 3,
-    "min_tokens": 3,
-    "max_tokens": 40,
-    "strata_granularity": "Year",
-}
 
 AGREEMENT_CORPUS = [
     {"review_id": "a1", "text": "I am very happy with this cream.", "domain": "Beauty",
@@ -179,12 +147,8 @@ def produce_outputs(work: Path) -> None:
         _run("agreement", "--annotations", str(annotations), "--corpus", str(corpus),
              "--format", fmt, "--out", str(work / f"agreement.{ext}"))
 
-    sample_corpus = work / "sample-corpus.jsonl"
-    plan = work / "plan.json"
-    write_jsonl(sample_corpus, SAMPLE_CORPUS)
-    plan.write_text(json.dumps(SAMPLE_PLAN))
-    _run("sample", "--corpus", str(sample_corpus), "--plan", str(plan),
-         "--out", str(work / "sample.jsonl"))
+    _run("sample", "--corpus", str(SAMPLE_INPUTS / "corpus.jsonl"),
+         "--plan", str(SAMPLE_INPUTS / "plan.json"), "--out", str(work / "sample.jsonl"))
 
 
 @pytest.fixture(scope="module")

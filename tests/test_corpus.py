@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from scipy.stats import chisquare
 
 from eotbench.corpus import (
+    MAX_TIMESTAMP,
+    MIN_TIMESTAMP,
     SamplingPlan,
     StrataGranularity,
     allocate_proportional,
@@ -121,6 +123,36 @@ class TestLoadCorpus:
         path.write_text(self._line(1, timestamp="june") + "\n" + self._line(2) + "\n")
         loaded = load_corpus(path)
         assert len(loaded.records) == 1
+
+    def test_timestamp_bounds_are_years_1_to_9999(self):
+        assert MIN_TIMESTAMP == datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+        assert MAX_TIMESTAMP == datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
+
+    @pytest.mark.parametrize("granularity, low, high", [
+        (StrataGranularity.YEAR, "1", "9999"),
+        (StrataGranularity.QUARTER, "1-Q1", "9999-Q4"),
+    ])
+    @pytest.mark.parametrize("timestamp", [
+        MIN_TIMESTAMP - 1, MIN_TIMESTAMP, MIN_TIMESTAMP + 1,
+        MAX_TIMESTAMP - 1, MAX_TIMESTAMP, MAX_TIMESTAMP + 1,
+        1_600_000_000_000, 10**20, -(10**20),
+    ])
+    def test_timestamp_outside_the_stratum_range_is_rejected(self, tmp_path, granularity, low, high, timestamp):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(self._line(1, timestamp=timestamp) + "\n" + self._line(2) + "\n")
+        loaded = load_corpus(path)
+        if MIN_TIMESTAMP <= timestamp <= MAX_TIMESTAMP:
+            assert loaded.rejections == []
+            key = stratum_key(loaded.records[0], granularity)
+            assert key == (low if timestamp < 0 else high)
+        else:
+            assert [r.review_id for r in loaded.records] == ["r2"]
+            assert [(r.line_no, r.reason) for r in loaded.rejections] == [
+                (1, "timestamp out of range: epoch seconds in years 1-9999")
+            ]
+            # the bounds are tight: a stratum key cannot be computed just outside them
+            with pytest.raises((ValueError, OverflowError, OSError)):
+                stratum_key(make_review(timestamp=timestamp), granularity)
 
 
 class TestFilterByLength:

@@ -454,6 +454,16 @@ class TestLedgerReduction:
         assert state == expected
 
 
+# a field of a ledger line with a value of the wrong JSON type
+_WRONGLY_TYPED_FIELDS = (
+    ("review_id", ["a"]),
+    ("run_id", 7),
+    ("prompt_version", None),
+    ("status", {"ok": True}),
+    ("error", ["timeout"]),
+)
+
+
 class TestLedgerTail:
     """A crash mid-append leaves a partial last line; only that line is forgiven."""
 
@@ -501,8 +511,13 @@ class TestLedgerTail:
             lambda line: b"[1, 2]\n",
             lambda line: DEEPLY_NESTED.encode() + b"\n",
             lambda line: json.dumps({**json.loads(line), "raw_response": None}).encode() + b"\n",
+            *(
+                lambda line, key=key, value=value: json.dumps({**json.loads(line), key: value}).encode() + b"\n"
+                for key, value in _WRONGLY_TYPED_FIELDS
+            ),
         ],
-        ids=["truncated", "not-an-object", "deeply-nested", "null-raw-response"],
+        ids=["truncated", "not-an-object", "deeply-nested", "null-raw-response",
+             *(f"{key}-{type(value).__name__}" for key, value in _WRONGLY_TYPED_FIELDS)],
     )
     def test_corrupt_line_before_the_last_is_an_error(self, tmp_path, corrupt):
         self._run(tmp_path, 3)
