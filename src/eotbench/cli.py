@@ -59,8 +59,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
     items_by_domain: dict[str, dict[str, None]] = {}  # item ids in first-seen order
     reviews_by_item: dict[str, list[Review]] = {}
     for review in loaded.records:
+        item_reviews = reviews_by_item.setdefault(review.item_id, [])
+        if item_reviews and item_reviews[0].domain is not review.domain:
+            # items are drawn per domain: one id in two would pool their reviews
+            raise DataError(
+                f"item {review.item_id!r} is under two domains,"
+                f" {item_reviews[0].domain.value} and {review.domain.value}"
+            )
+        item_reviews.append(review)
         items_by_domain.setdefault(review.domain.value, {})[review.item_id] = None
-        reviews_by_item.setdefault(review.item_id, []).append(review)
 
     sample: list[Review] = []
     manifest_items: dict[str, Any] = {}

@@ -16,6 +16,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -29,8 +30,8 @@ from .errors import (
     RequestTimeout,
     data_errors,
 )
-from .jsonio import DECODE_ERRORS
-from .model import Review
+from .jsonio import DECODE_ERRORS, encode_record
+from .model import Domain, Review
 from .prompting import (
     PROMPT_VERSION,
     InferenceConfig,
@@ -193,15 +194,50 @@ def completion_endpoint(profile: ProviderProfile, config: InferenceConfig) -> En
     return Endpoint(profile.base_url.rstrip("/") + "/chat/completions", headers, params)
 
 
-def _http_session(session: Any, profile: ProviderProfile, url: str) -> Any:
-    """The caller's session, or else a transport to ``url``; a URL or proxy
-    the transport cannot use is a DataError, raised before any request."""
+def encode_body(endpoint: Endpoint, messages: Sequence[tuple[str, str]]) -> bytes:
+    """The JSON request body that asks ``endpoint`` to complete ``messages``."""
+    body = {**endpoint.params, "messages": [{"role": role, "content": content} for role, content in messages]}
+    return json.dumps(body).encode("utf-8")
+
+
+# A review text that no prompt holds: its escaped form marks where the review goes.
+_SENTINEL = "\x00"
+_ESCAPED_SENTINEL = encode_basestring_ascii(_SENTINEL)[1:-1].encode("ascii")
+
+
+class BodyTemplate(NamedTuple):
+    """The request body of a run's strategy around a gap for the review text."""
+
+    prefix: bytes
+    suffix: bytes
+
+    def encode(self, text: str) -> bytes:
+        """The body for a review with ``text``: the same bytes as
+        ``encode_body`` of its rendered prompt, as JSON escapes each code
+        point on its own."""
+        return self.prefix + encode_basestring_ascii(text)[1:-1].encode("ascii") + self.suffix
+
+
+def body_template(endpoint: Endpoint, strategy: Strategy) -> BodyTemplate:
+    """The prompt of ``strategy`` rendered and encoded once, around a sentinel review."""
+    messages = render_messages(build_prompt(strategy, Review("template", _SENTINEL, Domain.HOME, "template")))
+    assert sum(content.count(_SENTINEL) for _, content in messages) == 1, "a prompt constant holds the sentinel"
+    # the messages are the body's last field, so the last sentinel is the
+    # review's even if the params (a model id) hold one too
+    prefix, _, suffix = encode_body(endpoint, messages).rpartition(_ESCAPED_SENTINEL)
+    return BodyTemplate(prefix, suffix)
+
+
+def _http_session(session: Any, profile: ProviderProfile, endpoint: Endpoint) -> Any:
+    """The caller's session, or else a transport to the endpoint; a URL,
+    proxy or header the transport cannot use is a DataError, raised before
+    any request."""
     if session is not None:
         return session
     from .transport import HttpTransport  # imported on first use: the other commands need no HTTP
 
     try:
-        return HttpTransport(url)
+        return HttpTransport(endpoint.url, endpoint.headers)
     except ValueError as exc:
         raise DataError(f"profile {profile.name!r}: {exc}") from None
 
@@ -219,7 +255,7 @@ def _extract_choice_text(payload: Any, attempt: int) -> str:
 
 def request_completion(
     profile: ProviderProfile,
-    messages: Sequence[tuple[str, str]],
+    body: bytes,
     config: InferenceConfig,
     *,
     session: Any = None,
@@ -230,22 +266,22 @@ def request_completion(
 ) -> CompletionOutcome:
     """One chat completion with exponential backoff and full jitter.
 
-    ``session.post(url, json=, headers=, timeout=)`` sends it, raising
-    TimeoutError on a timeout and OSError when the exchange fails; without
-    a session a transport is made for this one call.
-    ``endpoint`` is ``completion_endpoint(profile, config)``, built here
-    when not given. Transient failures (timeouts, connection errors, 429,
+    ``body`` is the encoded request (``encode_body``, or a run's
+    ``BodyTemplate``). ``session.post(url, data=, headers=, timeout=)``
+    sends it, raising TimeoutError on a timeout and OSError when the
+    exchange fails; without a session a transport is made for this one
+    call. ``endpoint`` is ``completion_endpoint(profile, config)``, built
+    here when not given. Transient failures (timeouts, connection errors, 429,
     5xx) are retried up to max_attempts; other HTTP errors, redirects
     included, raise immediately.
     """
     if endpoint is None:
         endpoint = completion_endpoint(profile, config)
-    body = {**endpoint.params, "messages": [{"role": role, "content": content} for role, content in messages]}
-    http = _http_session(session, profile, endpoint.url)
+    http = _http_session(session, profile, endpoint)
     for attempt in range(1, max_attempts + 1):
         transient: ProviderFailure | None = None
         try:
-            response = http.post(endpoint.url, json=body, headers=endpoint.headers, timeout=profile.timeout)
+            response = http.post(endpoint.url, data=body, headers=endpoint.headers, timeout=profile.timeout)
         except TimeoutError:
             transient = RequestTimeout(attempt)
         except OSError as exc:
@@ -416,7 +452,8 @@ def run_experiment(
     Without a session the run makes one transport, shared by its workers.
     """
     endpoint = completion_endpoint(profile, config)  # fails before any request when auth is missing
-    http = _http_session(session, profile, endpoint.url)  # and so does a URL or proxy it cannot use
+    http = _http_session(session, profile, endpoint)  # and so does a URL, proxy or header it cannot use
+    template = body_template(endpoint, strategy)
     path = ledger_path(runs_dir, run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     state = reduce_ledger(read_ledger(runs_dir, run_id), run_id, PROMPT_VERSION)
@@ -425,11 +462,10 @@ def run_experiment(
     log.info("run %s: %d reviews to process (%d already done)", run_id, len(todo), len(state.ok))
 
     def process(review: Review, http: Any) -> RunLedgerEntry:
-        messages = render_messages(build_prompt(strategy, review))
         started = time.monotonic()
         try:
             outcome = request_completion(
-                profile, messages, config,
+                profile, template.encode(review.text), config,
                 session=http, endpoint=endpoint, max_attempts=max_attempts, sleep=sleep,
             )
         except ProviderFailure as exc:
@@ -468,7 +504,7 @@ def run_experiment(
                 if review is None:
                     return
                 entry = process(review, http)
-                line = json.dumps(entry.to_dict(), ensure_ascii=False) + "\n"
+                line = encode_record(entry.to_dict()) + "\n"
         except BaseException as exc:  # raised by run_experiment once every worker is done
             with lock:
                 errors.append(exc)

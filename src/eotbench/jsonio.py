@@ -74,12 +74,12 @@ def atomic_writer(path: Path | str) -> Iterator[TextIO]:
 
 
 # json.dumps(..., ensure_ascii=False) builds a new encoder on every call
-_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+encode_record = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_jsonl(path: Path | str, records: Iterable[dict[str, Any]]) -> None:
     with atomic_writer(path) as fh:
-        fh.writelines(_encode_record(record) + "\n" for record in records)
+        fh.writelines(encode_record(record) + "\n" for record in records)
 
 
 def dump_json(path: Path | str, document: dict[str, Any]) -> None:

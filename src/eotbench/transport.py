@@ -1,26 +1,29 @@
-"""JSON POSTs to one URL over HTTP/1.1, on the standard library's sockets.
+"""POSTs to one URL over HTTP/1.1, on the standard library's sockets.
 
-``HttpTransport(url)`` works out once what depends only on the URL: its
-parts, the proxy chosen by ``http_proxy``/``https_proxy``/``all_proxy`` and
-``no_proxy``, the TLS context and the fixed lines of the request head. A URL
-or proxy it cannot use raises ``ValueError`` there, before any request.
-``post(url, json=, headers=, timeout=)`` opens a connection of its own for
-each request, sends the request head and body in one write, reads the whole
-response and closes the connection. Redirects are returned, not followed.
+``HttpTransport(url, headers)`` works out once what depends only on the URL
+and the headers: the URL's parts, the proxy chosen by
+``http_proxy``/``https_proxy``/``all_proxy`` and ``no_proxy``, the TLS
+context and every line of the request head but ``Content-Length``. A URL,
+proxy or header it cannot use raises ``ValueError`` there, before any
+request. ``post(url, data=, headers=, timeout=)`` sends the body bytes it is
+given on a connection of its own for each request, the request head and body
+in one write, reads the whole response and closes the connection. Redirects
+are returned, not followed.
 
 The response reader skips 1xx responses and reads the body by chunked
 transfer coding, by ``Content-Length``, or up to the point where the server
 closes the connection.
 
 A failure to exchange a request and its response raises ``OSError``
-(``TimeoutError`` for a timeout). A malformed status or header line, a
-response head over 64 KiB and a body cut short raise ``ConnectionError``.
+(``TimeoutError`` for a timeout). A malformed status line, header line or
+``Content-Length``, a response head over 64 KiB and a body cut short raise
+``ConnectionError``.
 """
 
 from __future__ import annotations
 
 import base64
-import json as jsonlib
+import json
 import os
 import re
 import socket
@@ -32,6 +35,7 @@ MAX_HEAD_BYTES = 64 * 1024
 _RECV_BYTES = 65536
 _STATUS_LINE = re.compile(rb"HTTP/\S+ ([0-9]{3})(?: .*)?")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_CONTENT_LENGTH = re.compile(r"[0-9]{1,18}")
 _TOO_LONG = f"response head or line over {MAX_HEAD_BYTES // 1024} KiB"
 
 
@@ -64,7 +68,7 @@ class Response:
         return self.content.decode("utf-8", "replace")
 
     def json(self) -> Any:
-        return jsonlib.loads(self.content)
+        return json.loads(self.content)
 
 
 class _Route(NamedTuple):
@@ -169,12 +173,16 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context(cafile=bundle)
 
 
-def _header_lines(headers: dict[str, str]) -> str:
-    """``name: value`` lines; ValueError when a name or value would break a line."""
+def _header_lines(headers: dict[str, str]) -> bytes:
+    """``name: value`` lines in latin-1; ValueError when a name or value
+    would break a line or is not latin-1."""
     text = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
     if text.count("\n") != len(headers) or text.count("\r") != len(headers):
         raise ValueError("a request header name or value holds a line break")
-    return text
+    try:
+        return text.encode("latin-1")
+    except UnicodeEncodeError:
+        raise ValueError("a request header name or value is not latin-1") from None
 
 
 class _Reader:
@@ -253,7 +261,7 @@ class _Reader:
             return self._chunked()
         length = headers.get("content-length")
         if length is not None:
-            if not length.isdigit():
+            if not _CONTENT_LENGTH.fullmatch(length):
                 raise ConnectionError(f"malformed Content-Length: {length[:100]!r}")
             return self._exactly(int(length))
         parts = [self._buf[self._pos:]]
@@ -288,18 +296,21 @@ class _Reader:
 
 
 class HttpTransport:
-    """JSON POSTs to ``url``, each on a connection of its own; safe to share
-    between threads."""
+    """POSTs to ``url`` with ``headers``, each on a connection of its own;
+    safe to share between threads."""
 
-    def __init__(self, url: str) -> None:
+    def __init__(self, url: str, headers: dict[str, str] | None = None) -> None:
         self.url = url
+        self.headers = dict(headers or {})
         route = self._route = _route_for(url)
         self._context = _tls_context() if route.tls else None
         if not route.target.isascii() or re.search(r"[\x00-\x20\x7f]", route.target):
             raise ValueError("URL path or query holds a space, a control or a non-ASCII character")
-        self._head_start = f"POST {route.target} HTTP/1.1\r\nHost: {route.authority}\r\nAccept-Encoding: identity\r\n"
+        head_start = f"POST {route.target} HTTP/1.1\r\nHost: {route.authority}\r\nAccept-Encoding: identity\r\n"
         proxy_line = f"Proxy-Authorization: {route.proxy_auth}\r\n" if route.proxy_auth and not route.tunnel else ""
-        self._head_end = f"Connection: close\r\n{proxy_line}\r\n"  # HTTP/1.1: a client that will not reuse says so
+        self._head_start = head_start.encode("ascii")
+        # HTTP/1.1: a client that will not reuse the connection says so
+        self._head_end = _header_lines(self.headers) + f"Connection: close\r\n{proxy_line}\r\n".encode("ascii")
 
     def _open(self, timeout: float | None) -> socket.socket:
         """A connection to the origin: through the proxy's tunnel and TLS
@@ -325,18 +336,17 @@ class HttpTransport:
     def post(
         self,
         url: str,
-        json: Any = None,
+        data: bytes,
         headers: dict[str, str] | None = None,
         timeout: float | None = None,
     ) -> Response:
+        """Send ``data`` as the body; ``headers``, when given, must be the
+        ones the transport was made with."""
         if url != self.url:
             raise ValueError(f"this transport posts to {self.url!r}, not {url!r}")
-        body = jsonlib.dumps(json).encode("utf-8")
-        head = (
-            f"{self._head_start}Content-Length: {len(body)}\r\n"
-            f"{_header_lines(headers or {})}{self._head_end}"
-        )
-        request = head.encode("latin-1") + body
+        if headers is not None and headers != self.headers:
+            raise ValueError("this transport sends the headers it was made with, not others")
+        request = b"%sContent-Length: %d\r\n%s%s" % (self._head_start, len(data), self._head_end, data)
         with self._open(timeout) as sock:
             sock.sendall(request)
             return _Reader(sock).response()

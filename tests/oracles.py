@@ -803,7 +803,13 @@ def oracle_sample(records: list[Review], plan: SamplingPlan) -> tuple[list[Revie
         r for r in records if plan.min_tokens <= len(oracle_tokenize(r.text)) <= plan.max_tokens
     ]
     items_by_domain: dict[str, dict[str, None]] = {}
+    domain_of_item: dict[str, str] = {}
     for review in records:
+        domain = domain_of_item.setdefault(review.item_id, review.domain.value)
+        if domain != review.domain.value:
+            raise DataError(
+                f"item {review.item_id!r} is under two domains, {domain} and {review.domain.value}"
+            )
         items_by_domain.setdefault(review.domain.value, {})[review.item_id] = None
     filtered_by_item: dict[str, list[Review]] = {}
     for review in filtered:

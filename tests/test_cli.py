@@ -114,7 +114,9 @@ _SAMPLE_LINES = st.lists(
     ),
     min_size=1,
     max_size=30,
-).map(lambda rows: [_review_line(i, item, text, domain, ts) for i, (domain, item, text, ts) in enumerate(rows)])
+    # an item id names one item of one domain ("Ha", "Yb"); test_item_ids_shared_across_domains shares them
+).map(lambda rows: [_review_line(i, domain[0] + item, text, domain, ts)
+                    for i, (domain, item, text, ts) in enumerate(rows)])
 _SAMPLE_PLANS = st.builds(
     lambda seed, items, reviews, low, width, granularity: {
         "seed": seed, "items_per_group": items, "reviews_per_item": reviews,
@@ -161,8 +163,25 @@ class TestSampleAgainstOracle:
     def test_same_item_id_under_two_domains(self, tmp_path):
         lines = [_review_line(i, "shared", f"kettle works fine {i}", "Home") for i in range(2)]
         lines += [_review_line(10 + i, "shared", f"dinner was '{i}' good", "Yelp") for i in range(2)]
-        sample, manifest = _assert_sample_matches_oracle(tmp_path, lines, self._plan())
-        assert json.loads(manifest)["items"]["shared"]["domain"] == "Yelp"
+        assert _assert_sample_matches_oracle(tmp_path, lines, self._plan()) == (
+            DataError, "item 'shared' is under two domains, Home and Yelp"
+        )
+        corpus_path, out = tmp_path / "corpus.jsonl", tmp_path / "sample.jsonl"
+        argv = ["sample", "--corpus", str(corpus_path), "--plan", str(tmp_path / "plan.json"), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=_SAMPLE_LINES, plan=_SAMPLE_PLANS)
+    def test_item_ids_shared_across_domains(self, tmp_path, lines, plan):
+        for line in lines:
+            line["item_id"] = line["item_id"][1:]  # "Ha" and "Ya" become one item id, "a"
+        got = _assert_sample_matches_oracle(tmp_path, lines, plan)
+        domains: dict[str, set[str]] = {}
+        for line in lines:
+            domains.setdefault(line["item_id"], set()).add(line["domain"])
+        if any(len(names) > 1 for names in domains.values()):
+            assert got[0] is DataError and "is under two domains" in got[1]
 
     def test_punctuation_only_and_quote_led_words_at_the_bounds(self, tmp_path):
         # 2, 1, 3, 1 and 2 tokens: only r0, r2 and r4 lie in [2, 3]

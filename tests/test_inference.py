@@ -6,7 +6,9 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eotbench import inference
 from eotbench.errors import AuthMissing, DataError, ProviderError, RateLimited, RequestTimeout
 from eotbench.inference import (
     MAX_CONCURRENCY,
@@ -14,6 +16,9 @@ from eotbench.inference import (
     ProviderProfile,
     RunLedgerEntry,
     _Progress,
+    body_template,
+    completion_endpoint,
+    encode_body,
     ledger_path,
     load_provider_profiles,
     read_ledger,
@@ -21,7 +26,7 @@ from eotbench.inference import (
     request_completion,
     run_experiment,
 )
-from eotbench.prompting import PROMPT_VERSION, Strategy, default_config
+from eotbench.prompting import PROMPT_VERSION, Strategy, build_prompt, default_config, render_messages
 from conftest import DEEPLY_NESTED, make_review
 
 NO_SLEEP = lambda seconds: None
@@ -38,6 +43,11 @@ def profile(**overrides) -> ProviderProfile:
     )
     defaults.update(overrides)
     return ProviderProfile(**defaults)
+
+
+def hi(under: ProviderProfile | None = None) -> bytes:
+    """The request body of one "hi" user message with the params of ``under``."""
+    return encode_body(completion_endpoint(under or profile(), default_config()), [("user", "hi")])
 
 
 class FakeResponse:
@@ -69,11 +79,12 @@ class FakeSession:
         self._lock = threading.Lock()
         self.barrier: threading.Barrier | None = None
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def post(self, url, data=None, headers=None, timeout=None):
+        body = json.loads(data)
         with self._lock:
             index = self.calls
             self.calls += 1
-            self.bodies.append(json)
+            self.bodies.append(body)
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
         try:
@@ -82,7 +93,7 @@ class FakeSession:
                     self.barrier.wait(timeout=2)
                 except threading.BrokenBarrierError:
                     pass
-            result = self.script(index, json)
+            result = self.script(index, body)
             if isinstance(result, Exception):
                 raise result
             return result
@@ -95,7 +106,7 @@ class TestComplete:
     def test_echo_path(self):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("hello")))
         outcome = request_completion(
-            profile(), [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP
+            profile(), hi(), default_config(), session=session, sleep=NO_SLEEP
         )
         assert outcome.text == "hello"
         assert session.calls == 1
@@ -108,7 +119,7 @@ class TestComplete:
 
         session = FakeSession(script)
         outcome = request_completion(
-            profile(), [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP
+            profile(), hi(), default_config(), session=session, sleep=NO_SLEEP
         )
         assert outcome.text == "ok"
         assert outcome.attempts == 3
@@ -117,7 +128,7 @@ class TestComplete:
         session = FakeSession(lambda i, body: FakeResponse(500, text="boom"))
         with pytest.raises(ProviderError) as excinfo:
             request_completion(
-                profile(), [("user", "hi")], default_config(),
+                profile(), hi(), default_config(),
                 session=session, max_attempts=3, sleep=NO_SLEEP,
             )
         assert session.calls == 3
@@ -127,7 +138,7 @@ class TestComplete:
         session = FakeSession(lambda i, body: FakeResponse(429))
         with pytest.raises(RateLimited):
             request_completion(
-                profile(), [("user", "hi")], default_config(),
+                profile(), hi(), default_config(),
                 session=session, max_attempts=2, sleep=NO_SLEEP,
             )
 
@@ -135,7 +146,7 @@ class TestComplete:
         session = FakeSession(lambda i, body: TimeoutError("slow"))
         with pytest.raises(RequestTimeout):
             request_completion(
-                profile(), [("user", "hi")], default_config(),
+                profile(), hi(), default_config(),
                 session=session, max_attempts=2, sleep=NO_SLEEP,
             )
 
@@ -143,7 +154,7 @@ class TestComplete:
         session = FakeSession(lambda i, body: ConnectionResetError("reset by peer"))
         with pytest.raises(ProviderError) as excinfo:
             request_completion(
-                profile(), [("user", "hi")], default_config(),
+                profile(), hi(), default_config(),
                 session=session, max_attempts=3, sleep=NO_SLEEP,
             )
         assert session.calls == 3
@@ -154,7 +165,7 @@ class TestComplete:
         session = FakeSession(lambda i, body: FakeResponse(404, text="nope"))
         with pytest.raises(ProviderError):
             request_completion(
-                profile(), [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP
+                profile(), hi(), default_config(), session=session, sleep=NO_SLEEP
             )
         assert session.calls == 1
 
@@ -163,7 +174,7 @@ class TestComplete:
             lambda i, body: FakeResponse(500, text="boom") if i < 2 else FakeResponse(200, {"choices": []})
         )
         with pytest.raises(ProviderError) as excinfo:
-            request_completion(profile(), [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP)
+            request_completion(profile(), hi(), default_config(), session=session, sleep=NO_SLEEP)
         assert excinfo.value.attempts == 3
 
     def test_deeply_nested_body_is_a_provider_error(self):
@@ -173,7 +184,7 @@ class TestComplete:
 
         session = FakeSession(lambda i, body: NestedBody(200, text=DEEPLY_NESTED))
         with pytest.raises(ProviderError, match="not JSON") as excinfo:
-            request_completion(profile(), [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP)
+            request_completion(profile(), hi(), default_config(), session=session, sleep=NO_SLEEP)
         assert excinfo.value.status == 200
 
     def test_auth_missing(self, monkeypatch):
@@ -181,7 +192,7 @@ class TestComplete:
         with pytest.raises(AuthMissing):
             request_completion(
                 profile(auth_env_var="MISSING_TOKEN_VAR"),
-                [("user", "hi")],
+                hi(),
                 default_config(),
                 session=FakeSession(lambda i, b: FakeResponse(200, completion_payload("x"))),
             )
@@ -191,14 +202,14 @@ class TestComplete:
         seen = {}
 
         class HeaderSession(FakeSession):
-            def post(self, url, json=None, headers=None, timeout=None):
+            def post(self, url, data=None, headers=None, timeout=None):
                 seen["headers"] = headers
-                return super().post(url, json=json, headers=headers, timeout=timeout)
+                return super().post(url, data=data, headers=headers, timeout=timeout)
 
         session = HeaderSession(lambda i, body: FakeResponse(200, completion_payload("x")))
         request_completion(
             profile(auth_env_var="TEST_TOKEN_VAR"),
-            [("user", "hi")],
+            hi(),
             default_config(),
             session=session,
             sleep=NO_SLEEP,
@@ -208,11 +219,55 @@ class TestComplete:
     def test_unsupported_params_dropped_from_body(self):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("x")))
         limited = profile(supported_params=frozenset({"temperature", "max_tokens"}))
-        request_completion(limited, [("user", "hi")], default_config(), session=session, sleep=NO_SLEEP)
+        request_completion(limited, hi(limited), default_config(), session=session, sleep=NO_SLEEP)
         body = session.bodies[0]
         assert "temperature" in body and "max_tokens" in body
         assert "top_p" not in body and "top_k" not in body
         assert body["model"] == "test-model"
+
+
+# the characters JSON escapes, lone surrogates, a non-BMP character, line and
+# paragraph separators, and the template's own sentinel written out and escaped
+_AWKWARD = ('"', "\\", "\x00", "\x01", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u2029", "\ud800", "\udfff",
+            "\U0001f600", "\\u0000", "Review:\n", "\u00e9")
+_REVIEW_TEXTS = st.lists(st.characters() | st.sampled_from(_AWKWARD), min_size=1, max_size=40).map("".join)
+_PARAMS = ("temperature", "top_p", "top_k", "max_tokens", "n")
+
+
+class TestBodyTemplate:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        strategy=st.sampled_from(Strategy),
+        text=_REVIEW_TEXTS.filter(str.strip),
+        supported=st.frozensets(st.sampled_from(_PARAMS)),
+        model_id=st.sampled_from(("test-model", "m\x00", "\x00\u00e9\\")),
+    )
+    def test_bytes_equal_the_body_json_dumps_encodes(self, strategy, text, supported, model_id):
+        endpoint = completion_endpoint(profile(supported_params=supported, model_id=model_id), default_config())
+        messages = render_messages(build_prompt(strategy, make_review(text=text)))
+        body = {**endpoint.params, "messages": [{"role": role, "content": content} for role, content in messages]}
+        expected = json.dumps(body).encode("utf-8")
+        assert body_template(endpoint, strategy).encode(text) == expected
+        assert encode_body(endpoint, messages) == expected
+
+    def test_a_run_builds_its_prompt_once_and_writes_the_same_ledger_lines(self, tmp_path, monkeypatch):
+        calls = []
+        original = inference.build_prompt
+        monkeypatch.setattr(inference, "build_prompt", lambda *args: calls.append(args) or original(*args))
+        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("r\u00e9ponse \u2028 \U0001f600")))
+        reviews = [make_review(review_id=f"r{i}", text=f"kettle number {i} \"boils\"") for i in range(7)]
+        run_experiment(
+            reviews, Strategy.EOT_DETECT, profile(max_concurrency=3), default_config(),
+            runs_dir=tmp_path, run_id="once", session=session, sleep=NO_SLEEP,
+        )
+        assert len(calls) == 1
+        assert sorted(body["messages"][-1]["content"] for body in session.bodies) == sorted(
+            render_messages(build_prompt(Strategy.EOT_DETECT, review))[-1][1] for review in reviews
+        )
+        lines = ledger_path(tmp_path, "once").read_text(encoding="utf-8").split("\n")[:-1]
+        assert len(lines) == 7
+        for line in lines:
+            assert line == json.dumps(json.loads(line), ensure_ascii=False)
 
 
 class TestRunExperiment:

@@ -21,6 +21,8 @@ from eotbench.errors import DataError, ProviderError, RequestTimeout
 from eotbench.inference import (
     LedgerStatus,
     ProviderProfile,
+    completion_endpoint,
+    encode_body,
     ledger_path,
     read_ledger,
     request_completion,
@@ -122,9 +124,10 @@ def profile(base_url: str, **overrides) -> ProviderProfile:
 
 
 def ask(base_url: str, session=None, max_attempts: int = 3, **overrides):
+    local = profile(base_url, **overrides)
+    body = encode_body(completion_endpoint(local, default_config()), [("user", "hi")])
     return request_completion(
-        profile(base_url, **overrides), [("user", "hi")], default_config(),
-        session=session, max_attempts=max_attempts, sleep=NO_SLEEP,
+        local, body, default_config(), session=session, max_attempts=max_attempts, sleep=NO_SLEEP,
     )
 
 
@@ -200,9 +203,11 @@ class TestConnections:
                 return self.transport.post(*args, **kwargs)
 
         with Provider(idle_timeout=0.05) as server:
-            transport = HttpTransport(f"{server.url}/chat/completions")
+            local = profile(server.url, max_concurrency=1)
+            endpoint = completion_endpoint(local, default_config())
+            transport = HttpTransport(endpoint.url, endpoint.headers)
             run_experiment(
-                reviews(3), Strategy.ZS, profile(server.url, max_concurrency=1), default_config(),
+                reviews(3), Strategy.ZS, local, default_config(),
                 runs_dir=tmp_path, run_id="idle", session=Pausing(transport), sleep=NO_SLEEP,
             )
         entries = read_ledger(tmp_path, "idle")
@@ -261,7 +266,7 @@ class TestFailures:
 class TestResponseReader:
     def post(self, url: str):
         transport = HttpTransport(f"{url}/v1/chat/completions")
-        return transport.post(transport.url, json={"q": 1}, timeout=5)
+        return transport.post(transport.url, b'{"q": 1}', timeout=5)
 
     def test_a_chunked_body_is_joined(self):
         reply = [
@@ -298,6 +303,28 @@ class TestResponseReader:
         assert (excinfo.value.status, excinfo.value.attempts) == (0, 2)
         assert "cut short" in str(excinfo.value)
         assert len(requests) == 2
+
+    @pytest.mark.parametrize("length", [b"\xb2", b"1\xb3", b"1" * 4301, b"9" * 19], ids=["superscript", "digit-superscript", "4301-digits", "19-digits"])
+    def test_a_malformed_content_length_is_retried_as_transient(self, length):
+        bad = b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s" % (length, PAYLOAD)
+        with raw_server(bad, bad) as (url, requests):
+            with pytest.raises(ProviderError) as excinfo:
+                ask(url, max_attempts=2)
+        assert (excinfo.value.status, excinfo.value.attempts) == (0, 2)
+        assert "malformed Content-Length" in str(excinfo.value)
+        assert len(requests) == 2
+
+    def test_a_malformed_content_length_is_a_failed_entry_of_the_run(self, tmp_path):
+        bad = b"HTTP/1.1 200 OK\r\nContent-Length: \xb9\r\n\r\n%s" % PAYLOAD
+        with raw_server(bad, bad) as (url, _):
+            state = run_experiment(
+                reviews(1), Strategy.ZS, profile(url, max_concurrency=1), default_config(),
+                runs_dir=tmp_path, run_id="cl", max_attempts=2, sleep=NO_SLEEP,
+            )
+        [entry] = read_ledger(tmp_path, "cl")
+        assert (entry.status, entry.attempt_count) == (LedgerStatus.FAILED, 2)
+        assert "malformed Content-Length" in entry.error
+        assert state.failed == {"r0"}
 
     def test_a_head_over_64_kib_is_transient(self):
         huge = b"HTTP/1.1 200 OK\r\n" + b"X-Pad: %s\r\n" % (b"p" * 1000) * 70 + b"Content-Length: 0\r\n\r\n"
@@ -426,7 +453,22 @@ class TestRoute:
     def test_a_transport_posts_only_to_its_own_url(self):
         transport = HttpTransport("http://127.0.0.1:9/a")
         with pytest.raises(ValueError, match="posts to"):
-            transport.post("http://127.0.0.1:9/b", json={})
+            transport.post("http://127.0.0.1:9/b", b"{}")
+
+    def test_a_transport_sends_only_its_own_headers(self):
+        transport = HttpTransport("http://127.0.0.1:9/a", {"X-A": "1"})
+        with pytest.raises(ValueError, match="headers it was made with"):
+            transport.post(transport.url, b"{}", headers={"X-A": "2"})
+
+    @pytest.mark.parametrize("token", ["a\r\nX-Injected: 1", "caf\u00e9\u2603"], ids=["line-break", "not-latin-1"])
+    def test_a_header_that_cannot_be_sent_fails_the_run_before_its_ledger_is_touched(self, tmp_path, monkeypatch, token):
+        monkeypatch.setenv("BAD_TOKEN", token)
+        with pytest.raises(DataError, match="profile 'local': a request header name or value"):
+            run_experiment(
+                reviews(2), Strategy.ZS, profile("http://127.0.0.1:9/v1", auth_env_var="BAD_TOKEN"),
+                default_config(), runs_dir=tmp_path, run_id="bad", sleep=NO_SLEEP,
+            )
+        assert not ledger_path(tmp_path, "bad").parent.exists()
 
 
 class TestResources:
