@@ -91,16 +91,16 @@ def parse_output_object(obj: Mapping[str, Any], review: Review) -> EotOutput:
     emotions = obj.get("emotions")
     if not isinstance(emotions, list):
         raise DataError("record has no 'emotions' array")
+    text = review.text
     pairs = []
     for entry in emotions:
         if not isinstance(entry, dict):
             raise DataError(f"emotion entry is not an object: {entry!r}")
         label = canonical_emotion(str(entry.get("emotion", "")))
         triggers = entry.get("triggers", [])
-        if not isinstance(triggers, list) or not all(isinstance(t, str) for t in triggers):
+        if not isinstance(triggers, list) or not all([isinstance(t, str) for t in triggers]):
             raise DataError(f"triggers of {label.value} must be a list of strings")
-        spans = tuple(locate_span(review.text, t) for t in triggers)
-        pairs.append(EmotionTriggers(label, spans))
+        pairs.append(EmotionTriggers(label, tuple([locate_span(text, t) for t in triggers])))
     try:
         return EotOutput(review.review_id, tuple(pairs))
     except ValueError as exc:
@@ -186,22 +186,20 @@ def aggregate_gold(annotations: Sequence[AnnotationRecord]) -> GoldRecord:
         pairs = []
         trigger_provenance: list[TriggerProvenance] = []
         for emotion in winners:
-            pooled = [
-                (span, normalize_text(span.text))
+            # each record's spans with their normalized texts, each normalized once
+            normed = [
+                [(span, normalize_text(span.text)) for span in record.output.triggers_for(emotion)]
                 for record in annotations
-                for span in record.output.triggers_for(emotion)
             ]
-            deduped = _dedup_normalized(pooled)
+            deduped = _dedup_normalized([sn for spans in normed for sn in spans])
+            norm_of = {span.text: norm for span, norm in deduped}  # one span per norm
             retained = resolve_overlaps([span for span, _ in deduped])
             for span in retained:
-                norm = normalize_text(span.text)
+                norm = norm_of[span.text]
                 contributors = tuple(
                     record.annotator_id
-                    for record in annotations
-                    if any(
-                        normalize_text(s.text) == norm
-                        for s in record.output.triggers_for(emotion)
-                    )
+                    for record, spans in zip(annotations, normed)
+                    if any(n == norm for _, n in spans)
                 )
                 trigger_provenance.append(TriggerProvenance(emotion.value, span.text, contributors))
             pairs.append(EmotionTriggers(emotion, tuple(retained)))
@@ -239,10 +237,12 @@ def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[GoldRecor
                     TriggerProvenance(t["emotion"], t["text"], tuple(t.get("annotators", ())))
                     for t in prov_obj.get("trigger_annotators", ())
                 ),
-                no_majority=bool(prov_obj.get("no_majority", False)),
+                no_majority=prov_obj.get("no_majority", False),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{where}: malformed provenance: {exc!r}") from None
+        if not isinstance(provenance.no_majority, bool):
+            raise DataError(f"{where}: provenance no_majority is not true or false: {provenance.no_majority!r}")
         records.append(GoldRecord(output.review_id, output, provenance))
     return records
 

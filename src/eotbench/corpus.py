@@ -60,12 +60,15 @@ class SamplingPlan:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SamplingPlan":
+        for name in ("seed", "items_per_group", "reviews_per_item", "min_tokens", "max_tokens"):
+            if type(data[name]) is not int:  # a JSON integer: not a float, string or bool
+                raise TypeError(f"{name} is not an integer: {data[name]!r}")
         return cls(
-            seed=int(data["seed"]),
-            items_per_group=int(data["items_per_group"]),
-            reviews_per_item=int(data["reviews_per_item"]),
-            min_tokens=int(data["min_tokens"]),
-            max_tokens=int(data["max_tokens"]),
+            seed=data["seed"],
+            items_per_group=data["items_per_group"],
+            reviews_per_item=data["reviews_per_item"],
+            min_tokens=data["min_tokens"],
+            max_tokens=data["max_tokens"],
             strata_granularity=StrataGranularity(data.get("strata_granularity", "Year")),
         )
 
@@ -89,6 +92,9 @@ class CorpusFile:
     rejections: list[RejectedLine] = field(default_factory=list)
 
 
+_DOMAIN_BY_VALUE = {d.value: d for d in Domain}
+
+
 def _parse_review_line(obj: Any, seen_ids: set[str]) -> Review:
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
@@ -100,10 +106,10 @@ def _parse_review_line(obj: Any, seen_ids: set[str]) -> Review:
     text = obj.get("text")
     if not isinstance(text, str) or not text.strip():
         raise ValueError("missing or empty text")
-    try:
-        domain = Domain(obj.get("domain"))
-    except ValueError:
-        raise ValueError(f"unknown domain {obj.get('domain')!r}") from None
+    domain = obj.get("domain")
+    domain = _DOMAIN_BY_VALUE.get(domain) if isinstance(domain, str) else None
+    if domain is None:
+        raise ValueError(f"unknown domain {obj.get('domain')!r}")
     item_id = obj.get("item_id")
     if not isinstance(item_id, str) or not item_id:
         raise ValueError("missing or empty item_id")
@@ -144,9 +150,15 @@ def load_corpus(path: Path | str) -> CorpusFile:
 
 
 def review_to_dict(review: Review) -> dict[str, Any]:
-    out = {**vars(review), "domain": review.domain.value, "format_version": FORMAT_VERSION}
-    if review.timestamp is None:
-        del out["timestamp"]
+    out = {
+        "review_id": review.review_id,
+        "text": review.text,
+        "domain": review.domain.value,
+        "item_id": review.item_id,
+    }
+    if review.timestamp is not None:
+        out["timestamp"] = review.timestamp
+    out["format_version"] = FORMAT_VERSION
     return out
 
 

@@ -15,7 +15,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -30,7 +30,7 @@ from .errors import (
     RequestTimeout,
     data_errors,
 )
-from .jsonio import DECODE_ERRORS, encode_record
+from .jsonio import DECODE_ERRORS, encode_record, loads_line
 from .model import Domain, Review
 from .prompting import (
     PROMPT_VERSION,
@@ -142,9 +142,14 @@ class RunLedgerEntry:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunLedgerEntry":
-        for name in ("run_id", "review_id", "prompt_version", "raw_response", "status"):
+        for name in ("run_id", "review_id", "prompt_version", "raw_response"):
             if not isinstance(data[name], str):
                 raise TypeError(f"{name} is not a string")
+        for name in ("latency_ms", "attempt_count"):
+            if type(data[name]) is not int:  # a JSON integer: not a float, string or bool
+                raise TypeError(f"{name} is not an integer")
+        if data["status"] not in (LedgerStatus.OK, LedgerStatus.FAILED):
+            raise ValueError(f"status is neither {LedgerStatus.OK!r} nor {LedgerStatus.FAILED!r}")
         if not isinstance(data.get("error"), (str, type(None))):
             raise TypeError("error is neither a string nor null")
         return cls(
@@ -153,8 +158,8 @@ class RunLedgerEntry:
             strategy=Strategy(data["strategy"]),
             prompt_version=data["prompt_version"],
             raw_response=data["raw_response"],
-            latency_ms=int(data["latency_ms"]),
-            attempt_count=int(data["attempt_count"]),
+            latency_ms=data["latency_ms"],
+            attempt_count=data["attempt_count"],
             status=data["status"],
             error=data.get("error"),
         )
@@ -315,7 +320,7 @@ def ledger_path(runs_dir: Path | str, run_id: str) -> Path:
 
 
 def _decode_entry(line: bytes) -> RunLedgerEntry:
-    return RunLedgerEntry.from_dict(json.loads(line.decode("utf-8")))
+    return RunLedgerEntry.from_dict(loads_line(line.decode("utf-8")))
 
 
 def read_ledger(runs_dir: Path | str, run_id: str) -> list[RunLedgerEntry]:
@@ -332,7 +337,7 @@ def read_ledger(runs_dir: Path | str, run_id: str) -> list[RunLedgerEntry]:
     entries = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 entries.append(_decode_entry(line))
@@ -496,7 +501,16 @@ def run_experiment(
             while True:
                 with lock:
                     if entry is not None:
-                        ledger.write(line)
+                        try:
+                            ledger.write(line)
+                        except UnicodeEncodeError as exc:
+                            # a reply's "\ud83d" escape decodes to a lone surrogate, which
+                            # UTF-8 cannot encode; nothing of the line was written
+                            entry = replace(
+                                entry, raw_response="", status=LedgerStatus.FAILED,
+                                error=f"reply cannot be written as UTF-8: {exc.reason}",
+                            )
+                            ledger.write(encode_record(entry.to_dict()) + "\n")
                         ledger.flush()
                         state.add(entry)
                         progress.add(entry.status == LedgerStatus.OK, time.monotonic())

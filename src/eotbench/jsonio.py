@@ -21,12 +21,38 @@ from .errors import DataError
 DECODE_ERRORS = (ValueError, RecursionError)
 
 
+# The C scanner behind json.loads; one call decodes the value that starts at
+# an index and returns it with the index where it ends.
+_scan_once = json.JSONDecoder().scan_once
+_SCAN_ERRORS = (StopIteration, *DECODE_ERRORS)
+
+
+def loads_line(line: str) -> Any:
+    """``json.loads(line)`` for one line of a JSONL file: the same value, or
+    the same error.
+
+    A line whose value starts at its first character and ends at its end or
+    at its final newline costs one scanner call. Any other line (leading
+    whitespace, a BOM, ``\\r\\n``, trailing data, an error) goes through
+    ``json.loads``, which gives its exact value or error.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except _SCAN_ERRORS:
+        pass
+    else:
+        if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
+            return value
+    return json.loads(line)
+
+
 def iter_jsonl(path: Path | str) -> Iterator[tuple[int, Any, str | None]]:
     """Yield (1-based line number, value, None) for each non-blank line.
 
     Lines are decoded one at a time, so a line that is not UTF-8 or not JSON
     yields (line number, None, reason) instead and the lines after it still
-    load; the caller decides whether to skip it or fail.
+    load; the caller decides whether to skip it or fail. A line is JSON
+    exactly when ``json.loads`` accepts it.
     """
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -35,10 +61,10 @@ def iter_jsonl(path: Path | str) -> Iterator[tuple[int, Any, str | None]]:
             except UnicodeDecodeError as exc:
                 yield line_no, None, f"invalid UTF-8: {exc.reason} at byte {exc.start}"
                 continue
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                yield line_no, json.loads(line), None
+                yield line_no, loads_line(line), None
             except DECODE_ERRORS as exc:
                 yield line_no, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
 

@@ -71,7 +71,7 @@ DOMAIN_SOURCE: dict[Domain, Source] = {
 DOMAIN_ORDER: tuple[Domain, ...] = tuple(Domain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Review:
     """One identified text unit with its grouping metadata.
 
@@ -92,7 +92,7 @@ class Review:
             raise ValueError(f"review {self.review_id!r} has empty text")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggerSpan:
     """A verbatim contiguous substring of a review.
 
@@ -121,7 +121,7 @@ class TriggerSpan:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmotionTriggers:
     """One (emotion, triggers) pair of an output."""
 
@@ -129,10 +129,11 @@ class EmotionTriggers:
     triggers: tuple[TriggerSpan, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "triggers", tuple(self.triggers))
+        if type(self.triggers) is not tuple:
+            object.__setattr__(self, "triggers", tuple(self.triggers))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EotOutput:
     """The emotion-trigger assignment for one review, gold or predicted.
 
@@ -146,7 +147,8 @@ class EotOutput:
     pairs: tuple[EmotionTriggers, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+        if type(self.pairs) is not tuple:
+            object.__setattr__(self, "pairs", tuple(self.pairs))
         seen: set[EmotionLabel] = set()
         for pair in self.pairs:
             if pair.emotion in seen:

@@ -11,7 +11,8 @@ package's report types and label vocabulary; it finds the block with the
 rescanning extractor, decodes it twice and builds the repair map one
 character at a time. ``oracle_sample`` shares the package's draws (item
 and per-stratum) and differs in when it length-filters: every review of the
-corpus, before any item is drawn.
+corpus, before any item is drawn. ``oracle_iter_jsonl`` and
+``oracle_read_ledger`` decode every line with ``json.loads``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from eotbench.extraction import (
     ParseReport,
     ParseStatus,
 )
+from eotbench.inference import RunLedgerEntry
 from eotbench.metrics import (
     EmotionScores,
     PerEmotionScore,
@@ -845,3 +847,40 @@ def oracle_sample(records: list[Review], plan: SamplingPlan) -> tuple[list[Revie
         "n_reviews": len(sample),
     }
     return sample, manifest
+
+
+def oracle_iter_jsonl(path: Path):
+    """``jsonio.iter_jsonl``: (line number, value, None) or (line number,
+    None, reason) per non-blank line, each line given to ``json.loads``."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                yield line_no, None, f"invalid UTF-8: {exc.reason} at byte {exc.start}"
+                continue
+            if not line.strip():
+                continue
+            try:
+                yield line_no, json.loads(line), None
+            except (ValueError, RecursionError) as exc:
+                yield line_no, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
+
+
+def oracle_read_ledger(path: Path) -> tuple[list[RunLedgerEntry], list[str]]:
+    """``inference.read_ledger`` on the ledger at ``path``, each line given to
+    ``json.loads``: the entries and the warnings for a skipped torn final
+    line; raises the same DataError for a corrupt line."""
+    entries, warnings = [], []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                entries.append(RunLedgerEntry.from_dict(json.loads(line.decode("utf-8"))))
+            except (ValueError, RecursionError, KeyError, TypeError) as exc:
+                if not line.endswith(b"\n"):
+                    warnings.append(f"{path}:{line_no}: skipping torn final ledger line: {exc}")
+                    continue
+                raise DataError(f"{path}:{line_no}: corrupt ledger entry: {exc}") from None
+    return entries, warnings

@@ -125,6 +125,31 @@ class TestAggregateGold:
         prov = gold.provenance.trigger_annotators[0]
         assert set(prov.annotators) == {"A1", "A2"}
 
+    def test_each_pooled_span_is_normalized_once(self, monkeypatch):
+        review = make_review(text="Loved the fit. loved the fit again, very happy today")
+        records = [
+            annotate(review, "A1", {JOY: ["Loved the fit", "very happy"], TRUST: ["today"]}),
+            annotate(review, "A2", {JOY: ["loved the fit", "happy today"]}),
+            annotate(review, "A3", {JOY: ["very happy today"], TRUST: ["fit again"]}),
+        ]
+        expected = aggregate_gold(records)
+        calls = []
+        normalize_text = annotation.normalize_text
+        monkeypatch.setattr(annotation, "normalize_text", lambda t: calls.append(t) or normalize_text(t))
+        gold = aggregate_gold(records)
+        assert gold == expected
+        # Joy and Trust both win: 5 pooled Joy spans and 2 Trust spans
+        assert sorted(calls) == sorted(
+            ["Loved the fit", "very happy", "loved the fit", "happy today", "very happy today",
+             "today", "fit again"]
+        )
+        assert [(t.emotion, t.text, t.annotators) for t in gold.provenance.trigger_annotators] == [
+            ("Joy", "Loved the fit", ("A1", "A2")),
+            ("Joy", "very happy today", ("A3",)),
+            ("Trust", "fit again", ("A3",)),
+            ("Trust", "today", ("A1",)),
+        ]
+
     def test_wrong_count_and_mismatched_ids(self, sample_review):
         records = [neutral_annotation(sample_review, a) for a in ("A1", "A2")]
         with pytest.raises(WrongAnnotatorCount):

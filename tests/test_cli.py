@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eotbench import corpus, inference
-from eotbench.cli import EXIT_DATA, EXIT_OK, _render_confusion, build_parser, main
+from eotbench.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, _render_confusion, build_parser, main
 from eotbench.corpus import MAX_TIMESTAMP, MIN_TIMESTAMP, SamplingPlan, derive_seed, load_corpus, srswor
 from eotbench.errors import DataError, InsufficientReviews
 from eotbench.jsonio import dump_json, load_json, write_jsonl
@@ -478,6 +478,51 @@ class TestRunAndScoreCommands:
         assert main(argv) == EXIT_DATA
         assert f"{ledger}:2: corrupt ledger entry" in caplog.text
 
+    def test_a_reply_holding_a_lone_surrogate_is_a_failed_entry_and_score_goes_on(self, tmp_path):
+        # the mock JSON-escapes its replies, so "\ud83d" reaches the client as an
+        # escape that decodes to a lone surrogate, which UTF-8 cannot encode
+        reviews_path = DATA_DIR / "handscored" / "reviews.jsonl"
+        reviews = [json.loads(l) for l in reviews_path.read_text().splitlines() if l.strip()]
+        neutral = '{"emotions": [{"emotion": "Neutral", "triggers": []}]}'
+        replies = {r["text"]: neutral for r in reviews}
+        replies[reviews[0]["text"]] = neutral + " ok \ud83d"
+        with MockProviderServer(replies) as server:
+            assert self._neutral_run(tmp_path, server) == EXIT_PROVIDER
+        ledger = tmp_path / "runs" / "drift" / "ledger"
+        ledger.read_bytes().decode("utf-8")  # the ledger stays UTF-8
+        entries = inference.read_ledger(tmp_path / "runs", "drift")
+        assert len(entries) == len(reviews)
+        failed = [e for e in entries if e.status == inference.LedgerStatus.FAILED]
+        assert [(e.review_id, e.raw_response) for e in failed] == [(reviews[0]["review_id"], "")]
+        assert failed[0].error == "reply cannot be written as UTF-8: surrogates not allowed"
+        argv = ["score", "--run-id", "drift", "--gold", str(DATA_DIR / "handscored" / "gold.jsonl"),
+                "--runs-dir", str(tmp_path / "runs")]
+        assert main(argv) == EXIT_OK
+        scores = load_json(tmp_path / "runs" / "drift" / "scores.json")
+        assert scores["n_reviews_scored"] == len(reviews) - 1
+        assert scores["parse_stats"]["failed_requests"] == 1
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("latency_ms", "12", "latency_ms is not an integer"),
+            ("latency_ms", True, "latency_ms is not an integer"),
+            ("attempt_count", 2.9, "attempt_count is not an integer"),
+            ("status", "Bogus", "status is neither 'Ok' nor 'Failed'"),
+        ],
+    )
+    def test_score_on_a_ledger_line_with_a_field_it_would_have_coerced(self, tmp_path, caplog, key, value, reason):
+        with self._neutral_server() as server:
+            assert self._neutral_run(tmp_path, server) == EXIT_OK
+        ledger = tmp_path / "runs" / "drift" / "ledger"
+        lines = ledger.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), key: value}) + "\n"
+        ledger.write_text("".join(lines), encoding="utf-8")
+        argv = ["score", "--run-id", "drift", "--gold", str(DATA_DIR / "handscored" / "gold.jsonl"),
+                "--runs-dir", str(tmp_path / "runs")]
+        assert main(argv) == EXIT_DATA
+        assert f"{ledger}:2: corrupt ledger entry: {reason}" in caplog.text
+
     def test_resume_refuses_a_different_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"temperature": 0.7}))
@@ -582,6 +627,30 @@ class TestBadInputFiles:
         argv = ["sample", "--corpus", corpus, "--plan", path, "--out", tmp_path / "s.jsonl"]
         self._assert_data_error(caplog, argv, path)
         assert not (tmp_path / "s.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("items_per_group", 2.7), ("min_tokens", True), ("seed", 1.9), ("max_tokens", "40"),
+    ])
+    def test_plan_field_that_is_not_a_json_integer(self, tmp_path, caplog, key, value):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, toy_corpus_lines())
+        path = write_plan(tmp_path / "plan.json", **{key: value})
+        argv = ["sample", "--corpus", corpus, "--plan", path, "--out", tmp_path / "s.jsonl"]
+        self._assert_data_error(caplog, argv, path)
+        assert f"bad sampling plan: {key} is not an integer: {value!r}" in caplog.text
+        assert not (tmp_path / "s.jsonl").exists()
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_gold_no_majority_that_is_not_a_json_bool(self, tmp_path, caplog, value):
+        gold = DATA_DIR / "handscored" / "gold.jsonl"
+        lines = gold.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["provenance"] = {"no_majority": value}
+        lines[1] = json.dumps(record)
+        path = tmp_path / "gold.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["stats", "--gold", path, "--corpus", DATA_DIR / "handscored" / "reviews.jsonl"]
+        self._assert_data_error(caplog, argv, f"{path}:2: provenance no_majority is not true or false")
 
     def _run_argv(self, tmp_path, profile_text, config_text=None):
         profile = tmp_path / "profiles.ini"

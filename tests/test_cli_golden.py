@@ -3,9 +3,9 @@
 Every output is produced once from fixed inputs and compared with its file
 under ``tests/golden/cli``: the ``score`` and ``report`` tables and CSVs,
 ``parsed`` and ``scores.json`` on the hand-scored fixture, ``stats`` on the
-hand-scored gold, ``aggregate`` and ``agreement`` on a small three-annotator
-set, and the ``sample`` output with its manifest on the corpus and plan in
-``tests/data/sample``. A ledger line's key order
+hand-scored gold, ``aggregate`` and ``agreement`` on the three-annotator set
+in ``tests/data/agreement``, and the ``sample`` output with its manifest on
+the corpus and plan in ``tests/data/sample``. A ledger line's key order
 is pinned as well. After a deliberate format change, refresh the snapshots
 with ``python tests/test_cli_golden.py``.
 """
@@ -24,12 +24,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import DATA_DIR, GOLDEN_DIR, src_env
 from eotbench.cli import EXIT_OK, main
-from eotbench.jsonio import write_jsonl
 from mock_provider import MockProviderServer
 
 CLI_GOLDEN_DIR = GOLDEN_DIR / "cli"
 HANDSCORED = DATA_DIR / "handscored"
 SAMPLE_INPUTS = DATA_DIR / "sample"  # a corpus and a plan for `sample`
+# a corpus of four reviews and three annotators' labels of each, for
+# `aggregate` and `agreement`
+AGREEMENT_CORPUS = DATA_DIR / "agreement" / "corpus.jsonl"
+AGREEMENT_ANNOTATIONS = DATA_DIR / "agreement" / "annotations.jsonl"
 
 LEDGER_KEYS = [
     "run_id",
@@ -42,42 +45,6 @@ LEDGER_KEYS = [
     "status",
     "error",
 ]
-
-AGREEMENT_CORPUS = [
-    {"review_id": "a1", "text": "I am very happy with this cream.", "domain": "Beauty",
-     "item_id": "b1"},
-    {"review_id": "a2", "text": "The soup was cold and the waiter was rude.", "domain": "Yelp",
-     "item_id": "y1"},
-    {"review_id": "a3", "text": "It arrived early, what a surprise!", "domain": "Home",
-     "item_id": "h1"},
-    {"review_id": "a4", "text": "Plain socks, nothing more.", "domain": "Clothing",
-     "item_id": "c1"},
-]
-
-AGREEMENT_LABELS = {
-    "a1": {
-        "A1": [{"emotion": "Joy", "triggers": ["very happy"]}],
-        "A2": [{"emotion": "Joy", "triggers": ["very happy with this cream"]}],
-        "A3": [{"emotion": "Joy", "triggers": ["happy"]},
-               {"emotion": "Trust", "triggers": ["this cream"]}],
-    },
-    "a2": {
-        "A1": [{"emotion": "Disgust", "triggers": ["soup was cold"]},
-               {"emotion": "Anger", "triggers": ["waiter was rude"]}],
-        "A2": [{"emotion": "Anger", "triggers": ["the waiter was rude"]}],
-        "A3": [{"emotion": "Sadness", "triggers": ["The soup was cold"]}],
-    },
-    "a3": {
-        "A1": [{"emotion": "Surprise", "triggers": ["what a surprise"]}],
-        "A2": [{"emotion": "Surprise", "triggers": ["arrived early"]}],
-        "A3": [{"emotion": "Joy", "triggers": ["arrived early"]}],
-    },
-    "a4": {
-        "A1": [{"emotion": "Neutral", "triggers": []}],
-        "A2": [{"emotion": "Neutral", "triggers": []}],
-        "A3": [{"emotion": "Trust", "triggers": ["Plain socks"]}],
-    },
-}
 
 # golden file name -> path of the output under the work directory
 OUTPUTS = {
@@ -99,19 +66,6 @@ OUTPUTS = {
 
 def _run(*argv: str) -> None:
     assert main(list(argv)) == EXIT_OK, argv
-
-
-def write_agreement_inputs(work: Path) -> tuple[Path, Path]:
-    """Write the three-annotator corpus and annotations; return their paths."""
-    corpus = work / "agreement-corpus.jsonl"
-    annotations = work / "annotations.jsonl"
-    write_jsonl(corpus, AGREEMENT_CORPUS)
-    write_jsonl(annotations, (
-        {"review_id": review_id, "annotator_id": annotator, "emotions": emotions}
-        for review_id, by_annotator in AGREEMENT_LABELS.items()
-        for annotator, emotions in by_annotator.items()
-    ))
-    return corpus, annotations
 
 
 def produce_outputs(work: Path) -> None:
@@ -140,11 +94,11 @@ def produce_outputs(work: Path) -> None:
         _run("stats", "--gold", gold, "--corpus", str(reviews), "--format", fmt,
              "--out", str(work / f"stats.{ext}"))
 
-    corpus, annotations = write_agreement_inputs(work)
-    _run("aggregate", "--annotations", str(annotations), "--corpus", str(corpus),
+    corpus, annotations = str(AGREEMENT_CORPUS), str(AGREEMENT_ANNOTATIONS)
+    _run("aggregate", "--annotations", annotations, "--corpus", corpus,
          "--out", str(work / "aggregate.jsonl"))
     for ext, fmt in (("txt", "table"), ("csv", "csv")):
-        _run("agreement", "--annotations", str(annotations), "--corpus", str(corpus),
+        _run("agreement", "--annotations", annotations, "--corpus", corpus,
              "--format", fmt, "--out", str(work / f"agreement.{ext}"))
 
     _run("sample", "--corpus", str(SAMPLE_INPUTS / "corpus.jsonl"),
@@ -179,13 +133,12 @@ def test_sample_keeps_a_review_without_timestamp(work):
 
 def test_agreement_and_stats_run_without_numpy(tmp_path):
     # numpy set to None in sys.modules makes any import of it an ImportError
-    corpus, annotations = write_agreement_inputs(tmp_path)
     probe = (
         "import sys; sys.modules['numpy'] = None; from eotbench.cli import main; "
         "sys.exit(main(sys.argv[1:]))"
     )
     inputs = {
-        "agreement": ["--annotations", annotations, "--corpus", corpus],
+        "agreement": ["--annotations", AGREEMENT_ANNOTATIONS, "--corpus", AGREEMENT_CORPUS],
         "stats": ["--gold", HANDSCORED / "gold.jsonl", "--corpus", HANDSCORED / "reviews.jsonl"],
     }
     for command, args in inputs.items():

@@ -124,6 +124,14 @@ class TestLoadCorpus:
         loaded = load_corpus(path)
         assert len(loaded.records) == 1
 
+    @pytest.mark.parametrize("domain", ["Kitchen", "beauty", None, 7, ["Beauty"], {"Beauty": 1}])
+    def test_a_domain_that_is_not_a_domain_value_is_rejected(self, tmp_path, domain):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(self._line(1) + "\n" + self._line(2, domain=domain) + "\n")
+        loaded = load_corpus(path)
+        assert [r.review_id for r in loaded.records] == ["r1"]
+        assert [(r.line_no, r.reason) for r in loaded.rejections] == [(2, f"unknown domain {domain!r}")]
+
     def test_timestamp_bounds_are_years_1_to_9999(self):
         assert MIN_TIMESTAMP == datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
         assert MAX_TIMESTAMP == datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
+import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eotbench import annotation, corpus, inference
 from eotbench.cli import _write_text
 from eotbench.errors import DataError
-from eotbench.jsonio import dump_json, iter_jsonl, load_json, write_jsonl
-from conftest import DEEPLY_NESTED
+from eotbench.inference import RunLedgerEntry, ledger_path, read_ledger
+from eotbench.jsonio import dump_json, encode_record, iter_jsonl, load_json, loads_line, write_jsonl
+from eotbench.prompting import Strategy
+from conftest import DATA_DIR, DEEPLY_NESTED
+from oracles import oracle_iter_jsonl, oracle_read_ledger
 
 
 def test_iter_jsonl_reports_bad_lines_and_goes_on(tmp_path):
@@ -21,6 +28,139 @@ def test_iter_jsonl_reports_bad_lines_and_goes_on(tmp_path):
         (4, None, "invalid JSON: Expecting property name enclosed in double quotes"),
         (6, [2], None),
     ]
+
+
+# JSON values of every type, NaN and the infinities among the floats
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# whole lines that are not json.dumps output: too deep, too long an integer,
+# blank in several ways, and not JSON
+ODD_LINES = [
+    DEEPLY_NESTED, "[" * 40 + "]" * 40, "9" * (_INT_DIGITS + 1) if _INT_DIGITS else "9" * 5000,
+    "", " ", "\t", "\x0c", "\x1c", "\u3000", "\r", "{", "}", "[1,]", "tru", "NaN", "-Infinity",
+    '"\\ud83d"', '{"a": 1, "a": 2}',
+]
+
+
+@st.composite
+def jsonl_lines(draw) -> bytes:
+    """One line of a JSONL file, without its newline: a JSON value with or
+    without leading or trailing bytes, an odd line, or bytes that are not UTF-8."""
+    kind = draw(st.sampled_from(["value", "value", "value", "odd", "text", "bytes"]))
+    if kind == "odd":
+        return draw(st.sampled_from(ODD_LINES)).encode()
+    if kind == "text":
+        return draw(st.text(max_size=12)).replace("\n", "").encode("utf-8", "surrogatepass")
+    if kind == "bytes":
+        return draw(st.binary(max_size=6).filter(lambda b: b"\n" not in b))
+    text = json.dumps(draw(JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    before = draw(st.sampled_from(["", "", "", " ", "\t", "\ufeff", "\r"]))
+    after = draw(st.sampled_from(["", "", "", " ", "\r", "\t\r", " x", ",", "]"]))
+    cut = draw(st.sampled_from([None, None, None, 1, -1]))  # a value torn short
+    return (before + text[:cut] + after).encode("utf-8", "surrogatepass")
+
+
+def _jsonl_file(lines: list[bytes], final_newline: bool) -> bytes:
+    return b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
+
+
+class TestLeanDecoding:
+    """The readers decode a line with one scanner call where they can; what
+    they yield must equal what ``json.loads`` on each line gives."""
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(jsonl_lines(), max_size=8), st.booleans())
+    def test_iter_jsonl_yields_what_json_loads_on_each_line_yields(self, tmp_path_factory, lines, final_newline):
+        path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+        path.write_bytes(_jsonl_file(lines, final_newline))
+        # repr, because NaN is not equal to itself
+        assert repr(list(iter_jsonl(path))) == repr(list(oracle_iter_jsonl(path)))
+
+    @settings(max_examples=300)
+    @given(jsonl_lines(), st.sampled_from(["", "\n"]))
+    def test_loads_line_returns_or_raises_what_json_loads_does(self, line, end):
+        try:
+            text = line.decode("utf-8") + end
+        except UnicodeDecodeError:
+            return
+        try:
+            expected = repr(json.loads(text))
+        except (ValueError, RecursionError) as exc:
+            expected = (type(exc), str(exc))
+        try:
+            got = repr(loads_line(text))
+        except (ValueError, RecursionError) as exc:
+            got = (type(exc), str(exc))
+        assert got == expected
+
+    def test_a_well_formed_file_never_calls_json_loads(self, tmp_path, monkeypatch):
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+        reviews_path = DATA_DIR / "handscored" / "reviews.jsonl"
+        reviews = corpus.reviews_by_id(corpus.load_corpus(reviews_path).records)
+        annotation.load_gold(DATA_DIR / "handscored" / "gold.jsonl", reviews)
+        agreement = corpus.reviews_by_id(corpus.load_corpus(DATA_DIR / "agreement" / "corpus.jsonl").records)
+        assert len(annotation.load_annotations(DATA_DIR / "agreement" / "annotations.jsonl", agreement)) == 12
+        entries = [
+            RunLedgerEntry("run", review_id, Strategy.ZS, "1", "{}", 5, 1, "Ok")
+            for review_id in reviews
+        ]
+        path = ledger_path(tmp_path, "run")
+        path.parent.mkdir()
+        path.write_text("".join(encode_record(e.to_dict()) + "\n" for e in entries), encoding="utf-8")
+        assert read_ledger(tmp_path, "run") == entries
+        assert calls == []
+        # a line ending in \r\n is decoded by json.loads
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_ledger(tmp_path, "run") == entries
+        assert len(calls) == len(entries)
+
+
+_ENTRY = RunLedgerEntry("run", "r1", Strategy.ZS, "1", '{"emotions": []}', 12, 1, "Ok")
+_ENTRY_LINE = encode_record(_ENTRY.to_dict()).encode()
+
+
+@st.composite
+def ledger_lines(draw) -> bytes:
+    """A ledger line without its newline: an entry, sometimes re-typed,
+    re-spaced or cut short, or any line ``jsonl_lines`` makes."""
+    kind = draw(st.sampled_from(["entry", "entry", "entry", "field", "other"]))
+    if kind == "other":
+        return draw(jsonl_lines())
+    if kind == "field":
+        key = draw(st.sampled_from(sorted(_ENTRY.to_dict())))
+        return json.dumps({**_ENTRY.to_dict(), key: draw(JSON_VALUES)}).encode()
+    before = draw(st.sampled_from([b"", b"", b" ", b"\xef\xbb\xbf"]))
+    after = draw(st.sampled_from([b"", b"", b" ", b"\r", b"x"]))
+    return before + _ENTRY_LINE + after
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.lists(ledger_lines(), max_size=6), st.booleans(), st.integers(min_value=0, max_value=len(_ENTRY_LINE)))
+def test_read_ledger_reads_what_json_loads_on_each_line_reads(tmp_path_factory, caplog, lines, final_newline, torn):
+    runs = tmp_path_factory.mktemp("runs")
+    path = ledger_path(runs, "run")
+    path.parent.mkdir()
+    data = _jsonl_file(lines, final_newline)
+    if torn:  # a crash mid-append: a final line cut short, with no newline
+        data += (b"\n" if data and not data.endswith(b"\n") else b"") + _ENTRY_LINE[:torn]
+    path.write_bytes(data)
+    try:
+        expected = oracle_read_ledger(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            read_ledger(runs, "run")
+        assert str(raised.value) == str(exc)
+        return
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger=inference.__name__):
+        entries = read_ledger(runs, "run")
+    assert (entries, [r.getMessage() for r in caplog.records]) == expected
 
 
 def test_load_json_of_a_deeply_nested_file_is_a_data_error(tmp_path):

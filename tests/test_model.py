@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -155,3 +157,35 @@ class TestReview:
 
     def test_normalize_text(self):
         assert normalize_text("  Fits   WELL\tindeed ") == "fits well indeed"
+
+
+class TestSlottedRecords:
+    """The model records are frozen, slotted dataclasses: no per-instance dict."""
+
+    def _records(self):
+        review = make_review()
+        span = locate_span(review.text, "works perfectly")
+        pair = EmotionTriggers(EmotionLabel.JOY, (span,))
+        output = EotOutput(review.review_id, (pair,))
+        return [review, span, pair, output]
+
+    @pytest.mark.parametrize("index", range(4), ids=["Review", "TriggerSpan", "EmotionTriggers", "EotOutput"])
+    def test_frozen_equal_hashable_and_without_a_dict(self, index):
+        record, twin = self._records()[index], self._records()[index]
+        assert record is not twin
+        assert record == twin and hash(record) == hash(twin)
+        assert len({record, twin}) == 1
+        assert not hasattr(record, "__dict__")
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+            record.extra = 1
+
+    def test_a_sequence_of_pairs_or_triggers_is_stored_as_a_tuple(self):
+        review = make_review()
+        span = locate_span(review.text, "works perfectly")
+        pair = EmotionTriggers(EmotionLabel.JOY, [span])
+        output = EotOutput(review.review_id, [pair])
+        assert type(pair.triggers) is tuple and type(output.pairs) is tuple
+        assert output == EotOutput(review.review_id, (EmotionTriggers(EmotionLabel.JOY, (span,)),))
