@@ -25,26 +25,11 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import FORMAT_VERSION, reviews_by_id
-from .errors import (
-    DataError,
-    DegenerateDistribution,
-    MismatchedReviewIds,
-    WrongAnnotatorCount,
-)
-from .jsonio import iter_jsonl, render_table
+from .errors import DataError, DegenerateDistribution, MismatchedReviewIds, WrongAnnotatorCount
+from .jsonio import ARRAY, BOOLEAN, INTEGER, OBJECT, STRING, check_fields, iter_jsonl, render_table
 from .model import (
-    DOMAIN_ORDER,
-    EMOTION_ORDER,
-    EmotionLabel,
-    EmotionTriggers,
-    EotOutput,
-    Review,
-    TriggerSpan,
-    canonical_emotion,
-    count_tokens,
-    locate_span,
-    normalize_text,
-    tokenize_with_spans,
+    DOMAIN_ORDER, EMOTION_ORDER, EmotionLabel, EmotionTriggers, EotOutput, Review, TriggerSpan, canonical_emotion,
+    count_tokens, locate_span, normalize_text, tokenize_with_spans,
 )
 
 TRIGGER_KAPPA_POOLING_NOTE = (
@@ -82,65 +67,62 @@ class GoldRecord:
     provenance: GoldProvenance
 
 
-def parse_output_object(obj: Mapping[str, Any], review: Review) -> EotOutput:
-    """Build a validated EotOutput from a trusted annotation object.
-
-    Strict: unknown labels, non-extractive triggers, duplicate emotions,
-    or Neutral-with-triggers all raise DataError.
-    """
-    emotions = obj.get("emotions")
-    if not isinstance(emotions, list):
-        raise DataError("record has no 'emotions' array")
-    text = review.text
-    pairs = []
-    for entry in emotions:
-        if not isinstance(entry, dict):
-            raise DataError(f"emotion entry is not an object: {entry!r}")
-        label = canonical_emotion(str(entry.get("emotion", "")))
-        triggers = entry.get("triggers", [])
-        if not isinstance(triggers, list) or not all([isinstance(t, str) for t in triggers]):
-            raise DataError(f"triggers of {label.value} must be a list of strings")
-        pairs.append(EmotionTriggers(label, tuple([locate_span(text, t) for t in triggers])))
-    try:
-        return EotOutput(review.review_id, tuple(pairs))
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+_EMOTION_SPEC = (("emotion", STRING, True, None), ("triggers", ARRAY, False, STRING))
+_PROVENANCE_SPEC = (
+    ("emotion_votes", OBJECT, False, INTEGER),
+    ("trigger_annotators", ARRAY, False, (
+        ("emotion", STRING, True, None), ("text", STRING, True, None), ("annotators", ARRAY, False, STRING),
+    )),
+    ("no_majority", BOOLEAN, False, None),
+)
+ANNOTATION_SPEC = (
+    ("review_id", STRING, True, None), ("annotator_id", STRING, True, None), ("emotions", ARRAY, True, _EMOTION_SPEC),
+)
+GOLD_SPEC = (
+    ("review_id", STRING, True, None), ("emotions", ARRAY, True, _EMOTION_SPEC),
+    ("provenance", _PROVENANCE_SPEC, False, None),
+)
 
 
 def _iter_outputs(
-    path: Path | str, reviews: Mapping[str, Review]
-) -> Iterator[tuple[str, dict[str, Any], EotOutput]]:
-    """Yield (``path:line`` prefix, object, output) per non-blank line of a
-    trusted file of the review_id / emotions shape.
+    path: Path | str, reviews: Mapping[str, Review], spec: tuple
+) -> Iterator[tuple[dict[str, Any], EotOutput]]:
+    """Yield (object, output) per non-blank line of a trusted file of the
+    review_id / emotions shape whose lines meet ``spec``.
 
-    A line that is not UTF-8, not JSON or not a JSON object, that names a
-    review not in ``reviews`` or whose output is invalid is a DataError.
+    A line that is not UTF-8, not JSON or not of the spec, that names a
+    review not in ``reviews``, or whose output has an unknown label, a
+    non-extractive trigger, a repeated emotion or Neutral with triggers is a
+    DataError naming ``path:line``.
     """
     for line_no, obj, error in iter_jsonl(path):
-        where = f"{path}:{line_no}"
-        if error or not isinstance(obj, dict):
-            raise DataError(f"{where}: {error or 'record is not an object'}")
-        review_id = obj.get("review_id")
-        review = reviews.get(review_id) if isinstance(review_id, str) else None
-        if review is None:
-            raise DataError(f"{where}: unknown review_id {review_id!r}")
         try:
-            output = parse_output_object(obj, review)
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
-        yield where, obj, output
+            if error:
+                raise ValueError(error)
+            check_fields(obj, spec)
+            review = reviews.get(obj["review_id"])
+            if review is None:
+                raise ValueError(f"unknown review_id {obj['review_id']!r}")
+            text = review.text
+            output = EotOutput(review.review_id, tuple([
+                EmotionTriggers(
+                    canonical_emotion(entry["emotion"]),
+                    tuple([locate_span(text, t) for t in entry.get("triggers", ())]),
+                )
+                for entry in obj["emotions"]
+            ]))
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
+        yield obj, output
 
 
 def load_annotations(path: Path | str, reviews: Mapping[str, Review]) -> list[AnnotationRecord]:
     """Load annotator files: one JSON object per line, ``annotator_id`` plus
     the review_id / emotions shape used everywhere else."""
-    records: list[AnnotationRecord] = []
-    for where, obj, output in _iter_outputs(path, reviews):
-        annotator_id = obj.get("annotator_id")
-        if not isinstance(annotator_id, str):
-            raise DataError(f"{where}: annotator_id is required")
-        records.append(AnnotationRecord(output.review_id, annotator_id, output))
-    return records
+    return [
+        AnnotationRecord(output.review_id, obj["annotator_id"], output)
+        for obj, output in _iter_outputs(path, reviews, ANNOTATION_SPEC)
+    ]
 
 
 def _dedup_normalized(spans: Iterable[tuple[TriggerSpan, str]]) -> list[tuple[TriggerSpan, str]]:
@@ -228,21 +210,13 @@ def gold_to_dict(gold: GoldRecord) -> dict[str, Any]:
 def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[GoldRecord]:
     """Read a gold file back, relocating trigger spans in the review text."""
     records: list[GoldRecord] = []
-    for where, obj, output in _iter_outputs(path, reviews):
-        prov_obj = obj.get("provenance", {})
-        try:
-            provenance = GoldProvenance(
-                emotion_votes=dict(prov_obj.get("emotion_votes", {})),
-                trigger_annotators=tuple(
-                    TriggerProvenance(t["emotion"], t["text"], tuple(t.get("annotators", ())))
-                    for t in prov_obj.get("trigger_annotators", ())
-                ),
-                no_majority=prov_obj.get("no_majority", False),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{where}: malformed provenance: {exc!r}") from None
-        if not isinstance(provenance.no_majority, bool):
-            raise DataError(f"{where}: provenance no_majority is not true or false: {provenance.no_majority!r}")
+    for obj, output in _iter_outputs(path, reviews, GOLD_SPEC):
+        prov = obj.get("provenance", {})
+        trigger_annotators = tuple(
+            TriggerProvenance(t["emotion"], t["text"], tuple(t.get("annotators", ())))
+            for t in prov.get("trigger_annotators", ())
+        )
+        provenance = GoldProvenance(prov.get("emotion_votes", {}), trigger_annotators, prov.get("no_majority", False))
         records.append(GoldRecord(output.review_id, output, provenance))
     return records
 

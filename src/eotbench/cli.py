@@ -17,7 +17,7 @@ from typing import Any, Sequence
 from . import annotation, corpus, extraction, inference, metrics
 from .corpus import FORMAT_VERSION, SamplingPlan
 from .errors import DataError, InsufficientReviews, ProviderFailure, UnknownRun, data_errors
-from .jsonio import atomic_writer, dump_json, load_json, render_table, write_jsonl
+from .jsonio import STRING, atomic_writer, dump_json, load_json, render_table, write_jsonl
 from .model import Review
 from .prompting import PROMPT_VERSION, InferenceConfig, Strategy, default_config
 
@@ -27,6 +27,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_PROVIDER = 4
+
+# the fields of a run manifest that a resumed run and score read
+RUN_MANIFEST_SPEC = (
+    ("corpus", STRING, True, None), ("strategy", STRING, True, None),
+    ("profile", STRING, True, None), ("prompt_version", STRING, True, None),
+)
 
 
 def _load_reviews(path: str) -> corpus.CorpusFile:
@@ -167,7 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if manifest_path.exists():
         if not args.resume:
             raise DataError(f"run {run_id!r} already exists; pass --resume to continue it")
-        manifest = load_json(manifest_path)
+        manifest = load_json(manifest_path, RUN_MANIFEST_SPEC)
         drift = [name for name, value in identity.items() if manifest.get(name) != value]
         if drift:
             raise DataError(f"resume with a different {', '.join(drift)} is not allowed")
@@ -202,14 +208,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise UnknownRun(args.run_id)
-    manifest = load_json(manifest_path)
-    with data_errors(manifest_path, "run manifest"):
-        corpus_path = args.corpus or manifest["corpus"]
-    reviews = corpus.reviews_by_id(_load_reviews(corpus_path).records)
+    manifest = load_json(manifest_path, RUN_MANIFEST_SPEC)
+    reviews = corpus.reviews_by_id(_load_reviews(args.corpus or manifest["corpus"]).records)
     golds = annotation.load_gold(args.gold, reviews)
 
     state = inference.reduce_ledger(
-        inference.read_ledger(runs_dir, args.run_id), args.run_id, manifest.get("prompt_version")
+        inference.read_ledger(runs_dir, args.run_id), args.run_id, manifest["prompt_version"]
     )
     latest_ok = state.ok
 
@@ -239,15 +243,15 @@ def cmd_score(args: argparse.Namespace) -> int:
     document = {
         "format_version": FORMAT_VERSION,
         "run_id": args.run_id,
-        "strategy": manifest.get("strategy"),
-        "prompt_version": manifest.get("prompt_version"),
+        "strategy": manifest["strategy"],
+        "prompt_version": manifest["prompt_version"],
         "n_reviews_scored": len(predictions),
         "parse_stats": parse_stats,
         **metrics.score_report_to_dict(score),
     }
     dump_json(run_dir / "scores.json", document)
 
-    label = f"{manifest.get('profile', args.run_id)}_{manifest.get('strategy', '')}"
+    label = f"{manifest['profile']}_{manifest['strategy']}"
     text = metrics.render_score_rows({label: metrics.score_row(document)}, args.format)
     text += "\nparse stats: " + ", ".join(f"{k}={v}" for k, v in parse_stats.items()) + "\n"
     text += _render_confusion(document["confusion"], args.format)
@@ -265,10 +269,8 @@ def _render_confusion(confusion: dict[str, dict[str, float]], fmt: str) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     rows: dict[str, Sequence[float]] = {}
     for path in args.scores:
-        document = load_json(path)
-        name = f"{document.get('run_id', path)}_{document.get('strategy', '')}"
-        with data_errors(path, "scores file"):
-            rows[name] = metrics.score_row(document)
+        document = load_json(path, metrics.SCORES_SPEC)
+        rows[f"{document.get('run_id', path)}_{document.get('strategy', '')}"] = metrics.score_row(document)
     _write_text(metrics.render_score_rows(rows, args.format), args.out)
     return EXIT_OK
 

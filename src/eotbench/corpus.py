@@ -19,7 +19,7 @@ from random import Random
 from typing import Any, Iterable, Sequence, TypeVar
 
 from .errors import EmptyCorpus, InsufficientReviews, SampleTooLarge
-from .jsonio import iter_jsonl
+from .jsonio import INTEGER, STRING, check_fields, iter_jsonl
 from .model import DOMAIN_SOURCE, Domain, Review, Source, count_tokens
 
 T = TypeVar("T")
@@ -38,6 +38,13 @@ UNKNOWN_STRATUM = "unknown"
 # datetime.fromtimestamp(..., tz=timezone.utc) accepts for a stratum key.
 MIN_TIMESTAMP = -62_135_596_800
 MAX_TIMESTAMP = 253_402_300_799
+
+
+PLAN_SPEC = (
+    ("seed", INTEGER, True, None), ("items_per_group", INTEGER, True, None),
+    ("reviews_per_item", INTEGER, True, None), ("min_tokens", INTEGER, True, None),
+    ("max_tokens", INTEGER, True, None), ("strata_granularity", STRING, False, ("Year", "Quarter")),
+)
 
 
 @dataclass(frozen=True)
@@ -60,16 +67,10 @@ class SamplingPlan:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SamplingPlan":
-        for name in ("seed", "items_per_group", "reviews_per_item", "min_tokens", "max_tokens"):
-            if type(data[name]) is not int:  # a JSON integer: not a float, string or bool
-                raise TypeError(f"{name} is not an integer: {data[name]!r}")
+        check_fields(data, PLAN_SPEC)
         return cls(
-            seed=data["seed"],
-            items_per_group=data["items_per_group"],
-            reviews_per_item=data["reviews_per_item"],
-            min_tokens=data["min_tokens"],
-            max_tokens=data["max_tokens"],
-            strata_granularity=StrataGranularity(data.get("strata_granularity", "Year")),
+            data["seed"], data["items_per_group"], data["reviews_per_item"], data["min_tokens"],
+            data["max_tokens"], StrataGranularity(data.get("strata_granularity", "Year")),
         )
 
 
@@ -94,32 +95,10 @@ class CorpusFile:
 
 _DOMAIN_BY_VALUE = {d.value: d for d in Domain}
 
-
-def _parse_review_line(obj: Any, seen_ids: set[str]) -> Review:
-    if not isinstance(obj, dict):
-        raise ValueError("record is not an object")
-    review_id = obj.get("review_id")
-    if not isinstance(review_id, str) or not review_id:
-        raise ValueError("missing or empty review_id")
-    if review_id in seen_ids:
-        raise ValueError(f"duplicate review_id {review_id!r}")
-    text = obj.get("text")
-    if not isinstance(text, str) or not text.strip():
-        raise ValueError("missing or empty text")
-    domain = obj.get("domain")
-    domain = _DOMAIN_BY_VALUE.get(domain) if isinstance(domain, str) else None
-    if domain is None:
-        raise ValueError(f"unknown domain {obj.get('domain')!r}")
-    item_id = obj.get("item_id")
-    if not isinstance(item_id, str) or not item_id:
-        raise ValueError("missing or empty item_id")
-    timestamp = obj.get("timestamp")
-    if timestamp is not None:
-        if isinstance(timestamp, bool) or not isinstance(timestamp, int):
-            raise ValueError("timestamp must be an integer (epoch seconds)")
-        if not MIN_TIMESTAMP <= timestamp <= MAX_TIMESTAMP:
-            raise ValueError("timestamp out of range: epoch seconds in years 1-9999")
-    return Review(review_id=review_id, text=text, domain=domain, item_id=item_id, timestamp=timestamp)
+REVIEW_SPEC = (
+    ("review_id", STRING, True, None), ("text", STRING, True, None), ("domain", STRING, True, _DOMAIN_BY_VALUE),
+    ("item_id", STRING, True, None), ("timestamp", INTEGER, None, range(MIN_TIMESTAMP, MAX_TIMESTAMP + 1)),
+)
 
 
 def load_corpus(path: Path | str) -> CorpusFile:
@@ -133,11 +112,14 @@ def load_corpus(path: Path | str) -> CorpusFile:
     rejections: list[RejectedLine] = []
     seen_ids: set[str] = set()
     for line_no, obj, error in iter_jsonl(path):
-        if error:
-            rejections.append(RejectedLine(line_no, error))
-            continue
         try:
-            review = _parse_review_line(obj, seen_ids)
+            if error:
+                raise ValueError(error)
+            check_fields(obj, REVIEW_SPEC)
+            if obj["review_id"] in seen_ids:
+                raise ValueError(f"duplicate review_id {obj['review_id']!r}")
+            review = Review(obj["review_id"], obj["text"], _DOMAIN_BY_VALUE[obj["domain"]], obj["item_id"],
+                            obj.get("timestamp"))
         except ValueError as exc:
             rejections.append(RejectedLine(line_no, str(exc)))
             continue

@@ -21,13 +21,11 @@ class DataError(HarnessError):
 
 @contextmanager
 def data_errors(where: object, what: str) -> Iterator[None]:
-    """Turn a KeyError, TypeError or ValueError raised while reading ``what``
-    from the file ``where`` into a DataError that names both."""
+    """Turn a ValueError raised while reading ``what`` from the file
+    ``where`` into a DataError that names both."""
     try:
         yield
-    except KeyError as exc:
-        raise DataError(f"{where}: {what} has no {exc} key") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{where}: bad {what}: {exc}") from None
 
 

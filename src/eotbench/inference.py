@@ -15,30 +15,16 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
-from .errors import (
-    AuthMissing,
-    DataError,
-    ProviderError,
-    ProviderFailure,
-    RateLimited,
-    RequestTimeout,
-    data_errors,
-)
-from .jsonio import DECODE_ERRORS, encode_record, loads_line
+from .errors import AuthMissing, DataError, ProviderError, ProviderFailure, RateLimited, RequestTimeout, data_errors
+from .jsonio import ARRAY, DECODE_ERRORS, INTEGER, STRING, check_fields, encode_record, loads_line
 from .model import Domain, Review
-from .prompting import (
-    PROMPT_VERSION,
-    InferenceConfig,
-    Strategy,
-    build_prompt,
-    render_messages,
-)
+from .prompting import CONFIG_SPEC, PROMPT_VERSION, InferenceConfig, Strategy, build_prompt, render_messages
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +58,9 @@ class ProviderProfile:
                 f"timeout must be a number of seconds > 0 and <= {threading.TIMEOUT_MAX:.0f},"
                 f" not {self.timeout!r}"
             )
+        unknown = sorted(self.supported_params.difference(name for name, *_ in CONFIG_SPEC))
+        if unknown:
+            raise ValueError(f"supported_params names no config field: {', '.join(map(repr, unknown))}")
 
     def auth_token(self) -> str | None:
         """Resolve the bearer token; empty auth_env_var means no auth."""
@@ -125,6 +114,14 @@ class LedgerStatus:
     FAILED = "Failed"
 
 
+LEDGER_SPEC = (
+    ("run_id", STRING, True, None), ("review_id", STRING, True, None), ("strategy", STRING, True, None),
+    ("prompt_version", STRING, True, None), ("raw_response", STRING, True, None),
+    ("latency_ms", INTEGER, True, None), ("attempt_count", INTEGER, True, None),
+    ("status", STRING, True, (LedgerStatus.OK, LedgerStatus.FAILED)), ("error", STRING, None, None),
+)
+
+
 @dataclass(frozen=True)
 class RunLedgerEntry:
     run_id: str
@@ -142,26 +139,10 @@ class RunLedgerEntry:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunLedgerEntry":
-        for name in ("run_id", "review_id", "prompt_version", "raw_response"):
-            if not isinstance(data[name], str):
-                raise TypeError(f"{name} is not a string")
-        for name in ("latency_ms", "attempt_count"):
-            if type(data[name]) is not int:  # a JSON integer: not a float, string or bool
-                raise TypeError(f"{name} is not an integer")
-        if data["status"] not in (LedgerStatus.OK, LedgerStatus.FAILED):
-            raise ValueError(f"status is neither {LedgerStatus.OK!r} nor {LedgerStatus.FAILED!r}")
-        if not isinstance(data.get("error"), (str, type(None))):
-            raise TypeError("error is neither a string nor null")
+        check_fields(data, LEDGER_SPEC)
         return cls(
-            run_id=data["run_id"],
-            review_id=data["review_id"],
-            strategy=Strategy(data["strategy"]),
-            prompt_version=data["prompt_version"],
-            raw_response=data["raw_response"],
-            latency_ms=data["latency_ms"],
-            attempt_count=data["attempt_count"],
-            status=data["status"],
-            error=data.get("error"),
+            data["run_id"], data["review_id"], Strategy(data["strategy"]), data["prompt_version"],
+            data["raw_response"], data["latency_ms"], data["attempt_count"], data["status"], data.get("error"),
         )
 
 
@@ -247,15 +228,18 @@ def _http_session(session: Any, profile: ProviderProfile, endpoint: Endpoint) ->
         raise DataError(f"profile {profile.name!r}: {exc}") from None
 
 
+# what run reads of a reply: the text of its first choice, which the UTF-8
+# ledger can hold (absent or null, it is a refusal or a tool call)
+_REPLY_SPEC = (("choices", ARRAY, True, (("message", (("content", STRING, True, None),), True, None),)),)
+
+
 def _extract_choice_text(payload: Any, attempt: int) -> str:
-    """The first choice's text; absent or null (a refusal, a tool call), a ProviderError."""
+    """The first choice's text; a reply with no choice, or one that fails _REPLY_SPEC, is a ProviderError."""
     try:
-        content = payload["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError):
-        content = None
-    if not isinstance(content, str):
-        raise ProviderError(200, f"malformed completion body: {str(payload)[:200]}", attempt)
-    return content
+        check_fields(payload, _REPLY_SPEC)
+        return payload["choices"][0]["message"]["content"]
+    except (ValueError, IndexError) as exc:
+        raise ProviderError(200, f"malformed completion body: {exc}", attempt) from None
 
 
 def request_completion(
@@ -341,7 +325,7 @@ def read_ledger(runs_dir: Path | str, run_id: str) -> list[RunLedgerEntry]:
                 continue
             try:
                 entries.append(_decode_entry(line))
-            except (*DECODE_ERRORS, KeyError, TypeError) as exc:
+            except DECODE_ERRORS as exc:
                 if not line.endswith(b"\n"):
                     log.warning("%s:%d: skipping torn final ledger line: %s", path, line_no, exc)
                     continue
@@ -369,7 +353,7 @@ def _seal_ledger(path: Path) -> None:
         cut = data.rfind(b"\n") + 1
         try:
             _decode_entry(data[cut:])
-        except (*DECODE_ERRORS, KeyError, TypeError):
+        except DECODE_ERRORS:
             fh.truncate(cut)
         else:
             fh.write(b"\n")
@@ -391,17 +375,14 @@ class RunState:
             self.failed.add(entry.review_id)
 
 
-def reduce_ledger(
-    entries: Sequence[RunLedgerEntry], run_id: str, prompt_version: str | None
-) -> RunState:
+def reduce_ledger(entries: Sequence[RunLedgerEntry], run_id: str, prompt_version: str) -> RunState:
     """The state of run ``run_id`` after ``entries``, in append order.
 
-    Entries of other runs are ignored, and so are entries of another prompt
-    version unless ``prompt_version`` is None.
+    Entries of other runs or of another prompt version are ignored.
     """
     state = RunState()
     for entry in entries:
-        if entry.run_id == run_id and prompt_version in (None, entry.prompt_version):
+        if entry.run_id == run_id and entry.prompt_version == prompt_version:
             state.add(entry)
     return state
 
@@ -501,16 +482,7 @@ def run_experiment(
             while True:
                 with lock:
                     if entry is not None:
-                        try:
-                            ledger.write(line)
-                        except UnicodeEncodeError as exc:
-                            # a reply's "\ud83d" escape decodes to a lone surrogate, which
-                            # UTF-8 cannot encode; nothing of the line was written
-                            entry = replace(
-                                entry, raw_response="", status=LedgerStatus.FAILED,
-                                error=f"reply cannot be written as UTF-8: {exc.reason}",
-                            )
-                            ledger.write(encode_record(entry.to_dict()) + "\n")
+                        ledger.write(line)
                         ledger.flush()
                         state.add(entry)
                         progress.add(entry.status == LedgerStatus.OK, time.monotonic())

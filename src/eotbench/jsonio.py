@@ -1,5 +1,6 @@
-"""Small helpers for JSON and line-delimited JSON files, writes that never
-leave a file half-written, and the one table/CSV renderer."""
+"""Small helpers for JSON and line-delimited JSON files, the one record
+checker, writes that never leave a file half-written, and the one table/CSV
+renderer."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import stat
 import uuid
@@ -19,6 +21,74 @@ from .errors import DataError
 # an integer longer than sys.get_int_max_str_digits() (or UnicodeDecodeError
 # from a text file), and RecursionError for deep nesting.
 DECODE_ERRORS = (ValueError, RecursionError)
+
+# The kinds of a field, named as an error names them. Nothing is coerced: an
+# integer is an int that is not a bool, a number an integer or a finite float,
+# a string one that UTF-8 can encode (not a lone surrogate, which a "\ud83d"
+# escape decodes to). A spec, a tuple of fields, is the kind of an object.
+STRING, INTEGER, NUMBER, BOOLEAN, ARRAY, OBJECT = (
+    "a string", "an integer", "a number", "true or false", "an array", "an object"
+)
+
+
+def check_fields(obj: Any, spec: tuple, closed: bool = False) -> None:
+    """Raise a ValueError naming the field and the value unless ``obj`` is a
+    dict that meets ``spec``, a tuple of (name, kind, required, test) fields.
+
+    ``required`` is True, False (the key may be absent) or None (absent or
+    null, both meaning no value). ``test`` is None or, for a string or
+    number, the values allowed (a tuple, a dict, or for an integer a
+    ``range``), and for an array or object the kind of each item. With
+    ``closed``, a key not in ``spec`` is an error.
+    """
+    if type(obj) is not dict:
+        raise ValueError("record is not an object")
+    for name, kind, required, test in spec:
+        value = obj.get(name)
+        t = type(value)
+        if (t is str and kind is STRING and value.isascii()) or (t is int and kind is INTEGER):
+            if test is None or value in test:  # the common case, without a call
+                continue
+        elif value is None and (required is not False or name not in obj):
+            if required:
+                raise ValueError(f"{name} is required")
+            continue
+        _check(name, value, kind, test)
+    unknown = closed and [key for key in obj if all(key != field[0] for field in spec)]
+    if unknown:
+        raise ValueError(f"not a known field: {', '.join(map(repr, unknown))}")
+
+
+def _check(name: str, value: Any, kind: Any, test: Any) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is of ``kind`` and passes ``test``."""
+    t = type(value)
+    if type(kind) is tuple:
+        if t is not dict:
+            raise ValueError(f"{name} is not an object: {value!r}")
+        try:
+            check_fields(value, kind)
+        except ValueError as exc:
+            raise ValueError(f"{name}.{exc}") from None
+    elif not (
+        (t is str and kind is STRING and (value.isascii() or value.encode("utf-8", "ignore").decode() == value))
+        or (t is int and (kind is INTEGER or kind is NUMBER))
+        or (t is float and kind is NUMBER and math.isfinite(value))
+        or (t is bool and kind is BOOLEAN) or (t is list and kind is ARRAY) or (t is dict and kind is OBJECT)
+    ):
+        raise ValueError(f"{name} is not {kind}: {value!r}")
+    elif test is None:
+        return
+    elif kind is ARRAY or kind is OBJECT:
+        try:
+            for key, item in enumerate(value) if kind is ARRAY else value.items():
+                if not (type(item) is str and test is STRING and item.isascii()):
+                    _check("", item, test, None)  # named below, only when it fails
+        except ValueError as exc:
+            raise ValueError(f"{name}[{key!r}]{exc}") from None
+    elif value not in test:
+        if type(test) is range:
+            raise ValueError(f"{name} is out of range [{test.start}, {test[-1]}]: {value!r}")
+        raise ValueError(f"{name} is not one of {', '.join(map(repr, test))}: {value!r}")
 
 
 # The C scanner behind json.loads; one call decodes the value that starts at
@@ -114,19 +184,21 @@ def dump_json(path: Path | str, document: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def load_json(path: Path | str) -> dict[str, Any]:
-    """Read a JSON document whose top level is an object.
+def load_json(path: Path | str, spec: tuple = ()) -> dict[str, Any]:
+    """Read a JSON document whose top level is an object that meets ``spec``.
 
-    A file that is not UTF-8, not JSON or not an object is a DataError that
-    names it.
+    A file that is not UTF-8, not JSON or not such an object is a DataError
+    that names it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
     except DECODE_ERRORS as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(document, dict):
-        raise DataError(f"{path}: the JSON document is not an object")
+    try:
+        check_fields(document, spec)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return document
 
 

@@ -30,14 +30,8 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .annotation import GoldRecord
 from .errors import MissingGold
-from .jsonio import render_table
-from .model import (
-    EMOTION_ORDER,
-    EmotionLabel,
-    EotOutput,
-    normalize_text,
-    tokenize,
-)
+from .jsonio import NUMBER, STRING, render_table
+from .model import EMOTION_ORDER, EmotionLabel, EotOutput, normalize_text, tokenize
 
 
 _LABEL_INDEX = {label: i for i, label in enumerate(EMOTION_ORDER)}
@@ -277,22 +271,26 @@ def confusion_matrix(
     return score_predictions(pred, gold).confusion
 
 
-# where each headline column lives in a scores dict: (group, key)
-_SCORE_FIELDS = {
-    "P": ("emotion", "precision"),
-    "R": ("emotion", "recall"),
-    "F1": ("emotion", "f1"),
-    "EM": ("trigger", "exact_match"),
-    "PM": ("trigger", "partial_match"),
-    "R1": ("trigger", "rouge1"),
-    "RL": ("trigger", "rougeL"),
-}
-SCORE_COLUMNS = tuple(_SCORE_FIELDS)
+SCORE_COLUMNS = ("P", "R", "F1", "EM", "PM", "R1", "RL")
+
+# the headline numbers of a scores dict, group by group in SCORE_COLUMNS order
+_HEADLINE_SPEC = (
+    ("emotion", (
+        ("precision", NUMBER, True, None), ("recall", NUMBER, True, None), ("f1", NUMBER, True, None),
+    ), True, None),
+    ("trigger", (
+        ("exact_match", NUMBER, True, None), ("partial_match", NUMBER, True, None),
+        ("rouge1", NUMBER, True, None), ("rougeL", NUMBER, True, None),
+    ), True, None),
+)
+# what report reads of a scores file: its row's name and the headline numbers
+SCORES_SPEC = (("run_id", STRING, False, None), ("strategy", STRING, False, None), *_HEADLINE_SPEC)
 
 
 def score_row(scores: Mapping[str, Any]) -> tuple[float, ...]:
-    """The headline row of a scores dict in Table order: P, R, F1, EM, PM, R1, RL."""
-    return tuple(float(scores[group][key]) for group, key in _SCORE_FIELDS.values())
+    """The headline row of a scores dict that meets SCORES_SPEC, in Table
+    order: P, R, F1, EM, PM, R1, RL."""
+    return tuple(scores[group][key] for group, fields, _, _ in _HEADLINE_SPEC for key, *_ in fields)
 
 
 def render_score_rows(rows: Mapping[str, Sequence[float]], fmt: str = "table") -> str:

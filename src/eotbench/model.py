@@ -86,8 +86,8 @@ class Review:
     timestamp: int | None = None
 
     def __post_init__(self):
-        if not self.review_id:
-            raise ValueError("review_id must be non-empty")
+        if not self.review_id or not self.item_id:
+            raise ValueError("review_id and item_id must be non-empty")
         if not self.text.strip():
             raise ValueError(f"review {self.review_id!r} has empty text")
 

@@ -10,14 +10,13 @@ task description and review only.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any
 
 from .errors import data_errors
-from .jsonio import load_json
+from .jsonio import INTEGER, NUMBER, check_fields, load_json
 from .model import Review
 
 PROMPT_VERSION = "1.0.0"
@@ -122,6 +121,13 @@ class PromptSpec:
             raise ValueError("only the structured strategy carries instruction steps")
 
 
+# every field of InferenceConfig; a config file may set any of them, and no other key
+CONFIG_SPEC = (
+    ("temperature", NUMBER, False, None), ("top_p", NUMBER, False, None), ("top_k", INTEGER, False, None),
+    ("max_tokens", INTEGER, False, None), ("n", INTEGER, False, None),
+)
+
+
 @dataclass(frozen=True)
 class InferenceConfig:
     temperature: float = 0.2
@@ -131,36 +137,24 @@ class InferenceConfig:
     n: int = 1
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool):
-                raise TypeError(f"{field.name} must be a number, not a boolean")
-            if field.type == "int" and not isinstance(value, int):
-                raise TypeError(f"{field.name} must be an integer, not {value!r}")
-            finite = isinstance(value, (int, float)) and math.isfinite(value)
-            if field.type == "float" and not finite:
-                raise ValueError(f"{field.name} must be a finite number, not {value!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if not (0 < self.top_p <= 1):
             raise ValueError("top_p must be in (0, 1]")
-        if self.top_k < 1 or self.max_tokens < 1 or self.n < 1:
-            raise ValueError("top_k, max_tokens and n must be >= 1")
+        if self.top_k < 1 or self.max_tokens < 1:
+            raise ValueError("top_k and max_tokens must be >= 1")
+        if self.n != 1:  # the ledger keeps one answer per review, as the paper samples one
+            raise ValueError(f"n must be 1, not {self.n!r}")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "InferenceConfig":
-        unknown = sorted(set(data) - {field.name for field in fields(cls)})
-        if unknown:
-            raise ValueError(f"not a config field: {', '.join(map(repr, unknown))}")
-        return cls(**data)
-
-    @classmethod
     def from_file(cls, path: Path | str) -> "InferenceConfig":
+        data = load_json(path)
         with data_errors(path, "inference config"):
-            return cls.from_dict(load_json(path))
+            check_fields(data, CONFIG_SPEC, closed=True)
+            return cls(**data)
 
 
 def default_config() -> InferenceConfig:

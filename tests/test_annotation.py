@@ -520,7 +520,7 @@ class TestAnnotationIo:
         "line, message",
         [
             ('["not", "an", "object"]', "record is not an object"),
-            ('{"review_id": ["b1"]}', "unknown review_id"),
+            ('{"review_id": ["b1"]}', r"review_id is not a string: \['b1'\]"),
             ('{"review_id": "b1", "emotions": [{"emotion": "Joy", "triggers": ["sad"]}]}', "sad"),
             ('{"review_id": "b1", "emotions": [], "provenance": {"trigger_annotators": [1]}}', "provenance"),
             pytest.param(DEEPLY_NESTED, "invalid JSON", id="deeply-nested"),

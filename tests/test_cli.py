@@ -16,6 +16,7 @@ from eotbench.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, _render_confusion, b
 from eotbench.corpus import MAX_TIMESTAMP, MIN_TIMESTAMP, SamplingPlan, derive_seed, load_corpus, srswor
 from eotbench.errors import DataError, InsufficientReviews
 from eotbench.jsonio import dump_json, load_json, write_jsonl
+from eotbench.prompting import PROMPT_VERSION, Strategy
 from conftest import DATA_DIR
 from mock_provider import MockProviderServer
 from oracles import oracle_sample
@@ -258,7 +259,7 @@ class TestSampleCommand:
         plan = write_plan(tmp_path / "plan.json", items_per_group=5)  # every item is drawn
         out = tmp_path / "s.jsonl"
         assert main(["sample", "--corpus", str(corpus_path), "--plan", str(plan), "--out", str(out)]) == EXIT_OK
-        assert f"{corpus_path}:1 rejected: timestamp out of range" in caplog.text
+        assert f"{corpus_path}:1 rejected: timestamp is out of range" in caplog.text
         assert lines[0]["review_id"] not in out.read_text()
 
     def test_seed_flag_overrides_plan(self, tmp_path):
@@ -494,7 +495,10 @@ class TestRunAndScoreCommands:
         assert len(entries) == len(reviews)
         failed = [e for e in entries if e.status == inference.LedgerStatus.FAILED]
         assert [(e.review_id, e.raw_response) for e in failed] == [(reviews[0]["review_id"], "")]
-        assert failed[0].error == "reply cannot be written as UTF-8: surrogates not allowed"
+        assert failed[0].error == (
+            "provider returned HTTP 200: malformed completion body: choices[0].message.content is not a string: "
+            f"{replies[reviews[0]['text']]!r}"
+        )
         argv = ["score", "--run-id", "drift", "--gold", str(DATA_DIR / "handscored" / "gold.jsonl"),
                 "--runs-dir", str(tmp_path / "runs")]
         assert main(argv) == EXIT_OK
@@ -508,7 +512,7 @@ class TestRunAndScoreCommands:
             ("latency_ms", "12", "latency_ms is not an integer"),
             ("latency_ms", True, "latency_ms is not an integer"),
             ("attempt_count", 2.9, "attempt_count is not an integer"),
-            ("status", "Bogus", "status is neither 'Ok' nor 'Failed'"),
+            ("status", "Bogus", "status is not one of 'Ok', 'Failed': 'Bogus'"),
         ],
     )
     def test_score_on_a_ledger_line_with_a_field_it_would_have_coerced(self, tmp_path, caplog, key, value, reason):
@@ -650,7 +654,7 @@ class TestBadInputFiles:
         path = tmp_path / "gold.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         argv = ["stats", "--gold", path, "--corpus", DATA_DIR / "handscored" / "reviews.jsonl"]
-        self._assert_data_error(caplog, argv, f"{path}:2: provenance no_majority is not true or false")
+        self._assert_data_error(caplog, argv, f"{path}:2: provenance.no_majority is not true or false")
 
     def _run_argv(self, tmp_path, profile_text, config_text=None):
         profile = tmp_path / "profiles.ini"
@@ -714,6 +718,84 @@ class TestBadInputFiles:
         path = tmp_path / "scores.json"
         path.write_text(json.dumps(document))
         self._assert_data_error(caplog, ["report", path], path)
+
+
+    def test_sample_rejects_a_corpus_line_holding_a_lone_surrogate(self, tmp_path, caplog):
+        # the escape decodes to a lone surrogate, which the UTF-8 sample cannot hold
+        good = {"review_id": "r1", "text": "The kettle is quiet.", "domain": "Home", "item_id": "k1"}
+        bad = {"review_id": "r2", "text": "Boils fast \ud83d", "domain": "Yelp", "item_id": "y1"}
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        plan = write_plan(tmp_path / "plan.json", items_per_group=1, reviews_per_item=1)
+        out = tmp_path / "s.jsonl"
+        assert main(["sample", "--corpus", str(corpus_path), "--plan", str(plan), "--out", str(out)]) == EXIT_OK
+        assert f"{corpus_path}:2 rejected: text is not a string: 'Boils fast \\ud83d'" in caplog.text
+        assert [json.loads(line)["review_id"] for line in out.read_text().splitlines()] == ["r1"]
+
+    def test_aggregate_of_an_annotator_id_holding_a_lone_surrogate(self, tmp_path, caplog):
+        lines = (DATA_DIR / "agreement" / "annotations.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        lines[1] = json.dumps({**record, "annotator_id": "A\ud83d"})
+        path = tmp_path / "annotations.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "gold.jsonl"
+        argv = ["aggregate", "--annotations", path, "--corpus", DATA_DIR / "agreement" / "corpus.jsonl", "--out", out]
+        self._assert_data_error(caplog, argv, f"{path}:2: annotator_id is not a string: 'A\\ud83d'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("corpus", None, "corpus is required"), ("prompt_version", 5, "prompt_version is not a string: 5"),
+    ])
+    def test_score_on_a_run_manifest_field_that_is_not_a_string(self, tmp_path, caplog, key, value, reason):
+        reviews = DATA_DIR / "handscored" / "reviews.jsonl"
+        path = tmp_path / "runs" / "r" / "manifest.json"
+        path.parent.mkdir(parents=True)
+        manifest = {"run_id": "r", "corpus": str(reviews), "strategy": "zs", "profile": "mock",
+                    "prompt_version": PROMPT_VERSION}
+        path.write_text(json.dumps({**manifest, key: value}))
+        entry = inference.RunLedgerEntry("r", "r01", Strategy.ZS, PROMPT_VERSION, "{}", 5, 1, "Ok")
+        (path.parent / "ledger").write_text(json.dumps(entry.to_dict()) + "\n")
+        argv = ["score", "--run-id", "r", "--gold", DATA_DIR / "handscored" / "gold.jsonl",
+                "--runs-dir", tmp_path / "runs"]
+        self._assert_data_error(caplog, argv, f"{path}: {reason}")
+        assert not (path.parent / "scores.json").exists()
+
+    @pytest.mark.parametrize("group, key, value", [("emotion", "precision", "nan"), ("trigger", "rouge1", True)])
+    def test_report_on_a_headline_value_that_is_not_a_number(self, tmp_path, caplog, group, key, value):
+        scores = {
+            "run_id": "demo", "strategy": "zs",
+            "emotion": {"precision": 0.5, "recall": 0.25, "f1": 1 / 3},
+            "trigger": {"exact_match": 0.1, "partial_match": 0.2, "rouge1": 0.3, "rougeL": 0.25},
+        }
+        scores[group][key] = value
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps(scores))
+        self._assert_data_error(caplog, ["report", path], f"{path}: {group}.{key} is not a number: {value!r}")
+
+    def test_run_with_n_other_than_1_stops_before_its_first_request(self, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 2}))
+        with self._neutral_server() as server:
+            profile = f"[mock]\nbase_url = {server.base_url}\nmodel_id = m\n"
+            argv = self._run_argv(tmp_path, profile, config.read_text())
+            self._assert_data_error(caplog, argv, f"{config}: bad inference config: n must be 1, not 2")
+            assert server.request_count == 0
+        assert not (tmp_path / "runs" / "bad").exists()
+
+    def test_run_with_a_supported_param_that_is_not_a_config_field(self, tmp_path, caplog):
+        with self._neutral_server() as server:
+            profile = f"[mock]\nbase_url = {server.base_url}\nmodel_id = m\nsupported_params = top_p, temprature\n"
+            argv = self._run_argv(tmp_path, profile)
+            self._assert_data_error(
+                caplog, argv, f"bad profile 'mock': supported_params names no config field: 'temprature'"
+            )
+            assert server.request_count == 0
+        assert not (tmp_path / "runs" / "bad").exists()
+
+    def _neutral_server(self):
+        reviews = [json.loads(l) for l in (DATA_DIR / "handscored" / "reviews.jsonl").read_text().splitlines()]
+        neutral = '{"emotions": [{"emotion": "Neutral", "triggers": []}]}'
+        return MockProviderServer({r["text"]: neutral for r in reviews})
 
 
 class TestUsageErrors:

@@ -124,13 +124,18 @@ class TestLoadCorpus:
         loaded = load_corpus(path)
         assert len(loaded.records) == 1
 
-    @pytest.mark.parametrize("domain", ["Kitchen", "beauty", None, 7, ["Beauty"], {"Beauty": 1}])
-    def test_a_domain_that_is_not_a_domain_value_is_rejected(self, tmp_path, domain):
+    @pytest.mark.parametrize("domain, reason", [
+        *((value, "domain is not one of 'Beauty', 'Clothing', 'Home', 'Electronics', 'TripAdvisor', 'Yelp': "
+                  f"{value!r}") for value in ("Kitchen", "beauty")),
+        (None, "domain is required"),
+        *((value, f"domain is not a string: {value!r}") for value in (7, ["Beauty"], {"Beauty": 1})),
+    ])
+    def test_a_domain_that_is_not_a_domain_value_is_rejected(self, tmp_path, domain, reason):
         path = tmp_path / "corpus.jsonl"
         path.write_text(self._line(1) + "\n" + self._line(2, domain=domain) + "\n")
         loaded = load_corpus(path)
         assert [r.review_id for r in loaded.records] == ["r1"]
-        assert [(r.line_no, r.reason) for r in loaded.rejections] == [(2, f"unknown domain {domain!r}")]
+        assert [(r.line_no, r.reason) for r in loaded.rejections] == [(2, reason)]
 
     def test_timestamp_bounds_are_years_1_to_9999(self):
         assert MIN_TIMESTAMP == datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
@@ -156,7 +161,7 @@ class TestLoadCorpus:
         else:
             assert [r.review_id for r in loaded.records] == ["r2"]
             assert [(r.line_no, r.reason) for r in loaded.rejections] == [
-                (1, "timestamp out of range: epoch seconds in years 1-9999")
+                (1, f"timestamp is out of range [{MIN_TIMESTAMP}, {MAX_TIMESTAMP}]: {timestamp}")
             ]
             # the bounds are tight: a stratum key cannot be computed just outside them
             with pytest.raises((ValueError, OverflowError, OSError)):

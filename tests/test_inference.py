@@ -470,12 +470,10 @@ class TestLedgerReduction:
         assert {k: e.raw_response for k, e in state.ok.items()} == {"a": "second", "b": "x", "d": "x"}
         assert state.failed == {"c"}
 
-    def test_other_prompt_versions_are_ignored_unless_none(self):
+    def test_other_prompt_versions_are_ignored(self):
         entries = [entry("a", prompt_version="0.9"), entry("b", LedgerStatus.FAILED, prompt_version="0.9"), entry("c")]
         current = reduce_ledger(entries, "run", PROMPT_VERSION)
         assert set(current.ok) == {"c"} and current.failed == set()
-        both = reduce_ledger(entries, "run", None)
-        assert set(both.ok) == {"a", "c"} and both.failed == {"b"}
 
     def test_resume_redoes_reviews_done_under_another_prompt_version(self, tmp_path):
         path = ledger_path(tmp_path, "run")

@@ -126,7 +126,7 @@ class TestInferenceConfig:
         assert config.n == 1
 
     def test_file_roundtrip(self, tmp_path):
-        config = InferenceConfig(temperature=0.7, top_p=0.8, top_k=10, max_tokens=128, n=2)
+        config = InferenceConfig(temperature=0.7, top_p=0.8, top_k=10, max_tokens=128, n=1)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()))
         assert InferenceConfig.from_file(path) == config
@@ -137,28 +137,28 @@ class TestInferenceConfig:
         with pytest.raises(DataError, match=r"config\.json.*'temprature'"):
             InferenceConfig.from_file(path)
 
-    @pytest.mark.parametrize("field", ["temperature", "top_k", "n"])
-    def test_a_boolean_is_not_a_number(self, tmp_path, field):
+    @pytest.mark.parametrize("field, kind", [("temperature", "a number"), ("top_k", "an integer"), ("n", "an integer")])
+    def test_a_boolean_is_not_a_number(self, tmp_path, field, kind):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({field: True}))
-        with pytest.raises(DataError, match=rf"config\.json.*{field} must be a number"):
+        with pytest.raises(DataError, match=rf"config\.json.*{field} is not {kind}: True$"):
             InferenceConfig.from_file(path)
 
     @pytest.mark.parametrize("field, value", [("top_k", 2.5), ("max_tokens", 1e3), ("n", 1.0)])
     def test_a_float_for_an_integer_field_is_a_data_error(self, tmp_path, field, value):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({field: value}))
-        with pytest.raises(DataError, match=rf"config\.json.*{field} must be an integer"):
+        with pytest.raises(DataError, match=rf"config\.json.*{field} is not an integer: {value!r}$"):
             InferenceConfig.from_file(path)
 
-    @pytest.mark.parametrize("field, value", [
-        ("temperature", "NaN"), ("temperature", "Infinity"), ("top_p", "NaN"),
+    @pytest.mark.parametrize("field, value, decoded", [
+        ("temperature", "NaN", "nan"), ("temperature", "Infinity", "inf"), ("top_p", "NaN", "nan"),
     ])
-    def test_a_non_finite_float_is_a_data_error(self, tmp_path, field, value):
+    def test_a_non_finite_float_is_a_data_error(self, tmp_path, field, value, decoded):
         # json.load reads NaN and Infinity, which no JSON document may hold
         path = tmp_path / "config.json"
         path.write_text(f'{{"{field}": {value}}}')
-        with pytest.raises(DataError, match=rf"config\.json.*{field} must be a finite number"):
+        with pytest.raises(DataError, match=rf"config\.json.*{field} is not a number: {decoded}$"):
             InferenceConfig.from_file(path)
 
     def test_validation(self):
