@@ -160,6 +160,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     corpus_file = _load_reviews(args.corpus)
     runs_dir = Path(args.runs_dir)
     run_id = args.run_id or time.strftime("run-%Y%m%d-%H%M%S")
+    # a missing token, or a URL, proxy or header that cannot be sent, fails
+    # here: before the manifest
+    http = inference.http_transport(profile, inference.completion_endpoint(profile, config))
 
     run_dir = runs_dir / run_id
     manifest_path = run_dir / "manifest.json"
@@ -193,7 +196,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     state = inference.run_experiment(
         corpus_file.records, strategy, profile, config,
-        runs_dir=runs_dir, run_id=run_id,
+        runs_dir=runs_dir, run_id=run_id, session=http,
     )
     print(run_id)
     if state.failed:

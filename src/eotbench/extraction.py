@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from .errors import NoStructuredBlock, SpanNotFound, UnknownEmotion
-from .jsonio import DECODE_ERRORS
+from .jsonio import DECODE_ERRORS, utf8_encodable
 from .model import (
     EmotionLabel,
     EmotionTriggers,
@@ -261,7 +261,9 @@ def parse_output(raw: str, review: Review) -> ParseReport:
 
     All failures are recorded in the report, never raised: an
     unparseable response, or a ``raw`` that is not a str, yields an empty
-    output so it scores as a prediction with no pairs.
+    output so it scores as a prediction with no pairs. A label or trigger
+    that is not a str UTF-8 can encode is dropped as Malformed, with its
+    ``repr``, so every text a report keeps can be written out.
     """
     report = ParseReport(output=EotOutput(review.review_id, ()))
     try:
@@ -276,13 +278,14 @@ def parse_output(raw: str, review: Review) -> ParseReport:
     merged: dict[EmotionLabel, list[TriggerSpan]] = {}
     normalized: tuple[str, Callable[[int], int]] | None = None  # built on the first repair
     for entry in emotions:
-        if not isinstance(entry, dict) or not isinstance(entry.get("emotion"), str):
+        name = entry.get("emotion") if isinstance(entry, dict) else None
+        if not (isinstance(name, str) and utf8_encodable(name)):
             report.dropped_emotions.append(DroppedEmotion(repr(entry)[:120], REASON_MALFORMED))
             continue
         try:
-            label = canonical_emotion(entry["emotion"])
+            label = canonical_emotion(name)
         except UnknownEmotion:
-            report.dropped_emotions.append(DroppedEmotion(entry["emotion"], REASON_OOV))
+            report.dropped_emotions.append(DroppedEmotion(name, REASON_OOV))
             continue
         triggers = entry.get("triggers", [])
         if not isinstance(triggers, list):
@@ -292,7 +295,7 @@ def parse_output(raw: str, review: Review) -> ParseReport:
             triggers = []
         spans = merged.setdefault(label, [])
         for trigger in triggers:
-            if not isinstance(trigger, str):
+            if not (isinstance(trigger, str) and utf8_encodable(trigger)):
                 report.dropped_triggers.append(
                     DroppedTrigger(label.value, repr(trigger)[:120], REASON_MALFORMED)
                 )

@@ -1,5 +1,9 @@
 """HTTP chat-completion execution with retries and an append-only ledger.
 
+A run sends every request through one transport, made once from the
+profile and its endpoint (``http_transport``) and shared by the run's
+workers: ``post(body)`` takes the request body and nothing else.
+
 Raw responses are persisted before any parsing, so scoring never
 re-issues a request. Re-running an experiment skips reviews that already
 have an Ok ledger entry; failed reviews get a fresh attempt and a fresh
@@ -214,16 +218,14 @@ def body_template(endpoint: Endpoint, strategy: Strategy) -> BodyTemplate:
     return BodyTemplate(prefix, suffix)
 
 
-def _http_session(session: Any, profile: ProviderProfile, endpoint: Endpoint) -> Any:
-    """The caller's session, or else a transport to the endpoint; a URL,
-    proxy or header the transport cannot use is a DataError, raised before
-    any request."""
-    if session is not None:
-        return session
+def http_transport(profile: ProviderProfile, endpoint: Endpoint) -> Any:
+    """The run's one transport to ``endpoint``, with the profile's timeout; a
+    URL, proxy or header it cannot use is a DataError, raised before any
+    request."""
     from .transport import HttpTransport  # imported on first use: the other commands need no HTTP
 
     try:
-        return HttpTransport(endpoint.url, endpoint.headers)
+        return HttpTransport(endpoint.url, endpoint.headers, profile.timeout)
     except ValueError as exc:
         raise DataError(f"profile {profile.name!r}: {exc}") from None
 
@@ -243,34 +245,25 @@ def _extract_choice_text(payload: Any, attempt: int) -> str:
 
 
 def request_completion(
-    profile: ProviderProfile,
+    http: Any,
     body: bytes,
-    config: InferenceConfig,
     *,
-    session: Any = None,
-    endpoint: Endpoint | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     sleep: Callable[[float], None] = time.sleep,
-    rng: random.Random | None = None,
 ) -> CompletionOutcome:
     """One chat completion with exponential backoff and full jitter.
 
     ``body`` is the encoded request (``encode_body``, or a run's
-    ``BodyTemplate``). ``session.post(url, data=, headers=, timeout=)``
+    ``BodyTemplate``); ``http.post(body)`` (a ``transport.HttpTransport``)
     sends it, raising TimeoutError on a timeout and OSError when the
-    exchange fails; without a session a transport is made for this one
-    call. ``endpoint`` is ``completion_endpoint(profile, config)``, built
-    here when not given. Transient failures (timeouts, connection errors, 429,
+    exchange fails. Transient failures (timeouts, connection errors, 429,
     5xx) are retried up to max_attempts; other HTTP errors, redirects
     included, raise immediately.
     """
-    if endpoint is None:
-        endpoint = completion_endpoint(profile, config)
-    http = _http_session(session, profile, endpoint)
     for attempt in range(1, max_attempts + 1):
         transient: ProviderFailure | None = None
         try:
-            response = http.post(endpoint.url, data=body, headers=endpoint.headers, timeout=profile.timeout)
+            response = http.post(body)
         except TimeoutError:
             transient = RequestTimeout(attempt)
         except OSError as exc:
@@ -295,7 +288,7 @@ def request_completion(
         if attempt == max_attempts:
             raise transient
         delay = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1))
-        sleep((rng or random.Random()).uniform(0, delay))
+        sleep(random.uniform(0, delay))
     raise ProviderError(0, "unreachable")  # pragma: no cover
 
 
@@ -435,10 +428,12 @@ def run_experiment(
     reviews and is raised once they have all finished, the entries of the
     reviews they finished appended. Progress is logged at INFO. Returns the
     run's state after it, ledger entries from earlier invocations included.
-    Without a session the run makes one transport, shared by its workers.
+    Its workers share ``session``, anything with ``post(body)``: by default
+    ``http_transport(profile, ...)``.
     """
     endpoint = completion_endpoint(profile, config)  # fails before any request when auth is missing
-    http = _http_session(session, profile, endpoint)  # and so does a URL, proxy or header it cannot use
+    # and so does a URL, proxy or header the transport cannot use
+    http = session if session is not None else http_transport(profile, endpoint)
     template = body_template(endpoint, strategy)
     path = ledger_path(runs_dir, run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -450,10 +445,7 @@ def run_experiment(
     def process(review: Review, http: Any) -> RunLedgerEntry:
         started = time.monotonic()
         try:
-            outcome = request_completion(
-                profile, template.encode(review.text), config,
-                session=http, endpoint=endpoint, max_attempts=max_attempts, sleep=sleep,
-            )
+            outcome = request_completion(http, template.encode(review.text), max_attempts=max_attempts, sleep=sleep)
         except ProviderFailure as exc:
             latency = int((time.monotonic() - started) * 1000)
             return RunLedgerEntry(

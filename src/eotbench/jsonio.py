@@ -11,6 +11,7 @@ import json
 import math
 import os
 import stat
+import sys
 import uuid
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence, TextIO
@@ -23,12 +24,19 @@ from .errors import DataError
 DECODE_ERRORS = (ValueError, RecursionError)
 
 # The kinds of a field, named as an error names them. Nothing is coerced: an
-# integer is an int that is not a bool, a number an integer or a finite float,
-# a string one that UTF-8 can encode (not a lone surrogate, which a "\ud83d"
-# escape decodes to). A spec, a tuple of fields, is the kind of an object.
+# integer is an int that is not a bool, a number an integer that a float can
+# hold or a finite float, a string one that UTF-8 can encode (utf8_encodable).
+# A spec, a tuple of fields, is the kind of an object.
 STRING, INTEGER, NUMBER, BOOLEAN, ARRAY, OBJECT = (
     "a string", "an integer", "a number", "true or false", "an array", "an object"
 )
+_FLOAT_MAX = sys.float_info.max
+
+
+def utf8_encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: not when it holds a lone surrogate,
+    which a "\\ud83d" escape in JSON decodes to."""
+    return text.isascii() or text.encode("utf-8", "ignore").decode() == text
 
 
 def check_fields(obj: Any, spec: tuple, closed: bool = False) -> None:
@@ -70,8 +78,8 @@ def _check(name: str, value: Any, kind: Any, test: Any) -> None:
         except ValueError as exc:
             raise ValueError(f"{name}.{exc}") from None
     elif not (
-        (t is str and kind is STRING and (value.isascii() or value.encode("utf-8", "ignore").decode() == value))
-        or (t is int and (kind is INTEGER or kind is NUMBER))
+        (t is str and kind is STRING and utf8_encodable(value))
+        or (t is int and (kind is INTEGER or (kind is NUMBER and -_FLOAT_MAX <= value <= _FLOAT_MAX)))
         or (t is float and kind is NUMBER and math.isfinite(value))
         or (t is bool and kind is BOOLEAN) or (t is list and kind is ARRAY) or (t is dict and kind is OBJECT)
     ):

@@ -1,14 +1,14 @@
 """POSTs to one URL over HTTP/1.1, on the standard library's sockets.
 
-``HttpTransport(url, headers)`` works out once what depends only on the URL
-and the headers: the URL's parts, the proxy chosen by
+``HttpTransport(url, headers, timeout)`` works out once what depends only on
+the URL and the headers: the URL's parts, the proxy chosen by
 ``http_proxy``/``https_proxy``/``all_proxy`` and ``no_proxy``, the TLS
 context and every line of the request head but ``Content-Length``. A URL,
 proxy or header it cannot use raises ``ValueError`` there, before any
-request. ``post(url, data=, headers=, timeout=)`` sends the body bytes it is
-given on a connection of its own for each request, the request head and body
-in one write, reads the whole response and closes the connection. Redirects
-are returned, not followed.
+request. ``post(body)`` sends the body bytes on a connection of its own for
+each request, the request head and body in one write, reads the whole
+response and closes the connection; ``timeout`` bounds the connect and each
+read. Redirects are returned, not followed.
 
 The response reader skips 1xx responses and reads the body by chunked
 transfer coding, by ``Content-Length``, or up to the point where the server
@@ -296,12 +296,13 @@ class _Reader:
 
 
 class HttpTransport:
-    """POSTs to ``url`` with ``headers``, each on a connection of its own;
+    """POSTs to ``url`` with ``headers``, each on a connection of its own
+    with ``timeout`` seconds (None: no limit) for its connect and each read;
     safe to share between threads."""
 
-    def __init__(self, url: str, headers: dict[str, str] | None = None) -> None:
-        self.url = url
+    def __init__(self, url: str, headers: dict[str, str] | None = None, timeout: float | None = None) -> None:
         self.headers = dict(headers or {})
+        self.timeout = timeout
         route = self._route = _route_for(url)
         self._context = _tls_context() if route.tls else None
         if not route.target.isascii() or re.search(r"[\x00-\x20\x7f]", route.target):
@@ -312,11 +313,11 @@ class HttpTransport:
         # HTTP/1.1: a client that will not reuse the connection says so
         self._head_end = _header_lines(self.headers) + f"Connection: close\r\n{proxy_line}\r\n".encode("ascii")
 
-    def _open(self, timeout: float | None) -> socket.socket:
+    def _open(self) -> socket.socket:
         """A connection to the origin: through the proxy's tunnel and TLS
         when the route has them."""
         route = self._route
-        sock = socket.create_connection((route.host, route.port), timeout)
+        sock = socket.create_connection((route.host, route.port), self.timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if route.tunnel:
@@ -333,20 +334,9 @@ class HttpTransport:
             raise
         return sock
 
-    def post(
-        self,
-        url: str,
-        data: bytes,
-        headers: dict[str, str] | None = None,
-        timeout: float | None = None,
-    ) -> Response:
-        """Send ``data`` as the body; ``headers``, when given, must be the
-        ones the transport was made with."""
-        if url != self.url:
-            raise ValueError(f"this transport posts to {self.url!r}, not {url!r}")
-        if headers is not None and headers != self.headers:
-            raise ValueError("this transport sends the headers it was made with, not others")
-        request = b"%sContent-Length: %d\r\n%s%s" % (self._head_start, len(data), self._head_end, data)
-        with self._open(timeout) as sock:
+    def post(self, body: bytes) -> Response:
+        """Send ``body`` and return the whole response."""
+        request = b"%sContent-Length: %d\r\n%s%s" % (self._head_start, len(body), self._head_end, body)
+        with self._open() as sock:
             sock.sendall(request)
             return _Reader(sock).response()

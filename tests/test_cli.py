@@ -792,6 +792,65 @@ class TestBadInputFiles:
             assert server.request_count == 0
         assert not (tmp_path / "runs" / "bad").exists()
 
+    @pytest.mark.parametrize("profile_lines, env, code, reason", [
+        ("base_url = ftp://127.0.0.1:9/v1", {}, EXIT_DATA, "base_url must be an http:// or https:// URL"),
+        ("base_url = http://127.0.0.1:abc/v1", {}, EXIT_DATA, "profile 'mock': URL 'http://127.0.0.1:abc/v1/chat/completions'"),
+        ("base_url = {url}", {"http_proxy": "socks5://127.0.0.1:1080"}, EXIT_DATA, "only http:// proxies"),
+        ("base_url = {url}\nauth_env_var = RUN_TOKEN", {"RUN_TOKEN": "a\r\nX-Injected: 1"}, EXIT_DATA,
+         "a request header name or value holds a line break"),
+        ("base_url = {url}\nauth_env_var = RUN_TOKEN", {}, EXIT_PROVIDER, "RUN_TOKEN"),
+    ], ids=["ftp-url", "bad-port", "socks-proxy", "header-line-break", "unset-token"])
+    def test_a_run_that_fails_before_its_first_request_leaves_no_run_directory(
+        self, tmp_path, caplog, monkeypatch, profile_lines, env, code, reason,
+    ):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.delenv("RUN_TOKEN", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with self._neutral_server() as server:
+            profile = "[mock]\nmodel_id = m\n" + profile_lines.format(url=server.base_url) + "\n"
+            assert main([str(a) for a in self._run_argv(tmp_path, profile)]) == code
+            assert reason in caplog.text
+            assert server.request_count == 0
+            assert not (tmp_path / "runs" / "bad").exists()
+            # the same run with the profile and environment put right starts afresh
+            for name in env:
+                monkeypatch.delenv(name)
+            argv = self._run_argv(tmp_path, f"[mock]\nbase_url = {server.base_url}\nmodel_id = m\n")
+            assert main([str(a) for a in argv]) == EXIT_OK
+            assert server.request_count == 10
+
+    def test_score_drops_a_label_or_trigger_that_utf8_cannot_encode(self, tmp_path):
+        # the escapes keep the ledger plain ASCII; they decode to lone surrogates
+        reply = ('{"emotions": [{"emotion": "Joy", "triggers": ["works perfectly", "\\ud83d"]},'
+                 ' {"emotion": "Joy\\ud83d", "triggers": []}, {"emotion": "\\udfff", "triggers": []},'
+                 ' {"emotion": "Neutral", "triggers": ["\\ud83d"]}]}')
+        reviews = DATA_DIR / "handscored" / "reviews.jsonl"
+        run_dir = tmp_path / "runs" / "r"
+        run_dir.mkdir(parents=True)
+        (run_dir / "manifest.json").write_text(json.dumps({
+            "run_id": "r", "corpus": str(reviews), "strategy": "zs", "profile": "mock",
+            "prompt_version": PROMPT_VERSION,
+        }))
+        entry = inference.RunLedgerEntry("r", "r01", Strategy.ZS, PROMPT_VERSION, reply, 5, 1, "Ok")
+        (run_dir / "ledger").write_text(json.dumps(entry.to_dict()) + "\n", encoding="ascii")
+        argv = ["score", "--run-id", "r", "--gold", DATA_DIR / "handscored" / "gold.jsonl",
+                "--runs-dir", tmp_path / "runs"]
+        assert main([str(a) for a in argv]) == EXIT_OK
+        [parsed] = [json.loads(line) for line in (run_dir / "parsed").read_text(encoding="utf-8").splitlines()]
+        assert parsed["dropped_triggers"] == [
+            {"emotion": "Joy", "text": "'\\ud83d'", "reason": "Malformed"},
+            {"emotion": "Neutral", "text": "'\\ud83d'", "reason": "Malformed"},
+        ]
+        assert parsed["dropped_emotions"] == [
+            {"label": "{'emotion': 'Joy\\ud83d', 'triggers': []}", "reason": "Malformed"},
+            {"label": "{'emotion': '\\udfff', 'triggers': []}", "reason": "Malformed"},
+            {"label": "Neutral", "reason": "NeutralWithOthers"},
+        ]
+        assert [e["emotion"] for e in parsed["emotions"]] == ["Joy"]
+
     def _neutral_server(self):
         reviews = [json.loads(l) for l in (DATA_DIR / "handscored" / "reviews.jsonl").read_text().splitlines()]
         neutral = '{"emotions": [{"emotion": "Neutral", "triggers": []}]}'

@@ -19,6 +19,7 @@ from eotbench.inference import (
     body_template,
     completion_endpoint,
     encode_body,
+    http_transport,
     ledger_path,
     load_provider_profiles,
     read_ledger,
@@ -79,7 +80,7 @@ class FakeSession:
         self._lock = threading.Lock()
         self.barrier: threading.Barrier | None = None
 
-    def post(self, url, data=None, headers=None, timeout=None):
+    def post(self, data):
         body = json.loads(data)
         with self._lock:
             index = self.calls
@@ -105,9 +106,7 @@ class FakeSession:
 class TestComplete:
     def test_echo_path(self):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("hello")))
-        outcome = request_completion(
-            profile(), hi(), default_config(), session=session, sleep=NO_SLEEP
-        )
+        outcome = request_completion(session, hi(), sleep=NO_SLEEP)
         assert outcome.text == "hello"
         assert session.calls == 1
 
@@ -118,45 +117,31 @@ class TestComplete:
             return FakeResponse(200, completion_payload("ok"))
 
         session = FakeSession(script)
-        outcome = request_completion(
-            profile(), hi(), default_config(), session=session, sleep=NO_SLEEP
-        )
+        outcome = request_completion(session, hi(), sleep=NO_SLEEP)
         assert outcome.text == "ok"
         assert outcome.attempts == 3
 
     def test_server_errors_exhaust_attempt_cap(self):
         session = FakeSession(lambda i, body: FakeResponse(500, text="boom"))
         with pytest.raises(ProviderError) as excinfo:
-            request_completion(
-                profile(), hi(), default_config(),
-                session=session, max_attempts=3, sleep=NO_SLEEP,
-            )
+            request_completion(session, hi(), max_attempts=3, sleep=NO_SLEEP)
         assert session.calls == 3
         assert excinfo.value.attempts == 3
 
     def test_rate_limit_exhaustion_raises_rate_limited(self):
         session = FakeSession(lambda i, body: FakeResponse(429))
         with pytest.raises(RateLimited):
-            request_completion(
-                profile(), hi(), default_config(),
-                session=session, max_attempts=2, sleep=NO_SLEEP,
-            )
+            request_completion(session, hi(), max_attempts=2, sleep=NO_SLEEP)
 
     def test_timeouts_raise_after_retries(self):
         session = FakeSession(lambda i, body: TimeoutError("slow"))
         with pytest.raises(RequestTimeout):
-            request_completion(
-                profile(), hi(), default_config(),
-                session=session, max_attempts=2, sleep=NO_SLEEP,
-            )
+            request_completion(session, hi(), max_attempts=2, sleep=NO_SLEEP)
 
     def test_connection_errors_are_transient_provider_errors(self):
         session = FakeSession(lambda i, body: ConnectionResetError("reset by peer"))
         with pytest.raises(ProviderError) as excinfo:
-            request_completion(
-                profile(), hi(), default_config(),
-                session=session, max_attempts=3, sleep=NO_SLEEP,
-            )
+            request_completion(session, hi(), max_attempts=3, sleep=NO_SLEEP)
         assert session.calls == 3
         assert excinfo.value.status == 0
         assert "connection error: reset by peer" in str(excinfo.value)
@@ -164,9 +149,7 @@ class TestComplete:
     def test_client_errors_do_not_retry(self):
         session = FakeSession(lambda i, body: FakeResponse(404, text="nope"))
         with pytest.raises(ProviderError):
-            request_completion(
-                profile(), hi(), default_config(), session=session, sleep=NO_SLEEP
-            )
+            request_completion(session, hi(), sleep=NO_SLEEP)
         assert session.calls == 1
 
     def test_malformed_body_after_retries_counts_every_attempt(self):
@@ -174,7 +157,7 @@ class TestComplete:
             lambda i, body: FakeResponse(500, text="boom") if i < 2 else FakeResponse(200, {"choices": []})
         )
         with pytest.raises(ProviderError) as excinfo:
-            request_completion(profile(), hi(), default_config(), session=session, sleep=NO_SLEEP)
+            request_completion(session, hi(), sleep=NO_SLEEP)
         assert excinfo.value.attempts == 3
 
     def test_deeply_nested_body_is_a_provider_error(self):
@@ -184,42 +167,24 @@ class TestComplete:
 
         session = FakeSession(lambda i, body: NestedBody(200, text=DEEPLY_NESTED))
         with pytest.raises(ProviderError, match="not JSON") as excinfo:
-            request_completion(profile(), hi(), default_config(), session=session, sleep=NO_SLEEP)
+            request_completion(session, hi(), sleep=NO_SLEEP)
         assert excinfo.value.status == 200
 
     def test_auth_missing(self, monkeypatch):
         monkeypatch.delenv("MISSING_TOKEN_VAR", raising=False)
         with pytest.raises(AuthMissing):
-            request_completion(
-                profile(auth_env_var="MISSING_TOKEN_VAR"),
-                hi(),
-                default_config(),
-                session=FakeSession(lambda i, b: FakeResponse(200, completion_payload("x"))),
-            )
+            completion_endpoint(profile(auth_env_var="MISSING_TOKEN_VAR"), default_config())
 
     def test_bearer_header_sent(self, monkeypatch):
         monkeypatch.setenv("TEST_TOKEN_VAR", "sekrit")
-        seen = {}
-
-        class HeaderSession(FakeSession):
-            def post(self, url, data=None, headers=None, timeout=None):
-                seen["headers"] = headers
-                return super().post(url, data=data, headers=headers, timeout=timeout)
-
-        session = HeaderSession(lambda i, body: FakeResponse(200, completion_payload("x")))
-        request_completion(
-            profile(auth_env_var="TEST_TOKEN_VAR"),
-            hi(),
-            default_config(),
-            session=session,
-            sleep=NO_SLEEP,
-        )
-        assert seen["headers"]["Authorization"] == "Bearer sekrit"
+        local = profile(auth_env_var="TEST_TOKEN_VAR")
+        transport = http_transport(local, completion_endpoint(local, default_config()))
+        assert transport.headers["Authorization"] == "Bearer sekrit"
 
     def test_unsupported_params_dropped_from_body(self):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("x")))
         limited = profile(supported_params=frozenset({"temperature", "max_tokens"}))
-        request_completion(limited, hi(limited), default_config(), session=session, sleep=NO_SLEEP)
+        request_completion(session, hi(limited), sleep=NO_SLEEP)
         body = session.bodies[0]
         assert "temperature" in body and "max_tokens" in body
         assert "top_p" not in body and "top_k" not in body

@@ -1,9 +1,10 @@
 """One table of hostile field values, built from the record specs.
 
 For every field of every record spec (nested fields and array items
-included), a missing required key, a value of the wrong kind and a lone
-surrogate in a string each go through ``cli.main``. The command exits 3, or
-for a corpus line rejects that line, with no traceback and no output file.
+included), a missing required key, a value of the wrong kind, a lone
+surrogate in a string and an integer too big for a float in a number each
+go through ``cli.main``. The command exits 3, or for a corpus line rejects
+that line, with no traceback and no output file.
 A field added to a spec is covered here without a new test.
 """
 
@@ -27,6 +28,7 @@ from conftest import DATA_DIR
 
 HANDSCORED = DATA_DIR / "handscored"
 LONE_SURROGATE = "\ud83d"
+TOO_BIG_FOR_A_FLOAT = 10**400
 # a value of another kind for each kind: a float for an integer, a bool for a
 # number, a string for a boolean, and so on
 WRONG_KIND = {STRING: 7, INTEGER: 1.5, NUMBER: True, BOOLEAN: "false", ARRAY: "x", OBJECT: []}
@@ -48,6 +50,8 @@ def _cases(spec: tuple, record: dict, path: tuple = ()):
         yield where, WRONG_KIND[kind]
         if kind is STRING:
             yield where, LONE_SURROGATE
+        if kind is NUMBER:
+            yield where, TOO_BIG_FOR_A_FLOAT
         if kind in (ARRAY, OBJECT) and test is not None:
             item = (*where, 0 if kind is ARRAY else next(iter(record[name])))
             if type(test) is tuple:  # each item an object
@@ -57,6 +61,12 @@ def _cases(spec: tuple, record: dict, path: tuple = ()):
                 yield item, WRONG_KIND[test]
                 if test is STRING:
                     yield item, LONE_SURROGATE
+                if test is NUMBER:
+                    yield item, TOO_BIG_FOR_A_FLOAT
+
+
+def _shown(value) -> str:
+    return "missing" if value is MISSING else "10**400" if value is TOO_BIG_FOR_A_FLOAT else repr(value)
 
 
 def _mutated(record: dict, path: tuple, value) -> dict:
@@ -186,7 +196,7 @@ TABLE = [
 ]
 CASES = [
     pytest.param(name, build, record, path, value,
-                 id=f"{name}:{'.'.join(map(str, path))}={'missing' if value is MISSING else repr(value)}")
+                 id=f"{name}:{'.'.join(map(str, path))}={_shown(value)}")
     for name, spec, record, build in TABLE
     for path, value in _cases(spec, record)
 ]

@@ -12,7 +12,6 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager, suppress
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -23,6 +22,7 @@ from eotbench.inference import (
     ProviderProfile,
     completion_endpoint,
     encode_body,
+    http_transport,
     ledger_path,
     read_ledger,
     request_completion,
@@ -31,6 +31,7 @@ from eotbench.inference import (
 from eotbench.prompting import Strategy, default_config
 from eotbench.transport import HttpTransport
 from conftest import make_review, src_env
+from mock_provider import MockProviderServer
 
 NO_SLEEP = lambda seconds: None
 PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
@@ -56,79 +57,15 @@ def local_only(monkeypatch):
     return looked_up
 
 
-class Provider:
-    """An HTTP/1.1 chat-completions server that echoes the request count,
-    counting the TCP connections it accepts and sees closed, and the request
-    targets it sees."""
-
-    def __init__(self, status=200, headers=None, idle_timeout=None):
-        self.connections = 0
-        self.closed = 0
-        self.targets: list[str] = []
-        self.proxy_auth: list[str | None] = []
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            timeout = idle_timeout  # closes a connection idle this long
-
-            def setup(self):
-                super().setup()
-                with lock:
-                    outer.connections += 1
-
-            def finish(self):
-                super().finish()
-                with lock:
-                    outer.closed += 1
-
-            def do_POST(self):  # noqa: N802 (http.server API)
-                json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                with lock:
-                    outer.targets.append(self.path)
-                    outer.proxy_auth.append(self.headers.get("Proxy-Authorization"))
-                    reply = f"reply {len(outer.targets)}"
-                payload = json.dumps({"choices": [{"message": {"content": reply}}]}).encode()
-                self.send_response(status)
-                for name, value in (headers or {}).items():
-                    self.send_header(name, value)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        lock = threading.Lock()
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.server.daemon_threads = True
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-
-    @property
-    def url(self) -> str:
-        return f"http://127.0.0.1:{self.server.server_address[1]}"
-
-    def __enter__(self) -> "Provider":
-        self.thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=5)
-        assert not self.thread.is_alive()
-
-
 def profile(base_url: str, **overrides) -> ProviderProfile:
     return ProviderProfile(name="local", base_url=base_url, model_id="m", **{"timeout": 5.0, **overrides})
 
 
-def ask(base_url: str, session=None, max_attempts: int = 3, **overrides):
+def ask(base_url: str, max_attempts: int = 3, **overrides):
     local = profile(base_url, **overrides)
-    body = encode_body(completion_endpoint(local, default_config()), [("user", "hi")])
-    return request_completion(
-        local, body, default_config(), session=session, max_attempts=max_attempts, sleep=NO_SLEEP,
-    )
+    endpoint = completion_endpoint(local, default_config())
+    body = encode_body(endpoint, [("user", "hi")])
+    return request_completion(http_transport(local, endpoint), body, max_attempts=max_attempts, sleep=NO_SLEEP)
 
 
 def reviews(n: int):
@@ -198,14 +135,13 @@ class TestConnections:
             def __init__(self, transport):
                 self.transport = transport
 
-            def post(self, *args, **kwargs):
+            def post(self, body):
                 time.sleep(0.3)
-                return self.transport.post(*args, **kwargs)
+                return self.transport.post(body)
 
-        with Provider(idle_timeout=0.05) as server:
-            local = profile(server.url, max_concurrency=1)
-            endpoint = completion_endpoint(local, default_config())
-            transport = HttpTransport(endpoint.url, endpoint.headers)
+        with MockProviderServer(idle_timeout=0.05) as server:
+            local = profile(server.base_url, max_concurrency=1)
+            transport = http_transport(local, completion_endpoint(local, default_config()))
             run_experiment(
                 reviews(3), Strategy.ZS, local, default_config(),
                 runs_dir=tmp_path, run_id="idle", session=Pausing(transport), sleep=NO_SLEEP,
@@ -254,9 +190,9 @@ class TestFailures:
 
     def test_a_redirect_is_not_followed(self):
         location = "http://elsewhere.invalid/v1/chat/completions"
-        with Provider(status=307, headers={"Location": location}) as server:
+        with MockProviderServer(status=307, headers={"Location": location}) as server:
             with pytest.raises(ProviderError) as excinfo:
-                ask(server.url)
+                ask(server.base_url)
         assert excinfo.value.status == 307
         assert location in str(excinfo.value)
         assert excinfo.value.attempts == 1
@@ -265,8 +201,7 @@ class TestFailures:
 
 class TestResponseReader:
     def post(self, url: str):
-        transport = HttpTransport(f"{url}/v1/chat/completions")
-        return transport.post(transport.url, b'{"q": 1}', timeout=5)
+        return HttpTransport(f"{url}/v1/chat/completions", timeout=5).post(b'{"q": 1}')
 
     def test_a_chunked_body_is_joined(self):
         reply = [
@@ -364,15 +299,15 @@ class TestProxy:
     UNRESOLVABLE = "http://provider.invalid/v1"
 
     def test_http_proxy_carries_the_request(self, monkeypatch, local_only):
-        with Provider() as proxy:
-            monkeypatch.setenv("http_proxy", proxy.url)
+        with MockProviderServer() as proxy:
+            monkeypatch.setenv("http_proxy", proxy.base_url)
             assert ask(self.UNRESOLVABLE).text == "reply 1"
         assert proxy.targets == ["http://provider.invalid/v1/chat/completions"]
         assert local_only == []
 
     def test_proxy_credentials_are_sent_as_basic_auth(self, monkeypatch):
-        with Provider() as proxy:
-            monkeypatch.setenv("HTTP_PROXY", proxy.url.replace("://", "://us%40er:p%3Ass@"))
+        with MockProviderServer() as proxy:
+            monkeypatch.setenv("HTTP_PROXY", proxy.base_url.replace("://", "://us%40er:p%3Ass@"))
             ask(self.UNRESOLVABLE)
         assert proxy.proxy_auth == ["Basic " + base64.b64encode(b"us@er:p:ss").decode()]
 
@@ -408,8 +343,8 @@ class TestProxy:
         assert local_only == []
 
     def test_no_proxy_sends_the_request_direct(self, monkeypatch, local_only):
-        with Provider() as proxy:
-            monkeypatch.setenv("http_proxy", proxy.url)
+        with MockProviderServer() as proxy:
+            monkeypatch.setenv("http_proxy", proxy.base_url)
             monkeypatch.setenv("no_proxy", "provider.invalid")
             with pytest.raises(ProviderError) as excinfo:
                 ask(self.UNRESOLVABLE, max_attempts=1)
@@ -450,16 +385,6 @@ class TestRoute:
             ask("https://provider.invalid/v1")
         assert "secret" not in str(excinfo.value)
 
-    def test_a_transport_posts_only_to_its_own_url(self):
-        transport = HttpTransport("http://127.0.0.1:9/a")
-        with pytest.raises(ValueError, match="posts to"):
-            transport.post("http://127.0.0.1:9/b", b"{}")
-
-    def test_a_transport_sends_only_its_own_headers(self):
-        transport = HttpTransport("http://127.0.0.1:9/a", {"X-A": "1"})
-        with pytest.raises(ValueError, match="headers it was made with"):
-            transport.post(transport.url, b"{}", headers={"X-A": "2"})
-
     @pytest.mark.parametrize("token", ["a\r\nX-Injected: 1", "caf\u00e9\u2603"], ids=["line-break", "not-latin-1"])
     def test_a_header_that_cannot_be_sent_fails_the_run_before_its_ledger_is_touched(self, tmp_path, monkeypatch, token):
         monkeypatch.setenv("BAD_TOKEN", token)
@@ -473,11 +398,11 @@ class TestRoute:
 
 class TestResources:
     def test_run_experiment_closes_every_connection(self, tmp_path):
-        with Provider() as server:
+        with MockProviderServer() as server:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", ResourceWarning)
                 state = run_experiment(
-                    reviews(8), Strategy.ZS, profile(server.url, max_concurrency=3), default_config(),
+                    reviews(8), Strategy.ZS, profile(server.base_url, max_concurrency=3), default_config(),
                     runs_dir=tmp_path, run_id="res", sleep=NO_SLEEP,
                 )
                 gc.collect()
