@@ -7,6 +7,7 @@ partially failed run.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 import time
@@ -91,11 +92,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
             item_reviews = corpus.filter_by_length(reviews_by_item[item_id], plan)
             if len(item_reviews) < plan.reviews_per_item:
                 raise InsufficientReviews(item_id, len(item_reviews), plan.reviews_per_item)
-            taken = corpus.stratified_review_sample(item_reviews, plan)
-            sample.extend(taken)
+            strata = corpus.strata_in_order(item_reviews, plan.strata_granularity)
+            sample.extend(corpus.stratified_review_sample(item_reviews, plan, strata))
             manifest_items[item_id] = {
                 "domain": domain,
-                "strata": corpus.stratum_counts(item_reviews, plan),
+                "strata": {key: len(reviews) for key, reviews in strata},
                 "sampling_fraction": plan.reviews_per_item / len(item_reviews),
             }
 
@@ -341,11 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The commands that run with the cyclic collector paused. Their records hold
+# no reference cycles, yet each one they build counts towards the collector's
+# next pass, and a full pass re-walks every record still alive. `run` keeps
+# the collector: its time is the provider's, and a retried request leaves
+# cycles (an exception, its traceback, the frame that held it) that only the
+# collector frees.
+COLLECTOR_PAUSED = frozenset({"sample", "aggregate", "agreement", "stats", "score", "report"})
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    # Paused before the parser is built: the parser is a web of cycles, and
+    # garbage once main returns. Built unpaused, a young pass can promote part
+    # of it to the old generation, where it would wait for a full pass; built
+    # paused, it is all young and the first young pass after main frees it.
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        if collecting and args.command not in COLLECTOR_PAUSED:
+            gc.enable()
         return args.func(args)
     except ProviderFailure as exc:
         log.error("%s", exc)
@@ -353,6 +370,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DataError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

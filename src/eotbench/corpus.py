@@ -203,30 +203,28 @@ def allocate_proportional(sizes: Sequence[int], total: int) -> list[int]:
     return counts
 
 
-def _strata_in_order(
-    reviews: Sequence[Review], granularity: StrataGranularity
-) -> list[tuple[str, list[Review]]]:
+def strata_in_order(reviews: Sequence[Review], granularity: StrataGranularity) -> list[tuple[str, list[Review]]]:
+    """The reviews grouped by ``stratum_key``: (key, reviews in input order)
+    per stratum, in chronological order with the unknown stratum last."""
     groups: dict[str, list[Review]] = {}
     for review in reviews:
         groups.setdefault(stratum_key(review, granularity), []).append(review)
-    # chronological order, the unknown stratum last
     return sorted(groups.items(), key=lambda kv: (kv[0] == UNKNOWN_STRATUM, kv[0]))
 
 
-def stratified_review_sample(reviews_of_item: Sequence[Review], plan: SamplingPlan) -> list[Review]:
-    """Sample ``reviews_per_item`` reviews, allocated proportionally to time strata."""
+def stratified_review_sample(
+    reviews_of_item: Sequence[Review], plan: SamplingPlan, strata: list[tuple[str, list[Review]]] | None = None
+) -> list[Review]:
+    """Sample ``reviews_per_item`` reviews, allocated proportionally to time
+    strata; ``strata`` is ``strata_in_order`` of the reviews, if the caller has it."""
     m = plan.reviews_per_item
     item_id = reviews_of_item[0].item_id if reviews_of_item else "?"
     if len(reviews_of_item) < m:
         raise InsufficientReviews(item_id, len(reviews_of_item), m)
-    strata = _strata_in_order(reviews_of_item, plan.strata_granularity)
+    if strata is None:
+        strata = strata_in_order(reviews_of_item, plan.strata_granularity)
     counts = allocate_proportional([len(rs) for _, rs in strata], m)
     sample: list[Review] = []
     for (key, stratum_reviews), k in zip(strata, counts):
         sample.extend(srswor(stratum_reviews, k, derive_seed(plan.seed, item_id, key)))
     return sample
-
-
-def stratum_counts(reviews_of_item: Sequence[Review], plan: SamplingPlan) -> dict[str, int]:
-    """Per-stratum population sizes, for the sampling manifest."""
-    return {key: len(rs) for key, rs in _strata_in_order(reviews_of_item, plan.strata_granularity)}

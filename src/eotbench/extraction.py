@@ -39,6 +39,7 @@ from .model import (
     canonical_emotion,
     locate_span,
     normalize_text,
+    record_slots,
 )
 
 REASON_OOV = "OOV"
@@ -55,17 +56,31 @@ class ParseStatus(Enum):
     UNPARSEABLE = "Unparseable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DroppedTrigger:
     emotion: str
     text: str
     reason: str
 
+    def __init__(self, emotion: str, text: str, reason: str):
+        set_emotion, set_text, set_reason = _DROPPED_TRIGGER_SLOTS
+        set_emotion.__set__(self, emotion)
+        set_text.__set__(self, text)
+        set_reason.__set__(self, reason)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class DroppedEmotion:
     label: str
     reason: str
+
+    def __init__(self, label: str, reason: str):
+        set_label, set_reason = _DROPPED_EMOTION_SLOTS
+        set_label.__set__(self, label)
+        set_reason.__set__(self, reason)
+
+
+_DROPPED_TRIGGER_SLOTS, _DROPPED_EMOTION_SLOTS = record_slots(DroppedTrigger), record_slots(DroppedEmotion)
 
 
 @dataclass
@@ -265,45 +280,40 @@ def parse_output(raw: str, review: Review) -> ParseReport:
     that is not a str UTF-8 can encode is dropped as Malformed, with its
     ``repr``, so every text a report keeps can be written out.
     """
-    report = ParseReport(output=EotOutput(review.review_id, ()))
     try:
         parsed = _structured_block(raw)[1] if isinstance(raw, str) else None
     except NoStructuredBlock:
         parsed = None
     emotions = parsed.get("emotions") if parsed is not None else None
     if not isinstance(emotions, list):
-        report.parse_status = ParseStatus.UNPARSEABLE
-        return report
+        return ParseReport(EotOutput(review.review_id, ()), parse_status=ParseStatus.UNPARSEABLE)
 
+    dropped_triggers: list[DroppedTrigger] = []
+    dropped_emotions: list[DroppedEmotion] = []
+    repair_applied = False
     merged: dict[EmotionLabel, list[TriggerSpan]] = {}
     normalized: tuple[str, Callable[[int], int]] | None = None  # built on the first repair
     for entry in emotions:
         name = entry.get("emotion") if isinstance(entry, dict) else None
         if not (isinstance(name, str) and utf8_encodable(name)):
-            report.dropped_emotions.append(DroppedEmotion(repr(entry)[:120], REASON_MALFORMED))
+            dropped_emotions.append(DroppedEmotion(repr(entry)[:120], REASON_MALFORMED))
             continue
         try:
             label = canonical_emotion(name)
         except UnknownEmotion:
-            report.dropped_emotions.append(DroppedEmotion(name, REASON_OOV))
+            dropped_emotions.append(DroppedEmotion(name, REASON_OOV))
             continue
         triggers = entry.get("triggers", [])
         if not isinstance(triggers, list):
-            report.dropped_triggers.append(
-                DroppedTrigger(label.value, repr(triggers)[:120], REASON_MALFORMED)
-            )
+            dropped_triggers.append(DroppedTrigger(label.value, repr(triggers)[:120], REASON_MALFORMED))
             triggers = []
         spans = merged.setdefault(label, [])
         for trigger in triggers:
             if not (isinstance(trigger, str) and utf8_encodable(trigger)):
-                report.dropped_triggers.append(
-                    DroppedTrigger(label.value, repr(trigger)[:120], REASON_MALFORMED)
-                )
+                dropped_triggers.append(DroppedTrigger(label.value, repr(trigger)[:120], REASON_MALFORMED))
                 continue
             if label is EmotionLabel.NEUTRAL:
-                report.dropped_triggers.append(
-                    DroppedTrigger(label.value, trigger, REASON_NEUTRAL_TRIGGER)
-                )
+                dropped_triggers.append(DroppedTrigger(label.value, trigger, REASON_NEUTRAL_TRIGGER))
                 continue
             try:
                 span = locate_span(review.text, trigger)
@@ -312,11 +322,9 @@ def parse_output(raw: str, review: Review) -> ParseReport:
                     normalized = _normalized_review(review.text)
                 span = _repair_locate(review.text, trigger, normalized)
                 if span is None:
-                    report.dropped_triggers.append(
-                        DroppedTrigger(label.value, trigger, REASON_NOT_EXTRACTIVE)
-                    )
+                    dropped_triggers.append(DroppedTrigger(label.value, trigger, REASON_NOT_EXTRACTIVE))
                     continue
-                report.repair_applied = True
+                repair_applied = True
             if not any(s.start == span.start and s.end == span.end for s in spans):
                 spans.append(span)
 
@@ -328,23 +336,19 @@ def parse_output(raw: str, review: Review) -> ParseReport:
         if spans:
             survivors.append((label, spans))
         else:
-            report.dropped_emotions.append(
-                DroppedEmotion(label.value, REASON_NO_VERIFIABLE_TRIGGER)
-            )
+            dropped_emotions.append(DroppedEmotion(label.value, REASON_NO_VERIFIABLE_TRIGGER))
     if neutral_seen:
         if survivors:
-            report.dropped_emotions.append(
-                DroppedEmotion(EmotionLabel.NEUTRAL.value, REASON_NEUTRAL_WITH_OTHERS)
-            )
+            dropped_emotions.append(DroppedEmotion(EmotionLabel.NEUTRAL.value, REASON_NEUTRAL_WITH_OTHERS))
         else:
             survivors = [(EmotionLabel.NEUTRAL, [])]
 
-    report.output = EotOutput(
+    output = EotOutput(
         review.review_id,
         tuple(EmotionTriggers(label, tuple(spans)) for label, spans in survivors),
     )
-    report.parse_status = ParseStatus.REPAIRED if report.repair_applied else ParseStatus.CLEAN
-    return report
+    status = ParseStatus.REPAIRED if repair_applied else ParseStatus.CLEAN
+    return ParseReport(output, dropped_triggers, dropped_emotions, repair_applied, status)
 
 
 def parse_report_to_dict(report: ParseReport) -> dict[str, Any]:
@@ -353,6 +357,8 @@ def parse_report_to_dict(report: ParseReport) -> dict[str, Any]:
         **report.output.to_dict(),
         "parse_status": report.parse_status.value,
         "repair_applied": report.repair_applied,
-        "dropped_triggers": [dict(vars(d)) for d in report.dropped_triggers],
-        "dropped_emotions": [dict(vars(d)) for d in report.dropped_emotions],
+        "dropped_triggers": [
+            {"emotion": d.emotion, "text": d.text, "reason": d.reason} for d in report.dropped_triggers
+        ],
+        "dropped_emotions": [{"label": d.label, "reason": d.reason} for d in report.dropped_emotions],
     }

@@ -13,6 +13,7 @@ import os
 import stat
 import sys
 import uuid
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
@@ -31,6 +32,8 @@ STRING, INTEGER, NUMBER, BOOLEAN, ARRAY, OBJECT = (
     "a string", "an integer", "a number", "true or false", "an array", "an object"
 )
 _FLOAT_MAX = sys.float_info.max
+# the most characters of a value's repr that an error shows
+_SHOWN_CHARS = 80
 
 
 def utf8_encodable(text: str) -> bool:
@@ -64,7 +67,16 @@ def check_fields(obj: Any, spec: tuple, closed: bool = False) -> None:
         _check(name, value, kind, test)
     unknown = closed and [key for key in obj if all(key != field[0] for field in spec)]
     if unknown:
-        raise ValueError(f"not a known field: {', '.join(map(repr, unknown))}")
+        raise ValueError(f"not a known field: {', '.join(map(_shown, unknown))}")
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)`` for an error, cut to _SHOWN_CHARS characters and marked
+    when cut: a 4,000-digit integer or a megabyte string is named, not echoed."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 def _check(name: str, value: Any, kind: Any, test: Any) -> None:
@@ -72,7 +84,7 @@ def _check(name: str, value: Any, kind: Any, test: Any) -> None:
     t = type(value)
     if type(kind) is tuple:
         if t is not dict:
-            raise ValueError(f"{name} is not an object: {value!r}")
+            raise ValueError(f"{name} is not an object: {_shown(value)}")
         try:
             check_fields(value, kind)
         except ValueError as exc:
@@ -83,7 +95,7 @@ def _check(name: str, value: Any, kind: Any, test: Any) -> None:
         or (t is float and kind is NUMBER and math.isfinite(value))
         or (t is bool and kind is BOOLEAN) or (t is list and kind is ARRAY) or (t is dict and kind is OBJECT)
     ):
-        raise ValueError(f"{name} is not {kind}: {value!r}")
+        raise ValueError(f"{name} is not {kind}: {_shown(value)}")
     elif test is None:
         return
     elif kind is ARRAY or kind is OBJECT:
@@ -92,11 +104,11 @@ def _check(name: str, value: Any, kind: Any, test: Any) -> None:
                 if not (type(item) is str and test is STRING and item.isascii()):
                     _check("", item, test, None)  # named below, only when it fails
         except ValueError as exc:
-            raise ValueError(f"{name}[{key!r}]{exc}") from None
+            raise ValueError(f"{name}[{_shown(key)}]{exc}") from None
     elif value not in test:
         if type(test) is range:
-            raise ValueError(f"{name} is out of range [{test.start}, {test[-1]}]: {value!r}")
-        raise ValueError(f"{name} is not one of {', '.join(map(repr, test))}: {value!r}")
+            raise ValueError(f"{name} is out of range [{test.start}, {test[-1]}]: {_shown(value)}")
+        raise ValueError(f"{name} is not one of {', '.join(map(repr, test))}: {_shown(value)}")
 
 
 # The C scanner behind json.loads; one call decodes the value that starts at
@@ -177,8 +189,18 @@ def atomic_writer(path: Path | str) -> Iterator[TextIO]:
         raise
 
 
-# json.dumps(..., ensure_ascii=False) builds a new encoder on every call
-encode_record = json.JSONEncoder(ensure_ascii=False).encode
+if c_make_encoder is None:
+    encode_record = json.JSONEncoder(ensure_ascii=False).encode
+else:
+    # json.dumps(record, ensure_ascii=False) builds a C encoder and a map of the
+    # containers it is inside on every call; a record is a tree, so one encoder
+    # with no map serves every line. JSONEncoder().default raises json.dumps's
+    # TypeError for a value JSON cannot hold.
+    _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring, None, ": ", ", ", False, False, True)
+
+    def encode_record(record: Any) -> str:
+        """``json.dumps(record, ensure_ascii=False)``: the same text, or the same TypeError."""
+        return "".join(_encode(record, 0))
 
 
 def write_jsonl(path: Path | str, records: Iterable[dict[str, Any]]) -> None:

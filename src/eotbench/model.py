@@ -1,18 +1,24 @@
 """Domain types and text primitives shared by every other module.
 
 Reviews, emotion labels, trigger spans, and emotion-trigger outputs are
-immutable after construction; tokenize / normalize_text / canonical_emotion /
-locate_span are pure functions, so everything here is safe to share across threads.
+frozen: each record checks its invariants in ``__init__`` and cannot change
+after it. The records are slotted dataclasses whose ``__init__`` is written
+by hand: it validates, then stores each field through the field's member
+descriptor (``record_slots``), which the frozen ``__setattr__`` does not
+guard and which costs one call per field. A bulk command builds tens of
+thousands of them, so that store is on every record's path. The enums hash
+by identity. tokenize / normalize_text / canonical_emotion / locate_span are
+pure functions, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import compress
 from operator import itemgetter
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import SpanNotFound, UnknownEmotion
 
@@ -52,11 +58,15 @@ class Domain(Enum):
     TRIPADVISOR = "TripAdvisor"
     YELP = "Yelp"
 
+    __hash__ = object.__hash__  # as EmotionLabel's
+
 
 class Source(Enum):
     AMAZON = "Amazon"
     TRIPADVISOR = "TripAdvisor"
     YELP = "Yelp"
+
+    __hash__ = object.__hash__  # as EmotionLabel's
 
 
 DOMAIN_SOURCE: dict[Domain, Source] = {
@@ -69,6 +79,16 @@ DOMAIN_SOURCE: dict[Domain, Source] = {
 }
 
 DOMAIN_ORDER: tuple[Domain, ...] = tuple(Domain)
+
+
+def record_slots(cls: type) -> tuple:
+    """The member descriptors of a slotted dataclass's fields, in field order.
+
+    ``descriptor.__set__(record, value)`` stores a field of a frozen record
+    in one call: the record's own ``__setattr__`` refuses every store, and
+    ``object.__setattr__`` looks the field's name up again on each one.
+    """
+    return tuple(cls.__dict__[f.name] for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,11 +105,20 @@ class Review:
     item_id: str
     timestamp: int | None = None
 
-    def __post_init__(self):
-        if not self.review_id or not self.item_id:
+    def __init__(self, review_id: str, text: str, domain: Domain, item_id: str, timestamp: int | None = None):
+        if not review_id or not item_id:
             raise ValueError("review_id and item_id must be non-empty")
-        if not self.text.strip():
-            raise ValueError(f"review {self.review_id!r} has empty text")
+        if not text or text.isspace():
+            raise ValueError(f"review {review_id!r} has empty text")
+        set_id, set_text, set_domain, set_item, set_timestamp = _REVIEW_SLOTS
+        set_id.__set__(self, review_id)
+        set_text.__set__(self, text)
+        set_domain.__set__(self, domain)
+        set_item.__set__(self, item_id)
+        set_timestamp.__set__(self, timestamp)
+
+
+_REVIEW_SLOTS = record_slots(Review)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,11 +133,15 @@ class TriggerSpan:
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.start < 0 or self.start >= self.end:
-            raise ValueError(f"invalid span offsets [{self.start}, {self.end})")
-        if len(self.text) != self.end - self.start:
+    def __init__(self, text: str, start: int, end: int):
+        if start < 0 or start >= end:
+            raise ValueError(f"invalid span offsets [{start}, {end})")
+        if len(text) != end - start:
             raise ValueError("span text length does not match its offsets")
+        set_text, set_start, set_end = _SPAN_SLOTS
+        set_text.__set__(self, text)
+        set_start.__set__(self, start)
+        set_end.__set__(self, end)
 
     def validate_against(self, review_text: str) -> None:
         """Assert the extractive constraint against a concrete review."""
@@ -121,16 +154,23 @@ class TriggerSpan:
         return self.start < other.end and other.start < self.end
 
 
+_SPAN_SLOTS = record_slots(TriggerSpan)
+
+
 @dataclass(frozen=True, slots=True)
 class EmotionTriggers:
-    """One (emotion, triggers) pair of an output."""
+    """One (emotion, triggers) pair of an output; any iterable of triggers is stored as a tuple."""
 
     emotion: EmotionLabel
     triggers: tuple[TriggerSpan, ...]
 
-    def __post_init__(self):
-        if type(self.triggers) is not tuple:
-            object.__setattr__(self, "triggers", tuple(self.triggers))
+    def __init__(self, emotion: EmotionLabel, triggers: Iterable[TriggerSpan]):
+        set_emotion, set_triggers = _PAIR_SLOTS
+        set_emotion.__set__(self, emotion)
+        set_triggers.__set__(self, triggers if type(triggers) is tuple else tuple(triggers))
+
+
+_PAIR_SLOTS = record_slots(EmotionTriggers)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,24 +181,29 @@ class EotOutput:
     with no triggers; emotions are unique; every non-Neutral pair carries
     at least one trigger. An output with zero pairs is legal and means
     "nothing verifiable was produced" (e.g. an unparseable response).
+    Any iterable of pairs is stored as a tuple.
     """
 
     review_id: str
     pairs: tuple[EmotionTriggers, ...]
 
-    def __post_init__(self):
-        if type(self.pairs) is not tuple:
-            object.__setattr__(self, "pairs", tuple(self.pairs))
+    def __init__(self, review_id: str, pairs: Iterable[EmotionTriggers]):
+        if type(pairs) is not tuple:
+            pairs = tuple(pairs)
         seen: set[EmotionLabel] = set()
-        for pair in self.pairs:
-            if pair.emotion in seen:
-                raise ValueError(f"duplicate emotion {pair.emotion.value}")
-            seen.add(pair.emotion)
-            if pair.emotion is EmotionLabel.NEUTRAL:
-                if len(self.pairs) != 1 or pair.triggers:
+        for pair in pairs:
+            emotion = pair.emotion
+            if emotion in seen:
+                raise ValueError(f"duplicate emotion {emotion.value}")
+            seen.add(emotion)
+            if emotion is EmotionLabel.NEUTRAL:
+                if len(pairs) != 1 or pair.triggers:
                     raise ValueError("Neutral must be the only pair and carry no triggers")
             elif not pair.triggers:
-                raise ValueError(f"{pair.emotion.value} has no triggers")
+                raise ValueError(f"{emotion.value} has no triggers")
+        set_id, set_pairs = _OUTPUT_SLOTS
+        set_id.__set__(self, review_id)
+        set_pairs.__set__(self, pairs)
 
     def to_dict(self) -> dict[str, Any]:
         """The ``review_id``/``emotions`` line shape of annotation, gold and parsed files."""
@@ -184,6 +229,9 @@ class EotOutput:
         for pair in self.pairs:
             for span in pair.triggers:
                 span.validate_against(review_text)
+
+
+_OUTPUT_SLOTS = record_slots(EotOutput)
 
 
 class _PunctMemo(dict):

@@ -32,8 +32,8 @@ from eotbench.corpus import (
     SamplingPlan,
     derive_seed,
     srswor,
+    strata_in_order,
     stratified_review_sample,
-    stratum_counts,
 )
 from eotbench.errors import (
     DataError,
@@ -835,7 +835,7 @@ def oracle_sample(records: list[Review], plan: SamplingPlan) -> tuple[list[Revie
             sample.extend(stratified_review_sample(item_reviews, plan))
             manifest_items[item_id] = {
                 "domain": domain,
-                "strata": stratum_counts(item_reviews, plan),
+                "strata": {key: len(rs) for key, rs in strata_in_order(item_reviews, plan.strata_granularity)},
                 "sampling_fraction": plan.reviews_per_item / len(item_reviews),
             }
     manifest = {

@@ -10,8 +10,6 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eotbench import annotation
-
 from eotbench.annotation import (
     AnnotationRecord,
     aggregate_gold,
@@ -125,24 +123,14 @@ class TestAggregateGold:
         prov = gold.provenance.trigger_annotators[0]
         assert set(prov.annotators) == {"A1", "A2"}
 
-    def test_each_pooled_span_is_normalized_once(self, monkeypatch):
+    def test_pooled_spans_credit_every_annotator_of_their_normalized_text(self):
         review = make_review(text="Loved the fit. loved the fit again, very happy today")
         records = [
             annotate(review, "A1", {JOY: ["Loved the fit", "very happy"], TRUST: ["today"]}),
             annotate(review, "A2", {JOY: ["loved the fit", "happy today"]}),
             annotate(review, "A3", {JOY: ["very happy today"], TRUST: ["fit again"]}),
         ]
-        expected = aggregate_gold(records)
-        calls = []
-        normalize_text = annotation.normalize_text
-        monkeypatch.setattr(annotation, "normalize_text", lambda t: calls.append(t) or normalize_text(t))
         gold = aggregate_gold(records)
-        assert gold == expected
-        # Joy and Trust both win: 5 pooled Joy spans and 2 Trust spans
-        assert sorted(calls) == sorted(
-            ["Loved the fit", "very happy", "loved the fit", "happy today", "very happy today",
-             "today", "fit again"]
-        )
         assert [(t.emotion, t.text, t.annotators) for t in gold.provenance.trigger_annotators] == [
             ("Joy", "Loved the fit", ("A1", "A2")),
             ("Joy", "very happy today", ("A3",)),
@@ -296,16 +284,6 @@ class TestAgreementReport:
             assert all(v == 1.0 for v in by_domain.values())
         assert report.fleiss_emotion_overall == 1.0
         assert report.fleiss_trigger_token_overall == 1.0
-
-    def test_each_annotated_review_is_tokenized_once(self, monkeypatch):
-        reviews, annotations = self._three_annotator_corpus()
-        calls = []
-        tokenize_with_spans = annotation.tokenize_with_spans
-        monkeypatch.setattr(
-            annotation, "tokenize_with_spans", lambda text: calls.append(text) or tokenize_with_spans(text)
-        )
-        build_agreement_report(annotations, reviews + [make_review("unrated", "Not annotated")])
-        assert sorted(calls) == sorted(r.text for r in reviews)
 
     def test_csv_keeps_a_comma_in_an_annotator_id(self):
         reviews, annotations = self._three_annotator_corpus()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import csv
+import gc
 import json
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from datetime import datetime, timezone
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eotbench import corpus, inference
+from eotbench import annotation, corpus, inference
 from eotbench.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, _render_confusion, build_parser, main
 from eotbench.corpus import MAX_TIMESTAMP, MIN_TIMESTAMP, SamplingPlan, derive_seed, load_corpus, srswor
 from eotbench.errors import DataError, InsufficientReviews
@@ -555,19 +557,6 @@ class TestRunAndScoreCommands:
         assert code == EXIT_DATA
         assert not (tmp_path / "runs" / "bad" / "ledger").exists()
 
-    def test_run_reads_the_ledger_once(self, tmp_path, monkeypatch):
-        calls = []
-        read_ledger = inference.read_ledger
-
-        def counting(*args):
-            calls.append(args)
-            return read_ledger(*args)
-
-        monkeypatch.setattr(inference, "read_ledger", counting)
-        with self._neutral_server() as server:
-            assert self._neutral_run(tmp_path, server) == EXIT_OK
-        assert len(calls) == 1
-
     def test_report_command_combines_scores(self, tmp_path, capsys):
         scores = {
             "format_version": "1",
@@ -867,3 +856,84 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--corpus", "x", "--strategy", "few-shot", "--profile", "p"])
         assert excinfo.value.code == 2
+
+
+class TestCollector:
+    """main pauses the cyclic collector for the bulk commands, not for run,
+    and leaves it as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def _stats(self, tmp_path, gold=DATA_DIR / "handscored" / "gold.jsonl"):
+        return main(["stats", "--gold", str(gold), "--corpus", str(DATA_DIR / "handscored" / "reviews.jsonl"),
+                     "--out", str(tmp_path / "stats.txt")])
+
+    def test_paused_inside_a_bulk_command_and_restored_after_exit_0(self, tmp_path, monkeypatch, collector):
+        seen = []
+        gold_statistics = annotation.gold_statistics
+        monkeypatch.setattr(
+            annotation, "gold_statistics", lambda *a: seen.append(gc.isenabled()) or gold_statistics(*a)
+        )
+        assert self._stats(tmp_path) == EXIT_OK
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_restored_after_exit_3(self, tmp_path, collector):
+        assert self._stats(tmp_path, gold=tmp_path / "missing.jsonl") == EXIT_DATA
+        assert gc.isenabled() is collector
+
+    def test_restored_after_an_unexpected_exception(self, tmp_path, monkeypatch, collector):
+        def fail(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(annotation, "gold_statistics", fail)
+        with pytest.raises(RuntimeError, match="boom"):
+            self._stats(tmp_path)
+        assert gc.isenabled() is collector
+
+    def test_restored_after_a_usage_error(self, collector):
+        with pytest.raises(SystemExit):
+            main(["stats", "--format", "xml"])
+        assert gc.isenabled() is collector
+
+    def test_a_young_pass_frees_the_parser(self, tmp_path):
+        # The parser is garbage in cycles once main returns. Had a young pass
+        # promoted part of it while main built it, that part would outlive the
+        # command and wait for a full pass, so memory would grow between them.
+        gc.collect()
+        thresholds = gc.get_threshold()
+        gc.set_threshold(50)  # a young pass every 50 allocations: many while a parser is built
+        try:
+            assert self._stats(tmp_path) == EXIT_OK
+        finally:
+            gc.set_threshold(*thresholds)
+        gc.collect(0)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            parsers = (argparse.ArgumentParser, argparse.HelpFormatter)
+            left = [type(o).__name__ for o in gc.garbage if isinstance(o, parsers)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
+
+    def test_on_inside_run(self, tmp_path, monkeypatch):
+        seen = []
+        run_experiment = inference.run_experiment
+        monkeypatch.setattr(
+            inference, "run_experiment", lambda *a, **k: seen.append(gc.isenabled()) or run_experiment(*a, **k)
+        )
+        with MockProviderServer() as server:
+            profile = write_profile(tmp_path / "profiles.ini", server.base_url)
+            assert main([
+                "run", "--corpus", str(DATA_DIR / "handscored" / "reviews.jsonl"), "--strategy", "zs",
+                "--profile", f"{profile}:mock", "--run-id", "on", "--runs-dir", str(tmp_path / "runs"),
+            ]) == EXIT_OK
+        assert seen == [True]
+        assert gc.isenabled()

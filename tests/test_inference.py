@@ -8,7 +8,6 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eotbench import inference
 from eotbench.errors import AuthMissing, DataError, ProviderError, RateLimited, RequestTimeout
 from eotbench.inference import (
     MAX_CONCURRENCY,
@@ -215,17 +214,13 @@ class TestBodyTemplate:
         assert body_template(endpoint, strategy).encode(text) == expected
         assert encode_body(endpoint, messages) == expected
 
-    def test_a_run_builds_its_prompt_once_and_writes_the_same_ledger_lines(self, tmp_path, monkeypatch):
-        calls = []
-        original = inference.build_prompt
-        monkeypatch.setattr(inference, "build_prompt", lambda *args: calls.append(args) or original(*args))
+    def test_a_run_sends_each_review_in_its_prompt_and_writes_the_same_ledger_lines(self, tmp_path):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("r\u00e9ponse \u2028 \U0001f600")))
         reviews = [make_review(review_id=f"r{i}", text=f"kettle number {i} \"boils\"") for i in range(7)]
         run_experiment(
             reviews, Strategy.EOT_DETECT, profile(max_concurrency=3), default_config(),
             runs_dir=tmp_path, run_id="once", session=session, sleep=NO_SLEEP,
         )
-        assert len(calls) == 1
         assert sorted(body["messages"][-1]["content"] for body in session.bodies) == sorted(
             render_messages(build_prompt(Strategy.EOT_DETECT, review))[-1][1] for review in reviews
         )
@@ -545,6 +540,19 @@ class TestLedgerTail:
         path.write_bytes(b"".join(lines))
         with pytest.raises(DataError, match=":2: corrupt ledger entry"):
             read_ledger(tmp_path, "run-t")
+
+    @pytest.mark.parametrize("strategy", ["few-shot", "ZS", "eot_detect"])
+    def test_an_unknown_strategy_is_the_error_strategy_raises(self, tmp_path, strategy):
+        self._run(tmp_path, 3)
+        path = ledger_path(tmp_path, "run-t")
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), "strategy": strategy}).encode() + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError) as expected:
+            Strategy(strategy)
+        with pytest.raises(DataError) as excinfo:
+            read_ledger(tmp_path, "run-t")
+        assert str(excinfo.value) == f"{path}:2: corrupt ledger entry: {expected.value}"
 
     def test_corrupt_final_line_ending_in_a_newline_is_an_error(self, tmp_path):
         self._run(tmp_path, 2)

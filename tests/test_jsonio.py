@@ -9,13 +9,13 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eotbench import annotation, corpus, inference
+from eotbench import inference
 from eotbench.cli import _write_text
 from eotbench.errors import DataError
 from eotbench.inference import RunLedgerEntry, ledger_path, read_ledger
 from eotbench.jsonio import dump_json, encode_record, iter_jsonl, load_json, loads_line, write_jsonl
 from eotbench.prompting import Strategy
-from conftest import DATA_DIR, DEEPLY_NESTED
+from conftest import DEEPLY_NESTED
 from oracles import oracle_iter_jsonl, oracle_read_ledger
 
 
@@ -97,29 +97,6 @@ class TestLeanDecoding:
             got = (type(exc), str(exc))
         assert got == expected
 
-    def test_a_well_formed_file_never_calls_json_loads(self, tmp_path, monkeypatch):
-        calls = []
-        loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
-        reviews_path = DATA_DIR / "handscored" / "reviews.jsonl"
-        reviews = corpus.reviews_by_id(corpus.load_corpus(reviews_path).records)
-        annotation.load_gold(DATA_DIR / "handscored" / "gold.jsonl", reviews)
-        agreement = corpus.reviews_by_id(corpus.load_corpus(DATA_DIR / "agreement" / "corpus.jsonl").records)
-        assert len(annotation.load_annotations(DATA_DIR / "agreement" / "annotations.jsonl", agreement)) == 12
-        entries = [
-            RunLedgerEntry("run", review_id, Strategy.ZS, "1", "{}", 5, 1, "Ok")
-            for review_id in reviews
-        ]
-        path = ledger_path(tmp_path, "run")
-        path.parent.mkdir()
-        path.write_text("".join(encode_record(e.to_dict()) + "\n" for e in entries), encoding="utf-8")
-        assert read_ledger(tmp_path, "run") == entries
-        assert calls == []
-        # a line ending in \r\n is decoded by json.loads
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert read_ledger(tmp_path, "run") == entries
-        assert len(calls) == len(entries)
-
 
 _ENTRY = RunLedgerEntry("run", "r1", Strategy.ZS, "1", '{"emotions": []}', 12, 1, "Ok")
 _ENTRY_LINE = encode_record(_ENTRY.to_dict()).encode()
@@ -161,6 +138,32 @@ def test_read_ledger_reads_what_json_loads_on_each_line_reads(tmp_path_factory, 
     with caplog.at_level(logging.WARNING, logger=inference.__name__):
         entries = read_ledger(runs, "run")
     assert (entries, [r.getMessage() for r in caplog.records]) == expected
+
+
+# what json.dumps encodes: any key json turns into a string, tuples as arrays,
+# NaN and the infinities, lone surrogates
+_ENCODABLE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children) | st.dictionaries(
+        st.text() | st.integers() | st.floats() | st.booleans() | st.none(), children, max_size=4
+    ),
+    max_leaves=20,
+)
+
+
+class TestEncodeRecord:
+    @given(_ENCODABLE)
+    def test_is_json_dumps(self, value):
+        assert encode_record(value) == json.dumps(value, ensure_ascii=False)
+
+    @given(_ENCODABLE, st.sampled_from([set(), b"bytes", object(), 1j, Strategy.ZS]))
+    def test_a_value_json_cannot_hold_raises_the_type_error_json_dumps_raises(self, value, alien):
+        record = {"value": value, "alien": [alien]}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(record, ensure_ascii=False)
+        with pytest.raises(TypeError) as got:
+            encode_record(record)
+        assert str(got.value) == str(expected.value)
 
 
 def test_load_json_of_a_deeply_nested_file_is_a_data_error(tmp_path):

@@ -229,3 +229,13 @@ def test_a_hostile_field_is_a_data_error(tmp_path, caplog, capsys, name, build, 
         assert code == EXIT_DATA
         assert str(mutated) in caplog.text  # the error names the file that holds the field
         assert [p for p in outputs if p.exists()] == []
+
+
+@pytest.mark.parametrize("value", [TOO_BIG_FOR_A_FLOAT, "x" * 100_000], ids=["10**400", "a long string"])
+def test_an_error_names_a_long_value_without_echoing_it(tmp_path, caplog, value):
+    argv, outputs, mutated = _report(tmp_path, _mutated(SCORES, ("emotion", "f1"), value))
+    assert main([str(a) for a in argv]) == EXIT_DATA
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"{mutated}: emotion.f1 is not a number: ")
+    assert error.endswith(f"... ({len(repr(value))} characters)")
+    assert len(error) < len(str(mutated)) + 150
