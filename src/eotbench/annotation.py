@@ -29,7 +29,7 @@ from .errors import DataError, DegenerateDistribution, MismatchedReviewIds, Wron
 from .jsonio import ARRAY, BOOLEAN, INTEGER, OBJECT, STRING, check_fields, iter_jsonl, render_table
 from .model import (
     DOMAIN_ORDER, EMOTION_ORDER, EmotionLabel, EmotionTriggers, EotOutput, Review, TriggerSpan, canonical_emotion,
-    count_tokens, locate_span, normalize_text, record_slots, tokenize_with_spans,
+    count_tokens, locate_span, normalize_text, tokenize_with_spans,
 )
 
 TRIGGER_KAPPA_POOLING_NOTE = (
@@ -45,24 +45,12 @@ class AnnotationRecord:
     annotator_id: str
     output: EotOutput
 
-    def __init__(self, review_id: str, annotator_id: str, output: EotOutput):
-        set_review, set_annotator, set_output = _ANNOTATION_SLOTS
-        set_review.__set__(self, review_id)
-        set_annotator.__set__(self, annotator_id)
-        set_output.__set__(self, output)
-
 
 @dataclass(frozen=True, slots=True)
 class TriggerProvenance:
     emotion: str
     text: str
     annotators: tuple[str, ...]
-
-    def __init__(self, emotion: str, text: str, annotators: tuple[str, ...]):
-        set_emotion, set_text, set_annotators = _TRIGGER_PROVENANCE_SLOTS
-        set_emotion.__set__(self, emotion)
-        set_text.__set__(self, text)
-        set_annotators.__set__(self, annotators)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,15 +59,6 @@ class GoldProvenance:
     trigger_annotators: tuple[TriggerProvenance, ...]
     no_majority: bool = False
 
-    def __init__(
-        self, emotion_votes: dict[str, int], trigger_annotators: tuple[TriggerProvenance, ...],
-        no_majority: bool = False,
-    ):
-        set_votes, set_triggers, set_no_majority = _GOLD_PROVENANCE_SLOTS
-        set_votes.__set__(self, emotion_votes)
-        set_triggers.__set__(self, trigger_annotators)
-        set_no_majority.__set__(self, no_majority)
-
 
 @dataclass(frozen=True, slots=True)
 class GoldRecord:
@@ -87,16 +66,6 @@ class GoldRecord:
     output: EotOutput
     provenance: GoldProvenance
 
-    def __init__(self, review_id: str, output: EotOutput, provenance: GoldProvenance):
-        set_review, set_output, set_provenance = _GOLD_SLOTS
-        set_review.__set__(self, review_id)
-        set_output.__set__(self, output)
-        set_provenance.__set__(self, provenance)
-
-
-_ANNOTATION_SLOTS, _TRIGGER_PROVENANCE_SLOTS, _GOLD_PROVENANCE_SLOTS, _GOLD_SLOTS = map(
-    record_slots, (AnnotationRecord, TriggerProvenance, GoldProvenance, GoldRecord)
-)
 
 _EMOTION_SPEC = (("emotion", STRING, True, None), ("triggers", ARRAY, False, STRING))
 _PROVENANCE_SPEC = (

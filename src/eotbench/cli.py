@@ -93,7 +93,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             if len(item_reviews) < plan.reviews_per_item:
                 raise InsufficientReviews(item_id, len(item_reviews), plan.reviews_per_item)
             strata = corpus.strata_in_order(item_reviews, plan.strata_granularity)
-            sample.extend(corpus.stratified_review_sample(item_reviews, plan, strata))
+            sample.extend(corpus.stratified_review_sample(strata, plan))
             manifest_items[item_id] = {
                 "domain": domain,
                 "strata": {key: len(reviews) for key, reviews in strata},

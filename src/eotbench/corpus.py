@@ -212,19 +212,15 @@ def strata_in_order(reviews: Sequence[Review], granularity: StrataGranularity) -
     return sorted(groups.items(), key=lambda kv: (kv[0] == UNKNOWN_STRATUM, kv[0]))
 
 
-def stratified_review_sample(
-    reviews_of_item: Sequence[Review], plan: SamplingPlan, strata: list[tuple[str, list[Review]]] | None = None
-) -> list[Review]:
-    """Sample ``reviews_per_item`` reviews, allocated proportionally to time
-    strata; ``strata`` is ``strata_in_order`` of the reviews, if the caller has it."""
+def stratified_review_sample(strata: list[tuple[str, list[Review]]], plan: SamplingPlan) -> list[Review]:
+    """Sample ``reviews_per_item`` reviews of one item, allocated proportionally
+    to its time strata, ``strata_in_order`` of its reviews."""
     m = plan.reviews_per_item
-    item_id = reviews_of_item[0].item_id if reviews_of_item else "?"
-    if len(reviews_of_item) < m:
-        raise InsufficientReviews(item_id, len(reviews_of_item), m)
-    if strata is None:
-        strata = strata_in_order(reviews_of_item, plan.strata_granularity)
-    counts = allocate_proportional([len(rs) for _, rs in strata], m)
+    sizes = [len(rs) for _, rs in strata]
+    item_id = strata[0][1][0].item_id if strata else "?"
+    if sum(sizes) < m:
+        raise InsufficientReviews(item_id, sum(sizes), m)
     sample: list[Review] = []
-    for (key, stratum_reviews), k in zip(strata, counts):
+    for (key, stratum_reviews), k in zip(strata, allocate_proportional(sizes, m)):
         sample.extend(srswor(stratum_reviews, k, derive_seed(plan.seed, item_id, key)))
     return sample

@@ -39,7 +39,6 @@ from .model import (
     canonical_emotion,
     locate_span,
     normalize_text,
-    record_slots,
 )
 
 REASON_OOV = "OOV"
@@ -62,25 +61,11 @@ class DroppedTrigger:
     text: str
     reason: str
 
-    def __init__(self, emotion: str, text: str, reason: str):
-        set_emotion, set_text, set_reason = _DROPPED_TRIGGER_SLOTS
-        set_emotion.__set__(self, emotion)
-        set_text.__set__(self, text)
-        set_reason.__set__(self, reason)
-
 
 @dataclass(frozen=True, slots=True)
 class DroppedEmotion:
     label: str
     reason: str
-
-    def __init__(self, label: str, reason: str):
-        set_label, set_reason = _DROPPED_EMOTION_SLOTS
-        set_label.__set__(self, label)
-        set_reason.__set__(self, reason)
-
-
-_DROPPED_TRIGGER_SLOTS, _DROPPED_EMOTION_SLOTS = record_slots(DroppedTrigger), record_slots(DroppedEmotion)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from . import __version__
 from .errors import AuthMissing, DataError, ProviderError, ProviderFailure, RateLimited, RequestTimeout, data_errors
 from .jsonio import ARRAY, DECODE_ERRORS, INTEGER, STRING, check_fields, encode_record, loads_line
-from .model import Domain, Review, record_slots
+from .model import Domain, Review
 from .prompting import CONFIG_SPEC, PROMPT_VERSION, InferenceConfig, Strategy, build_prompt, render_messages
 
 log = logging.getLogger(__name__)
@@ -141,22 +141,6 @@ class RunLedgerEntry:
     status: str
     error: str | None = None
 
-    def __init__(
-        self, run_id: str, review_id: str, strategy: Strategy, prompt_version: str, raw_response: str,
-        latency_ms: int, attempt_count: int, status: str, error: str | None = None,
-    ):
-        (set_run, set_review, set_strategy, set_version, set_response,
-         set_latency, set_attempts, set_status, set_error) = _ENTRY_SLOTS
-        set_run.__set__(self, run_id)
-        set_review.__set__(self, review_id)
-        set_strategy.__set__(self, strategy)
-        set_version.__set__(self, prompt_version)
-        set_response.__set__(self, raw_response)
-        set_latency.__set__(self, latency_ms)
-        set_attempts.__set__(self, attempt_count)
-        set_status.__set__(self, status)
-        set_error.__set__(self, error)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "run_id": self.run_id, "review_id": self.review_id, "strategy": self.strategy.value,
@@ -168,16 +152,11 @@ class RunLedgerEntry:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunLedgerEntry":
         check_fields(data, LEDGER_SPEC)
-        strategy = _STRATEGY_BY_VALUE.get(data["strategy"])
-        if strategy is None:
-            raise ValueError(f"{data['strategy']!r} is not a valid Strategy")  # Strategy(value)'s error
         return cls(
-            data["run_id"], data["review_id"], strategy, data["prompt_version"],
+            data["run_id"], data["review_id"],
+            _STRATEGY_BY_VALUE.get(data["strategy"]) or Strategy(data["strategy"]), data["prompt_version"],
             data["raw_response"], data["latency_ms"], data["attempt_count"], data["status"], data.get("error"),
         )
-
-
-_ENTRY_SLOTS = record_slots(RunLedgerEntry)
 
 
 class CompletionOutcome(NamedTuple):

@@ -67,13 +67,13 @@ def check_fields(obj: Any, spec: tuple, closed: bool = False) -> None:
         _check(name, value, kind, test)
     unknown = closed and [key for key in obj if all(key != field[0] for field in spec)]
     if unknown:
-        raise ValueError(f"not a known field: {', '.join(map(_shown, unknown))}")
+        raise ValueError(f"not a known field: {_shown(', '.join(map(repr, unknown)))}")
 
 
-def _shown(value: Any) -> str:
-    """``repr(value)`` for an error, cut to _SHOWN_CHARS characters and marked
-    when cut: a 4,000-digit integer or a megabyte string is named, not echoed."""
-    text = repr(value)
+def _shown(text: str) -> str:
+    """``text`` for an error, cut to _SHOWN_CHARS characters and marked when
+    cut: a 4,000-digit integer, a megabyte string or ten thousand unknown keys
+    are named, not echoed."""
     if len(text) <= _SHOWN_CHARS:
         return text
     return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
@@ -84,7 +84,7 @@ def _check(name: str, value: Any, kind: Any, test: Any) -> None:
     t = type(value)
     if type(kind) is tuple:
         if t is not dict:
-            raise ValueError(f"{name} is not an object: {_shown(value)}")
+            raise ValueError(f"{name} is not an object: {_shown(repr(value))}")
         try:
             check_fields(value, kind)
         except ValueError as exc:
@@ -95,7 +95,7 @@ def _check(name: str, value: Any, kind: Any, test: Any) -> None:
         or (t is float and kind is NUMBER and math.isfinite(value))
         or (t is bool and kind is BOOLEAN) or (t is list and kind is ARRAY) or (t is dict and kind is OBJECT)
     ):
-        raise ValueError(f"{name} is not {kind}: {_shown(value)}")
+        raise ValueError(f"{name} is not {kind}: {_shown(repr(value))}")
     elif test is None:
         return
     elif kind is ARRAY or kind is OBJECT:
@@ -104,11 +104,11 @@ def _check(name: str, value: Any, kind: Any, test: Any) -> None:
                 if not (type(item) is str and test is STRING and item.isascii()):
                     _check("", item, test, None)  # named below, only when it fails
         except ValueError as exc:
-            raise ValueError(f"{name}[{_shown(key)}]{exc}") from None
+            raise ValueError(f"{name}[{_shown(repr(key))}]{exc}") from None
     elif value not in test:
         if type(test) is range:
-            raise ValueError(f"{name} is out of range [{test.start}, {test[-1]}]: {_shown(value)}")
-        raise ValueError(f"{name} is not one of {', '.join(map(repr, test))}: {_shown(value)}")
+            raise ValueError(f"{name} is out of range [{test.start}, {test[-1]}]: {_shown(repr(value))}")
+        raise ValueError(f"{name} is not one of {', '.join(map(repr, test))}: {_shown(repr(value))}")
 
 
 # The C scanner behind json.loads; one call decodes the value that starts at

@@ -2,13 +2,14 @@
 
 Reviews, emotion labels, trigger spans, and emotion-trigger outputs are
 frozen: each record checks its invariants in ``__init__`` and cannot change
-after it. The records are slotted dataclasses whose ``__init__`` is written
-by hand: it validates, then stores each field through the field's member
-descriptor (``record_slots``), which the frozen ``__setattr__`` does not
-guard and which costs one call per field. A bulk command builds tens of
-thousands of them, so that store is on every record's path. The enums hash
-by identity. tokenize / normalize_text / canonical_emotion / locate_span are
-pure functions, so everything here is safe to share across threads.
+after it. The four records here are slotted dataclasses whose ``__init__``
+is written by hand: it validates, then stores each field through the
+field's member descriptor (``_record_slots``), which the frozen
+``__setattr__`` does not guard and which costs one call per field. A bulk
+command builds tens of thousands of them, so that store is on every
+record's path. The enums hash by identity. tokenize / normalize_text /
+canonical_emotion / locate_span are pure functions, so everything here is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ DOMAIN_SOURCE: dict[Domain, Source] = {
 DOMAIN_ORDER: tuple[Domain, ...] = tuple(Domain)
 
 
-def record_slots(cls: type) -> tuple:
+def _record_slots(cls: type) -> tuple:
     """The member descriptors of a slotted dataclass's fields, in field order.
 
     ``descriptor.__set__(record, value)`` stores a field of a frozen record
@@ -118,7 +119,7 @@ class Review:
         set_timestamp.__set__(self, timestamp)
 
 
-_REVIEW_SLOTS = record_slots(Review)
+_REVIEW_SLOTS = _record_slots(Review)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +155,7 @@ class TriggerSpan:
         return self.start < other.end and other.start < self.end
 
 
-_SPAN_SLOTS = record_slots(TriggerSpan)
+_SPAN_SLOTS = _record_slots(TriggerSpan)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +171,7 @@ class EmotionTriggers:
         set_triggers.__set__(self, triggers if type(triggers) is tuple else tuple(triggers))
 
 
-_PAIR_SLOTS = record_slots(EmotionTriggers)
+_PAIR_SLOTS = _record_slots(EmotionTriggers)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,7 +232,7 @@ class EotOutput:
                 span.validate_against(review_text)
 
 
-_OUTPUT_SLOTS = record_slots(EotOutput)
+_OUTPUT_SLOTS = _record_slots(EotOutput)
 
 
 class _PunctMemo(dict):

@@ -832,10 +832,11 @@ def oracle_sample(records: list[Review], plan: SamplingPlan) -> tuple[list[Revie
             item_reviews = filtered_by_item.get(item_id, [])
             if len(item_reviews) < plan.reviews_per_item:
                 raise InsufficientReviews(item_id, len(item_reviews), plan.reviews_per_item)
-            sample.extend(stratified_review_sample(item_reviews, plan))
+            strata = strata_in_order(item_reviews, plan.strata_granularity)
+            sample.extend(stratified_review_sample(strata, plan))
             manifest_items[item_id] = {
                 "domain": domain,
-                "strata": {key: len(rs) for key, rs in strata_in_order(item_reviews, plan.strata_granularity)},
+                "strata": {key: len(rs) for key, rs in strata},
                 "sampling_fraction": plan.reviews_per_item / len(item_reviews),
             }
     manifest = {

@@ -18,6 +18,7 @@ from eotbench.corpus import (
     filter_by_length,
     load_corpus,
     srswor,
+    strata_in_order,
     stratified_review_sample,
     stratum_key,
 )
@@ -233,6 +234,10 @@ class TestAllocateProportional:
         assert all(0 <= c <= s for c, s in zip(counts, sizes))
 
 
+def _sample(reviews, plan):
+    return stratified_review_sample(strata_in_order(reviews, plan.strata_granularity), plan)
+
+
 class TestStratifiedSample:
     def _reviews(self, sizes_by_year: dict[int, int], item_id="item-1"):
         reviews = []
@@ -250,28 +255,28 @@ class TestStratifiedSample:
     def test_single_stratum_degenerates_to_srswor(self):
         plan = _plan(reviews_per_item=10)
         reviews = self._reviews({2020: 20})
-        sample = stratified_review_sample(reviews, plan)
+        sample = _sample(reviews, plan)
         expected = srswor(reviews, 10, derive_seed(plan.seed, "item-1", "2020"))
         assert sample == expected
 
     def test_largest_remainder_tie_goes_to_earlier_stratum(self):
         plan = _plan(reviews_per_item=10)
         reviews = self._reviews({2019: 30, 2020: 10})
-        sample = stratified_review_sample(reviews, plan)
+        sample = _sample(reviews, plan)
         by_year = Counter(r.review_id.split("-")[0] for r in sample)
         assert by_year == {"r2019": 8, "r2020": 2}
 
     def test_exhaustive_within_strata(self):
         plan = _plan(reviews_per_item=10)
         reviews = self._reviews({2019: 5, 2020: 5})
-        sample = stratified_review_sample(reviews, plan)
+        sample = _sample(reviews, plan)
         assert len(sample) == 10
         assert sorted(r.review_id for r in sample) == sorted(r.review_id for r in reviews)
 
     def test_insufficient_reviews(self):
         plan = _plan(reviews_per_item=10)
         with pytest.raises(InsufficientReviews) as excinfo:
-            stratified_review_sample(self._reviews({2020: 4}), plan)
+            _sample(self._reviews({2020: 4}), plan)
         assert excinfo.value.item_id == "item-1"
 
     def test_missing_timestamps_use_unknown_stratum(self):
@@ -279,7 +284,7 @@ class TestStratifiedSample:
         reviews = self._reviews({2020: 4}) + [
             make_review(review_id=f"u{i}", item_id="item-1") for i in range(4)
         ]
-        sample = stratified_review_sample(reviews, plan)
+        sample = _sample(reviews, plan)
         assert len(sample) == 4
         known = sum(1 for r in sample if r.timestamp is not None)
         assert known == 2  # proportional 2/2 split
@@ -287,10 +292,10 @@ class TestStratifiedSample:
     def test_changing_other_items_does_not_perturb(self):
         plan = _plan(reviews_per_item=3)
         reviews = self._reviews({2020: 6}, item_id="item-A")
-        first = stratified_review_sample(reviews, plan)
+        first = _sample(reviews, plan)
         # a different item's sample uses an independent derived seed
-        stratified_review_sample(self._reviews({2020: 6}, item_id="item-B"), plan)
-        assert stratified_review_sample(reviews, plan) == first
+        _sample(self._reviews({2020: 6}, item_id="item-B"), plan)
+        assert _sample(reviews, plan) == first
 
     def test_quarter_granularity(self):
         review = make_review(timestamp=_ts(2021, 5))

@@ -231,11 +231,20 @@ def test_a_hostile_field_is_a_data_error(tmp_path, caplog, capsys, name, build, 
         assert [p for p in outputs if p.exists()] == []
 
 
-@pytest.mark.parametrize("value", [TOO_BIG_FOR_A_FLOAT, "x" * 100_000], ids=["10**400", "a long string"])
-def test_an_error_names_a_long_value_without_echoing_it(tmp_path, caplog, value):
-    argv, outputs, mutated = _report(tmp_path, _mutated(SCORES, ("emotion", "f1"), value))
+UNKNOWN_KEYS = [f"unknown_{i}" for i in range(10_000)]
+
+
+@pytest.mark.parametrize("build, record, error_text, shown", [
+    (_report, _mutated(SCORES, ("emotion", "f1"), TOO_BIG_FOR_A_FLOAT), "emotion.f1 is not a number",
+     repr(TOO_BIG_FOR_A_FLOAT)),
+    (_report, _mutated(SCORES, ("emotion", "f1"), "x" * 100_000), "emotion.f1 is not a number", repr("x" * 100_000)),
+    (_run_config, {**CONFIG, **dict.fromkeys(UNKNOWN_KEYS, 0)}, "bad inference config: not a known field",
+     ", ".join(map(repr, UNKNOWN_KEYS))),
+], ids=["10**400", "a long string", "many unknown keys"])
+def test_an_error_names_a_long_value_without_echoing_it(tmp_path, caplog, build, record, error_text, shown):
+    argv, outputs, mutated = build(tmp_path, record)
     assert main([str(a) for a in argv]) == EXIT_DATA
     [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert error.startswith(f"{mutated}: emotion.f1 is not a number: ")
-    assert error.endswith(f"... ({len(repr(value))} characters)")
+    assert error.startswith(f"{mutated}: {error_text}: {shown[:80]}")
+    assert error.endswith(f"... ({len(shown)} characters)")
     assert len(error) < len(str(mutated)) + 150

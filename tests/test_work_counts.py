@@ -1,7 +1,8 @@
 """One table of the work each command does on the fixed test fixtures.
 
 A module fixture runs `run`, `score`, `sample`, `aggregate`, `agreement` and
-`stats` once through ``cli.main`` on the committed fixtures, counting calls of
+`stats` once through ``cli.main`` on the committed fixtures (`run` with four
+workers, `agreement` with one review nobody annotated), counting calls of
 the functions in COUNTED and the records built, by type. ``PINS`` holds every
 count that is not zero. A change that builds more records or calls a
 counted function more often fails here deterministically, whatever the
@@ -16,6 +17,7 @@ import inspect
 import json
 import shutil
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -45,8 +47,8 @@ RECORDS = (
 PINS = [
     ("run", "Review", 10 + 1),  # the corpus, and the template review of the request body
     ("run", "RunLedgerEntry", 10),
-    ("run", "prompting.build_prompt", 1),  # one per run, whatever the number of reviews
-    ("run", "inference.read_ledger", 1),
+    ("run", "prompting.build_prompt", 1),  # one per run, whatever the number of reviews and workers
+    ("run", "inference.read_ledger", 1),  # likewise
     ("score", "Review", 10),
     ("score", "RunLedgerEntry", 10),
     ("score", "GoldRecord", 10),
@@ -77,13 +79,13 @@ PINS = [
     ("aggregate", "GoldProvenance", 4),
     ("aggregate", "TriggerProvenance", 4),
     ("aggregate", "model.normalize_text", 7),  # one per span pooled under an emotion that wins
-    ("agreement", "Review", 4),
+    ("agreement", "Review", 4 + 1),  # the annotated reviews, and one nobody annotated
     ("agreement", "AnnotationRecord", 12),
     ("agreement", "EotOutput", 12),
     ("agreement", "EmotionTriggers", 14),
     ("agreement", "TriggerSpan", 12),
     ("agreement", "model.locate_span", 12),
-    ("agreement", "model.tokenize_with_spans", 4),  # each annotated review, once
+    ("agreement", "model.tokenize_with_spans", 4),  # each annotated review, once; the other, never
     ("stats", "Review", 10),
     ("stats", "GoldRecord", 10),
     ("stats", "GoldProvenance", 10),
@@ -96,13 +98,16 @@ PINS = [
 
 
 class _Transport:
-    """Answers the run's requests, in order, with the hand-scored responses."""
+    """Answers each of the run's requests with the hand-scored response to the
+    review whose text the request body holds, whichever worker sends it."""
 
-    def __init__(self, replies):
-        self.replies = iter(replies)
+    def __init__(self, replies: dict[str, str]):
+        # a review's text as it reads in a body, JSON-escaped: no json.loads to count
+        self.replies = {json.dumps(text)[1:-1].encode(): reply for text, reply in replies.items()}
 
     def post(self, body):
-        return _Reply({"choices": [{"message": {"content": next(self.replies)}}]})
+        [reply] = [reply for text, reply in self.replies.items() if text in body]
+        return _Reply({"choices": [{"message": {"content": reply}}]})
 
 
 class _Reply:
@@ -115,13 +120,18 @@ class _Reply:
         return self.payload
 
 
+# the run's workers build records and call counted functions concurrently
+_COUNTING = threading.Lock()
+
+
 def _count_calls(monkeypatch, counts: Counter, target: str) -> None:
     """Count calls of ``target`` at every eotbench call site that names it."""
     module_name, name = target.split(".")
     original = getattr(sys.modules[f"eotbench.{module_name}"], name)
 
     def counting(*args, **kwargs):
-        counts[target] += 1
+        with _COUNTING:
+            counts[target] += 1
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -133,7 +143,8 @@ def _count_records(monkeypatch, counts: Counter, cls: type) -> None:
     init = cls.__init__
 
     def counting(self, *args, **kwargs):
-        counts[cls.__name__] += 1
+        with _COUNTING:
+            counts[cls.__name__] += 1
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cls, "__init__", counting)
@@ -143,7 +154,8 @@ def _counting_loads(counts: Counter):
     loads = json.loads
 
     def counting(*args, **kwargs):
-        counts["json.loads"] += 1
+        with _COUNTING:
+            counts["json.loads"] += 1
         return loads(*args, **kwargs)
 
     return counting
@@ -159,13 +171,19 @@ def counts(workdir):
     """Per command, the counts of one call of it on the fixtures; the run's
     files are left in ``workdir``."""
     tmp = workdir
-    reviews = [json.loads(line) for line in (HANDSCORED / "reviews.jsonl").read_text().splitlines()]
-    responses = {
-        entry["review_id"]: entry["raw_response"]
+    text_of = {
+        review["review_id"]: review["text"]
+        for review in map(json.loads, (HANDSCORED / "reviews.jsonl").read_text().splitlines())
+    }
+    replies = {
+        text_of[entry["review_id"]]: entry["raw_response"]
         for entry in map(json.loads, (HANDSCORED / "responses.jsonl").read_text().splitlines())
     }
     profile = tmp / "profiles.ini"
-    profile.write_text("[fake]\nbase_url = http://127.0.0.1:9\nmodel_id = m\nmax_concurrency = 1\n")
+    profile.write_text("[fake]\nbase_url = http://127.0.0.1:9\nmodel_id = m\nmax_concurrency = 4\n")
+    agreement_corpus = tmp / "agreement-corpus.jsonl"
+    unannotated = {"review_id": "unrated", "text": "Nobody annotated this.", "domain": "Home", "item_id": "h9"}
+    agreement_corpus.write_text((DATA_DIR / "agreement" / "corpus.jsonl").read_text() + json.dumps(unannotated) + "\n")
     runs = str(tmp / "runs")
     commands = {
         "run": ["run", "--corpus", str(HANDSCORED / "reviews.jsonl"), "--strategy", "zs",
@@ -178,15 +196,13 @@ def counts(workdir):
         "aggregate": ["aggregate", "--annotations", str(DATA_DIR / "agreement" / "annotations.jsonl"),
                       "--corpus", str(DATA_DIR / "agreement" / "corpus.jsonl"), "--out", str(tmp / "gold.jsonl")],
         "agreement": ["agreement", "--annotations", str(DATA_DIR / "agreement" / "annotations.jsonl"),
-                      "--corpus", str(DATA_DIR / "agreement" / "corpus.jsonl"), "--out", str(tmp / "agreement.txt")],
+                      "--corpus", str(agreement_corpus), "--out", str(tmp / "agreement.txt")],
         "stats": ["stats", "--gold", str(HANDSCORED / "gold.jsonl"), "--corpus", str(HANDSCORED / "reviews.jsonl"),
                   "--out", str(tmp / "stats.txt")],
     }
     counted: dict[str, Counter] = {}
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(
-            inference, "http_transport", lambda *_: _Transport(responses[r["review_id"]] for r in reviews)
-        )
+        monkeypatch.setattr(inference, "http_transport", lambda *_: _Transport(replies))
         for command, argv in commands.items():
             counted[command] = Counter()
             with pytest.MonkeyPatch.context() as patch:
