@@ -9,7 +9,6 @@ from .model import (
     EmotionTriggers,
     EotOutput,
     Review,
-    Source,
     TriggerSpan,
     canonical_emotion,
     locate_span,
@@ -25,7 +24,6 @@ __all__ = [
     "EotOutput",
     "InferenceConfig",
     "Review",
-    "Source",
     "Strategy",
     "TriggerSpan",
     "build_prompt",

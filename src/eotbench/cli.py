@@ -7,6 +7,7 @@ partially failed run.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import logging
 import sys
@@ -163,7 +164,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     run_id = args.run_id or time.strftime("run-%Y%m%d-%H%M%S")
     # a missing token, or a URL, proxy or header that cannot be sent, fails
     # here: before the manifest
-    http = inference.http_transport(profile, inference.completion_endpoint(profile, config))
+    http = inference.http_transport(profile)
+    template = inference.body_template(profile, config, strategy)
 
     run_dir = runs_dir / run_id
     manifest_path = run_dir / "manifest.json"
@@ -196,8 +198,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         })
 
     state = inference.run_experiment(
-        corpus_file.records, strategy, profile, config,
-        runs_dir=runs_dir, run_id=run_id, session=http,
+        corpus_file.records, template, http,
+        max_concurrency=profile.max_concurrency, runs_dir=runs_dir, run_id=run_id,
     )
     print(run_id)
     if state.failed:
@@ -279,6 +281,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, not at import, and kept for the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eotbench",
@@ -354,10 +357,6 @@ COLLECTOR_PAUSED = frozenset({"sample", "aggregate", "agreement", "stats", "scor
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     collecting = gc.isenabled()
-    # Paused before the parser is built: the parser is a web of cycles, and
-    # garbage once main returns. Built unpaused, a young pass can promote part
-    # of it to the old generation, where it would wait for a full pass; built
-    # paused, it is all young and the first young pass after main frees it.
     gc.disable()
     try:
         args = build_parser().parse_args(argv)

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Sequence, TypeVar
 
 from .errors import EmptyCorpus, InsufficientReviews, SampleTooLarge
 from .jsonio import INTEGER, STRING, check_fields, iter_jsonl
-from .model import DOMAIN_SOURCE, Domain, Review, Source, count_tokens
+from .model import Domain, Review, count_tokens
 
 T = TypeVar("T")
 
@@ -82,14 +82,9 @@ class RejectedLine:
 
 @dataclass
 class CorpusFile:
-    """Loaded corpus plus the rejection report for malformed lines.
-
-    ``source`` is derived from the record domains; None means the file
-    mixes sources (legal for merged sample files).
-    """
+    """Loaded corpus plus the rejection report for malformed lines."""
 
     records: list[Review]
-    source: Source | None
     rejections: list[RejectedLine] = field(default_factory=list)
 
 
@@ -127,8 +122,7 @@ def load_corpus(path: Path | str) -> CorpusFile:
         records.append(review)
     if not records:
         raise EmptyCorpus(path)
-    sources = {DOMAIN_SOURCE[r.domain] for r in records}
-    return CorpusFile(records=records, source=sources.pop() if len(sources) == 1 else None, rejections=rejections)
+    return CorpusFile(records=records, rejections=rejections)
 
 
 def review_to_dict(review: Review) -> dict[str, Any]:

@@ -1,8 +1,9 @@
 """HTTP chat-completion execution with retries and an append-only ledger.
 
 A run sends every request through one transport, made once from the
-profile and its endpoint (``http_transport``) and shared by the run's
-workers: ``post(body)`` takes the request body and nothing else.
+profile (``http_transport``) and shared by the run's workers:
+``post(body)`` takes the request body and nothing else. Each body is the
+run's ``BodyTemplate`` (``body_template``) with the review's text put in.
 
 Raw responses are persisted before any parsing, so scoring never
 re-issues a request. Re-running an experiment skips reviews that already
@@ -164,41 +165,6 @@ class CompletionOutcome(NamedTuple):
     attempts: int
 
 
-class Endpoint(NamedTuple):
-    """What every request of a run shares, built once per run."""
-
-    url: str
-    headers: dict[str, str]
-    params: dict[str, Any]  # the body's fields other than the messages
-
-
-def completion_endpoint(profile: ProviderProfile, config: InferenceConfig) -> Endpoint:
-    """The URL, headers (auth included) and body parameters of the
-    profile's chat completions; raises AuthMissing when the token is unset."""
-    if not profile.base_url.lower().startswith(("http://", "https://")):
-        raise DataError(f"profile {profile.name!r}: base_url must be an http:// or https:// URL")
-    headers = {"Content-Type": "application/json", "User-Agent": f"eotbench/{__version__}"}
-    token = profile.auth_token()
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    params: dict[str, Any] = {"model": profile.model_id}
-    dropped = []
-    for param, value in config.to_dict().items():
-        if param in profile.supported_params:
-            params[param] = value
-        else:
-            dropped.append(param)
-    if dropped:
-        log.debug("profile %s drops unsupported params: %s", profile.name, ", ".join(dropped))
-    return Endpoint(profile.base_url.rstrip("/") + "/chat/completions", headers, params)
-
-
-def encode_body(endpoint: Endpoint, messages: Sequence[tuple[str, str]]) -> bytes:
-    """The JSON request body that asks ``endpoint`` to complete ``messages``."""
-    body = {**endpoint.params, "messages": [{"role": role, "content": content} for role, content in messages]}
-    return json.dumps(body).encode("utf-8")
-
-
 # A review text that no prompt holds: its escaped form marks where the review goes.
 _SENTINEL = "\x00"
 _ESCAPED_SENTINEL = encode_basestring_ascii(_SENTINEL)[1:-1].encode("ascii")
@@ -207,34 +173,52 @@ _ESCAPED_SENTINEL = encode_basestring_ascii(_SENTINEL)[1:-1].encode("ascii")
 class BodyTemplate(NamedTuple):
     """The request body of a run's strategy around a gap for the review text."""
 
+    strategy: Strategy
     prefix: bytes
     suffix: bytes
 
     def encode(self, text: str) -> bytes:
-        """The body for a review with ``text``: the same bytes as
-        ``encode_body`` of its rendered prompt, as JSON escapes each code
-        point on its own."""
+        """The body for a review with ``text``: the same bytes as ``json.dumps``
+        of the body with its prompt rendered, as JSON escapes each code point
+        on its own."""
         return self.prefix + encode_basestring_ascii(text)[1:-1].encode("ascii") + self.suffix
 
 
-def body_template(endpoint: Endpoint, strategy: Strategy) -> BodyTemplate:
-    """The prompt of ``strategy`` rendered and encoded once, around a sentinel review."""
+def body_template(profile: ProviderProfile, config: InferenceConfig, strategy: Strategy) -> BodyTemplate:
+    """The chat-completion body of ``strategy`` for ``profile``, rendered and
+    encoded once around a sentinel review: the model, the config params the
+    profile supports, then the messages."""
+    body: dict[str, Any] = {"model": profile.model_id}
+    dropped = []
+    for param, value in config.to_dict().items():
+        if param in profile.supported_params:
+            body[param] = value
+        else:
+            dropped.append(param)
+    if dropped:
+        log.debug("profile %s drops unsupported params: %s", profile.name, ", ".join(dropped))
     messages = render_messages(build_prompt(strategy, Review("template", _SENTINEL, Domain.HOME, "template")))
     assert sum(content.count(_SENTINEL) for _, content in messages) == 1, "a prompt constant holds the sentinel"
+    body["messages"] = [{"role": role, "content": content} for role, content in messages]
     # the messages are the body's last field, so the last sentinel is the
     # review's even if the params (a model id) hold one too
-    prefix, _, suffix = encode_body(endpoint, messages).rpartition(_ESCAPED_SENTINEL)
-    return BodyTemplate(prefix, suffix)
+    prefix, _, suffix = json.dumps(body).encode("utf-8").rpartition(_ESCAPED_SENTINEL)
+    return BodyTemplate(strategy, prefix, suffix)
 
 
-def http_transport(profile: ProviderProfile, endpoint: Endpoint) -> Any:
-    """The run's one transport to ``endpoint``, with the profile's timeout; a
-    URL, proxy or header it cannot use is a DataError, raised before any
-    request."""
+def http_transport(profile: ProviderProfile) -> Any:
+    """The run's one transport to the profile's chat completions, with its
+    auth header and timeout. An unset token raises AuthMissing; a URL, proxy
+    or header the transport cannot use is a DataError. Both are raised
+    before any request."""
     from .transport import HttpTransport  # imported on first use: the other commands need no HTTP
 
+    headers = {"Content-Type": "application/json", "User-Agent": f"eotbench/{__version__}"}
+    token = profile.auth_token()
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
     try:
-        return HttpTransport(endpoint.url, endpoint.headers, profile.timeout)
+        return HttpTransport(profile.base_url.rstrip("/") + "/chat/completions", headers, profile.timeout)
     except ValueError as exc:
         raise DataError(f"profile {profile.name!r}: {exc}") from None
 
@@ -262,12 +246,12 @@ def request_completion(
 ) -> CompletionOutcome:
     """One chat completion with exponential backoff and full jitter.
 
-    ``body`` is the encoded request (``encode_body``, or a run's
-    ``BodyTemplate``); ``http.post(body)`` (a ``transport.HttpTransport``)
-    sends it, raising TimeoutError on a timeout and OSError when the
-    exchange fails. Transient failures (timeouts, connection errors, 429,
-    5xx) are retried up to max_attempts; other HTTP errors, redirects
-    included, raise immediately.
+    ``body`` is the encoded request (a run's ``BodyTemplate.encode``);
+    ``http.post(body)`` (a ``transport.HttpTransport``) sends it, raising
+    TimeoutError on a timeout and OSError when the exchange fails.
+    Transient failures (timeouts, connection errors, 429, 5xx) are retried
+    up to max_attempts; other HTTP errors, redirects included, raise
+    immediately.
     """
     for attempt in range(1, max_attempts + 1):
         transient: ProviderFailure | None = None
@@ -417,19 +401,19 @@ class _Progress:
 
 def run_experiment(
     reviews: Sequence[Review],
-    strategy: Strategy,
-    profile: ProviderProfile,
-    config: InferenceConfig,
+    template: BodyTemplate,
+    http: Any,
     *,
+    max_concurrency: int,
     runs_dir: Path | str,
     run_id: str,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    session: Any = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> RunState:
-    """Process reviews with bounded concurrency, appending one ledger entry each.
+    """Send each review in ``template`` through ``http`` (anything with
+    ``post(body)``), appending one ledger entry each.
 
-    ``profile.max_concurrency`` workers, the calling thread among them, take
+    ``max_concurrency`` workers, the calling thread among them, take
     reviews from one shared iterator; each worker appends its own entries.
     Resumable: reviews already Ok in this run's ledger under the current
     PROMPT_VERSION are skipped. Per-review failures become Failed entries
@@ -437,13 +421,7 @@ def run_experiment(
     reviews and is raised once they have all finished, the entries of the
     reviews they finished appended. Progress is logged at INFO. Returns the
     run's state after it, ledger entries from earlier invocations included.
-    Its workers share ``session``, anything with ``post(body)``: by default
-    ``http_transport(profile, ...)``.
     """
-    endpoint = completion_endpoint(profile, config)  # fails before any request when auth is missing
-    # and so does a URL, proxy or header the transport cannot use
-    http = session if session is not None else http_transport(profile, endpoint)
-    template = body_template(endpoint, strategy)
     path = ledger_path(runs_dir, run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     state = reduce_ledger(read_ledger(runs_dir, run_id), run_id, PROMPT_VERSION)
@@ -451,22 +429,16 @@ def run_experiment(
     todo = [r for r in reviews if r.review_id not in state.ok]
     log.info("run %s: %d reviews to process (%d already done)", run_id, len(todo), len(state.ok))
 
-    def process(review: Review, http: Any) -> RunLedgerEntry:
+    def process(review: Review) -> RunLedgerEntry:
         started = time.monotonic()
         try:
             outcome = request_completion(http, template.encode(review.text), max_attempts=max_attempts, sleep=sleep)
+            text, attempts, status, error = outcome.text, outcome.attempts, LedgerStatus.OK, None
         except ProviderFailure as exc:
-            latency = int((time.monotonic() - started) * 1000)
-            return RunLedgerEntry(
-                run_id=run_id, review_id=review.review_id, strategy=strategy,
-                prompt_version=PROMPT_VERSION, raw_response="", latency_ms=latency,
-                attempt_count=exc.attempts, status=LedgerStatus.FAILED, error=str(exc),
-            )
+            text, attempts, status, error = "", exc.attempts, LedgerStatus.FAILED, str(exc)
         latency = int((time.monotonic() - started) * 1000)
         return RunLedgerEntry(
-            run_id=run_id, review_id=review.review_id, strategy=strategy,
-            prompt_version=PROMPT_VERSION, raw_response=outcome.text, latency_ms=latency,
-            attempt_count=outcome.attempts, status=LedgerStatus.OK,
+            run_id, review.review_id, template.strategy, PROMPT_VERSION, text, latency, attempts, status, error
         )
 
     pending = iter(todo)
@@ -490,14 +462,14 @@ def run_experiment(
                     review = None if errors else next(pending, None)
                 if review is None:
                     return
-                entry = process(review, http)
+                entry = process(review)
                 line = encode_record(entry.to_dict()) + "\n"
         except BaseException as exc:  # raised by run_experiment once every worker is done
             with lock:
                 errors.append(exc)
 
     with open(path, "a", encoding="utf-8") as ledger:
-        workers = [threading.Thread(target=work) for _ in range(min(profile.max_concurrency, len(todo)) - 1)]
+        workers = [threading.Thread(target=work) for _ in range(min(max_concurrency, len(todo)) - 1)]
         for worker in workers:
             worker.start()
         work()

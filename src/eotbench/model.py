@@ -62,23 +62,6 @@ class Domain(Enum):
     __hash__ = object.__hash__  # as EmotionLabel's
 
 
-class Source(Enum):
-    AMAZON = "Amazon"
-    TRIPADVISOR = "TripAdvisor"
-    YELP = "Yelp"
-
-    __hash__ = object.__hash__  # as EmotionLabel's
-
-
-DOMAIN_SOURCE: dict[Domain, Source] = {
-    Domain.BEAUTY: Source.AMAZON,
-    Domain.CLOTHING: Source.AMAZON,
-    Domain.HOME: Source.AMAZON,
-    Domain.ELECTRONICS: Source.AMAZON,
-    Domain.TRIPADVISOR: Source.TRIPADVISOR,
-    Domain.YELP: Source.YELP,
-}
-
 DOMAIN_ORDER: tuple[Domain, ...] = tuple(Domain)
 
 
@@ -143,13 +126,6 @@ class TriggerSpan:
         set_text.__set__(self, text)
         set_start.__set__(self, start)
         set_end.__set__(self, end)
-
-    def validate_against(self, review_text: str) -> None:
-        """Assert the extractive constraint against a concrete review."""
-        if review_text[self.start : self.end] != self.text:
-            raise ValueError(
-                f"span [{self.start}, {self.end}) does not read back as {self.text!r}"
-            )
 
     def overlaps(self, other: "TriggerSpan") -> bool:
         return self.start < other.end and other.start < self.end
@@ -225,11 +201,6 @@ class EotOutput:
             if pair.emotion is emotion:
                 return pair.triggers
         return ()
-
-    def validate_against(self, review_text: str) -> None:
-        for pair in self.pairs:
-            for span in pair.triggers:
-                span.validate_against(review_text)
 
 
 _OUTPUT_SLOTS = _record_slots(EotOutput)

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from eotbench.model import Domain, Review
+from eotbench.model import Domain, EotOutput, Review, TriggerSpan
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -44,3 +44,10 @@ def make_review(
 @pytest.fixture
 def sample_review() -> Review:
     return make_review()
+
+
+def assert_extractive(text: str, found: TriggerSpan | EotOutput) -> None:
+    """Each trigger span of ``found`` reads back from ``text`` at its offsets."""
+    spans = [found] if isinstance(found, TriggerSpan) else [s for pair in found.pairs for s in pair.triggers]
+    for s in spans:
+        assert text[s.start : s.end] == s.text, f"span [{s.start}, {s.end}) does not read back as {s.text!r}"

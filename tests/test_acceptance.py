@@ -28,7 +28,7 @@ from eotbench.jsonio import load_json, write_jsonl
 from eotbench.metrics import rouge1, rougeL
 from eotbench.model import Domain, EmotionLabel, PRIMARY_EMOTIONS
 from eotbench.prompting import Strategy, build_prompt, render_messages
-from conftest import DATA_DIR, GOLDEN_DIR, make_review
+from conftest import DATA_DIR, GOLDEN_DIR, assert_extractive, make_review
 from mock_provider import MockProviderServer
 from oracles import (
     brute_clipped_overlap,
@@ -124,7 +124,7 @@ def test_criterion_3_extractive_constraint_fuzz():
         )
         report = parse_output(raw, review)
         # every accepted trigger must satisfy the substring check exactly
-        report.output.validate_against(review.text)
+        assert_extractive(review.text, report.output)
         accepted += sum(len(p.triggers) for p in report.output.pairs)
 
     crash_rng = random.Random(3033)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import gc
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -455,6 +456,25 @@ class TestRunAndScoreCommands:
             assert main(args + ["--resume"]) == EXIT_OK
             assert server.request_count == first_requests  # everything already Ok
 
+    def test_run_sets_up_its_requests_once(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("RUN_TOKEN", "sekrit")
+        reads = []
+        auth_token = inference.ProviderProfile.auth_token
+        monkeypatch.setattr(
+            inference.ProviderProfile, "auth_token", lambda profile: reads.append(profile.name) or auth_token(profile)
+        )
+        with self._neutral_server() as server:
+            profile = write_profile(tmp_path / "profiles.ini", server.base_url)
+            profile.write_text(profile.read_text() + "auth_env_var = RUN_TOKEN\n")
+            with caplog.at_level(logging.DEBUG, logger="eotbench.inference"):
+                assert main([
+                    "run", "--corpus", str(DATA_DIR / "handscored" / "reviews.jsonl"), "--strategy", "zs",
+                    "--profile", str(profile), "--run-id", "auth", "--runs-dir", str(tmp_path / "runs"),
+                ]) == EXIT_OK
+            assert server.request_count == 10
+        assert reads == ["mock"]
+        assert caplog.text.count("profile mock drops unsupported params: n") == 1
+
     def _neutral_run(self, tmp_path, server, *extra):
         reviews_path = DATA_DIR / "handscored" / "reviews.jsonl"
         profile = write_profile(tmp_path / "profiles.ini", server.base_url)
@@ -782,7 +802,8 @@ class TestBadInputFiles:
         assert not (tmp_path / "runs" / "bad").exists()
 
     @pytest.mark.parametrize("profile_lines, env, code, reason", [
-        ("base_url = ftp://127.0.0.1:9/v1", {}, EXIT_DATA, "base_url must be an http:// or https:// URL"),
+        ("base_url = ftp://127.0.0.1:9/v1", {}, EXIT_DATA,
+         "profile 'mock': not an http or https URL: 'ftp://127.0.0.1:9/v1/chat/completions'"),
         ("base_url = http://127.0.0.1:abc/v1", {}, EXIT_DATA, "profile 'mock': URL 'http://127.0.0.1:abc/v1/chat/completions'"),
         ("base_url = {url}", {"http_proxy": "socks5://127.0.0.1:1080"}, EXIT_DATA, "only http:// proxies"),
         ("base_url = {url}\nauth_env_var = RUN_TOKEN", {"RUN_TOKEN": "a\r\nX-Injected: 1"}, EXIT_DATA,
@@ -901,18 +922,26 @@ class TestCollector:
             main(["stats", "--format", "xml"])
         assert gc.isenabled() is collector
 
-    def test_a_young_pass_frees_the_parser(self, tmp_path):
-        # The parser is garbage in cycles once main returns. Had a young pass
-        # promoted part of it while main built it, that part would outlive the
-        # command and wait for a full pass, so memory would grow between them.
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        assert self._stats(tmp_path) == EXIT_OK
+        assert self._stats(tmp_path) == EXIT_OK
+        assert built.count("eotbench") == 1
+
+    def test_a_call_leaves_no_parser_garbage(self, tmp_path):
+        # Once built, the parser outlives every command, so a call leaves no
+        # parser in cycles for the collector to find.
+        assert self._stats(tmp_path) == EXIT_OK
         gc.collect()
-        thresholds = gc.get_threshold()
-        gc.set_threshold(50)  # a young pass every 50 allocations: many while a parser is built
-        try:
-            assert self._stats(tmp_path) == EXIT_OK
-        finally:
-            gc.set_threshold(*thresholds)
-        gc.collect(0)
+        assert self._stats(tmp_path) == EXIT_OK
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             gc.collect()

@@ -23,7 +23,7 @@ from eotbench.corpus import (
     stratum_key,
 )
 from eotbench.errors import EmptyCorpus, InsufficientReviews, SampleTooLarge
-from eotbench.model import Source
+from eotbench.model import Domain
 from conftest import DEEPLY_NESTED, make_review, over_long_integer
 
 
@@ -65,7 +65,6 @@ class TestLoadCorpus:
         path.write_text("\n".join(self._line(i) for i in range(3)) + "\n")
         loaded = load_corpus(path)
         assert len(loaded.records) == 3
-        assert loaded.source is Source.AMAZON
         assert loaded.rejections == []
 
     def test_collects_rejections_with_line_numbers(self, tmp_path):
@@ -88,10 +87,10 @@ class TestLoadCorpus:
         assert len(loaded.records) == 1
         assert "duplicate" in loaded.rejections[0].reason
 
-    def test_mixed_sources_have_no_single_source(self, tmp_path):
+    def test_a_file_may_mix_domains(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(self._line(1) + "\n" + self._line(2, domain="Yelp") + "\n")
-        assert load_corpus(path).source is None
+        assert [r.domain for r in load_corpus(path).records] == [Domain.BEAUTY, Domain.YELP]
 
     def test_non_utf8_line_is_rejected_not_raised(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -22,7 +22,7 @@ from eotbench.extraction import (
     parse_report_to_dict,
 )
 from eotbench.model import EmotionLabel
-from conftest import make_review, over_long_integer
+from conftest import assert_extractive, make_review, over_long_integer
 from oracles import _balanced_block, oracle_extract_structured_block, oracle_parse_output
 
 
@@ -116,7 +116,7 @@ class TestParseOutput:
         [pair] = report.output.pairs
         assert pair.emotion is EmotionLabel.JOY
         assert [s.text for s in pair.triggers] == ["works perfectly"]
-        report.output.validate_against(sample_review.text)
+        assert_extractive(sample_review.text, report.output)
 
     def test_whitespace_repair(self):
         review = make_review(text="Non slip, great arch support")
@@ -127,7 +127,7 @@ class TestParseOutput:
         assert report.repair_applied
         [pair] = report.output.pairs
         assert pair.triggers[0].text == "Non slip, great arch support"
-        report.output.validate_against(review.text)
+        assert_extractive(review.text, report.output)
 
     def test_case_repair_recovers_original_case(self):
         review = make_review(text="LOVE the fit and the color")
@@ -455,7 +455,7 @@ class TestFuzz:
             length = rng.randrange(0, 60)
             raw = bytes(rng.randrange(256) for _ in range(length)).decode("latin-1")
             report = parse_output(raw, sample_review)
-            report.output.validate_against(sample_review.text)
+            assert_extractive(sample_review.text, report.output)
 
     def test_mutated_triggers_never_accepted_unverified(self):
         review = make_review(
@@ -479,4 +479,4 @@ class TestFuzz:
                 trigger = trigger[:pos] + rng.choice(alphabet) + trigger[pos + 1 :]
             raw = response([{"emotion": rng.choice(emotions), "triggers": [trigger]}])
             report = parse_output(raw, review)
-            report.output.validate_against(review.text)
+            assert_extractive(review.text, report.output)

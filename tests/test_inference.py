@@ -15,9 +15,8 @@ from eotbench.inference import (
     ProviderProfile,
     RunLedgerEntry,
     _Progress,
+    BodyTemplate,
     body_template,
-    completion_endpoint,
-    encode_body,
     http_transport,
     ledger_path,
     load_provider_profiles,
@@ -45,9 +44,13 @@ def profile(**overrides) -> ProviderProfile:
     return ProviderProfile(**defaults)
 
 
+def template(strategy: Strategy = Strategy.ZS) -> BodyTemplate:
+    return body_template(profile(), default_config(), strategy)
+
+
 def hi(under: ProviderProfile | None = None) -> bytes:
-    """The request body of one "hi" user message with the params of ``under``."""
-    return encode_body(completion_endpoint(under or profile(), default_config()), [("user", "hi")])
+    """The zero-shot request body of the review "hi" with the params of ``under``."""
+    return body_template(under or profile(), default_config(), Strategy.ZS).encode("hi")
 
 
 class FakeResponse:
@@ -172,12 +175,12 @@ class TestComplete:
     def test_auth_missing(self, monkeypatch):
         monkeypatch.delenv("MISSING_TOKEN_VAR", raising=False)
         with pytest.raises(AuthMissing):
-            completion_endpoint(profile(auth_env_var="MISSING_TOKEN_VAR"), default_config())
+            http_transport(profile(auth_env_var="MISSING_TOKEN_VAR"))
 
     def test_bearer_header_sent(self, monkeypatch):
         monkeypatch.setenv("TEST_TOKEN_VAR", "sekrit")
         local = profile(auth_env_var="TEST_TOKEN_VAR")
-        transport = http_transport(local, completion_endpoint(local, default_config()))
+        transport = http_transport(local)
         assert transport.headers["Authorization"] == "Bearer sekrit"
 
     def test_unsupported_params_dropped_from_body(self):
@@ -207,25 +210,30 @@ class TestBodyTemplate:
         model_id=st.sampled_from(("test-model", "m\x00", "\x00\u00e9\\")),
     )
     def test_bytes_equal_the_body_json_dumps_encodes(self, strategy, text, supported, model_id):
-        endpoint = completion_endpoint(profile(supported_params=supported, model_id=model_id), default_config())
+        config = default_config()
+        template = body_template(profile(supported_params=supported, model_id=model_id), config, strategy)
         messages = render_messages(build_prompt(strategy, make_review(text=text)))
-        body = {**endpoint.params, "messages": [{"role": role, "content": content} for role, content in messages]}
-        expected = json.dumps(body).encode("utf-8")
-        assert body_template(endpoint, strategy).encode(text) == expected
-        assert encode_body(endpoint, messages) == expected
+        body = {
+            "model": model_id,
+            **{param: value for param, value in config.to_dict().items() if param in supported},
+            "messages": [{"role": role, "content": content} for role, content in messages],
+        }
+        assert template.strategy is strategy
+        assert template.encode(text) == json.dumps(body).encode("utf-8")
 
     def test_a_run_sends_each_review_in_its_prompt_and_writes_the_same_ledger_lines(self, tmp_path):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("r\u00e9ponse \u2028 \U0001f600")))
         reviews = [make_review(review_id=f"r{i}", text=f"kettle number {i} \"boils\"") for i in range(7)]
         run_experiment(
-            reviews, Strategy.EOT_DETECT, profile(max_concurrency=3), default_config(),
-            runs_dir=tmp_path, run_id="once", session=session, sleep=NO_SLEEP,
+            reviews, template(Strategy.EOT_DETECT), session, max_concurrency=3,
+            runs_dir=tmp_path, run_id="once", sleep=NO_SLEEP,
         )
         assert sorted(body["messages"][-1]["content"] for body in session.bodies) == sorted(
             render_messages(build_prompt(Strategy.EOT_DETECT, review))[-1][1] for review in reviews
         )
         lines = ledger_path(tmp_path, "once").read_text(encoding="utf-8").split("\n")[:-1]
         assert len(lines) == 7
+        assert {e.strategy for e in read_ledger(tmp_path, "once")} == {Strategy.EOT_DETECT}
         for line in lines:
             assert line == json.dumps(json.loads(line), ensure_ascii=False)
 
@@ -237,8 +245,8 @@ class TestRunExperiment:
     def test_full_run_populates_ledger(self, tmp_path):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
         run_experiment(
-            self._reviews(10), Strategy.ZS, profile(), default_config(),
-            runs_dir=tmp_path, run_id="run-a", session=session, sleep=NO_SLEEP,
+            self._reviews(10), template(), session, max_concurrency=4,
+            runs_dir=tmp_path, run_id="run-a", sleep=NO_SLEEP,
         )
         entries = read_ledger(tmp_path, "run-a")
         assert len(entries) == 10
@@ -250,13 +258,13 @@ class TestRunExperiment:
         reviews = self._reviews(10)
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
         run_experiment(
-            reviews[:5], Strategy.ZS, profile(), default_config(),
-            runs_dir=tmp_path, run_id="run-b", session=session, sleep=NO_SLEEP,
+            reviews[:5], template(), session, max_concurrency=4,
+            runs_dir=tmp_path, run_id="run-b", sleep=NO_SLEEP,
         )
         assert session.calls == 5
         run_experiment(
-            reviews, Strategy.ZS, profile(), default_config(),
-            runs_dir=tmp_path, run_id="run-b", session=session, sleep=NO_SLEEP,
+            reviews, template(), session, max_concurrency=4,
+            runs_dir=tmp_path, run_id="run-b", sleep=NO_SLEEP,
         )
         assert session.calls == 10  # exactly 5 new requests
         entries = read_ledger(tmp_path, "run-b")
@@ -278,8 +286,8 @@ class TestRunExperiment:
 
         session = FakeSession(script_by_text)
         run_experiment(
-            reviews, Strategy.ZS, profile(), default_config(),
-            runs_dir=tmp_path, run_id="run-c", session=session, sleep=NO_SLEEP,
+            reviews, template(), session, max_concurrency=4,
+            runs_dir=tmp_path, run_id="run-c", sleep=NO_SLEEP,
         )
         entries = read_ledger(tmp_path, "run-c")
         by_status = {}
@@ -294,8 +302,8 @@ class TestRunExperiment:
     def test_content_that_is_not_a_string_is_a_failed_entry(self, tmp_path, content):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload(content)))
         run_experiment(
-            self._reviews(2), Strategy.ZS, profile(), default_config(),
-            runs_dir=tmp_path, run_id="run-n", session=session, sleep=NO_SLEEP,
+            self._reviews(2), template(), session, max_concurrency=4,
+            runs_dir=tmp_path, run_id="run-n", sleep=NO_SLEEP,
         )
         entries = read_ledger(tmp_path, "run-n")
         assert [(e.status, e.raw_response) for e in entries] == [(LedgerStatus.FAILED, "")] * 2
@@ -304,13 +312,13 @@ class TestRunExperiment:
     def test_ledger_is_append_only_across_reruns(self, tmp_path):
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
         run_experiment(
-            self._reviews(3), Strategy.ZS, profile(), default_config(),
-            runs_dir=tmp_path, run_id="run-d", session=session, sleep=NO_SLEEP,
+            self._reviews(3), template(), session, max_concurrency=4,
+            runs_dir=tmp_path, run_id="run-d", sleep=NO_SLEEP,
         )
         first = read_ledger(tmp_path, "run-d")
         run_experiment(
-            self._reviews(3), Strategy.ZS, profile(), default_config(),
-            runs_dir=tmp_path, run_id="run-d", session=session, sleep=NO_SLEEP,
+            self._reviews(3), template(), session, max_concurrency=4,
+            runs_dir=tmp_path, run_id="run-d", sleep=NO_SLEEP,
         )
         second = read_ledger(tmp_path, "run-d")
         assert second == first  # nothing re-requested, nothing mutated
@@ -319,8 +327,8 @@ class TestRunExperiment:
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
         session.barrier = threading.Barrier(3)
         run_experiment(
-            self._reviews(9), Strategy.ZS, profile(max_concurrency=3), default_config(),
-            runs_dir=tmp_path, run_id="run-e", session=session, sleep=NO_SLEEP,
+            self._reviews(9), template(), session, max_concurrency=3,
+            runs_dir=tmp_path, run_id="run-e", sleep=NO_SLEEP,
         )
         assert session.max_in_flight <= 3
 
@@ -332,8 +340,8 @@ class TestRunExperiment:
         session = FakeSession(script)
         with pytest.raises(RuntimeError, match="boom"):
             run_experiment(
-                self._reviews(40), Strategy.ZS, profile(max_concurrency=concurrency), default_config(),
-                runs_dir=tmp_path, run_id="run-x", session=session, sleep=NO_SLEEP,
+                self._reviews(40), template(), session, max_concurrency=concurrency,
+                runs_dir=tmp_path, run_id="run-x", sleep=NO_SLEEP,
             )
         data = ledger_path(tmp_path, "run-x").read_bytes()
         assert data.endswith(b"\n")
@@ -350,8 +358,8 @@ class TestRunExperiment:
         sys.setswitchinterval(1e-6)
         try:
             run_experiment(
-                self._reviews(40), Strategy.ZS, profile(max_concurrency=4), default_config(),
-                runs_dir=tmp_path, run_id="run-w", session=session, sleep=NO_SLEEP,
+                self._reviews(40), template(), session, max_concurrency=4,
+                runs_dir=tmp_path, run_id="run-w", sleep=NO_SLEEP,
             )
         finally:
             sys.setswitchinterval(interval)
@@ -374,8 +382,8 @@ class TestRunExperiment:
 
         with caplog.at_level(logging.INFO, logger="eotbench.inference"):
             run_experiment(
-                reviews, Strategy.ZS, profile(max_concurrency=2), default_config(),
-                runs_dir=tmp_path, run_id="run-p", session=FakeSession(script), sleep=NO_SLEEP,
+                reviews, template(), FakeSession(script), max_concurrency=2,
+                runs_dir=tmp_path, run_id="run-p", sleep=NO_SLEEP,
             )
         progress = [r.getMessage() for r in caplog.records if "req/s" in r.getMessage()]
         assert [m.split()[2] for m in progress] == [f"{done}/40" for done in range(2, 41, 2)]
@@ -391,17 +399,6 @@ class TestRunExperiment:
         assert [r.getMessage() for r in caplog.records] == [
             "run slow: 2/1000 reviews, 0.1 req/s, 1 failed, ETA 15469 s"
         ]
-
-    def test_auth_checked_before_any_request(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("NOPE_VAR", raising=False)
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("x")))
-        with pytest.raises(AuthMissing):
-            run_experiment(
-                self._reviews(2), Strategy.ZS, profile(auth_env_var="NOPE_VAR"),
-                default_config(), runs_dir=tmp_path, run_id="run-f",
-                session=session, sleep=NO_SLEEP,
-            )
-        assert session.calls == 0
 
 
 def entry(review_id, status=LedgerStatus.OK, run_id="run", prompt_version=PROMPT_VERSION, raw="x"):
@@ -441,8 +438,8 @@ class TestLedgerReduction:
         path.write_text(json.dumps(entry("r0", prompt_version="0.9").to_dict()) + "\n")
         session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
         state = run_experiment(
-            [make_review(review_id="r0", item_id="i1")], Strategy.ZS, profile(), default_config(),
-            runs_dir=tmp_path, run_id="run", session=session, sleep=NO_SLEEP,
+            [make_review(review_id="r0", item_id="i1")], template(), session, max_concurrency=4,
+            runs_dir=tmp_path, run_id="run", sleep=NO_SLEEP,
         )
         assert session.calls == 1
         assert state.ok["r0"].prompt_version == PROMPT_VERSION
@@ -458,9 +455,9 @@ class TestLedgerReduction:
             return FakeResponse(400, text="bad") if fails else FakeResponse(200, completion_payload("resp"))
 
         session = FakeSession(script)
-        kwargs = dict(runs_dir=tmp_path, run_id="run-s", session=session, sleep=NO_SLEEP)
-        run_experiment(reviews[:2], Strategy.ZS, profile(), default_config(), **kwargs)
-        state = run_experiment(reviews, Strategy.ZS, profile(), default_config(), **kwargs)
+        kwargs = dict(max_concurrency=4, runs_dir=tmp_path, run_id="run-s", sleep=NO_SLEEP)
+        run_experiment(reviews[:2], template(), session, **kwargs)
+        state = run_experiment(reviews, template(), session, **kwargs)
         assert set(state.ok) == {"r0", "r1", "r2"}
         assert state.failed == {"r3"}
         expected = reduce_ledger(read_ledger(tmp_path, "run-s"), "run-s", PROMPT_VERSION)
@@ -486,8 +483,8 @@ class TestLedgerTail:
         session = FakeSession(lambda i, body: FakeResponse(200, reply))
         reviews = [make_review(review_id=f"r{i}", item_id="i1") for i in range(n)]
         run_experiment(
-            reviews, Strategy.ZS, profile(), default_config(),
-            runs_dir=tmp_path, run_id="run-t", session=session, sleep=NO_SLEEP,
+            reviews, template(), session, max_concurrency=4,
+            runs_dir=tmp_path, run_id="run-t", sleep=NO_SLEEP,
         )
         return session
 

@@ -19,7 +19,7 @@ from eotbench.model import (
     tokenize,
     tokenize_with_spans,
 )
-from conftest import make_review
+from conftest import assert_extractive, make_review
 from oracles import oracle_token_spans, oracle_tokenize
 
 # Letters, ASCII and Unicode punctuation, whitespace beyond the ASCII space,
@@ -104,7 +104,7 @@ class TestLocateSpan:
         start = data.draw(st.integers(0, len(text) - 1))
         end = data.draw(st.integers(start + 1, len(text)))
         span = locate_span(text, text[start:end])
-        span.validate_against(text)
+        assert_extractive(text, span)
 
 
 class TestTriggerSpan:
@@ -115,11 +115,6 @@ class TestTriggerSpan:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             TriggerSpan("abc", 0, 2)
-
-    def test_validate_against_detects_drift(self):
-        span = TriggerSpan("love", 0, 4)
-        with pytest.raises(ValueError):
-            span.validate_against("hate everything")
 
 
 class TestEotOutput:

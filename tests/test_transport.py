@@ -20,10 +20,8 @@ from eotbench.errors import DataError, ProviderError, RequestTimeout
 from eotbench.inference import (
     LedgerStatus,
     ProviderProfile,
-    completion_endpoint,
-    encode_body,
+    body_template,
     http_transport,
-    ledger_path,
     read_ledger,
     request_completion,
     run_experiment,
@@ -63,9 +61,12 @@ def profile(base_url: str, **overrides) -> ProviderProfile:
 
 def ask(base_url: str, max_attempts: int = 3, **overrides):
     local = profile(base_url, **overrides)
-    endpoint = completion_endpoint(local, default_config())
-    body = encode_body(endpoint, [("user", "hi")])
-    return request_completion(http_transport(local, endpoint), body, max_attempts=max_attempts, sleep=NO_SLEEP)
+    body = body_template(local, default_config(), Strategy.ZS).encode("hi")
+    return request_completion(http_transport(local), body, max_attempts=max_attempts, sleep=NO_SLEEP)
+
+
+def zero_shot():
+    return body_template(profile("http://127.0.0.1:9/v1"), default_config(), Strategy.ZS)
 
 
 def reviews(n: int):
@@ -140,11 +141,10 @@ class TestConnections:
                 return self.transport.post(body)
 
         with MockProviderServer(idle_timeout=0.05) as server:
-            local = profile(server.base_url, max_concurrency=1)
-            transport = http_transport(local, completion_endpoint(local, default_config()))
+            transport = http_transport(profile(server.base_url))
             run_experiment(
-                reviews(3), Strategy.ZS, local, default_config(),
-                runs_dir=tmp_path, run_id="idle", session=Pausing(transport), sleep=NO_SLEEP,
+                reviews(3), zero_shot(), Pausing(transport), max_concurrency=1,
+                runs_dir=tmp_path, run_id="idle", sleep=NO_SLEEP,
             )
         entries = read_ledger(tmp_path, "idle")
         assert [(e.status, e.attempt_count) for e in entries] == [(LedgerStatus.OK, 1)] * 3
@@ -253,7 +253,7 @@ class TestResponseReader:
         bad = b"HTTP/1.1 200 OK\r\nContent-Length: \xb9\r\n\r\n%s" % PAYLOAD
         with raw_server(bad, bad) as (url, _):
             state = run_experiment(
-                reviews(1), Strategy.ZS, profile(url, max_concurrency=1), default_config(),
+                reviews(1), zero_shot(), http_transport(profile(url)), max_concurrency=1,
                 runs_dir=tmp_path, run_id="cl", max_attempts=2, sleep=NO_SLEEP,
             )
         [entry] = read_ledger(tmp_path, "cl")
@@ -292,7 +292,7 @@ class TestResponseReader:
             f"User-Agent: eotbench/{__version__}",
             "Connection: close",
         ] + (["Proxy-Authorization: Basic " + base64.b64encode(b"u:p").decode()] if through_proxy else [])
-        assert json.loads(body)["messages"] == [{"role": "user", "content": "hi"}]
+        assert body == zero_shot().encode("hi")
 
 
 class TestProxy:
@@ -364,14 +364,6 @@ class TestRoute:
         with pytest.raises(DataError, match="profile 'local': URL path or query holds"):
             ask(f"http://127.0.0.1:9{path}")
 
-    def test_an_unusable_url_fails_the_run_before_its_ledger_is_touched(self, tmp_path):
-        with pytest.raises(DataError):
-            run_experiment(
-                reviews(2), Strategy.ZS, profile("http://127.0.0.1:abc/v1"), default_config(),
-                runs_dir=tmp_path, run_id="bad", sleep=NO_SLEEP,
-            )
-        assert not ledger_path(tmp_path, "bad").parent.exists()
-
     def test_a_proxy_without_a_host_is_a_data_error(self, monkeypatch):
         monkeypatch.setenv("http_proxy", "http://u:secret@:8080")
         with pytest.raises(DataError, match="proxy 'http://:8080' names no host") as excinfo:
@@ -386,14 +378,10 @@ class TestRoute:
         assert "secret" not in str(excinfo.value)
 
     @pytest.mark.parametrize("token", ["a\r\nX-Injected: 1", "caf\u00e9\u2603"], ids=["line-break", "not-latin-1"])
-    def test_a_header_that_cannot_be_sent_fails_the_run_before_its_ledger_is_touched(self, tmp_path, monkeypatch, token):
+    def test_a_header_that_cannot_be_sent_is_a_data_error(self, monkeypatch, token):
         monkeypatch.setenv("BAD_TOKEN", token)
         with pytest.raises(DataError, match="profile 'local': a request header name or value"):
-            run_experiment(
-                reviews(2), Strategy.ZS, profile("http://127.0.0.1:9/v1", auth_env_var="BAD_TOKEN"),
-                default_config(), runs_dir=tmp_path, run_id="bad", sleep=NO_SLEEP,
-            )
-        assert not ledger_path(tmp_path, "bad").parent.exists()
+            http_transport(profile("http://127.0.0.1:9/v1", auth_env_var="BAD_TOKEN"))
 
 
 class TestResources:
@@ -402,7 +390,7 @@ class TestResources:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", ResourceWarning)
                 state = run_experiment(
-                    reviews(8), Strategy.ZS, profile(server.base_url, max_concurrency=3), default_config(),
+                    reviews(8), zero_shot(), http_transport(profile(server.base_url)), max_concurrency=3,
                     runs_dir=tmp_path, run_id="res", sleep=NO_SLEEP,
                 )
                 gc.collect()
