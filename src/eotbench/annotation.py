@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import FORMAT_VERSION, reviews_by_id
-from .errors import DataError, DegenerateDistribution, MismatchedReviewIds, WrongAnnotatorCount
+from .errors import DataError, DegenerateDistribution
 from .jsonio import ARRAY, BOOLEAN, INTEGER, OBJECT, STRING, check_fields, iter_jsonl, render_table
 from .model import (
     DOMAIN_ORDER, EMOTION_ORDER, EmotionLabel, EmotionTriggers, EotOutput, Review, TriggerSpan, canonical_emotion,
@@ -152,10 +152,10 @@ def resolve_overlaps(spans: Sequence[TriggerSpan]) -> list[TriggerSpan]:
 def aggregate_gold(annotations: Sequence[AnnotationRecord]) -> GoldRecord:
     """Majority-vote aggregation of exactly three annotator records."""
     if len(annotations) != 3:
-        raise WrongAnnotatorCount(f"need exactly 3 records, got {len(annotations)}")
+        raise DataError(f"need exactly 3 records, got {len(annotations)}")
     review_ids = {a.review_id for a in annotations}
     if len(review_ids) != 1:
-        raise MismatchedReviewIds(f"records span several reviews: {sorted(review_ids)}")
+        raise DataError(f"records span several reviews: {sorted(review_ids)}")
     review_id = annotations[0].review_id
 
     votes: Counter[EmotionLabel] = Counter()

@@ -274,9 +274,14 @@ def _render_confusion(confusion: dict[str, dict[str, float]], fmt: str) -> str:
 
 def cmd_report(args: argparse.Namespace) -> int:
     rows: dict[str, Sequence[float]] = {}
+    sources: dict[str, str] = {}
     for path in args.scores:
         document = load_json(path, metrics.SCORES_SPEC)
-        rows[f"{document.get('run_id', path)}_{document.get('strategy', '')}"] = metrics.score_row(document)
+        name = f"{document.get('run_id', path)}_{document.get('strategy', '')}"
+        if name in sources:
+            raise DataError(f"{sources[name]} and {path} both give the row {name!r}")
+        sources[name] = path
+        rows[name] = metrics.score_row(document)
     _write_text(metrics.render_score_rows(rows, args.format), args.out)
     return EXIT_OK
 

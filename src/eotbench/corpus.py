@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Sequence, TypeVar
 
-from .errors import EmptyCorpus, InsufficientReviews, SampleTooLarge
+from .errors import DataError, InsufficientReviews
 from .jsonio import INTEGER, STRING, check_fields, iter_jsonl
 from .model import Domain, Review, count_tokens
 
@@ -100,7 +100,7 @@ def load_corpus(path: Path | str) -> CorpusFile:
     """Load a line-delimited review file.
 
     Well-formed records load; malformed lines are collected into
-    ``rejections`` with their line numbers. EmptyCorpus is raised when
+    ``rejections`` with their line numbers. A DataError is raised when
     nothing usable remains.
     """
     records: list[Review] = []
@@ -121,7 +121,7 @@ def load_corpus(path: Path | str) -> CorpusFile:
         seen_ids.add(review.review_id)
         records.append(review)
     if not records:
-        raise EmptyCorpus(path)
+        raise DataError(f"no usable records in corpus file: {path}")
     return CorpusFile(records=records, rejections=rejections)
 
 
@@ -164,7 +164,7 @@ def srswor(population: Sequence[T], n: int, seed: int) -> list[T]:
     fixed (population order, n, seed) and uniform over size-n subsets.
     """
     if n > len(population):
-        raise SampleTooLarge(n, len(population))
+        raise DataError(f"cannot draw {n} from a population of {len(population)}")
     rng = Random(seed)
     pool = list(population)
     for i in range(n):

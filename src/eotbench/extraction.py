@@ -73,7 +73,6 @@ class ParseReport:
     output: EotOutput
     dropped_triggers: list[DroppedTrigger] = field(default_factory=list)
     dropped_emotions: list[DroppedEmotion] = field(default_factory=list)
-    repair_applied: bool = False
     parse_status: ParseStatus = ParseStatus.CLEAN
 
 
@@ -333,7 +332,7 @@ def parse_output(raw: str, review: Review) -> ParseReport:
         tuple(EmotionTriggers(label, tuple(spans)) for label, spans in survivors),
     )
     status = ParseStatus.REPAIRED if repair_applied else ParseStatus.CLEAN
-    return ParseReport(output, dropped_triggers, dropped_emotions, repair_applied, status)
+    return ParseReport(output, dropped_triggers, dropped_emotions, status)
 
 
 def parse_report_to_dict(report: ParseReport) -> dict[str, Any]:
@@ -341,7 +340,7 @@ def parse_report_to_dict(report: ParseReport) -> dict[str, Any]:
     return {
         **report.output.to_dict(),
         "parse_status": report.parse_status.value,
-        "repair_applied": report.repair_applied,
+        "repair_applied": report.parse_status is ParseStatus.REPAIRED,
         "dropped_triggers": [
             {"emotion": d.emotion, "text": d.text, "reason": d.reason} for d in report.dropped_triggers
         ],

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
-from .errors import AuthMissing, DataError, ProviderError, ProviderFailure, RateLimited, RequestTimeout, data_errors
+from .errors import DataError, ProviderError, ProviderFailure, data_errors
 from .jsonio import ARRAY, DECODE_ERRORS, INTEGER, STRING, check_fields, encode_record, loads_line
 from .model import Domain, Review
 from .prompting import CONFIG_SPEC, PROMPT_VERSION, InferenceConfig, Strategy, build_prompt, render_messages
@@ -73,7 +73,7 @@ class ProviderProfile:
             return None
         token = os.environ.get(self.auth_env_var)
         if not token:
-            raise AuthMissing(self.auth_env_var)
+            raise ProviderFailure(f"auth environment variable {self.auth_env_var} is not set")
         return token
 
 
@@ -208,7 +208,7 @@ def body_template(profile: ProviderProfile, config: InferenceConfig, strategy: S
 
 def http_transport(profile: ProviderProfile) -> Any:
     """The run's one transport to the profile's chat completions, with its
-    auth header and timeout. An unset token raises AuthMissing; a URL, proxy
+    auth header and timeout. An unset token raises ProviderFailure; a URL, proxy
     or header the transport cannot use is a DataError. Both are raised
     before any request."""
     from .transport import HttpTransport  # imported on first use: the other commands need no HTTP
@@ -258,26 +258,26 @@ def request_completion(
         try:
             response = http.post(body)
         except TimeoutError:
-            transient = RequestTimeout(attempt)
+            transient = ProviderFailure(f"request timed out after {attempt} attempts", attempt)
         except OSError as exc:
             transient = ProviderError(0, f"connection error: {exc}", attempt)
         else:
-            status = response.status_code
+            status = response.status
             if status == 200:
                 try:
-                    payload = response.json()
+                    payload = json.loads(response.body)
                 except DECODE_ERRORS:
                     raise ProviderError(200, "response body is not JSON", attempt) from None
                 return CompletionOutcome(_extract_choice_text(payload, attempt), attempt)
             if status == 429:
-                transient = RateLimited(attempt)
+                transient = ProviderFailure(f"still rate limited after {attempt} attempts", attempt)
             elif status >= 500:
-                transient = ProviderError(status, response.text, attempt)
+                transient = ProviderError(status, response.body.decode("utf-8", "replace"), attempt)
             elif 300 <= status < 400:
-                location = response.headers.get("Location")
+                location = response.headers.get("location")
                 raise ProviderError(status, f"redirect to {location!r} not followed", attempt)
             else:
-                raise ProviderError(status, response.text, attempt)
+                raise ProviderError(status, response.body.decode("utf-8", "replace"), attempt)
         if attempt == max_attempts:
             raise transient
         delay = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1))

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .annotation import GoldRecord
-from .errors import MissingGold
+from .errors import DataError
 from .jsonio import NUMBER, STRING, render_table
 from .model import EMOTION_ORDER, EmotionLabel, EotOutput, normalize_text, tokenize
 
@@ -184,7 +184,7 @@ def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> 
     for output in pred:
         expected_output = gold_map.get(output.review_id)
         if expected_output is None:
-            raise MissingGold(output.review_id)
+            raise DataError(f"no gold record for review {output.review_id!r}")
         predicted = output.emotions
         expected = expected_output.emotions
         hits = predicted & expected

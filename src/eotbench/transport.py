@@ -8,7 +8,9 @@ proxy or header it cannot use raises ``ValueError`` there, before any
 request. ``post(body)`` sends the body bytes on a connection of its own for
 each request, the request head and body in one write, reads the whole
 response and closes the connection; ``timeout`` bounds the connect and each
-read. Redirects are returned, not followed.
+read. It returns a ``Response(status, headers, body)``: the status code, a
+plain dict of the headers keyed by lower-case name, and the body bytes.
+Redirects are returned, not followed.
 
 The response reader skips 1xx responses and reads the body by chunked
 transfer coding, by ``Content-Length``, or up to the point where the server
@@ -23,12 +25,11 @@ A failure to exchange a request and its response raises ``OSError``
 from __future__ import annotations
 
 import base64
-import json
 import os
 import re
 import socket
 import ssl
-from typing import Any, NamedTuple
+from typing import NamedTuple
 from urllib.parse import SplitResult, unquote, urlsplit
 
 MAX_HEAD_BYTES = 64 * 1024
@@ -39,36 +40,14 @@ _CONTENT_LENGTH = re.compile(r"[0-9]{1,18}")
 _TOO_LONG = f"response head or line over {MAX_HEAD_BYTES // 1024} KiB"
 
 
-class Headers(dict):
-    """Response headers by lower-case name; lookups ignore case. A header
-    sent more than once holds its values joined by ", "."""
+class Response(NamedTuple):
+    """A finished response: the status, the headers by lower-case name (a
+    header sent more than once holds its values joined by ", ") and the
+    whole body."""
 
-    def __getitem__(self, name: str) -> str:
-        return super().__getitem__(name.lower())
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and super().__contains__(name.lower())
-
-    def get(self, name: str, default: Any = None) -> Any:
-        return super().get(name.lower(), default)
-
-
-class Response:
-    """A finished response: status, headers and the whole body."""
-
-    __slots__ = ("status_code", "headers", "content")
-
-    def __init__(self, status_code: int, headers: Headers, content: bytes):
-        self.status_code = status_code
-        self.headers = headers
-        self.content = content
-
-    @property
-    def text(self) -> str:
-        return self.content.decode("utf-8", "replace")
-
-    def json(self) -> Any:
-        return json.loads(self.content)
+    status: int
+    headers: dict[str, str]
+    body: bytes
 
 
 class _Route(NamedTuple):
@@ -227,7 +206,7 @@ class _Reader:
         self._pos += size
         return data
 
-    def head(self) -> tuple[int, Headers]:
+    def head(self) -> tuple[int, dict[str, str]]:
         """The status and headers of the next response head."""
         budget = MAX_HEAD_BYTES
         status_line = self._line(budget)
@@ -252,9 +231,9 @@ class _Reader:
             fields[name] = f"{fields[name]}, {value_text}" if name in fields else value_text
         if line is None:
             raise ConnectionError("connection closed inside the response head")
-        return int(match[1]), Headers(fields)
+        return int(match[1]), fields
 
-    def body(self, status: int, headers: Headers) -> bytes:
+    def body(self, status: int, headers: dict[str, str]) -> bytes:
         if status in (204, 304):
             return b""
         if headers.get("transfer-encoding", "").rpartition(",")[2].strip().lower() == "chunked":

@@ -39,7 +39,6 @@ from eotbench.errors import (
     DataError,
     DegenerateDistribution,
     InsufficientReviews,
-    MissingGold,
     NoStructuredBlock,
     UnknownEmotion,
 )
@@ -284,7 +283,7 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
                 start = index_map[at]
                 end = index_map[at + len(normalized_trigger) - 1] + 1
                 span = TriggerSpan(review.text[start:end], start, end)
-                report.repair_applied = True
+                report.parse_status = ParseStatus.REPAIRED
             if not any(s.start == span.start and s.end == span.end for s in spans):
                 spans.append(span)
 
@@ -309,7 +308,6 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
         review.review_id,
         tuple(EmotionTriggers(label, tuple(spans)) for label, spans in survivors),
     )
-    report.parse_status = ParseStatus.REPAIRED if report.repair_applied else ParseStatus.CLEAN
     return report
 
 
@@ -672,7 +670,7 @@ def _aligned(pred, gold):
     for output in pred:
         record = gold_map.get(output.review_id)
         if record is None:
-            raise MissingGold(output.review_id)
+            raise DataError(f"no gold record for review {output.review_id!r}")
         yield output, record
 
 

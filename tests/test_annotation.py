@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import random
+import re
 from unittest import mock
 
 import oracles
@@ -25,11 +26,7 @@ from eotbench.annotation import (
     resolve_overlaps,
     trigger_token_kappa,
 )
-from eotbench.errors import (
-    DataError,
-    MismatchedReviewIds,
-    WrongAnnotatorCount,
-)
+from eotbench.errors import DataError
 from eotbench.jsonio import write_jsonl
 from eotbench.model import (
     Domain,
@@ -140,10 +137,10 @@ class TestAggregateGold:
 
     def test_wrong_count_and_mismatched_ids(self, sample_review):
         records = [neutral_annotation(sample_review, a) for a in ("A1", "A2")]
-        with pytest.raises(WrongAnnotatorCount):
+        with pytest.raises(DataError, match="^need exactly 3 records, got 2$"):
             aggregate_gold(records)
         other = make_review(review_id="other")
-        with pytest.raises(MismatchedReviewIds):
+        with pytest.raises(DataError, match=re.escape("records span several reviews: ['other', 'r1']")):
             aggregate_gold(records + [neutral_annotation(other, "A3")])
 
     def test_retained_triggers_never_overlap(self):

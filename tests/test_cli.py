@@ -592,6 +592,17 @@ class TestRunAndScoreCommands:
         assert "demo_zs" in out
         assert "0.5000" in out
 
+    def test_report_refuses_two_files_that_give_one_row(self, tmp_path, caplog, capsys):
+        golden = Path(__file__).parent / "golden" / "cli" / "scores.json"
+        copy = tmp_path / "scores.json"
+        copy.write_bytes(golden.read_bytes())
+        caplog.clear()
+        assert main(["report", str(golden), str(copy), "--out", str(tmp_path / "report.txt")]) == EXIT_DATA
+        [message] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert message == f"{golden} and {copy} both give the row 'fixture-run_eot-detect'"
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "report.txt").exists()
+
     def test_report_csv_keeps_a_comma_in_the_run_id(self, tmp_path, capsys):
         scores = {
             "format_version": "1",

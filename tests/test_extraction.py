@@ -112,7 +112,6 @@ class TestParseOutput:
             response([{"emotion": "Joy", "triggers": ["works perfectly"]}]), sample_review
         )
         assert report.parse_status is ParseStatus.CLEAN
-        assert not report.repair_applied
         [pair] = report.output.pairs
         assert pair.emotion is EmotionLabel.JOY
         assert [s.text for s in pair.triggers] == ["works perfectly"]
@@ -124,7 +123,6 @@ class TestParseOutput:
             response([{"emotion": "Joy", "triggers": ["Non  slip, great arch support"]}]), review
         )
         assert report.parse_status is ParseStatus.REPAIRED
-        assert report.repair_applied
         [pair] = report.output.pairs
         assert pair.triggers[0].text == "Non slip, great arch support"
         assert_extractive(review.text, report.output)
@@ -134,7 +132,7 @@ class TestParseOutput:
         report = parse_output(
             response([{"emotion": "Joy", "triggers": ["love the fit"]}]), review
         )
-        assert report.repair_applied
+        assert report.parse_status is ParseStatus.REPAIRED
         assert report.output.pairs[0].triggers[0].text == "LOVE the fit"
 
     def test_non_extractive_trigger_dropped_then_emotion_dropped(self, sample_review):

@@ -8,7 +8,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eotbench.errors import AuthMissing, DataError, ProviderError, RateLimited, RequestTimeout
+from eotbench.errors import DataError, ProviderError, ProviderFailure
 from eotbench.inference import (
     MAX_CONCURRENCY,
     LedgerStatus,
@@ -26,6 +26,7 @@ from eotbench.inference import (
     run_experiment,
 )
 from eotbench.prompting import PROMPT_VERSION, Strategy, build_prompt, default_config, render_messages
+from eotbench.transport import Response
 from conftest import DEEPLY_NESTED, make_review
 
 NO_SLEEP = lambda seconds: None
@@ -53,16 +54,9 @@ def hi(under: ProviderProfile | None = None) -> bytes:
     return body_template(under or profile(), default_config(), Strategy.ZS).encode("hi")
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, payload=None, text: str = ""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text or (json.dumps(payload) if payload is not None else "")
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no body")
-        return self._payload
+def response(status: int, payload=None, text: str = "") -> Response:
+    """What the transport returns: the body is ``payload`` as JSON, or else ``text``."""
+    return Response(status, {}, (json.dumps(payload) if payload is not None else text).encode("utf-8"))
 
 
 def completion_payload(content: str) -> dict:
@@ -73,7 +67,7 @@ class FakeSession:
     """Scripted HTTP session; also records concurrency and request bodies."""
 
     def __init__(self, script):
-        # script: callable(call_index, body) -> FakeResponse or Exception
+        # script: callable(call_index, body) -> Response or Exception
         self.script = script
         self.calls = 0
         self.bodies = []
@@ -107,7 +101,7 @@ class FakeSession:
 
 class TestComplete:
     def test_echo_path(self):
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("hello")))
+        session = FakeSession(lambda i, body: response(200, completion_payload("hello")))
         outcome = request_completion(session, hi(), sleep=NO_SLEEP)
         assert outcome.text == "hello"
         assert session.calls == 1
@@ -115,8 +109,8 @@ class TestComplete:
     def test_retry_on_429_then_success(self):
         def script(i, body):
             if i < 2:
-                return FakeResponse(429, text="slow down")
-            return FakeResponse(200, completion_payload("ok"))
+                return response(429, text="slow down")
+            return response(200, completion_payload("ok"))
 
         session = FakeSession(script)
         outcome = request_completion(session, hi(), sleep=NO_SLEEP)
@@ -124,20 +118,20 @@ class TestComplete:
         assert outcome.attempts == 3
 
     def test_server_errors_exhaust_attempt_cap(self):
-        session = FakeSession(lambda i, body: FakeResponse(500, text="boom"))
+        session = FakeSession(lambda i, body: response(500, text="boom"))
         with pytest.raises(ProviderError) as excinfo:
             request_completion(session, hi(), max_attempts=3, sleep=NO_SLEEP)
         assert session.calls == 3
         assert excinfo.value.attempts == 3
 
     def test_rate_limit_exhaustion_raises_rate_limited(self):
-        session = FakeSession(lambda i, body: FakeResponse(429))
-        with pytest.raises(RateLimited):
+        session = FakeSession(lambda i, body: response(429))
+        with pytest.raises(ProviderFailure, match="^still rate limited after 2 attempts$"):
             request_completion(session, hi(), max_attempts=2, sleep=NO_SLEEP)
 
     def test_timeouts_raise_after_retries(self):
         session = FakeSession(lambda i, body: TimeoutError("slow"))
-        with pytest.raises(RequestTimeout):
+        with pytest.raises(ProviderFailure, match="^request timed out after 2 attempts$"):
             request_completion(session, hi(), max_attempts=2, sleep=NO_SLEEP)
 
     def test_connection_errors_are_transient_provider_errors(self):
@@ -149,32 +143,28 @@ class TestComplete:
         assert "connection error: reset by peer" in str(excinfo.value)
 
     def test_client_errors_do_not_retry(self):
-        session = FakeSession(lambda i, body: FakeResponse(404, text="nope"))
-        with pytest.raises(ProviderError):
+        session = FakeSession(lambda i, body: Response(404, {}, b"no\xffpe"))  # not UTF-8: decoded with "replace"
+        with pytest.raises(ProviderError, match="^provider returned HTTP 404: no\ufffdpe$"):
             request_completion(session, hi(), sleep=NO_SLEEP)
         assert session.calls == 1
 
     def test_malformed_body_after_retries_counts_every_attempt(self):
         session = FakeSession(
-            lambda i, body: FakeResponse(500, text="boom") if i < 2 else FakeResponse(200, {"choices": []})
+            lambda i, body: response(500, text="boom") if i < 2 else response(200, {"choices": []})
         )
         with pytest.raises(ProviderError) as excinfo:
             request_completion(session, hi(), sleep=NO_SLEEP)
         assert excinfo.value.attempts == 3
 
     def test_deeply_nested_body_is_a_provider_error(self):
-        class NestedBody(FakeResponse):
-            def json(self):
-                return json.loads(self.text)
-
-        session = FakeSession(lambda i, body: NestedBody(200, text=DEEPLY_NESTED))
+        session = FakeSession(lambda i, body: response(200, text=DEEPLY_NESTED))
         with pytest.raises(ProviderError, match="not JSON") as excinfo:
             request_completion(session, hi(), sleep=NO_SLEEP)
         assert excinfo.value.status == 200
 
     def test_auth_missing(self, monkeypatch):
         monkeypatch.delenv("MISSING_TOKEN_VAR", raising=False)
-        with pytest.raises(AuthMissing):
+        with pytest.raises(ProviderFailure, match="^auth environment variable MISSING_TOKEN_VAR is not set$"):
             http_transport(profile(auth_env_var="MISSING_TOKEN_VAR"))
 
     def test_bearer_header_sent(self, monkeypatch):
@@ -184,7 +174,7 @@ class TestComplete:
         assert transport.headers["Authorization"] == "Bearer sekrit"
 
     def test_unsupported_params_dropped_from_body(self):
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("x")))
+        session = FakeSession(lambda i, body: response(200, completion_payload("x")))
         limited = profile(supported_params=frozenset({"temperature", "max_tokens"}))
         request_completion(session, hi(limited), sleep=NO_SLEEP)
         body = session.bodies[0]
@@ -222,7 +212,7 @@ class TestBodyTemplate:
         assert template.encode(text) == json.dumps(body).encode("utf-8")
 
     def test_a_run_sends_each_review_in_its_prompt_and_writes_the_same_ledger_lines(self, tmp_path):
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("r\u00e9ponse \u2028 \U0001f600")))
+        session = FakeSession(lambda i, body: response(200, completion_payload("r\u00e9ponse \u2028 \U0001f600")))
         reviews = [make_review(review_id=f"r{i}", text=f"kettle number {i} \"boils\"") for i in range(7)]
         run_experiment(
             reviews, template(Strategy.EOT_DETECT), session, max_concurrency=3,
@@ -243,7 +233,7 @@ class TestRunExperiment:
         return [make_review(review_id=f"r{i}", item_id="i1") for i in range(n)]
 
     def test_full_run_populates_ledger(self, tmp_path):
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
+        session = FakeSession(lambda i, body: response(200, completion_payload("resp")))
         run_experiment(
             self._reviews(10), template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run-a", sleep=NO_SLEEP,
@@ -256,7 +246,7 @@ class TestRunExperiment:
 
     def test_resume_skips_completed_reviews(self, tmp_path):
         reviews = self._reviews(10)
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
+        session = FakeSession(lambda i, body: response(200, completion_payload("resp")))
         run_experiment(
             reviews[:5], template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run-b", sleep=NO_SLEEP,
@@ -281,8 +271,8 @@ class TestRunExperiment:
         def script_by_text(i, body):
             prompt = body["messages"][-1]["content"]
             if "product number 3" in prompt:
-                return FakeResponse(400, text="bad")
-            return FakeResponse(200, completion_payload("resp"))
+                return response(400, text="bad")
+            return response(200, completion_payload("resp"))
 
         session = FakeSession(script_by_text)
         run_experiment(
@@ -300,7 +290,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("content", [None, 42, ["tool call"]])
     def test_content_that_is_not_a_string_is_a_failed_entry(self, tmp_path, content):
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload(content)))
+        session = FakeSession(lambda i, body: response(200, completion_payload(content)))
         run_experiment(
             self._reviews(2), template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run-n", sleep=NO_SLEEP,
@@ -310,7 +300,7 @@ class TestRunExperiment:
         assert all("HTTP 200" in e.error for e in entries)
 
     def test_ledger_is_append_only_across_reruns(self, tmp_path):
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
+        session = FakeSession(lambda i, body: response(200, completion_payload("resp")))
         run_experiment(
             self._reviews(3), template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run-d", sleep=NO_SLEEP,
@@ -324,7 +314,7 @@ class TestRunExperiment:
         assert second == first  # nothing re-requested, nothing mutated
 
     def test_concurrency_bound_respected(self, tmp_path):
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
+        session = FakeSession(lambda i, body: response(200, completion_payload("resp")))
         session.barrier = threading.Barrier(3)
         run_experiment(
             self._reviews(9), template(), session, max_concurrency=3,
@@ -335,7 +325,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("concurrency", [1, 4])
     def test_an_unexpected_error_is_raised_and_the_ledger_stays_whole(self, tmp_path, concurrency):
         def script(i, body):
-            return RuntimeError("boom") if i == 2 else FakeResponse(200, completion_payload("resp"))
+            return RuntimeError("boom") if i == 2 else response(200, completion_payload("resp"))
 
         session = FakeSession(script)
         with pytest.raises(RuntimeError, match="boom"):
@@ -353,7 +343,7 @@ class TestRunExperiment:
             assert [e.review_id for e in entries] == ["r0", "r1"]
 
     def test_concurrent_workers_append_one_whole_line_per_review(self, tmp_path):
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("r\u00e9ponse " * 50)))
+        session = FakeSession(lambda i, body: response(200, completion_payload("r\u00e9ponse " * 50)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -378,7 +368,7 @@ class TestRunExperiment:
 
         def script(i, body):
             fails = "product number 7." in body["messages"][-1]["content"]
-            return FakeResponse(400, text="bad") if fails else FakeResponse(200, completion_payload("resp"))
+            return response(400, text="bad") if fails else response(200, completion_payload("resp"))
 
         with caplog.at_level(logging.INFO, logger="eotbench.inference"):
             run_experiment(
@@ -436,7 +426,7 @@ class TestLedgerReduction:
         path = ledger_path(tmp_path, "run")
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps(entry("r0", prompt_version="0.9").to_dict()) + "\n")
-        session = FakeSession(lambda i, body: FakeResponse(200, completion_payload("resp")))
+        session = FakeSession(lambda i, body: response(200, completion_payload("resp")))
         state = run_experiment(
             [make_review(review_id="r0", item_id="i1")], template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run", sleep=NO_SLEEP,
@@ -452,7 +442,7 @@ class TestLedgerReduction:
 
         def script(i, body):
             fails = "product number 3" in body["messages"][-1]["content"]
-            return FakeResponse(400, text="bad") if fails else FakeResponse(200, completion_payload("resp"))
+            return response(400, text="bad") if fails else response(200, completion_payload("resp"))
 
         session = FakeSession(script)
         kwargs = dict(max_concurrency=4, runs_dir=tmp_path, run_id="run-s", sleep=NO_SLEEP)
@@ -480,7 +470,7 @@ class TestLedgerTail:
     def _run(self, tmp_path, n):
         # a non-ASCII reply, so that a tear can fall inside a UTF-8 sequence
         reply = completion_payload("tr\u00e8s bien \u2713")
-        session = FakeSession(lambda i, body: FakeResponse(200, reply))
+        session = FakeSession(lambda i, body: response(200, reply))
         reviews = [make_review(review_id=f"r{i}", item_id="i1") for i in range(n)]
         run_experiment(
             reviews, template(), session, max_concurrency=4,

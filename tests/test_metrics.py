@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eotbench import metrics
 from eotbench.annotation import GoldProvenance, GoldRecord, aggregate_gold
-from eotbench.errors import MissingGold
+from eotbench.errors import DataError
 from eotbench.metrics import (
     align_and_average_rouge,
     confusion_matrix,
@@ -80,7 +80,7 @@ class TestEmotionPrf:
 
     def test_missing_gold(self):
         review = make_review()
-        with pytest.raises(MissingGold):
+        with pytest.raises(DataError, match="^no gold record for review 'r1'$"):
             emotion_prf([output(review, {NEUTRAL: []})], [])
 
     def test_recall_monotonicity_when_adding_correct_prediction(self):
@@ -411,7 +411,7 @@ class TestOnePassMatchesTheFourWalks:
         pred, gold = data
         orphan = EotOutput("no-gold", (EmotionTriggers(NEUTRAL, ()),))
         for scorer in (score_predictions, oracle_score_report):
-            with pytest.raises(MissingGold):
+            with pytest.raises(DataError, match="^no gold record for review 'no-gold'$"):
                 scorer([*pred, orphan], gold)
 
     @settings(max_examples=100, deadline=None)

@@ -24,6 +24,7 @@ import pytest
 
 from eotbench import annotation, extraction, inference, model
 from eotbench.cli import EXIT_OK, main
+from eotbench.transport import Response
 from conftest import DATA_DIR
 
 HANDSCORED = DATA_DIR / "handscored"
@@ -49,6 +50,7 @@ PINS = [
     ("run", "RunLedgerEntry", 10),
     ("run", "prompting.build_prompt", 1),  # one per run, whatever the number of reviews and workers
     ("run", "inference.read_ledger", 1),  # likewise
+    ("run", "json.loads", 10),  # each reply body, once
     ("score", "Review", 10),
     ("score", "RunLedgerEntry", 10),
     ("score", "GoldRecord", 10),
@@ -107,17 +109,7 @@ class _Transport:
 
     def post(self, body):
         [reply] = [reply for text, reply in self.replies.items() if text in body]
-        return _Reply({"choices": [{"message": {"content": reply}}]})
-
-
-class _Reply:
-    status_code = 200
-
-    def __init__(self, payload):
-        self.payload = payload
-
-    def json(self):
-        return self.payload
+        return Response(200, {}, json.dumps({"choices": [{"message": {"content": reply}}]}).encode())
 
 
 # the run's workers build records and call counted functions concurrently
