@@ -82,7 +82,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     domain_summary: dict[str, Any] = {}
     for domain in sorted(items_by_domain):
         items = list(items_by_domain[domain])
-        chosen = corpus.srswor(items, plan.items_per_group, corpus.derive_seed(plan.seed, "items", domain))
+        try:
+            chosen = corpus.srswor(items, plan.items_per_group, corpus.derive_seed(plan.seed, "items", domain))
+        except DataError as exc:
+            raise DataError(f"domain {domain} of {args.corpus}, items_per_group of {args.plan}: {exc}") from None
         domain_summary[domain] = {
             "items_available": len(items),
             "items_sampled": len(chosen),
@@ -121,7 +124,12 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     grouped: dict[str, list[annotation.AnnotationRecord]] = {}
     for record in records:
         grouped.setdefault(record.review_id, []).append(record)
-    golds = [annotation.aggregate_gold(group) for _, group in sorted(grouped.items())]
+    golds = []
+    for review_id, group in sorted(grouped.items()):
+        try:
+            golds.append(annotation.aggregate_gold(group))
+        except DataError as exc:
+            raise DataError(f"{args.annotations}: review {review_id!r}: {exc}") from None
     write_jsonl(args.out, (annotation.gold_to_dict(g) for g in golds))
     print(f"wrote {len(golds)} gold records to {args.out}")
     return EXIT_OK

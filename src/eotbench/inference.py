@@ -77,6 +77,14 @@ class ProviderProfile:
         return token
 
 
+# how each key a profile section may set is read; a key left out takes the field's default
+_PROFILE_KEYS: dict[str, Callable[[str], Any]] = {
+    "base_url": str, "model_id": str, "auth_env_var": str,
+    "supported_params": lambda value: frozenset(p.strip() for p in value.split(",") if p.strip()),
+    "max_concurrency": int, "timeout": float,
+}
+
+
 def load_provider_profiles(path: Path | str) -> dict[str, ProviderProfile]:
     """Read provider profiles from an INI-style key-value file.
 
@@ -96,19 +104,9 @@ def load_provider_profiles(path: Path | str) -> dict[str, ProviderProfile]:
         values = parser[section]
         if "base_url" not in values or "model_id" not in values:
             raise DataError(f"profile {section!r} needs base_url and model_id")
-        supported = values.get("supported_params", "temperature, top_p, max_tokens")
         with data_errors(path, f"profile {section!r}"):
-            profiles[section] = ProviderProfile(
-                name=section,
-                base_url=values["base_url"],
-                model_id=values["model_id"],
-                auth_env_var=values.get("auth_env_var", ""),
-                supported_params=frozenset(
-                    p.strip() for p in supported.split(",") if p.strip()
-                ),
-                max_concurrency=values.getint("max_concurrency", fallback=4),
-                timeout=values.getfloat("timeout", fallback=60.0),
-            )
+            set_here = {key: convert(values[key]) for key, convert in _PROFILE_KEYS.items() if key in values}
+            profiles[section] = ProviderProfile(section, **set_here)
     if not profiles:
         raise DataError(f"no profiles defined in {path}")
     return profiles
@@ -119,15 +117,13 @@ class LedgerStatus:
     FAILED = "Failed"
 
 
+_STRATEGY_BY_VALUE = {s.value: s for s in Strategy}
 LEDGER_SPEC = (
-    ("run_id", STRING, True, None), ("review_id", STRING, True, None), ("strategy", STRING, True, None),
+    ("run_id", STRING, True, None), ("review_id", STRING, True, None), ("strategy", STRING, True, _STRATEGY_BY_VALUE),
     ("prompt_version", STRING, True, None), ("raw_response", STRING, True, None),
     ("latency_ms", INTEGER, True, None), ("attempt_count", INTEGER, True, None),
     ("status", STRING, True, (LedgerStatus.OK, LedgerStatus.FAILED)), ("error", STRING, None, None),
 )
-
-
-_STRATEGY_BY_VALUE = {s.value: s for s in Strategy}
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +151,7 @@ class RunLedgerEntry:
         check_fields(data, LEDGER_SPEC)
         return cls(
             data["run_id"], data["review_id"],
-            _STRATEGY_BY_VALUE.get(data["strategy"]) or Strategy(data["strategy"]), data["prompt_version"],
+            _STRATEGY_BY_VALUE[data["strategy"]], data["prompt_version"],
             data["raw_response"], data["latency_ms"], data["attempt_count"], data["status"], data.get("error"),
         )
 

@@ -1,18 +1,22 @@
 """Independent reference implementations used to check the shipped code.
 
-Everything here is deliberately written against the definitions rather
-than sharing code with the package: recursive LCS instead of iterative
-DP, explicit per-token clipped counting instead of Counter intersection,
-and a from-scratch scorer for the hand-scored fixture. The one exception is
-``oracle_score_report``: it uses the package's tokenizer and ROUGE functions
-(checked against the brute-force ones here) and differs from the package in
-how it walks the predictions. ``oracle_parse_output`` likewise shares the
-package's report types and label vocabulary; it finds the block with the
-rescanning extractor, decodes it twice and builds the repair map one
-character at a time. ``oracle_sample`` shares the package's draws (item
-and per-stratum) and differs in when it length-filters: every review of the
-corpus, before any item is drawn. ``oracle_iter_jsonl`` and
-``oracle_read_ledger`` decode every line with ``json.loads``.
+Each oracle is written against the definitions, not with the package's code:
+tokens are the lower-cased texts of the spans a regex scan finds, ROUGE is a
+recursive LCS and per-token clipped counting, blocks are found by rescanning
+from every brace, the repair map is built one character at a time, and the
+metric suite is four walks over the predictions. ``oracle_score`` gives a
+metrics row by parsing with ``oracle_parse_output`` and scoring with
+``oracle_score_report``. ``tests/test_oracles.py`` checks that no package
+function an oracle is the reference for is imported here. The oracles share
+with the package only:
+
+- the record and error types (``Review``, ``EotOutput``, ``ParseReport``,
+  ``ScoreReport``, ``GoldRecord``, ``RunLedgerEntry``, ``DataError``, ...)
+  and the drop reasons, so results and failures compare with ``==``;
+- the label vocabulary: ``canonical_emotion`` and ``EMOTION_ORDER``;
+- the sampling draws: ``oracle_sample`` calls ``srswor``, ``derive_seed``,
+  ``strata_in_order`` and ``stratified_review_sample``, and differs in when
+  it length-filters: every review of the corpus, before any item is drawn.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from eotbench.annotation import GoldProvenance, GoldRecord
 from eotbench.corpus import (
     FORMAT_VERSION,
     SamplingPlan,
@@ -61,44 +66,39 @@ from eotbench.metrics import (
     ScoreReport,
     TriggerCounts,
     TriggerScores,
-    rouge1,
-    rougeL,
 )
 from eotbench.model import (
     EMOTION_ORDER,
+    Domain,
     EmotionLabel,
     EmotionTriggers,
     EotOutput,
     Review,
     TriggerSpan,
     canonical_emotion,
-    normalize_text,
-    tokenize,
 )
 
-EMOTIONS = (
-    "Joy",
-    "Trust",
-    "Fear",
-    "Surprise",
-    "Sadness",
-    "Disgust",
-    "Anger",
-    "Anticipation",
-    "Neutral",
-)
+EMOTIONS = ("Joy", "Trust", "Fear", "Surprise", "Sadness", "Disgust", "Anger", "Anticipation", "Neutral")
+
+
+def oracle_token_spans(text: str) -> list[tuple[int, int]]:
+    """Character ranges of the tokens: each whitespace-separated word with
+    its leading and trailing punctuation stripped, unless nothing is left."""
+    spans = []
+    for match in re.finditer(r"\S+", text):
+        start, end = match.start(), match.end()
+        while start < end and unicodedata.category(text[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(text[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            spans.append((start, end))
+    return spans
 
 
 def oracle_tokenize(text: str) -> list[str]:
-    tokens = []
-    for chunk in text.lower().split():
-        while chunk and unicodedata.category(chunk[0]).startswith("P"):
-            chunk = chunk[1:]
-        while chunk and unicodedata.category(chunk[-1]).startswith("P"):
-            chunk = chunk[:-1]
-        if chunk:
-            tokens.append(chunk)
-    return tokens
+    """The lower-cased texts of ``oracle_token_spans(text)``."""
+    return [text[start:end].lower() for start, end in oracle_token_spans(text)]
 
 
 def brute_lcs(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -120,6 +120,12 @@ def brute_clipped_overlap(a: list[str], b: list[str]) -> int:
     return total
 
 
+def _oracle_f1(precision: float, recall: float) -> float:
+    if precision <= 0 or recall <= 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
 def prf_from_overlap(overlap: int, len_a: int, len_b: int) -> tuple[float, float, float]:
     if len_a == 0 and len_b == 0:
         return 1.0, 1.0, 1.0
@@ -127,8 +133,7 @@ def prf_from_overlap(overlap: int, len_a: int, len_b: int) -> tuple[float, float
         return 0.0, 0.0, 0.0
     p = overlap / len_a
     r = overlap / len_b
-    f = 0.0 if p <= 0 or r <= 0 else 2 * p * r / (p + r)
-    return p, r, f
+    return p, r, _oracle_f1(p, r)
 
 
 def oracle_rouge1_f1(a: list[str], b: list[str]) -> float:
@@ -223,9 +228,26 @@ def _oracle_normalized_with_map(text: str) -> tuple[str, list[int]]:
     return "".join(chars), index_map
 
 
+def oracle_fold(text: str) -> str:
+    """The case/whitespace fold: lower-cased, each whitespace run one space, no space at either end."""
+    return _oracle_normalized_with_map(text)[0]
+
+
+def _utf8_str(value) -> bool:
+    """Whether ``value`` is a str that UTF-8 can encode (it holds no lone surrogate)."""
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def oracle_parse_output(raw: str, review: Review) -> ParseReport:
     """``extraction.parse_output`` as two decodes of the rescanning oracle's
-    block and a repair map built one character at a time."""
+    block and a repair map built one character at a time. A label or trigger
+    that is not a str UTF-8 can encode is dropped as Malformed."""
     report = ParseReport(output=EotOutput(review.review_id, ()))
     try:
         parsed = json.loads(oracle_extract_structured_block(raw))
@@ -240,7 +262,7 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
     merged: dict[EmotionLabel, list[TriggerSpan]] = {}
     normalized = None
     for entry in emotions:
-        if not isinstance(entry, dict) or not isinstance(entry.get("emotion"), str):
+        if not isinstance(entry, dict) or not _utf8_str(entry.get("emotion")):
             report.dropped_emotions.append(DroppedEmotion(repr(entry)[:120], REASON_MALFORMED))
             continue
         try:
@@ -256,7 +278,7 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
             triggers = []
         spans = merged.setdefault(label, [])
         for trigger in triggers:
-            if not isinstance(trigger, str):
+            if not _utf8_str(trigger):
                 report.dropped_triggers.append(
                     DroppedTrigger(label.value, repr(trigger)[:120], REASON_MALFORMED)
                 )
@@ -273,7 +295,7 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
                 if normalized is None:
                     normalized = _oracle_normalized_with_map(review.text)
                 normalized_review, index_map = normalized
-                normalized_trigger = " ".join(trigger.lower().split())
+                normalized_trigger = oracle_fold(trigger)
                 at = normalized_review.find(normalized_trigger) if normalized_trigger else -1
                 if at < 0:
                     report.dropped_triggers.append(
@@ -311,197 +333,11 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
     return report
 
 
-def _norm(text: str) -> str:
-    return " ".join(text.lower().split())
-
-
-def oracle_parse(raw: str, review_text: str) -> dict[str, list[str]] | None:
-    """Minimal reimplementation of the parse rules for the fixture responses.
-
-    Returns emotion -> trigger texts, or None for an unparseable
-    response. Handles the cases the fixture exercises: fenced blocks,
-    surrounding prose, case/whitespace repair, OOV labels, non-extractive
-    drops, and Neutral conflicts.
-    """
-    start = raw.find("{")
-    if start < 0:
-        return None
-    depth = 0
-    end = None
-    for i in range(start, len(raw)):
-        if raw[i] == "{":
-            depth += 1
-        elif raw[i] == "}":
-            depth -= 1
-            if depth == 0:
-                end = i + 1
-                break
-    if end is None:
-        return None
-    try:
-        obj = json.loads(raw[start:end])
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(obj, dict) or not isinstance(obj.get("emotions"), list):
-        return None
-    result: dict[str, list[str]] = {}
-    canonical = {e.lower(): e for e in EMOTIONS}
-    for entry in obj["emotions"]:
-        label = canonical.get(str(entry.get("emotion", "")).strip().lower())
-        if label is None:
-            continue
-        kept = result.setdefault(label, [])
-        for trigger in entry.get("triggers", []):
-            if label == "Neutral":
-                continue
-            if trigger in review_text:
-                text = trigger
-            else:
-                norm_review = _norm(review_text)
-                norm_trigger = _norm(trigger)
-                if norm_trigger and norm_trigger in norm_review:
-                    # recover original-case text by scanning character-wise
-                    text = _recover(review_text, norm_trigger)
-                else:
-                    continue
-            if text not in kept:
-                kept.append(text)
-    for label in [l for l in result if l != "Neutral" and not result[l]]:
-        del result[label]
-    if "Neutral" in result and len(result) > 1:
-        del result["Neutral"]
-    return result
-
-
-def _recover(review_text: str, norm_trigger: str) -> str:
-    for i in range(len(review_text)):
-        for j in range(i + 1, len(review_text) + 1):
-            if _norm(review_text[i:j]) == norm_trigger:
-                return review_text[i:j]
-    raise AssertionError("normalized trigger vanished")
-
-
-def oracle_score(
-    reviews: dict[str, str],
-    gold: dict[str, dict[str, list[str]]],
-    responses: dict[str, str],
-) -> dict[str, float]:
-    """Full metrics row for the hand-scored fixture, from first principles."""
-    predictions = {}
-    for review_id, raw in responses.items():
-        parsed = oracle_parse(raw, reviews[review_id])
-        predictions[review_id] = parsed if parsed is not None else {}
-
-    hits = n_pred = n_gold = 0
-    for review_id, pred in predictions.items():
-        pred_set = set(pred)
-        gold_set = set(gold[review_id])
-        hits += len(pred_set & gold_set)
-        n_pred += len(pred_set)
-        n_gold += len(gold_set)
-    precision = hits / n_pred if n_pred else 0.0
-    recall = hits / n_gold if n_gold else 0.0
-    f1 = 0.0 if precision <= 0 or recall <= 0 else 2 * precision * recall / (precision + recall)
-
-    em = pm = total_pred = 0
-    for review_id, pred in predictions.items():
-        for emotion, triggers in pred.items():
-            gold_triggers = gold[review_id].get(emotion, [])
-            gold_norms = {_norm(t) for t in gold_triggers}
-            gold_token_sets = [set(oracle_tokenize(t)) for t in gold_triggers]
-            for trigger in triggers:
-                total_pred += 1
-                if _norm(trigger) in gold_norms:
-                    em += 1
-                elif any(set(oracle_tokenize(trigger)) & g for g in gold_token_sets):
-                    pm += 1
-
-    sum_r1 = sum_rl = 0.0
-    total_gold_triggers = 0
-    for review_id, gold_pairs in gold.items():
-        pred = predictions.get(review_id, {})
-        for emotion, gold_triggers in gold_pairs.items():
-            if not gold_triggers:
-                continue
-            total_gold_triggers += len(gold_triggers)
-            pred_triggers = pred.get(emotion, [])
-            gold_tok = [oracle_tokenize(t) for t in gold_triggers]
-            pred_tok = [oracle_tokenize(t) for t in pred_triggers]
-            scored = sorted(
-                (
-                    (-oracle_rougeL_f1(pt, gt), gi, pi)
-                    for pi, pt in enumerate(pred_tok)
-                    for gi, gt in enumerate(gold_tok)
-                ),
-            )
-            used_p: set[int] = set()
-            used_g: set[int] = set()
-            for neg_rl, gi, pi in scored:
-                if pi in used_p or gi in used_g:
-                    continue
-                used_p.add(pi)
-                used_g.add(gi)
-                sum_rl += -neg_rl
-                sum_r1 += oracle_rouge1_f1(pred_tok[pi], gold_tok[gi])
-    if total_gold_triggers:
-        r1 = sum_r1 / total_gold_triggers
-        rl = sum_rl / total_gold_triggers
-    else:
-        r1 = rl = 1.0
-
-    return {
-        "P": precision,
-        "R": recall,
-        "F1": f1,
-        "EM": em / total_pred if total_pred else 0.0,
-        "PM": pm / total_pred if total_pred else 0.0,
-        "R1": r1,
-        "RL": rl,
-    }
-
-
-def load_handscored_fixture(data_dir: Path):
-    base = data_dir / "handscored"
-    reviews = {}
-    for line in (base / "reviews.jsonl").read_text().splitlines():
-        if line.strip():
-            obj = json.loads(line)
-            reviews[obj["review_id"]] = obj["text"]
-    gold = {}
-    for line in (base / "gold.jsonl").read_text().splitlines():
-        if line.strip():
-            obj = json.loads(line)
-            gold[obj["review_id"]] = {
-                e["emotion"]: list(e["triggers"]) for e in obj["emotions"]
-            }
-    responses = {}
-    for line in (base / "responses.jsonl").read_text().splitlines():
-        if line.strip():
-            obj = json.loads(line)
-            responses[obj["review_id"]] = obj["raw_response"]
-    expected = json.loads((base / "expected.json").read_text())
-    return reviews, gold, responses, expected
-
-
 # ---------------------------------------------------------------------------
 # Agreement report: the per-(annotator, emotion) implementation that
 # re-tokenizes a review for every coverage list and tests every token
 # against every span.
 # ---------------------------------------------------------------------------
-
-
-def oracle_token_spans(text: str) -> list[tuple[int, int]]:
-    """Character ranges of the tokens ``oracle_tokenize`` returns."""
-    spans = []
-    for match in re.finditer(r"\S+", text):
-        start, end = match.start(), match.end()
-        while start < end and unicodedata.category(text[start]).startswith("P"):
-            start += 1
-        while end > start and unicodedata.category(text[end - 1]).startswith("P"):
-            end -= 1
-        if start < end:
-            spans.append((start, end))
-    return spans
 
 
 def _oracle_kappa(pairs) -> float:
@@ -653,16 +489,10 @@ def oracle_agreement_report(annotations, reviews) -> dict:
 
 # ---------------------------------------------------------------------------
 # Metric suite: four walks over the (prediction, gold) pairs, each rebuilding
-# the gold map and tokenizing the triggers it needs again. ROUGE F1s are
-# summed in the same order as the one-pass scorer, so the floats agree
-# bit for bit.
+# the gold map and tokenizing the triggers it needs again. The brute-force
+# ROUGE F1s come from the same integers by the same formula as the one-pass
+# scorer's and are summed in the same order, so the floats agree bit for bit.
 # ---------------------------------------------------------------------------
-
-
-def _oracle_f1(precision: float, recall: float) -> float:
-    if precision <= 0 or recall <= 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
 
 
 def _aligned(pred, gold):
@@ -707,17 +537,17 @@ def _oracle_trigger_em_pm(pred, gold):
         gold_norm = {}
         gold_tokens = {}
         for pair in record.output.pairs:
-            gold_norm[pair.emotion] = {normalize_text(s.text) for s in pair.triggers}
-            gold_tokens[pair.emotion] = [set(tokenize(s.text)) for s in pair.triggers]
+            gold_norm[pair.emotion] = {oracle_fold(s.text) for s in pair.triggers}
+            gold_tokens[pair.emotion] = [set(oracle_tokenize(s.text)) for s in pair.triggers]
             n_gold += len(pair.triggers)
         for pair in output.pairs:
             for span in pair.triggers:
                 n_pred += 1
                 norms = gold_norm.get(pair.emotion, set())
-                if normalize_text(span.text) in norms:
+                if oracle_fold(span.text) in norms:
                     n_em += 1
                     continue
-                tokens = set(tokenize(span.text))
+                tokens = set(oracle_tokenize(span.text))
                 if any(tokens & g for g in gold_tokens.get(pair.emotion, [])):
                     n_pm += 1
     n_nomatch = n_pred - n_em - n_pm
@@ -739,10 +569,10 @@ def _oracle_align_and_average_rouge(pred, gold) -> tuple[float, float]:
             pred_spans = output.triggers_for(pair.emotion)
             if not pred_spans:
                 continue
-            gold_tok = [tokenize(s.text) for s in gold_spans]
-            pred_tok = [tokenize(s.text) for s in pred_spans]
+            gold_tok = [oracle_tokenize(s.text) for s in gold_spans]
+            pred_tok = [oracle_tokenize(s.text) for s in pred_spans]
             scored = [
-                (rougeL(pt, gt).f1, pi, gi)
+                (oracle_rougeL_f1(pt, gt), pi, gi)
                 for pi, pt in enumerate(pred_tok)
                 for gi, gt in enumerate(gold_tok)
             ]
@@ -755,7 +585,7 @@ def _oracle_align_and_average_rouge(pred, gold) -> tuple[float, float]:
                 used_pred.add(pi)
                 used_gold.add(gi)
                 sum_rl += rl_f1
-                sum_r1 += rouge1(pred_tok[pi], gold_tok[gi]).f1
+                sum_r1 += oracle_rouge1_f1(pred_tok[pi], gold_tok[gi])
     if total_gold == 0:
         return 1.0, 1.0
     return sum_r1 / total_gold, sum_rl / total_gold
@@ -790,15 +620,70 @@ def oracle_score_report(pred, gold) -> ScoreReport:
     )
 
 
+def oracle_score(
+    reviews: dict[str, str],
+    gold: dict[str, dict[str, list[str]]],
+    responses: dict[str, str],
+) -> dict[str, float]:
+    """The metrics row ``eotbench score`` gives ``responses`` (review id ->
+    raw response) against ``gold`` (review id -> emotion -> trigger texts):
+    each response parsed by ``oracle_parse_output`` in review id order, the
+    predictions scored by ``oracle_score_report``."""
+
+    def located(review_id: str, trigger: str) -> TriggerSpan:
+        at = reviews[review_id].find(trigger)
+        return TriggerSpan(trigger, at, at + len(trigger))
+
+    # parsing reads a review's id and text only
+    pred = [
+        oracle_parse_output(responses[rid], Review(rid, reviews[rid], Domain.HOME, "item")).output
+        for rid in sorted(responses)
+    ]
+    gold_records = [
+        GoldRecord(rid, EotOutput(rid, tuple(
+            EmotionTriggers(canonical_emotion(label), tuple(located(rid, t) for t in texts))
+            for label, texts in pairs.items()
+        )), GoldProvenance({}, ()))
+        for rid, pairs in gold.items()
+    ]
+    report = oracle_score_report(pred, gold_records)
+    emotion, trigger = report.emotion, report.trigger
+    return {
+        "P": emotion.precision,
+        "R": emotion.recall,
+        "F1": emotion.f1,
+        "EM": trigger.exact_match,
+        "PM": trigger.partial_match,
+        "R1": trigger.rouge1,
+        "RL": trigger.rougeL,
+    }
+
+
+def load_handscored_fixture(data_dir: Path):
+    """The fixture's reviews, gold and responses, each keyed by review id, and its expected row."""
+    base = data_dir / "handscored"
+
+    def records(name: str) -> list[dict]:
+        return [json.loads(line) for line in (base / name).read_text().splitlines() if line.strip()]
+
+    reviews = {obj["review_id"]: obj["text"] for obj in records("reviews.jsonl")}
+    gold = {obj["review_id"]: {e["emotion"]: e["triggers"] for e in obj["emotions"]} for obj in records("gold.jsonl")}
+    responses = {obj["review_id"]: obj["raw_response"] for obj in records("responses.jsonl")}
+    return reviews, gold, responses, json.loads((base / "expected.json").read_text())
+
+
 # ---------------------------------------------------------------------------
 # Sampling: the eager command that length-filters every review of the corpus,
 # drawn or not, before it draws items; tokens are counted with oracle_tokenize.
 # ---------------------------------------------------------------------------
 
 
-def oracle_sample(records: list[Review], plan: SamplingPlan) -> tuple[list[Review], dict]:
+def oracle_sample(
+    records: list[Review], plan: SamplingPlan, corpus_path: Path, plan_path: Path
+) -> tuple[list[Review], dict]:
     """The reviews and the manifest ``eotbench sample`` writes for ``records``
-    under ``plan``; raises what the command raises."""
+    read from ``corpus_path`` under ``plan`` read from ``plan_path``; raises
+    what the command raises."""
     filtered = [
         r for r in records if plan.min_tokens <= len(oracle_tokenize(r.text)) <= plan.max_tokens
     ]
@@ -820,6 +705,11 @@ def oracle_sample(records: list[Review], plan: SamplingPlan) -> tuple[list[Revie
     domain_summary = {}
     for domain in sorted(items_by_domain):
         items = list(items_by_domain[domain])
+        if plan.items_per_group > len(items):
+            raise DataError(
+                f"domain {domain} of {corpus_path}, items_per_group of {plan_path}:"
+                f" cannot draw {plan.items_per_group} from a population of {len(items)}"
+            )
         chosen = srswor(items, plan.items_per_group, derive_seed(plan.seed, "items", domain))
         domain_summary[domain] = {
             "items_available": len(items),

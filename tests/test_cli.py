@@ -76,7 +76,8 @@ def _sample_outcome(work: Path, lines: list[dict], plan: dict, oracle: bool) -> 
     out.unlink(missing_ok=True)
     try:
         if oracle:
-            sample, manifest = oracle_sample(load_corpus(corpus_path).records, SamplingPlan.from_dict(plan))
+            records = load_corpus(corpus_path).records
+            sample, manifest = oracle_sample(records, SamplingPlan.from_dict(plan), corpus_path, plan_path)
             write_jsonl(out, (corpus.review_to_dict(r) for r in sample))
             dump_json(str(out) + ".manifest.json", manifest)
         else:

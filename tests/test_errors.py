@@ -128,8 +128,9 @@ def timed_out(tmp_path, caplog, monkeypatch):
 
 CASES = [
     (empty_corpus, EXIT_DATA, "no usable records in corpus file: {tmp_path}/corpus.jsonl"),
-    (sample_too_large, EXIT_DATA, "cannot draw 3 from a population of 2"),
-    (wrong_annotator_count, EXIT_DATA, "need exactly 3 records, got 2"),
+    (sample_too_large, EXIT_DATA, "domain Home of {tmp_path}/corpus.jsonl, items_per_group of {tmp_path}/plan.json:"
+                                  " cannot draw 3 from a population of 2"),
+    (wrong_annotator_count, EXIT_DATA, "{tmp_path}/annotations.jsonl: review 'a1': need exactly 3 records, got 2"),
     (mismatched_review_ids, EXIT_DATA, "records span several reviews: ['a1', 'a2']"),
     (missing_gold, EXIT_DATA, "no gold record for review 'r01'"),
     (unset_token, EXIT_PROVIDER, "auth environment variable EOTBENCH_UNSET_TOKEN is not set"),

@@ -302,12 +302,13 @@ def triggers_for(draw, text: str):
 
 @st.composite
 def responses(draw, text: str, triggers=triggers_for) -> str:
-    labels = st.sampled_from(["Joy", "trust", " Fear ", "Neutral", "happiness", 3])
+    # "\ud83d" decodes to a lone surrogate, which UTF-8 cannot encode
+    labels = st.sampled_from(["Joy", "trust", " Fear ", "Neutral", "happiness", 3, "\ud83d"])
     entries = draw(
         st.lists(
             st.one_of(
                 st.fixed_dictionaries(
-                    {"emotion": labels, "triggers": st.lists(triggers(text), max_size=4)}
+                    {"emotion": labels, "triggers": st.lists(triggers(text) | st.just("\ud83d"), max_size=4)}
                 ),
                 st.fixed_dictionaries({"emotion": labels}),
                 st.fixed_dictionaries({"emotion": labels, "triggers": st.just("works")}),

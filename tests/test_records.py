@@ -2,9 +2,10 @@
 
 For every field of every record spec (nested fields and array items
 included), a missing required key, a value of the wrong kind, a lone
-surrogate in a string and an integer too big for a float in a number each
-go through ``cli.main``. The command exits 3, or for a corpus line rejects
-that line, with no traceback and no output file.
+surrogate in a string, a string outside a field's allowed values and an
+integer too big for a float in a number each go through ``cli.main``. The
+command exits 3, or for a corpus line rejects that line, with no traceback
+and no output file.
 A field added to a spec is covered here without a new test.
 """
 
@@ -29,6 +30,7 @@ from conftest import DATA_DIR
 HANDSCORED = DATA_DIR / "handscored"
 LONE_SURROGATE = "\ud83d"
 TOO_BIG_FOR_A_FLOAT = 10**400
+NOT_ALLOWED = "Bogus"  # no field's allowed values hold it
 # a value of another kind for each kind: a float for an integer, a bool for a
 # number, a string for a boolean, and so on
 WRONG_KIND = {STRING: 7, INTEGER: 1.5, NUMBER: True, BOOLEAN: "false", ARRAY: "x", OBJECT: []}
@@ -50,6 +52,8 @@ def _cases(spec: tuple, record: dict, path: tuple = ()):
         yield where, WRONG_KIND[kind]
         if kind is STRING:
             yield where, LONE_SURROGATE
+            if test is not None:
+                yield where, NOT_ALLOWED
         if kind is NUMBER:
             yield where, TOO_BIG_FOR_A_FLOAT
         if kind in (ARRAY, OBJECT) and test is not None:
