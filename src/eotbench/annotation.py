@@ -28,8 +28,8 @@ from .corpus import FORMAT_VERSION, reviews_by_id
 from .errors import DataError, DegenerateDistribution
 from .jsonio import ARRAY, BOOLEAN, INTEGER, OBJECT, STRING, check_fields, iter_jsonl, render_table
 from .model import (
-    DOMAIN_ORDER, EMOTION_ORDER, EmotionLabel, EmotionTriggers, EotOutput, Review, TriggerSpan, canonical_emotion,
-    count_tokens, locate_span, normalize_text, tokenize_with_spans,
+    DOMAIN_ORDER, EMOTION_ORDER, LABEL_INDEX, EmotionLabel, EmotionTriggers, EotOutput, Review, TriggerSpan,
+    canonical_emotion, count_tokens, locate_span, normalize_text, tokenize_with_spans,
 )
 
 TRIGGER_KAPPA_POOLING_NOTE = (
@@ -47,24 +47,10 @@ class AnnotationRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class TriggerProvenance:
-    emotion: str
-    text: str
-    annotators: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class GoldProvenance:
-    emotion_votes: dict[str, int]
-    trigger_annotators: tuple[TriggerProvenance, ...]
-    no_majority: bool = False
-
-
-@dataclass(frozen=True, slots=True)
 class GoldRecord:
     review_id: str
     output: EotOutput
-    provenance: GoldProvenance
+    provenance: dict[str, Any]  # the gold line's object of that name, keys as _PROVENANCE_SPEC
 
 
 _EMOTION_SPEC = (("emotion", STRING, True, None), ("triggers", ARRAY, False, STRING))
@@ -164,63 +150,43 @@ def aggregate_gold(annotations: Sequence[AnnotationRecord]) -> GoldRecord:
     emotion_votes = {e.value: votes[e] for e in EMOTION_ORDER if votes[e]}
 
     winners = [e for e in EMOTION_ORDER if e is not EmotionLabel.NEUTRAL and votes[e] >= 2]
-    if winners:
-        pairs = []
-        trigger_provenance: list[TriggerProvenance] = []
-        for emotion in winners:
-            # each record's spans with their normalized texts, each normalized once
-            normed = [
-                [(span, normalize_text(span.text)) for span in record.output.triggers_for(emotion)]
-                for record in annotations
+    pairs = []
+    trigger_annotators = []
+    for emotion in winners:
+        # each record's spans with their normalized texts, each normalized once
+        normed = [
+            [(span, normalize_text(span.text)) for span in record.output.triggers_for(emotion)]
+            for record in annotations
+        ]
+        deduped = _dedup_normalized([sn for spans in normed for sn in spans])
+        norm_of = {span.text: norm for span, norm in deduped}  # one span per norm
+        retained = resolve_overlaps([span for span, _ in deduped])
+        for span in retained:
+            norm = norm_of[span.text]
+            contributors = [
+                record.annotator_id
+                for record, spans in zip(annotations, normed)
+                if any(n == norm for _, n in spans)
             ]
-            deduped = _dedup_normalized([sn for spans in normed for sn in spans])
-            norm_of = {span.text: norm for span, norm in deduped}  # one span per norm
-            retained = resolve_overlaps([span for span, _ in deduped])
-            for span in retained:
-                norm = norm_of[span.text]
-                contributors = tuple(
-                    record.annotator_id
-                    for record, spans in zip(annotations, normed)
-                    if any(n == norm for _, n in spans)
-                )
-                trigger_provenance.append(TriggerProvenance(emotion.value, span.text, contributors))
-            pairs.append(EmotionTriggers(emotion, tuple(retained)))
-        provenance = GoldProvenance(emotion_votes, tuple(trigger_provenance))
-        return GoldRecord(review_id, EotOutput(review_id, tuple(pairs)), provenance)
-
-    no_majority = votes[EmotionLabel.NEUTRAL] < 2
-    neutral = EotOutput(review_id, (EmotionTriggers(EmotionLabel.NEUTRAL, ()),))
-    return GoldRecord(review_id, neutral, GoldProvenance(emotion_votes, (), no_majority=no_majority))
+            trigger_annotators.append({"emotion": emotion.value, "text": span.text, "annotators": contributors})
+        pairs.append(EmotionTriggers(emotion, tuple(retained)))
+    no_majority = not winners and votes[EmotionLabel.NEUTRAL] < 2
+    if not winners:
+        pairs.append(EmotionTriggers(EmotionLabel.NEUTRAL, ()))
+    provenance = {"emotion_votes": emotion_votes, "trigger_annotators": trigger_annotators, "no_majority": no_majority}
+    return GoldRecord(review_id, EotOutput(review_id, tuple(pairs)), provenance)
 
 
 def gold_to_dict(gold: GoldRecord) -> dict[str, Any]:
-    provenance = gold.provenance
-    return {
-        **gold.output.to_dict(),
-        "provenance": {
-            "emotion_votes": provenance.emotion_votes,
-            "trigger_annotators": [
-                {"emotion": t.emotion, "text": t.text, "annotators": list(t.annotators)}
-                for t in provenance.trigger_annotators
-            ],
-            "no_majority": provenance.no_majority,
-        },
-        "format_version": FORMAT_VERSION,
-    }
+    return {**gold.output.to_dict(), "provenance": gold.provenance, "format_version": FORMAT_VERSION}
 
 
 def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[GoldRecord]:
-    """Read a gold file back, relocating trigger spans in the review text."""
-    records: list[GoldRecord] = []
-    for obj, output in _iter_outputs(path, reviews, GOLD_SPEC):
-        prov = obj.get("provenance", {})
-        trigger_annotators = tuple(
-            TriggerProvenance(t["emotion"], t["text"], tuple(t.get("annotators", ())))
-            for t in prov.get("trigger_annotators", ())
-        )
-        provenance = GoldProvenance(prov.get("emotion_votes", {}), trigger_annotators, prov.get("no_majority", False))
-        records.append(GoldRecord(output.review_id, output, provenance))
-    return records
+    """Read a gold file back, relocating trigger spans; absent provenance reads as {}."""
+    return [
+        GoldRecord(output.review_id, output, obj.get("provenance", {}))
+        for obj, output in _iter_outputs(path, reviews, GOLD_SPEC)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +319,8 @@ def _safe_kappa(counts: Sequence[int]) -> float:
         return float("nan")
 
 
-def _records_by_review(
-    annotations: Sequence[AnnotationRecord],
-) -> dict[str, dict[str, AnnotationRecord]]:
+def records_by_review(annotations: Sequence[AnnotationRecord]) -> dict[str, dict[str, AnnotationRecord]]:
+    """Each review's records by annotator id; one annotator twice on a review is a DataError."""
     grouped: dict[str, dict[str, AnnotationRecord]] = {}
     for record in annotations:
         per_review = grouped.setdefault(record.review_id, {})
@@ -367,8 +332,7 @@ def _records_by_review(
     return grouped
 
 
-_LABEL_INDEX = {label: i for i, label in enumerate(EMOTION_ORDER)}
-_PRIMARY = sum(1 << i for label, i in _LABEL_INDEX.items() if label is not EmotionLabel.NEUTRAL)
+_PRIMARY = sum(1 << i for label, i in LABEL_INDEX.items() if label is not EmotionLabel.NEUTRAL)
 
 
 def _review_items(review: Review, records: Sequence[AnnotationRecord]) -> tuple[int, list, list]:
@@ -379,7 +343,7 @@ def _review_items(review: Review, records: Sequence[AnnotationRecord]) -> tuple[
     labels, covered = [0] * len(records), [0] * len(records)
     for rater, record in enumerate(records):
         for pair in record.output.pairs:
-            label = _LABEL_INDEX[pair.emotion]
+            label = LABEL_INDEX[pair.emotion]
             labels[rater] |= 1 << label
             for span in pair.triggers:
                 # the tokens that end after the span starts and start before it ends
@@ -460,7 +424,7 @@ def build_agreement_report(
     trigger_pairs: dict[tuple[str, str], dict[str, list[int]]] = {pair: {} for pair in pairs}
     emotion_fleiss: dict[str, list[int]] = {}
     trigger_fleiss: dict[str, list[int]] = {}
-    for review_id, per_annotator in _records_by_review(annotations).items():
+    for review_id, per_annotator in records_by_review(annotations).items():
         review = review_map.get(review_id)
         if review is None:
             raise DataError(f"annotations reference unknown review {review_id!r}")
@@ -564,31 +528,19 @@ class GoldStatistics:
     overall: DomainStats
 
 
-def _domain_stats(records: Sequence[GoldRecord]) -> DomainStats:
-    n_reviews = len(records)
-    total_emotions = sum(len(g.output.pairs) for g in records)
-    per_emotion: dict[str, EmotionStats] = {}
-    for label in EMOTION_ORDER:
-        count = 0
-        trigger_count = 0
-        trigger_token_lengths: list[int] = []
-        for gold in records:
-            if label in gold.output.emotions:
-                count += 1
-                spans = gold.output.triggers_for(label)
-                trigger_count += len(spans)
-                trigger_token_lengths.extend(count_tokens(s.text) for s in spans)
-        per_emotion[label.value] = EmotionStats(
+def _domain_stats(n_reviews: int, counts: Sequence[Sequence[int]]) -> DomainStats:
+    """A column's statistics from its review count and, per label, [records, triggers, trigger tokens]."""
+    total_emotions = sum(count for count, _, _ in counts)
+    per_emotion = {
+        label.value: EmotionStats(
             count=count,
             share=count / total_emotions if total_emotions else 0.0,
-            total_triggers=trigger_count,
-            avg_triggers=trigger_count / count if count else 0.0,
-            avg_trigger_tokens=(
-                sum(trigger_token_lengths) / len(trigger_token_lengths)
-                if trigger_token_lengths
-                else 0.0
-            ),
+            total_triggers=triggers,
+            avg_triggers=triggers / count if count else 0.0,
+            avg_trigger_tokens=tokens / triggers if triggers else 0.0,
         )
+        for label, (count, triggers, tokens) in zip(EMOTION_ORDER, counts)
+    }
     return DomainStats(
         n_reviews=n_reviews,
         total_emotions=total_emotions,
@@ -598,17 +550,26 @@ def _domain_stats(records: Sequence[GoldRecord]) -> DomainStats:
 
 
 def gold_statistics(gold: Sequence[GoldRecord], reviews: Iterable[Review]) -> GoldStatistics:
-    """Per-domain and overall emotion/trigger statistics of a gold set."""
+    """Per-domain and overall emotion/trigger statistics of a gold set, from one
+    pass that counts each trigger's tokens once; Overall sums the domains."""
     review_map = reviews_by_id(reviews)
-    by_domain: dict[str, list[GoldRecord]] = {d.value: [] for d in DOMAIN_ORDER}
+    n_reviews = {d.value: 0 for d in DOMAIN_ORDER}
+    counts = {d.value: [[0, 0, 0] for _ in EMOTION_ORDER] for d in DOMAIN_ORDER}
     for record in gold:
         review = review_map.get(record.review_id)
         if review is None:
             raise DataError(f"gold references unknown review {record.review_id!r}")
-        by_domain[review.domain.value].append(record)
+        domain = review.domain.value
+        n_reviews[domain] += 1
+        for pair in record.output.pairs:
+            cell = counts[domain][LABEL_INDEX[pair.emotion]]
+            cell[0] += 1
+            cell[1] += len(pair.triggers)
+            cell[2] += sum(count_tokens(span.text) for span in pair.triggers)
+    overall = [list(map(sum, zip(*cells))) for cells in zip(*counts.values())]
     return GoldStatistics(
-        per_domain={domain: _domain_stats(records) for domain, records in by_domain.items()},
-        overall=_domain_stats(list(gold)),
+        per_domain={domain: _domain_stats(n_reviews[domain], counts[domain]) for domain in counts},
+        overall=_domain_stats(sum(n_reviews.values()), overall),
     )
 
 

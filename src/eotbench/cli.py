@@ -121,13 +121,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_aggregate(args: argparse.Namespace) -> int:
     reviews = corpus.reviews_by_id(_load_reviews(args.corpus).records)
     records = annotation.load_annotations(args.annotations, reviews)
-    grouped: dict[str, list[annotation.AnnotationRecord]] = {}
-    for record in records:
-        grouped.setdefault(record.review_id, []).append(record)
+    try:
+        grouped = annotation.records_by_review(records)
+    except DataError as exc:
+        raise DataError(f"{args.annotations}: {exc}") from None
     golds = []
-    for review_id, group in sorted(grouped.items()):
+    for review_id, per_annotator in sorted(grouped.items()):
         try:
-            golds.append(annotation.aggregate_gold(group))
+            golds.append(annotation.aggregate_gold(list(per_annotator.values())))
         except DataError as exc:
             raise DataError(f"{args.annotations}: review {review_id!r}: {exc}") from None
     write_jsonl(args.out, (annotation.gold_to_dict(g) for g in golds))
@@ -138,7 +139,10 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 def cmd_agreement(args: argparse.Namespace) -> int:
     reviews = corpus.reviews_by_id(_load_reviews(args.corpus).records)
     records = annotation.load_annotations(args.annotations, reviews)
-    report = annotation.build_agreement_report(records, reviews.values())
+    try:
+        report = annotation.build_agreement_report(records, reviews.values())
+    except DataError as exc:
+        raise DataError(f"{args.annotations}: {exc}") from None
     _write_text(annotation.render_agreement_report(report, args.format), args.out)
     return EXIT_OK
 
@@ -236,7 +240,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         review = reviews.get(review_id)
         if review is None:
             raise DataError(f"run references review {review_id!r} missing from the corpus")
-        reports.append(extraction.parse_output(latest_ok[review_id].raw_response, review))
+        reports.append(extraction.parse_output(latest_ok[review_id]["raw_response"], review))
     write_jsonl(
         run_dir / "parsed",
         (

@@ -55,24 +55,13 @@ class ParseStatus(Enum):
     UNPARSEABLE = "Unparseable"
 
 
-@dataclass(frozen=True, slots=True)
-class DroppedTrigger:
-    emotion: str
-    text: str
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class DroppedEmotion:
-    label: str
-    reason: str
-
-
 @dataclass
 class ParseReport:
+    """A parsed output and its drops, the dicts that a ``parsed`` line holds."""
+
     output: EotOutput
-    dropped_triggers: list[DroppedTrigger] = field(default_factory=list)
-    dropped_emotions: list[DroppedEmotion] = field(default_factory=list)
+    dropped_triggers: list[dict[str, str]] = field(default_factory=list)
+    dropped_emotions: list[dict[str, str]] = field(default_factory=list)
     parse_status: ParseStatus = ParseStatus.CLEAN
 
 
@@ -272,32 +261,33 @@ def parse_output(raw: str, review: Review) -> ParseReport:
     if not isinstance(emotions, list):
         return ParseReport(EotOutput(review.review_id, ()), parse_status=ParseStatus.UNPARSEABLE)
 
-    dropped_triggers: list[DroppedTrigger] = []
-    dropped_emotions: list[DroppedEmotion] = []
+    dropped_triggers: list[dict[str, str]] = []
+    dropped_emotions: list[dict[str, str]] = []
     repair_applied = False
     merged: dict[EmotionLabel, list[TriggerSpan]] = {}
     normalized: tuple[str, Callable[[int], int]] | None = None  # built on the first repair
     for entry in emotions:
         name = entry.get("emotion") if isinstance(entry, dict) else None
         if not (isinstance(name, str) and utf8_encodable(name)):
-            dropped_emotions.append(DroppedEmotion(repr(entry)[:120], REASON_MALFORMED))
+            dropped_emotions.append({"label": repr(entry)[:120], "reason": REASON_MALFORMED})
             continue
         try:
             label = canonical_emotion(name)
         except UnknownEmotion:
-            dropped_emotions.append(DroppedEmotion(name, REASON_OOV))
+            dropped_emotions.append({"label": name, "reason": REASON_OOV})
             continue
+        emotion = label.value
         triggers = entry.get("triggers", [])
         if not isinstance(triggers, list):
-            dropped_triggers.append(DroppedTrigger(label.value, repr(triggers)[:120], REASON_MALFORMED))
+            dropped_triggers.append({"emotion": emotion, "text": repr(triggers)[:120], "reason": REASON_MALFORMED})
             triggers = []
         spans = merged.setdefault(label, [])
         for trigger in triggers:
             if not (isinstance(trigger, str) and utf8_encodable(trigger)):
-                dropped_triggers.append(DroppedTrigger(label.value, repr(trigger)[:120], REASON_MALFORMED))
+                dropped_triggers.append({"emotion": emotion, "text": repr(trigger)[:120], "reason": REASON_MALFORMED})
                 continue
             if label is EmotionLabel.NEUTRAL:
-                dropped_triggers.append(DroppedTrigger(label.value, trigger, REASON_NEUTRAL_TRIGGER))
+                dropped_triggers.append({"emotion": emotion, "text": trigger, "reason": REASON_NEUTRAL_TRIGGER})
                 continue
             try:
                 span = locate_span(review.text, trigger)
@@ -306,7 +296,7 @@ def parse_output(raw: str, review: Review) -> ParseReport:
                     normalized = _normalized_review(review.text)
                 span = _repair_locate(review.text, trigger, normalized)
                 if span is None:
-                    dropped_triggers.append(DroppedTrigger(label.value, trigger, REASON_NOT_EXTRACTIVE))
+                    dropped_triggers.append({"emotion": emotion, "text": trigger, "reason": REASON_NOT_EXTRACTIVE})
                     continue
                 repair_applied = True
             if not any(s.start == span.start and s.end == span.end for s in spans):
@@ -320,10 +310,10 @@ def parse_output(raw: str, review: Review) -> ParseReport:
         if spans:
             survivors.append((label, spans))
         else:
-            dropped_emotions.append(DroppedEmotion(label.value, REASON_NO_VERIFIABLE_TRIGGER))
+            dropped_emotions.append({"label": label.value, "reason": REASON_NO_VERIFIABLE_TRIGGER})
     if neutral_seen:
         if survivors:
-            dropped_emotions.append(DroppedEmotion(EmotionLabel.NEUTRAL.value, REASON_NEUTRAL_WITH_OTHERS))
+            dropped_emotions.append({"label": EmotionLabel.NEUTRAL.value, "reason": REASON_NEUTRAL_WITH_OTHERS})
         else:
             survivors = [(EmotionLabel.NEUTRAL, [])]
 
@@ -341,8 +331,6 @@ def parse_report_to_dict(report: ParseReport) -> dict[str, Any]:
         **report.output.to_dict(),
         "parse_status": report.parse_status.value,
         "repair_applied": report.parse_status is ParseStatus.REPAIRED,
-        "dropped_triggers": [
-            {"emotion": d.emotion, "text": d.text, "reason": d.reason} for d in report.dropped_triggers
-        ],
-        "dropped_emotions": [{"label": d.label, "reason": d.reason} for d in report.dropped_emotions],
+        "dropped_triggers": report.dropped_triggers,
+        "dropped_emotions": report.dropped_emotions,
     }

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from sys import intern
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
@@ -117,43 +118,14 @@ class LedgerStatus:
     FAILED = "Failed"
 
 
-_STRATEGY_BY_VALUE = {s.value: s for s in Strategy}
+# the fields of a ledger line, in the order run_experiment writes them
 LEDGER_SPEC = (
-    ("run_id", STRING, True, None), ("review_id", STRING, True, None), ("strategy", STRING, True, _STRATEGY_BY_VALUE),
+    ("run_id", STRING, True, None), ("review_id", STRING, True, None),
+    ("strategy", STRING, True, tuple(s.value for s in Strategy)),
     ("prompt_version", STRING, True, None), ("raw_response", STRING, True, None),
     ("latency_ms", INTEGER, True, None), ("attempt_count", INTEGER, True, None),
     ("status", STRING, True, (LedgerStatus.OK, LedgerStatus.FAILED)), ("error", STRING, None, None),
 )
-
-
-@dataclass(frozen=True, slots=True)
-class RunLedgerEntry:
-    run_id: str
-    review_id: str
-    strategy: Strategy
-    prompt_version: str
-    raw_response: str
-    latency_ms: int
-    attempt_count: int
-    status: str
-    error: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id, "review_id": self.review_id, "strategy": self.strategy.value,
-            "prompt_version": self.prompt_version, "raw_response": self.raw_response,
-            "latency_ms": self.latency_ms, "attempt_count": self.attempt_count, "status": self.status,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunLedgerEntry":
-        check_fields(data, LEDGER_SPEC)
-        return cls(
-            data["run_id"], data["review_id"],
-            _STRATEGY_BY_VALUE[data["strategy"]], data["prompt_version"],
-            data["raw_response"], data["latency_ms"], data["attempt_count"], data["status"], data.get("error"),
-        )
 
 
 class CompletionOutcome(NamedTuple):
@@ -285,12 +257,17 @@ def ledger_path(runs_dir: Path | str, run_id: str) -> Path:
     return Path(runs_dir) / run_id / "ledger"
 
 
-def _decode_entry(line: bytes) -> RunLedgerEntry:
-    return RunLedgerEntry.from_dict(loads_line(line.decode("utf-8")))
+def _decode_entry(line: bytes) -> dict[str, Any]:
+    entry = loads_line(line.decode("utf-8"))
+    check_fields(entry, LEDGER_SPEC)
+    # the decoder makes each line's keys afresh; a run's entries stay in
+    # memory while it is resumed or scored, so they share one string per key
+    return {intern(key): value for key, value in entry.items()}
 
 
-def read_ledger(runs_dir: Path | str, run_id: str) -> list[RunLedgerEntry]:
-    """Entries in append order.
+def read_ledger(runs_dir: Path | str, run_id: str) -> list[dict[str, Any]]:
+    """Entries in append order, each the dict of its line after a check
+    against LEDGER_SPEC.
 
     A crash mid-append leaves a torn final line: it has no newline (the
     newline is written last) and may stop inside a UTF-8 sequence, so lines
@@ -346,25 +323,25 @@ class RunState:
     """A run's ledger reduced: the latest Ok entry per review, and the
     reviews that have entries but none of them Ok."""
 
-    ok: dict[str, RunLedgerEntry] = field(default_factory=dict)
+    ok: dict[str, dict[str, Any]] = field(default_factory=dict)
     failed: set[str] = field(default_factory=set)
 
-    def add(self, entry: RunLedgerEntry) -> None:
-        if entry.status == LedgerStatus.OK:
-            self.ok[entry.review_id] = entry
-            self.failed.discard(entry.review_id)
-        elif entry.review_id not in self.ok:
-            self.failed.add(entry.review_id)
+    def add(self, entry: dict[str, Any]) -> None:
+        if entry["status"] == LedgerStatus.OK:
+            self.ok[entry["review_id"]] = entry
+            self.failed.discard(entry["review_id"])
+        elif entry["review_id"] not in self.ok:
+            self.failed.add(entry["review_id"])
 
 
-def reduce_ledger(entries: Sequence[RunLedgerEntry], run_id: str, prompt_version: str) -> RunState:
+def reduce_ledger(entries: Sequence[dict[str, Any]], run_id: str, prompt_version: str) -> RunState:
     """The state of run ``run_id`` after ``entries``, in append order.
 
     Entries of other runs or of another prompt version are ignored.
     """
     state = RunState()
     for entry in entries:
-        if entry.run_id == run_id and entry.prompt_version == prompt_version:
+        if entry["run_id"] == run_id and entry["prompt_version"] == prompt_version:
             state.add(entry)
     return state
 
@@ -425,7 +402,7 @@ def run_experiment(
     todo = [r for r in reviews if r.review_id not in state.ok]
     log.info("run %s: %d reviews to process (%d already done)", run_id, len(todo), len(state.ok))
 
-    def process(review: Review) -> RunLedgerEntry:
+    def process(review: Review) -> dict[str, Any]:
         started = time.monotonic()
         try:
             outcome = request_completion(http, template.encode(review.text), max_attempts=max_attempts, sleep=sleep)
@@ -433,9 +410,11 @@ def run_experiment(
         except ProviderFailure as exc:
             text, attempts, status, error = "", exc.attempts, LedgerStatus.FAILED, str(exc)
         latency = int((time.monotonic() - started) * 1000)
-        return RunLedgerEntry(
-            run_id, review.review_id, template.strategy, PROMPT_VERSION, text, latency, attempts, status, error
-        )
+        return {
+            "run_id": run_id, "review_id": review.review_id, "strategy": template.strategy.value,
+            "prompt_version": PROMPT_VERSION, "raw_response": text, "latency_ms": latency,
+            "attempt_count": attempts, "status": status, "error": error,
+        }
 
     pending = iter(todo)
     progress = _Progress(run_id, len(todo), time.monotonic())
@@ -454,12 +433,12 @@ def run_experiment(
                         ledger.write(line)
                         ledger.flush()
                         state.add(entry)
-                        progress.add(entry.status == LedgerStatus.OK, time.monotonic())
+                        progress.add(entry["status"] == LedgerStatus.OK, time.monotonic())
                     review = None if errors else next(pending, None)
                 if review is None:
                     return
                 entry = process(review)
-                line = encode_record(entry.to_dict()) + "\n"
+                line = encode_record(entry) + "\n"
         except BaseException as exc:  # raised by run_experiment once every worker is done
             with lock:
                 errors.append(exc)

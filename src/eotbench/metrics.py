@@ -31,10 +31,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 from .annotation import GoldRecord
 from .errors import DataError
 from .jsonio import NUMBER, STRING, render_table
-from .model import EMOTION_ORDER, EmotionLabel, EotOutput, normalize_text, tokenize
-
-
-_LABEL_INDEX = {label: i for i, label in enumerate(EMOTION_ORDER)}
+from .model import EMOTION_ORDER, LABEL_INDEX, EmotionLabel, EotOutput, normalize_text, tokenize
 
 
 class RougeScore(NamedTuple):
@@ -189,12 +186,12 @@ def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> 
         expected = expected_output.emotions
         hits = predicted & expected
         for label in hits:
-            label_hits[_LABEL_INDEX[label]] += 1
+            label_hits[LABEL_INDEX[label]] += 1
             matrix[label][label] += 1.0
         for label in predicted:
-            label_pred[_LABEL_INDEX[label]] += 1
+            label_pred[LABEL_INDEX[label]] += 1
         for label in expected:
-            label_gold[_LABEL_INDEX[label]] += 1
+            label_gold[LABEL_INDEX[label]] += 1
         spurious = predicted - expected
         missed = expected - predicted
         if spurious and missed:

@@ -44,6 +44,7 @@ class EmotionLabel(Enum):
 
 # Canonical ordering used by reports and deterministic aggregation.
 EMOTION_ORDER: tuple[EmotionLabel, ...] = tuple(EmotionLabel)
+LABEL_INDEX: dict[EmotionLabel, int] = {label: i for i, label in enumerate(EMOTION_ORDER)}
 PRIMARY_EMOTIONS: tuple[EmotionLabel, ...] = tuple(
     e for e in EmotionLabel if e is not EmotionLabel.NEUTRAL
 )

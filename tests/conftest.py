@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from eotbench.model import Domain, EotOutput, Review, TriggerSpan
+from eotbench.prompting import PROMPT_VERSION
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -39,6 +40,15 @@ def make_review(
     timestamp: int | None = None,
 ) -> Review:
     return Review(review_id=review_id, text=text, domain=domain, item_id=item_id, timestamp=timestamp)
+
+
+def ledger_entry(review_id: str = "r01", raw_response: str = "{}", **fields) -> dict:
+    """A ledger line's dict, in LEDGER_SPEC order: an Ok zero-shot entry of
+    run "r" under the current prompt version, unless ``fields`` say otherwise."""
+    return {
+        "run_id": "r", "review_id": review_id, "strategy": "zs", "prompt_version": PROMPT_VERSION,
+        "raw_response": raw_response, "latency_ms": 5, "attempt_count": 1, "status": "Ok", "error": None, **fields,
+    }
 
 
 @pytest.fixture

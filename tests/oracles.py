@@ -11,8 +11,9 @@ function an oracle is the reference for is imported here. The oracles share
 with the package only:
 
 - the record and error types (``Review``, ``EotOutput``, ``ParseReport``,
-  ``ScoreReport``, ``GoldRecord``, ``RunLedgerEntry``, ``DataError``, ...)
-  and the drop reasons, so results and failures compare with ``==``;
+  ``ScoreReport``, ``GoldRecord``, ``DataError``, ...), the drop reasons and
+  the ledger's ``LEDGER_SPEC`` with its checker ``check_fields``, so results
+  and failures compare with ``==``;
 - the label vocabulary: ``canonical_emotion`` and ``EMOTION_ORDER``;
 - the sampling draws: ``oracle_sample`` calls ``srswor``, ``derive_seed``,
   ``strata_in_order`` and ``stratified_review_sample``, and differs in when
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from eotbench.annotation import GoldProvenance, GoldRecord
+from eotbench.annotation import GoldRecord
 from eotbench.corpus import (
     FORMAT_VERSION,
     SamplingPlan,
@@ -54,12 +55,11 @@ from eotbench.extraction import (
     REASON_NO_VERIFIABLE_TRIGGER,
     REASON_NOT_EXTRACTIVE,
     REASON_OOV,
-    DroppedEmotion,
-    DroppedTrigger,
     ParseReport,
     ParseStatus,
 )
-from eotbench.inference import RunLedgerEntry
+from eotbench.inference import LEDGER_SPEC
+from eotbench.jsonio import check_fields
 from eotbench.metrics import (
     EmotionScores,
     PerEmotionScore,
@@ -263,29 +263,29 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
     normalized = None
     for entry in emotions:
         if not isinstance(entry, dict) or not _utf8_str(entry.get("emotion")):
-            report.dropped_emotions.append(DroppedEmotion(repr(entry)[:120], REASON_MALFORMED))
+            report.dropped_emotions.append({"label": repr(entry)[:120], "reason": REASON_MALFORMED})
             continue
         try:
             label = canonical_emotion(entry["emotion"])
         except UnknownEmotion:
-            report.dropped_emotions.append(DroppedEmotion(entry["emotion"], REASON_OOV))
+            report.dropped_emotions.append({"label": entry["emotion"], "reason": REASON_OOV})
             continue
         triggers = entry.get("triggers", [])
         if not isinstance(triggers, list):
             report.dropped_triggers.append(
-                DroppedTrigger(label.value, repr(triggers)[:120], REASON_MALFORMED)
+                {"emotion": label.value, "text": repr(triggers)[:120], "reason": REASON_MALFORMED}
             )
             triggers = []
         spans = merged.setdefault(label, [])
         for trigger in triggers:
             if not _utf8_str(trigger):
                 report.dropped_triggers.append(
-                    DroppedTrigger(label.value, repr(trigger)[:120], REASON_MALFORMED)
+                    {"emotion": label.value, "text": repr(trigger)[:120], "reason": REASON_MALFORMED}
                 )
                 continue
             if label is EmotionLabel.NEUTRAL:
                 report.dropped_triggers.append(
-                    DroppedTrigger(label.value, trigger, REASON_NEUTRAL_TRIGGER)
+                    {"emotion": label.value, "text": trigger, "reason": REASON_NEUTRAL_TRIGGER}
                 )
                 continue
             at = review.text.find(trigger) if trigger else -1
@@ -299,7 +299,7 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
                 at = normalized_review.find(normalized_trigger) if normalized_trigger else -1
                 if at < 0:
                     report.dropped_triggers.append(
-                        DroppedTrigger(label.value, trigger, REASON_NOT_EXTRACTIVE)
+                        {"emotion": label.value, "text": trigger, "reason": REASON_NOT_EXTRACTIVE}
                     )
                     continue
                 start = index_map[at]
@@ -317,12 +317,12 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
             survivors.append((label, spans))
         else:
             report.dropped_emotions.append(
-                DroppedEmotion(label.value, REASON_NO_VERIFIABLE_TRIGGER)
+                {"label": label.value, "reason": REASON_NO_VERIFIABLE_TRIGGER}
             )
     if EmotionLabel.NEUTRAL in merged:
         if survivors:
             report.dropped_emotions.append(
-                DroppedEmotion(EmotionLabel.NEUTRAL.value, REASON_NEUTRAL_WITH_OTHERS)
+                {"label": EmotionLabel.NEUTRAL.value, "reason": REASON_NEUTRAL_WITH_OTHERS}
             )
         else:
             survivors = [(EmotionLabel.NEUTRAL, [])]
@@ -643,7 +643,7 @@ def oracle_score(
         GoldRecord(rid, EotOutput(rid, tuple(
             EmotionTriggers(canonical_emotion(label), tuple(located(rid, t) for t in texts))
             for label, texts in pairs.items()
-        )), GoldProvenance({}, ()))
+        )), {})
         for rid, pairs in gold.items()
     ]
     report = oracle_score_report(pred, gold_records)
@@ -756,7 +756,7 @@ def oracle_iter_jsonl(path: Path):
                 yield line_no, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
 
 
-def oracle_read_ledger(path: Path) -> tuple[list[RunLedgerEntry], list[str]]:
+def oracle_read_ledger(path: Path) -> tuple[list[dict], list[str]]:
     """``inference.read_ledger`` on the ledger at ``path``, each line given to
     ``json.loads``: the entries and the warnings for a skipped torn final
     line; raises the same DataError for a corrupt line."""
@@ -766,7 +766,9 @@ def oracle_read_ledger(path: Path) -> tuple[list[RunLedgerEntry], list[str]]:
             if not line.strip():
                 continue
             try:
-                entries.append(RunLedgerEntry.from_dict(json.loads(line.decode("utf-8"))))
+                entry = json.loads(line.decode("utf-8"))
+                check_fields(entry, LEDGER_SPEC)
+                entries.append(entry)
             except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 if not line.endswith(b"\n"):
                     warnings.append(f"{path}:{line_no}: skipping torn final ledger line: {exc}")

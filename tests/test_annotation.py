@@ -22,6 +22,7 @@ from eotbench.annotation import (
     kappa_from_binary_pairs,
     load_annotations,
     load_gold,
+    records_by_review,
     render_agreement_report,
     resolve_overlaps,
     trigger_token_kappa,
@@ -56,6 +57,19 @@ def neutral_annotation(review: Review, annotator_id: str) -> AnnotationRecord:
     return annotate(review, annotator_id, {NEUTRAL: []})
 
 
+class TestRecordsByReview:
+    def test_groups_each_reviews_records_by_annotator(self, sample_review):
+        other = make_review(review_id="r2")
+        a1, a2 = annotate(sample_review, "A1", {JOY: ["perfectly"]}), neutral_annotation(sample_review, "A2")
+        b1 = neutral_annotation(other, "A1")
+        assert records_by_review([a1, b1, a2]) == {"r1": {"A1": a1, "A2": a2}, "r2": {"A1": b1}}
+
+    def test_an_annotator_twice_on_one_review_is_a_data_error(self, sample_review):
+        twice = [annotate(sample_review, "A1", {JOY: ["perfectly"]}), neutral_annotation(sample_review, "A1")]
+        with pytest.raises(DataError, match="annotator 'A1' appears twice for review 'r1'"):
+            records_by_review(twice)
+
+
 class TestAggregateGold:
     def test_majority_vote_inclusion(self, sample_review):
         r = sample_review
@@ -66,7 +80,7 @@ class TestAggregateGold:
         ]
         gold = aggregate_gold(records)
         assert gold.output.emotions == {JOY}
-        assert gold.provenance.emotion_votes == {"Joy": 3, "Trust": 1}
+        assert gold.provenance["emotion_votes"] == {"Joy": 3, "Trust": 1}
 
     def test_longest_overlapping_span_retained(self):
         review = make_review(text="I am very happy today with it")
@@ -82,7 +96,7 @@ class TestAggregateGold:
         records = [neutral_annotation(sample_review, a) for a in ("A1", "A2", "A3")]
         gold = aggregate_gold(records)
         assert gold.output.emotions == {NEUTRAL}
-        assert not gold.provenance.no_majority
+        assert gold.provenance["no_majority"] is False
 
     def test_no_majority_falls_back_to_neutral(self, sample_review):
         r = sample_review
@@ -93,7 +107,7 @@ class TestAggregateGold:
         ]
         gold = aggregate_gold(records)
         assert gold.output.emotions == {NEUTRAL}
-        assert gold.provenance.no_majority
+        assert gold.provenance["no_majority"] is True
 
     def test_permutation_invariance(self, sample_review):
         r = sample_review
@@ -117,8 +131,8 @@ class TestAggregateGold:
         gold = aggregate_gold(records)
         triggers = gold.output.triggers_for(JOY)
         assert len(triggers) == 1
-        prov = gold.provenance.trigger_annotators[0]
-        assert set(prov.annotators) == {"A1", "A2"}
+        prov = gold.provenance["trigger_annotators"][0]
+        assert set(prov["annotators"]) == {"A1", "A2"}
 
     def test_pooled_spans_credit_every_annotator_of_their_normalized_text(self):
         review = make_review(text="Loved the fit. loved the fit again, very happy today")
@@ -128,11 +142,11 @@ class TestAggregateGold:
             annotate(review, "A3", {JOY: ["very happy today"], TRUST: ["fit again"]}),
         ]
         gold = aggregate_gold(records)
-        assert [(t.emotion, t.text, t.annotators) for t in gold.provenance.trigger_annotators] == [
-            ("Joy", "Loved the fit", ("A1", "A2")),
-            ("Joy", "very happy today", ("A3",)),
-            ("Trust", "fit again", ("A3",)),
-            ("Trust", "today", ("A1",)),
+        assert gold.provenance["trigger_annotators"] == [
+            {"emotion": "Joy", "text": "Loved the fit", "annotators": ["A1", "A2"]},
+            {"emotion": "Joy", "text": "very happy today", "annotators": ["A3"]},
+            {"emotion": "Trust", "text": "fit again", "annotators": ["A3"]},
+            {"emotion": "Trust", "text": "today", "annotators": ["A1"]},
         ]
 
     def test_wrong_count_and_mismatched_ids(self, sample_review):

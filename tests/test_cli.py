@@ -19,8 +19,8 @@ from eotbench.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, _render_confusion, b
 from eotbench.corpus import MAX_TIMESTAMP, MIN_TIMESTAMP, SamplingPlan, derive_seed, load_corpus, srswor
 from eotbench.errors import DataError, InsufficientReviews
 from eotbench.jsonio import dump_json, load_json, write_jsonl
-from eotbench.prompting import PROMPT_VERSION, Strategy
-from conftest import DATA_DIR
+from eotbench.prompting import PROMPT_VERSION
+from conftest import DATA_DIR, ledger_entry
 from mock_provider import MockProviderServer
 from oracles import oracle_sample
 
@@ -343,6 +343,21 @@ class TestAggregateCommand:
         assert record["emotions"] == [{"emotion": "Neutral", "triggers": []}]
         assert record["provenance"]["no_majority"] is True
 
+    @pytest.mark.parametrize("command", ["aggregate", "agreement"])
+    def test_an_annotator_twice_on_one_review_is_a_data_error(self, tmp_path, caplog, command):
+        corpus, annotations = self._setup(tmp_path, {})
+        joy = [{"emotion": "Joy", "triggers": ["very happy"]}]
+        trust = [{"emotion": "Trust", "triggers": ["this cream"]}]
+        write_jsonl(annotations, [
+            {"review_id": "r1", "annotator_id": annotator, "emotions": emotions}
+            for annotator, emotions in (("A1", joy), ("A1", joy), ("A2", trust))
+        ])
+        out = tmp_path / "out"
+        argv = [command, "--annotations", str(annotations), "--corpus", str(corpus), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert f"{annotations}: annotator 'A1' appears twice for review 'r1'" in caplog.text
+        assert not out.exists()
+
 
 class TestAgreementAndStatsCommands:
     def test_agreement_table_renders(self, tmp_path, capsys):
@@ -516,9 +531,9 @@ class TestRunAndScoreCommands:
         ledger.read_bytes().decode("utf-8")  # the ledger stays UTF-8
         entries = inference.read_ledger(tmp_path / "runs", "drift")
         assert len(entries) == len(reviews)
-        failed = [e for e in entries if e.status == inference.LedgerStatus.FAILED]
-        assert [(e.review_id, e.raw_response) for e in failed] == [(reviews[0]["review_id"], "")]
-        assert failed[0].error == (
+        failed = [e for e in entries if e["status"] == inference.LedgerStatus.FAILED]
+        assert [(e["review_id"], e["raw_response"]) for e in failed] == [(reviews[0]["review_id"], "")]
+        assert failed[0]["error"] == (
             "provider returned HTTP 200: malformed completion body: choices[0].message.content is not a string: "
             f"{replies[reviews[0]['text']]!r}"
         )
@@ -774,8 +789,7 @@ class TestBadInputFiles:
         manifest = {"run_id": "r", "corpus": str(reviews), "strategy": "zs", "profile": "mock",
                     "prompt_version": PROMPT_VERSION}
         path.write_text(json.dumps({**manifest, key: value}))
-        entry = inference.RunLedgerEntry("r", "r01", Strategy.ZS, PROMPT_VERSION, "{}", 5, 1, "Ok")
-        (path.parent / "ledger").write_text(json.dumps(entry.to_dict()) + "\n")
+        (path.parent / "ledger").write_text(json.dumps(ledger_entry()) + "\n")
         argv = ["score", "--run-id", "r", "--gold", DATA_DIR / "handscored" / "gold.jsonl",
                 "--runs-dir", tmp_path / "runs"]
         self._assert_data_error(caplog, argv, f"{path}: {reason}")
@@ -856,8 +870,7 @@ class TestBadInputFiles:
             "run_id": "r", "corpus": str(reviews), "strategy": "zs", "profile": "mock",
             "prompt_version": PROMPT_VERSION,
         }))
-        entry = inference.RunLedgerEntry("r", "r01", Strategy.ZS, PROMPT_VERSION, reply, 5, 1, "Ok")
-        (run_dir / "ledger").write_text(json.dumps(entry.to_dict()) + "\n", encoding="ascii")
+        (run_dir / "ledger").write_text(json.dumps(ledger_entry("r01", reply)) + "\n", encoding="ascii")
         argv = ["score", "--run-id", "r", "--gold", DATA_DIR / "handscored" / "gold.jsonl",
                 "--runs-dir", tmp_path / "runs"]
         assert main([str(a) for a in argv]) == EXIT_OK

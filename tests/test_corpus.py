@@ -288,6 +288,13 @@ class TestStratifiedSample:
         known = sum(1 for r in sample if r.timestamp is not None)
         assert known == 2  # proportional 2/2 split
 
+    def test_strata_are_in_chronological_order_with_unknown_last(self):
+        reviews = [make_review(review_id="u0")] + self._reviews({2021: 1, 2019: 2, 2020: 1})
+        strata = strata_in_order(reviews, StrataGranularity.YEAR)
+        assert [(key, [r.review_id for r in rs]) for key, rs in strata] == [
+            ("2019", ["r2019-0", "r2019-1"]), ("2020", ["r2020-0"]), ("2021", ["r2021-0"]), ("unknown", ["u0"]),
+        ]
+
     def test_changing_other_items_does_not_perturb(self):
         plan = _plan(reviews_per_item=3)
         reviews = self._reviews({2020: 6}, item_id="item-A")

@@ -18,7 +18,7 @@ from eotbench.cli import EXIT_DATA, EXIT_PROVIDER, main
 from eotbench.corpus import load_corpus, reviews_by_id
 from eotbench.errors import DataError, ProviderFailure
 from eotbench.prompting import PROMPT_VERSION, Strategy, default_config
-from conftest import DATA_DIR, make_review
+from conftest import DATA_DIR, ledger_entry, make_review
 from mock_provider import MockProviderServer
 
 REVIEWS = DATA_DIR / "handscored" / "reviews.jsonl"
@@ -88,8 +88,7 @@ def missing_gold(tmp_path, caplog, monkeypatch):
     (run_dir / "manifest.json").write_text(json.dumps({
         "run_id": "r", "corpus": str(REVIEWS), "strategy": "zs", "profile": "mock", "prompt_version": PROMPT_VERSION,
     }))
-    entry = inference.RunLedgerEntry("r", "r01", Strategy.ZS, PROMPT_VERSION, "{}", 5, 1, "Ok")
-    (run_dir / "ledger").write_text(json.dumps(entry.to_dict()) + "\n")
+    (run_dir / "ledger").write_text(json.dumps(ledger_entry()) + "\n")
     (tmp_path / "gold.jsonl").write_text("".join(GOLD.read_text().splitlines(keepends=True)[1:]))  # all but r01
     return _main(caplog, "score", "--run-id", "r", "--gold", tmp_path / "gold.jsonl", "--runs-dir", tmp_path / "runs")
 
@@ -112,7 +111,7 @@ def _failed_entry(tmp_path, base_url: str, timeout: float) -> tuple[int, str]:
     )
     [entry] = inference.read_ledger(tmp_path, "r")
     assert state.failed == {"r1"}
-    return EXIT_PROVIDER, entry.error
+    return EXIT_PROVIDER, entry["error"]
 
 
 def rate_limited(tmp_path, caplog, monkeypatch):

@@ -140,8 +140,8 @@ class TestParseOutput:
             response([{"emotion": "Joy", "triggers": ["amazing quality!!!"]}]), sample_review
         )
         assert report.output.pairs == ()
-        assert [d.reason for d in report.dropped_triggers] == [REASON_NOT_EXTRACTIVE]
-        assert [d.reason for d in report.dropped_emotions] == [REASON_NO_VERIFIABLE_TRIGGER]
+        assert [d["reason"] for d in report.dropped_triggers] == [REASON_NOT_EXTRACTIVE]
+        assert [d["reason"] for d in report.dropped_emotions] == [REASON_NO_VERIFIABLE_TRIGGER]
 
     def test_oov_emotion_dropped(self, sample_review):
         report = parse_output(
@@ -154,7 +154,7 @@ class TestParseOutput:
             sample_review,
         )
         assert report.output.emotions == {EmotionLabel.JOY}
-        assert [d.reason for d in report.dropped_emotions] == [REASON_OOV]
+        assert [d["reason"] for d in report.dropped_emotions] == [REASON_OOV]
 
     def test_neutral_dropped_when_others_survive(self, sample_review):
         report = parse_output(
@@ -167,7 +167,7 @@ class TestParseOutput:
             sample_review,
         )
         assert report.output.emotions == {EmotionLabel.JOY}
-        assert any(d.reason == REASON_NEUTRAL_WITH_OTHERS for d in report.dropped_emotions)
+        assert any(d["reason"] == REASON_NEUTRAL_WITH_OTHERS for d in report.dropped_emotions)
 
     def test_neutral_survives_alone(self, sample_review):
         report = parse_output(response([{"emotion": "Neutral", "triggers": []}]), sample_review)
@@ -416,7 +416,7 @@ class TestOneFold:
 
     def test_a_medial_sigma_no_longer_matches_a_final_one(self):
         report = parse_output(response([{"emotion": "Joy", "triggers": ["καλοσ"]}]), make_review(text="ΚΑΛΟΣ here"))
-        assert [d.reason for d in report.dropped_triggers] == [REASON_NOT_EXTRACTIVE]
+        assert [d["reason"] for d in report.dropped_triggers] == [REASON_NOT_EXTRACTIVE]
 
     @pytest.mark.parametrize(
         "triggers, calls",

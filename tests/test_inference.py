@@ -13,7 +13,6 @@ from eotbench.inference import (
     MAX_CONCURRENCY,
     LedgerStatus,
     ProviderProfile,
-    RunLedgerEntry,
     _Progress,
     BodyTemplate,
     body_template,
@@ -27,7 +26,7 @@ from eotbench.inference import (
 )
 from eotbench.prompting import PROMPT_VERSION, Strategy, build_prompt, default_config, render_messages
 from eotbench.transport import Response
-from conftest import DEEPLY_NESTED, make_review
+from conftest import DEEPLY_NESTED, ledger_entry, make_review
 
 NO_SLEEP = lambda seconds: None
 
@@ -223,7 +222,7 @@ class TestBodyTemplate:
         )
         lines = ledger_path(tmp_path, "once").read_text(encoding="utf-8").split("\n")[:-1]
         assert len(lines) == 7
-        assert {e.strategy for e in read_ledger(tmp_path, "once")} == {Strategy.EOT_DETECT}
+        assert {e["strategy"] for e in read_ledger(tmp_path, "once")} == {Strategy.EOT_DETECT.value}
         for line in lines:
             assert line == json.dumps(json.loads(line), ensure_ascii=False)
 
@@ -240,8 +239,8 @@ class TestRunExperiment:
         )
         entries = read_ledger(tmp_path, "run-a")
         assert len(entries) == 10
-        assert all(e.status == LedgerStatus.OK for e in entries)
-        assert all(e.prompt_version for e in entries)
+        assert all(e["status"] == LedgerStatus.OK for e in entries)
+        assert all(e["prompt_version"] for e in entries)
         assert len(reduce_ledger(entries, "run-a", PROMPT_VERSION).ok) == 10
 
     def test_resume_skips_completed_reviews(self, tmp_path):
@@ -282,11 +281,11 @@ class TestRunExperiment:
         entries = read_ledger(tmp_path, "run-c")
         by_status = {}
         for e in entries:
-            by_status.setdefault(e.status, []).append(e.review_id)
+            by_status.setdefault(e["status"], []).append(e["review_id"])
         assert len(by_status[LedgerStatus.OK]) == 9
         assert by_status[LedgerStatus.FAILED] == ["r3"]
-        failed = [e for e in entries if e.status == LedgerStatus.FAILED][0]
-        assert failed.error
+        failed = [e for e in entries if e["status"] == LedgerStatus.FAILED][0]
+        assert failed["error"]
 
     @pytest.mark.parametrize("content", [None, 42, ["tool call"]])
     def test_content_that_is_not_a_string_is_a_failed_entry(self, tmp_path, content):
@@ -296,8 +295,8 @@ class TestRunExperiment:
             runs_dir=tmp_path, run_id="run-n", sleep=NO_SLEEP,
         )
         entries = read_ledger(tmp_path, "run-n")
-        assert [(e.status, e.raw_response) for e in entries] == [(LedgerStatus.FAILED, "")] * 2
-        assert all("HTTP 200" in e.error for e in entries)
+        assert [(e["status"], e["raw_response"]) for e in entries] == [(LedgerStatus.FAILED, "")] * 2
+        assert all("HTTP 200" in e["error"] for e in entries)
 
     def test_ledger_is_append_only_across_reruns(self, tmp_path):
         session = FakeSession(lambda i, body: response(200, completion_payload("resp")))
@@ -335,12 +334,12 @@ class TestRunExperiment:
             )
         data = ledger_path(tmp_path, "run-x").read_bytes()
         assert data.endswith(b"\n")
-        entries = [RunLedgerEntry.from_dict(json.loads(line)) for line in data.splitlines()]
+        entries = [json.loads(line) for line in data.splitlines()]
         # every request but the one that raised left its entry, and the workers stopped early
         assert len(entries) == session.calls - 1 < 40
-        assert all(e.status == LedgerStatus.OK for e in entries)
+        assert all(e["status"] == LedgerStatus.OK for e in entries)
         if concurrency == 1:
-            assert [e.review_id for e in entries] == ["r0", "r1"]
+            assert [e["review_id"] for e in entries] == ["r0", "r1"]
 
     def test_concurrent_workers_append_one_whole_line_per_review(self, tmp_path):
         session = FakeSession(lambda i, body: response(200, completion_payload("r\u00e9ponse " * 50)))
@@ -355,9 +354,9 @@ class TestRunExperiment:
             sys.setswitchinterval(interval)
         lines = ledger_path(tmp_path, "run-w").read_bytes().split(b"\n")
         assert lines[-1] == b""
-        entries = [RunLedgerEntry.from_dict(json.loads(line)) for line in lines[:-1]]
-        assert sorted(e.review_id for e in entries) == sorted(f"r{i}" for i in range(40))
-        assert all(e.status == LedgerStatus.OK for e in entries)
+        entries = [json.loads(line) for line in lines[:-1]]
+        assert sorted(e["review_id"] for e in entries) == sorted(f"r{i}" for i in range(40))
+        assert all(e["status"] == LedgerStatus.OK for e in entries)
         assert session.calls == 40
 
     def test_progress_is_logged_every_5_percent(self, tmp_path, caplog):
@@ -392,10 +391,7 @@ class TestRunExperiment:
 
 
 def entry(review_id, status=LedgerStatus.OK, run_id="run", prompt_version=PROMPT_VERSION, raw="x"):
-    return RunLedgerEntry(
-        run_id=run_id, review_id=review_id, strategy=Strategy.ZS, prompt_version=prompt_version,
-        raw_response=raw, latency_ms=1, attempt_count=1, status=status,
-    )
+    return ledger_entry(review_id, raw, run_id=run_id, prompt_version=prompt_version, status=status)
 
 
 class TestLedgerReduction:
@@ -414,7 +410,7 @@ class TestLedgerReduction:
             "run",
             PROMPT_VERSION,
         )
-        assert {k: e.raw_response for k, e in state.ok.items()} == {"a": "second", "b": "x", "d": "x"}
+        assert {k: e["raw_response"] for k, e in state.ok.items()} == {"a": "second", "b": "x", "d": "x"}
         assert state.failed == {"c"}
 
     def test_other_prompt_versions_are_ignored(self):
@@ -425,14 +421,14 @@ class TestLedgerReduction:
     def test_resume_redoes_reviews_done_under_another_prompt_version(self, tmp_path):
         path = ledger_path(tmp_path, "run")
         path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(entry("r0", prompt_version="0.9").to_dict()) + "\n")
+        path.write_text(json.dumps(entry("r0", prompt_version="0.9")) + "\n")
         session = FakeSession(lambda i, body: response(200, completion_payload("resp")))
         state = run_experiment(
             [make_review(review_id="r0", item_id="i1")], template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run", sleep=NO_SLEEP,
         )
         assert session.calls == 1
-        assert state.ok["r0"].prompt_version == PROMPT_VERSION
+        assert state.ok["r0"]["prompt_version"] == PROMPT_VERSION
 
     def test_run_experiment_returns_the_state_of_the_whole_ledger(self, tmp_path):
         reviews = [
@@ -492,7 +488,7 @@ class TestLedgerTail:
         path = self._tear(tmp_path, 40)
         with caplog.at_level(logging.WARNING, logger="eotbench.inference"):
             entries = read_ledger(tmp_path, "run-t")
-        assert sorted(e.review_id for e in entries) == ["r0", "r1", "r2"]
+        assert sorted(e["review_id"] for e in entries) == ["r0", "r1", "r2"]
         assert any("torn final ledger line" in r.getMessage() for r in caplog.records)
         assert str(path) in caplog.text
 
@@ -554,11 +550,11 @@ class TestLedgerTail:
         path = ledger_path(tmp_path, "run-t")
         with open(path, "ab") as fh:
             fh.write(DEEPLY_NESTED.encode())
-        assert sorted(e.review_id for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1"]
+        assert sorted(e["review_id"] for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1"]
         session = self._run(tmp_path, 3)  # the resume seals the ledger first
         assert session.calls == 1
         assert not path.read_bytes().count(b"[[")
-        assert sorted(e.review_id for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
+        assert sorted(e["review_id"] for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
 
     def test_resume_after_a_torn_tail_appends_on_a_fresh_line(self, tmp_path, caplog):
         self._run(tmp_path, 3)
@@ -568,7 +564,7 @@ class TestLedgerTail:
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="eotbench.inference"):
             entries = read_ledger(tmp_path, "run-t")
-        assert sorted(e.review_id for e in entries) == ["r0", "r1", "r2", "r3", "r4"]
+        assert sorted(e["review_id"] for e in entries) == ["r0", "r1", "r2", "r3", "r4"]
         assert not caplog.records  # the torn fragment is gone
         assert ledger_path(tmp_path, "run-t").read_bytes().endswith(b"\n")
 
@@ -579,7 +575,7 @@ class TestLedgerTail:
         assert len(read_ledger(tmp_path, "run-t")) == 2
         session = self._run(tmp_path, 3)
         assert session.calls == 1
-        assert sorted(e.review_id for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
+        assert sorted(e["review_id"] for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
 
 
 class TestProviderProfiles:

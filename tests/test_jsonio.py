@@ -12,10 +12,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from eotbench import inference
 from eotbench.cli import _write_text
 from eotbench.errors import DataError
-from eotbench.inference import RunLedgerEntry, ledger_path, read_ledger
+from eotbench.inference import ledger_path, read_ledger
 from eotbench.jsonio import dump_json, encode_record, iter_jsonl, load_json, loads_line, write_jsonl
 from eotbench.prompting import Strategy
-from conftest import DEEPLY_NESTED
+from conftest import DEEPLY_NESTED, ledger_entry
 from oracles import oracle_iter_jsonl, oracle_read_ledger
 
 
@@ -98,8 +98,8 @@ class TestLeanDecoding:
         assert got == expected
 
 
-_ENTRY = RunLedgerEntry("run", "r1", Strategy.ZS, "1", '{"emotions": []}', 12, 1, "Ok")
-_ENTRY_LINE = encode_record(_ENTRY.to_dict()).encode()
+_ENTRY = ledger_entry("r1", '{"emotions": []}', run_id="run", prompt_version="1", latency_ms=12)
+_ENTRY_LINE = encode_record(_ENTRY).encode()
 
 
 @st.composite
@@ -110,8 +110,8 @@ def ledger_lines(draw) -> bytes:
     if kind == "other":
         return draw(jsonl_lines())
     if kind == "field":
-        key = draw(st.sampled_from(sorted(_ENTRY.to_dict())))
-        return json.dumps({**_ENTRY.to_dict(), key: draw(JSON_VALUES)}).encode()
+        key = draw(st.sampled_from(sorted(_ENTRY)))
+        return json.dumps({**_ENTRY, key: draw(JSON_VALUES)}).encode()
     before = draw(st.sampled_from([b"", b"", b" ", b"\xef\xbb\xbf"]))
     after = draw(st.sampled_from([b"", b"", b" ", b"\r", b"x"]))
     return before + _ENTRY_LINE + after

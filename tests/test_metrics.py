@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eotbench import metrics
-from eotbench.annotation import GoldProvenance, GoldRecord, aggregate_gold
+from eotbench.annotation import GoldRecord, aggregate_gold
 from eotbench.errors import DataError
 from eotbench.metrics import (
     align_and_average_rouge,
@@ -379,7 +379,7 @@ def scored_sets(draw):
         seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(words), max_size=len(words)))
         text = "".join(w + s for w, s in zip(words, seps))
         expected = draw(eot_output(f"r{i}", text, GOLD_LABELS))
-        gold.append(GoldRecord(f"r{i}", expected, GoldProvenance({}, ())))
+        gold.append(GoldRecord(f"r{i}", expected, {}))
         if draw(st.integers(0, 4)):
             pred.append(draw(eot_output(f"r{i}", text, PRED_LABELS, expected)))
     return draw(st.permutations(pred)), draw(st.permutations(gold))

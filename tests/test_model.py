@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from eotbench.errors import SpanNotFound, UnknownEmotion
 from eotbench.model import (
+    EMOTION_ORDER,
+    LABEL_INDEX,
     EmotionLabel,
     EmotionTriggers,
     EotOutput,
@@ -68,6 +70,11 @@ class TestTokenize:
         assert [text[a:b].lower() for a, b in zip(starts, ends)] == tokenize(text)
 
 
+def test_label_index_is_each_labels_place_in_emotion_order():
+    assert [EMOTION_ORDER[LABEL_INDEX[label]] for label in EmotionLabel] == list(EmotionLabel)
+    assert sorted(LABEL_INDEX.values()) == list(range(len(EMOTION_ORDER)))
+
+
 class TestCanonicalEmotion:
     def test_case_folding(self):
         assert canonical_emotion("JOY") is EmotionLabel.JOY
@@ -109,8 +116,14 @@ class TestLocateSpan:
 
 class TestTriggerSpan:
     def test_rejects_inverted_offsets(self):
-        with pytest.raises(ValueError):
-            TriggerSpan("x", 3, 3)
+        with pytest.raises(ValueError, match="invalid span offsets"):
+            TriggerSpan("x", 3, 2)
+
+    # each of these would pass the length check: only the offset check rejects them
+    @pytest.mark.parametrize("text, start, end", [("x", 3, 3), ("", 3, 3), ("ab", -1, 1)])
+    def test_rejects_empty_or_negative_offsets(self, text, start, end):
+        with pytest.raises(ValueError, match="invalid span offsets"):
+            TriggerSpan(text, start, end)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,8 @@ import json
 from pathlib import Path
 
 from eotbench.cli import EXIT_OK, main
-from eotbench.inference import LedgerStatus, RunLedgerEntry
-from eotbench.prompting import PROMPT_VERSION, Strategy
+from eotbench.prompting import PROMPT_VERSION
+from conftest import ledger_entry
 from oracles import oracle_score
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
@@ -56,8 +56,7 @@ def _score_row(tmp_path: Path) -> dict[str, float]:
     (run_dir / "manifest.json").write_text(json.dumps({
         "run_id": "r", "corpus": str(corpus), "strategy": "zs", "profile": "mock", "prompt_version": PROMPT_VERSION,
     }))
-    entry = RunLedgerEntry("r", "b1", Strategy.ZS, PROMPT_VERSION, BRACE_REPLY, 5, 1, LedgerStatus.OK)
-    (run_dir / "ledger").write_text(json.dumps(entry.to_dict()) + "\n")
+    (run_dir / "ledger").write_text(json.dumps(ledger_entry("b1", BRACE_REPLY)) + "\n")
     assert main(["score", "--run-id", "r", "--gold", str(gold), "--runs-dir", str(tmp_path / "runs")]) == EXIT_OK
     scores = json.loads((run_dir / "scores.json").read_text(encoding="utf-8"))
     emotion, trigger = scores["emotion"], scores["trigger"]

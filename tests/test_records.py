@@ -22,10 +22,9 @@ import pytest
 import eotbench
 from eotbench import annotation, cli, corpus, inference, metrics, prompting
 from eotbench.cli import EXIT_DATA, EXIT_OK, main
-from eotbench.inference import LedgerStatus, RunLedgerEntry
 from eotbench.jsonio import ARRAY, BOOLEAN, INTEGER, NUMBER, OBJECT, STRING, check_fields
-from eotbench.prompting import PROMPT_VERSION, Strategy
-from conftest import DATA_DIR
+from eotbench.prompting import PROMPT_VERSION
+from conftest import DATA_DIR, ledger_entry
 
 HANDSCORED = DATA_DIR / "handscored"
 LONE_SURROGATE = "\ud83d"
@@ -101,7 +100,7 @@ PLAN = {"seed": 1, "items_per_group": 1, "reviews_per_item": 1, "min_tokens": 1,
         "strata_granularity": "Year"}
 CONFIG = {"temperature": 0.2, "top_p": 0.95, "top_k": 25, "max_tokens": 2500, "n": 1}
 NEUTRAL = '{"emotions": [{"emotion": "Neutral", "triggers": []}]}'
-LEDGER_ENTRY = RunLedgerEntry("r", "r01", Strategy.ZS, PROMPT_VERSION, NEUTRAL, 5, 1, LedgerStatus.OK).to_dict()
+LEDGER_ENTRY = ledger_entry("r01", NEUTRAL)
 ANNOTATION = _lines(DATA_DIR / "agreement" / "annotations.jsonl")[0]
 GOLD = {
     "review_id": "r01",

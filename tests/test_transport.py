@@ -147,7 +147,7 @@ class TestConnections:
                 runs_dir=tmp_path, run_id="idle", sleep=NO_SLEEP,
             )
         entries = read_ledger(tmp_path, "idle")
-        assert [(e.status, e.attempt_count) for e in entries] == [(LedgerStatus.OK, 1)] * 3
+        assert [(e["status"], e["attempt_count"]) for e in entries] == [(LedgerStatus.OK, 1)] * 3
         assert server.targets == ["/chat/completions"] * 3
 
 
@@ -254,8 +254,8 @@ class TestResponseReader:
                 runs_dir=tmp_path, run_id="cl", max_attempts=2, sleep=NO_SLEEP,
             )
         [entry] = read_ledger(tmp_path, "cl")
-        assert (entry.status, entry.attempt_count) == (LedgerStatus.FAILED, 2)
-        assert "malformed Content-Length" in entry.error
+        assert (entry["status"], entry["attempt_count"]) == (LedgerStatus.FAILED, 2)
+        assert "malformed Content-Length" in entry["error"]
         assert state.failed == {"r0"}
 
     def test_a_head_over_64_kib_is_transient(self):

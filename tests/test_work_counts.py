@@ -33,12 +33,11 @@ HANDSCORED = DATA_DIR / "handscored"
 COUNTED = (
     "model.tokenize", "model.tokenize_with_spans", "model.count_tokens", "model.normalize_text",
     "model.locate_span", "corpus.stratum_key", "prompting.build_prompt", "inference.read_ledger",
-    "extraction.parse_output",
+    "extraction.parse_output", "jsonio.check_fields",
 )
 RECORDS = (
     model.Review, model.TriggerSpan, model.EmotionTriggers, model.EotOutput,
-    annotation.AnnotationRecord, annotation.GoldRecord, annotation.GoldProvenance, annotation.TriggerProvenance,
-    inference.RunLedgerEntry, extraction.ParseReport, extraction.DroppedTrigger, extraction.DroppedEmotion,
+    annotation.AnnotationRecord, annotation.GoldRecord, extraction.ParseReport,
 )
 
 # (command, what is counted, the count): every count that is not zero. The
@@ -47,30 +46,30 @@ RECORDS = (
 # `report` on its scores.json, as the bench's score workload does.
 PINS = [
     ("run", "Review", 10 + 1),  # the corpus, and the template review of the request body
-    ("run", "RunLedgerEntry", 10),
     ("run", "prompting.build_prompt", 1),  # one per run, whatever the number of reviews and workers
     ("run", "inference.read_ledger", 1),  # likewise
     ("run", "json.loads", 10),  # each reply body, once
+    ("run", "jsonio.check_fields", 10 + 10 * 3),  # each review; each reply, its choice and its message
     ("score", "Review", 10),
-    ("score", "RunLedgerEntry", 10),
     ("score", "GoldRecord", 10),
-    ("score", "GoldProvenance", 10),
     ("score", "extraction.parse_output", 10),
     ("score", "ParseReport", 10),
     ("score", "EotOutput", 10 + 10),  # one per gold record and per parsed response, none as a placeholder
     ("score", "EmotionTriggers", 16 + 12),
     ("score", "TriggerSpan", 17 + 12),  # each gold trigger, each response trigger found or repaired
     ("score", "model.locate_span", 17 + 13),  # each gold trigger, each response trigger under an emotion
-    ("score", "DroppedTrigger", 1),
-    ("score", "DroppedEmotion", 3),
     ("score", "model.normalize_text", 27),
     ("score", "model.tokenize", 23),
     ("score", "inference.read_ledger", 1),
     ("score", "json.loads", 1 + 1),  # the manifest and scores.json, read whole; no JSONL line
+    # each review, ledger line, gold line and gold emotion, the manifest, and
+    # scores.json with its two headline groups: a ledger entry is its checked line
+    ("score", "jsonio.check_fields", 10 + 10 + 10 + 16 + 1 + 3),
     ("sample", "Review", 22),
     ("sample", "model.count_tokens", 16),  # each review of each drawn item, once
     ("sample", "corpus.stratum_key", 16),  # each of those the length filter keeps, once
     ("sample", "json.loads", 1),  # the plan
+    ("sample", "jsonio.check_fields", 22 + 2),  # each review; the plan as an object, then against PLAN_SPEC
     ("aggregate", "Review", 4),
     ("aggregate", "AnnotationRecord", 12),
     ("aggregate", "EotOutput", 12 + 4),  # each annotation, each gold record
@@ -78,9 +77,8 @@ PINS = [
     ("aggregate", "TriggerSpan", 12),
     ("aggregate", "model.locate_span", 12),
     ("aggregate", "GoldRecord", 4),
-    ("aggregate", "GoldProvenance", 4),
-    ("aggregate", "TriggerProvenance", 4),
     ("aggregate", "model.normalize_text", 7),  # one per span pooled under an emotion that wins
+    ("aggregate", "jsonio.check_fields", 4 + 12 + 14),  # each review, annotation and annotated emotion
     ("agreement", "Review", 4 + 1),  # the annotated reviews, and one nobody annotated
     ("agreement", "AnnotationRecord", 12),
     ("agreement", "EotOutput", 12),
@@ -88,14 +86,15 @@ PINS = [
     ("agreement", "TriggerSpan", 12),
     ("agreement", "model.locate_span", 12),
     ("agreement", "model.tokenize_with_spans", 4),  # each annotated review, once; the other, never
+    ("agreement", "jsonio.check_fields", 5 + 12 + 14),
     ("stats", "Review", 10),
     ("stats", "GoldRecord", 10),
-    ("stats", "GoldProvenance", 10),
     ("stats", "EotOutput", 10),
     ("stats", "EmotionTriggers", 16),
     ("stats", "TriggerSpan", 17),
     ("stats", "model.locate_span", 17),
-    ("stats", "model.count_tokens", 17 * 2),  # each gold trigger, in its domain's column and overall
+    ("stats", "model.count_tokens", 17),  # each gold trigger, once
+    ("stats", "jsonio.check_fields", 10 + 10 + 16),  # each review, gold line and gold emotion
 ]
 
 
@@ -231,6 +230,16 @@ def test_a_crlf_ledger_is_read_through_json_loads(counts, workdir, tmp_path, mon
     monkeypatch.setattr(json, "loads", _counting_loads(calls))
     assert inference.read_ledger(tmp_path, "hand-scored") == entries
     assert calls["json.loads"] == len(entries) == 10
+
+
+def test_ledger_entries_share_one_string_per_key(counts, workdir):
+    """A run's entries stay in memory while it is resumed or scored: each
+    entry is its line's dict, and all of them hold the same key strings."""
+    entries = inference.read_ledger(workdir / "runs", "hand-scored")
+    assert len(entries) == 10
+    assert all(list(entry) == [name for name, *_ in inference.LEDGER_SPEC] for entry in entries)
+    first = list(entries[0])
+    assert all(all(a is b for a, b in zip(entry, first)) for entry in entries[1:])
 
 
 @pytest.mark.parametrize(
