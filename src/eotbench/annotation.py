@@ -50,7 +50,7 @@ class AnnotationRecord:
 class GoldRecord:
     review_id: str
     output: EotOutput
-    provenance: dict[str, Any]  # the gold line's object of that name, keys as _PROVENANCE_SPEC
+    provenance: dict[str, Any]  # aggregate_gold's, keys as _PROVENANCE_SPEC; {} once loaded
 
 
 _EMOTION_SPEC = (("emotion", STRING, True, None), ("triggers", ARRAY, False, STRING))
@@ -182,11 +182,10 @@ def gold_to_dict(gold: GoldRecord) -> dict[str, Any]:
 
 
 def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[GoldRecord]:
-    """Read a gold file back, relocating trigger spans; absent provenance reads as {}."""
-    return [
-        GoldRecord(output.review_id, output, obj.get("provenance", {}))
-        for obj, output in _iter_outputs(path, reviews, GOLD_SPEC)
-    ]
+    """Read a gold file back, relocating trigger spans. Each line's provenance
+    is checked but not kept: scoring and statistics never read it, so a
+    loaded record's provenance is {}."""
+    return [GoldRecord(output.review_id, output, {}) for _, output in _iter_outputs(path, reviews, GOLD_SPEC)]
 
 
 # ---------------------------------------------------------------------------

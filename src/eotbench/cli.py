@@ -230,17 +230,15 @@ def cmd_score(args: argparse.Namespace) -> int:
     reviews = corpus.reviews_by_id(_load_reviews(args.corpus or manifest["corpus"]).records)
     golds = annotation.load_gold(args.gold, reviews)
 
-    state = inference.reduce_ledger(
-        inference.read_ledger(runs_dir, args.run_id), args.run_id, manifest["prompt_version"]
-    )
-    latest_ok = state.ok
-
-    reports = []
-    for review_id in sorted(latest_ok):
-        review = reviews.get(review_id)
+    def parse(entry: dict[str, Any]) -> extraction.ParseReport:
+        review = reviews.get(entry["review_id"])
         if review is None:
-            raise DataError(f"run references review {review_id!r} missing from the corpus")
-        reports.append(extraction.parse_output(latest_ok[review_id]["raw_response"], review))
+            raise DataError(f"run references review {entry['review_id']!r} missing from the corpus")
+        return extraction.parse_output(entry["raw_response"], review)
+
+    # parsed as the ledger is read: no reply outlives its parse
+    state = inference.read_ledger(runs_dir, args.run_id, manifest["prompt_version"], parse)
+    reports = [state.ok[review_id] for review_id in sorted(state.ok)]
     write_jsonl(
         run_dir / "parsed",
         (

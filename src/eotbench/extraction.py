@@ -26,6 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heapify, heappop, heapreplace
 from typing import Any, Callable
 
 from .errors import NoStructuredBlock, SpanNotFound, UnknownEmotion
@@ -65,7 +66,7 @@ class ParseReport:
     parse_status: ParseStatus = ParseStatus.CLEAN
 
 
-_SCAN_CHARS = re.compile(r'[{}"\\]')
+_SCAN_CHARS = '{}"\\'  # the characters a brace scan reads
 
 
 class _ScanGroup:
@@ -106,7 +107,9 @@ def _close_table(raw: str) -> dict[int, int]:
     scans fall into at most three groups by string state (outside, inside,
     inside after a backslash); groups that reach the same state merge
     small-to-large. One pass over the brace, quote and backslash
-    characters, O(n log n) at worst.
+    characters, O(n log n) at worst: each of the four is found by
+    ``str.find`` from just after the last, and a heap of the next of each
+    says which comes first.
     """
     table: dict[int, int] = {}
     first = raw.find("{")
@@ -114,9 +117,15 @@ def _close_table(raw: str) -> dict[int, int]:
         return table
     outside = inside = escaped = None
     escape_at = first  # index of the backslash that made `escaped`
-    for match in _SCAN_CHARS.finditer(raw, first):
-        i = match.start()
-        ch = raw[i]
+    upcoming = [(at, ch) for ch in _SCAN_CHARS if (at := raw.find(ch, first)) >= 0]
+    heapify(upcoming)
+    while upcoming:
+        i, ch = upcoming[0]
+        at = raw.find(ch, i + 1)
+        if at < 0:
+            heappop(upcoming)
+        else:
+            heapreplace(upcoming, (at, ch))
         if escaped is not None and escape_at + 1 < i:
             # the escaped character was plain text; the scans are back in the string
             inside = _merge(inside, escaped)

@@ -23,8 +23,7 @@ import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from sys import intern
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .errors import DataError, ProviderError, ProviderFailure, data_errors
@@ -260,14 +259,12 @@ def ledger_path(runs_dir: Path | str, run_id: str) -> Path:
 def _decode_entry(line: bytes) -> dict[str, Any]:
     entry = loads_line(line.decode("utf-8"))
     check_fields(entry, LEDGER_SPEC)
-    # the decoder makes each line's keys afresh; a run's entries stay in
-    # memory while it is resumed or scored, so they share one string per key
-    return {intern(key): value for key, value in entry.items()}
+    return entry
 
 
-def read_ledger(runs_dir: Path | str, run_id: str) -> list[dict[str, Any]]:
+def iter_ledger(runs_dir: Path | str, run_id: str) -> Iterator[dict[str, Any]]:
     """Entries in append order, each the dict of its line after a check
-    against LEDGER_SPEC.
+    against LEDGER_SPEC, read one line at a time.
 
     A crash mid-append leaves a torn final line: it has no newline (the
     newline is written last) and may stop inside a UTF-8 sequence, so lines
@@ -276,26 +273,25 @@ def read_ledger(runs_dir: Path | str, run_id: str) -> list[dict[str, Any]]:
     """
     path = ledger_path(runs_dir, run_id)
     if not path.exists():
-        return []
-    entries = []
+        return
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
-                entries.append(_decode_entry(line))
+                entry = _decode_entry(line)
             except DECODE_ERRORS as exc:
                 if not line.endswith(b"\n"):
                     log.warning("%s:%d: skipping torn final ledger line: %s", path, line_no, exc)
                     continue
                 raise DataError(f"{path}:{line_no}: corrupt ledger entry: {exc}") from None
-    return entries
+            yield entry
 
 
 def _seal_ledger(path: Path) -> None:
     """End the ledger with a newline so that appends start on a fresh line.
 
-    A torn final line (skipped by read_ledger) is cut off; a complete entry
+    A torn final line (skipped by iter_ledger) is cut off; a complete entry
     that only lacks its newline gets one.
     """
     if not path.exists():
@@ -320,27 +316,32 @@ def _seal_ledger(path: Path) -> None:
 
 @dataclass
 class RunState:
-    """A run's ledger reduced: the latest Ok entry per review, and the
-    reviews that have entries but none of them Ok."""
+    """A run's ledger reduced: for each review with an Ok entry, ``keep`` of
+    its latest Ok entry; and the reviews that have entries but none of them Ok."""
 
-    ok: dict[str, dict[str, Any]] = field(default_factory=dict)
+    keep: Callable[[dict[str, Any]], Any]
+    ok: dict[str, Any] = field(default_factory=dict)
     failed: set[str] = field(default_factory=set)
 
     def add(self, entry: dict[str, Any]) -> None:
         if entry["status"] == LedgerStatus.OK:
-            self.ok[entry["review_id"]] = entry
+            self.ok[entry["review_id"]] = self.keep(entry)
             self.failed.discard(entry["review_id"])
         elif entry["review_id"] not in self.ok:
             self.failed.add(entry["review_id"])
 
 
-def reduce_ledger(entries: Sequence[dict[str, Any]], run_id: str, prompt_version: str) -> RunState:
-    """The state of run ``run_id`` after ``entries``, in append order.
+def read_ledger(
+    runs_dir: Path | str, run_id: str, prompt_version: str, keep: Callable[[dict[str, Any]], Any]
+) -> RunState:
+    """The state of run ``run_id`` under ``prompt_version``, its ledger read
+    and reduced in one pass: ``keep`` is called on each Ok entry of the run
+    and prompt version as it is read, and the entry itself is not held.
 
     Entries of other runs or of another prompt version are ignored.
     """
-    state = RunState()
-    for entry in entries:
+    state = RunState(keep)
+    for entry in iter_ledger(runs_dir, run_id):
         if entry["run_id"] == run_id and entry["prompt_version"] == prompt_version:
             state.add(entry)
     return state
@@ -393,11 +394,12 @@ def run_experiment(
     and never abort the run; any other exception stops the workers taking
     reviews and is raised once they have all finished, the entries of the
     reviews they finished appended. Progress is logged at INFO. Returns the
-    run's state after it, ledger entries from earlier invocations included.
+    run's state after it, ledger entries from earlier invocations included;
+    it keeps only review ids, each Ok one mapped to None.
     """
     path = ledger_path(runs_dir, run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    state = reduce_ledger(read_ledger(runs_dir, run_id), run_id, PROMPT_VERSION)
+    state = read_ledger(runs_dir, run_id, PROMPT_VERSION, lambda entry: None)
     _seal_ledger(path)
     todo = [r for r in reviews if r.review_id not in state.ok]
     log.info("run %s: %d reviews to process (%d already done)", run_id, len(todo), len(state.ok))

@@ -757,7 +757,7 @@ def oracle_iter_jsonl(path: Path):
 
 
 def oracle_read_ledger(path: Path) -> tuple[list[dict], list[str]]:
-    """``inference.read_ledger`` on the ledger at ``path``, each line given to
+    """``inference.iter_ledger`` on the ledger at ``path``, each line given to
     ``json.loads``: the entries and the warnings for a skipped torn final
     line; raises the same DataError for a corrupt line."""
     entries, warnings = [], []

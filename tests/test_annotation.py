@@ -493,6 +493,22 @@ class TestAnnotationIo:
         assert as_dict["emotions"] == [{"emotion": "Joy", "triggers": ["very happy"]}]
         assert as_dict["provenance"]["emotion_votes"] == {"Joy": 3}
 
+    def test_a_loaded_gold_record_keeps_no_provenance(self, tmp_path):
+        review = make_review("b1", "I am very happy", Domain.BEAUTY, "i1")
+        line = {
+            "review_id": "b1", "emotions": [{"emotion": "Joy", "triggers": ["very happy"]}],
+            "provenance": {
+                "emotion_votes": {"Joy": 3},
+                "trigger_annotators": [{"emotion": "Joy", "text": "very happy", "annotators": ["A1", "A2"]}],
+                "no_majority": False,
+            },
+        }
+        path = tmp_path / "gold.jsonl"
+        write_jsonl(path, [line])
+        [gold] = load_gold(path, {"b1": review})
+        assert gold.provenance == {}
+        assert gold.output.to_dict() == {"review_id": "b1", "emotions": line["emotions"]}
+
     def test_non_utf8_line_is_a_data_error_with_its_line(self, tmp_path):
         review = make_review("b1", "I am very happy", Domain.BEAUTY, "i1")
         line = json.dumps({"review_id": "b1", "annotator_id": "A1", "emotions": []}).encode()

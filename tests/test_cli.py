@@ -451,6 +451,27 @@ class TestRunAndScoreCommands:
         )
         assert code == EXIT_DATA
 
+    def test_score_names_the_first_ok_entry_missing_from_the_corpus_in_ledger_order(self, tmp_path, caplog):
+        run_dir = tmp_path / "runs" / "gone"
+        run_dir.mkdir(parents=True)
+        dump_json(run_dir / "manifest.json", {
+            "corpus": str(DATA_DIR / "handscored" / "reviews.jsonl"), "strategy": "zs", "profile": "p",
+            "prompt_version": PROMPT_VERSION,
+        })
+        write_jsonl(run_dir / "ledger", [
+            ledger_entry("a-failed", "", run_id="gone", status="Failed", error="HTTP 503"),  # never parsed
+            ledger_entry("z-missing", run_id="gone"),
+            ledger_entry("b-missing", run_id="gone"),
+        ])
+        argv = ["score", "--run-id", "gone", "--gold", str(DATA_DIR / "handscored" / "gold.jsonl"),
+                "--runs-dir", str(tmp_path / "runs")]
+        caplog.clear()
+        assert main(argv) == EXIT_DATA
+        assert [r.getMessage() for r in caplog.records] == [
+            "run references review 'z-missing' missing from the corpus"
+        ]
+        assert sorted(p.name for p in run_dir.iterdir()) == ["ledger", "manifest.json"]
+
     def test_existing_run_requires_resume(self, tmp_path):
         reviews_path = DATA_DIR / "handscored" / "reviews.jsonl"
         runs_dir = tmp_path / "runs"
@@ -529,7 +550,7 @@ class TestRunAndScoreCommands:
             assert self._neutral_run(tmp_path, server) == EXIT_PROVIDER
         ledger = tmp_path / "runs" / "drift" / "ledger"
         ledger.read_bytes().decode("utf-8")  # the ledger stays UTF-8
-        entries = inference.read_ledger(tmp_path / "runs", "drift")
+        entries = list(inference.iter_ledger(tmp_path / "runs", "drift"))
         assert len(entries) == len(reviews)
         failed = [e for e in entries if e["status"] == inference.LedgerStatus.FAILED]
         assert [(e["review_id"], e["raw_response"]) for e in failed] == [(reviews[0]["review_id"], "")]

@@ -109,7 +109,7 @@ def _failed_entry(tmp_path, base_url: str, timeout: float) -> tuple[int, str]:
         [make_review()], template, inference.http_transport(profile), max_concurrency=1,
         runs_dir=tmp_path, run_id="r", max_attempts=2, sleep=lambda seconds: None,
     )
-    [entry] = inference.read_ledger(tmp_path, "r")
+    [entry] = inference.iter_ledger(tmp_path, "r")
     assert state.failed == {"r1"}
     return EXIT_PROVIDER, entry["error"]
 

@@ -17,10 +17,10 @@ from eotbench.inference import (
     BodyTemplate,
     body_template,
     http_transport,
+    iter_ledger,
     ledger_path,
     load_provider_profiles,
     read_ledger,
-    reduce_ledger,
     request_completion,
     run_experiment,
 )
@@ -222,7 +222,7 @@ class TestBodyTemplate:
         )
         lines = ledger_path(tmp_path, "once").read_text(encoding="utf-8").split("\n")[:-1]
         assert len(lines) == 7
-        assert {e["strategy"] for e in read_ledger(tmp_path, "once")} == {Strategy.EOT_DETECT.value}
+        assert {e["strategy"] for e in iter_ledger(tmp_path, "once")} == {Strategy.EOT_DETECT.value}
         for line in lines:
             assert line == json.dumps(json.loads(line), ensure_ascii=False)
 
@@ -237,11 +237,11 @@ class TestRunExperiment:
             self._reviews(10), template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run-a", sleep=NO_SLEEP,
         )
-        entries = read_ledger(tmp_path, "run-a")
+        entries = list(iter_ledger(tmp_path, "run-a"))
         assert len(entries) == 10
         assert all(e["status"] == LedgerStatus.OK for e in entries)
         assert all(e["prompt_version"] for e in entries)
-        assert len(reduce_ledger(entries, "run-a", PROMPT_VERSION).ok) == 10
+        assert len(read_ledger(tmp_path, "run-a", PROMPT_VERSION, lambda entry: None).ok) == 10
 
     def test_resume_skips_completed_reviews(self, tmp_path):
         reviews = self._reviews(10)
@@ -256,9 +256,9 @@ class TestRunExperiment:
             runs_dir=tmp_path, run_id="run-b", sleep=NO_SLEEP,
         )
         assert session.calls == 10  # exactly 5 new requests
-        entries = read_ledger(tmp_path, "run-b")
+        entries = list(iter_ledger(tmp_path, "run-b"))
         assert len(entries) == 10
-        assert len(reduce_ledger(entries, "run-b", PROMPT_VERSION).ok) == 10
+        assert len(read_ledger(tmp_path, "run-b", PROMPT_VERSION, lambda entry: None).ok) == 10
 
     def test_partial_failure_recorded_without_aborting(self, tmp_path):
         # review r3 is identifiable in the prompt by its unique text
@@ -278,7 +278,7 @@ class TestRunExperiment:
             reviews, template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run-c", sleep=NO_SLEEP,
         )
-        entries = read_ledger(tmp_path, "run-c")
+        entries = list(iter_ledger(tmp_path, "run-c"))
         by_status = {}
         for e in entries:
             by_status.setdefault(e["status"], []).append(e["review_id"])
@@ -294,7 +294,7 @@ class TestRunExperiment:
             self._reviews(2), template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run-n", sleep=NO_SLEEP,
         )
-        entries = read_ledger(tmp_path, "run-n")
+        entries = list(iter_ledger(tmp_path, "run-n"))
         assert [(e["status"], e["raw_response"]) for e in entries] == [(LedgerStatus.FAILED, "")] * 2
         assert all("HTTP 200" in e["error"] for e in entries)
 
@@ -304,12 +304,12 @@ class TestRunExperiment:
             self._reviews(3), template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run-d", sleep=NO_SLEEP,
         )
-        first = read_ledger(tmp_path, "run-d")
+        first = list(iter_ledger(tmp_path, "run-d"))
         run_experiment(
             self._reviews(3), template(), session, max_concurrency=4,
             runs_dir=tmp_path, run_id="run-d", sleep=NO_SLEEP,
         )
-        second = read_ledger(tmp_path, "run-d")
+        second = list(iter_ledger(tmp_path, "run-d"))
         assert second == first  # nothing re-requested, nothing mutated
 
     def test_concurrency_bound_respected(self, tmp_path):
@@ -394,9 +394,18 @@ def entry(review_id, status=LedgerStatus.OK, run_id="run", prompt_version=PROMPT
     return ledger_entry(review_id, raw, run_id=run_id, prompt_version=prompt_version, status=status)
 
 
+def reduce(tmp_path, entries, keep=lambda entry: entry["raw_response"]):
+    """The state of run "run" after ``entries``, by default each Ok entry kept as its raw response."""
+    path = ledger_path(tmp_path, "run")
+    path.parent.mkdir(parents=True)
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    return read_ledger(tmp_path, "run", PROMPT_VERSION, keep)
+
+
 class TestLedgerReduction:
-    def test_latest_ok_wins_and_failures_are_reviews_never_ok(self):
-        state = reduce_ledger(
+    def test_latest_ok_wins_and_failures_are_reviews_never_ok(self, tmp_path):
+        state = reduce(
+            tmp_path,
             [
                 entry("a", raw="first"),
                 entry("a", raw="second"),
@@ -407,16 +416,24 @@ class TestLedgerReduction:
                 entry("d", LedgerStatus.FAILED),  # a later failure keeps the Ok entry
                 entry("e", run_id="other"),
             ],
-            "run",
-            PROMPT_VERSION,
         )
-        assert {k: e["raw_response"] for k, e in state.ok.items()} == {"a": "second", "b": "x", "d": "x"}
+        assert state.ok == {"a": "second", "b": "x", "d": "x"}
         assert state.failed == {"c"}
 
-    def test_other_prompt_versions_are_ignored(self):
+    def test_other_prompt_versions_are_ignored(self, tmp_path):
         entries = [entry("a", prompt_version="0.9"), entry("b", LedgerStatus.FAILED, prompt_version="0.9"), entry("c")]
-        current = reduce_ledger(entries, "run", PROMPT_VERSION)
+        current = reduce(tmp_path, entries)
         assert set(current.ok) == {"c"} and current.failed == set()
+
+    def test_keep_sees_each_ok_entry_of_the_run_and_prompt_version_as_it_is_read(self, tmp_path):
+        entries = [
+            entry("a", raw="first"), entry("b", LedgerStatus.FAILED), entry("c", prompt_version="0.9"),
+            entry("d", run_id="other"), entry("b", raw="retried"), entry("a", raw="second"),
+        ]
+        seen = []
+        state = reduce(tmp_path, entries, lambda e: seen.append(e) or len(seen))
+        assert seen == [entries[0], entries[4], entries[5]]  # "a" twice: each Ok entry is kept as it is read
+        assert state.ok == {"a": 3, "b": 2} and state.failed == set()
 
     def test_resume_redoes_reviews_done_under_another_prompt_version(self, tmp_path):
         path = ledger_path(tmp_path, "run")
@@ -428,7 +445,8 @@ class TestLedgerReduction:
             runs_dir=tmp_path, run_id="run", sleep=NO_SLEEP,
         )
         assert session.calls == 1
-        assert state.ok["r0"]["prompt_version"] == PROMPT_VERSION
+        assert state.ok == {"r0": None}
+        assert [e["prompt_version"] for e in iter_ledger(tmp_path, "run")] == ["0.9", PROMPT_VERSION]
 
     def test_run_experiment_returns_the_state_of_the_whole_ledger(self, tmp_path):
         reviews = [
@@ -446,8 +464,8 @@ class TestLedgerReduction:
         state = run_experiment(reviews, template(), session, **kwargs)
         assert set(state.ok) == {"r0", "r1", "r2"}
         assert state.failed == {"r3"}
-        expected = reduce_ledger(read_ledger(tmp_path, "run-s"), "run-s", PROMPT_VERSION)
-        assert state == expected
+        expected = read_ledger(tmp_path, "run-s", PROMPT_VERSION, lambda entry: None)
+        assert (state.ok, state.failed) == (expected.ok, expected.failed)
 
 
 # a field of a ledger line with a value of the wrong JSON type
@@ -487,7 +505,7 @@ class TestLedgerTail:
         self._run(tmp_path, 3)
         path = self._tear(tmp_path, 40)
         with caplog.at_level(logging.WARNING, logger="eotbench.inference"):
-            entries = read_ledger(tmp_path, "run-t")
+            entries = list(iter_ledger(tmp_path, "run-t"))
         assert sorted(e["review_id"] for e in entries) == ["r0", "r1", "r2"]
         assert any("torn final ledger line" in r.getMessage() for r in caplog.records)
         assert str(path) in caplog.text
@@ -498,7 +516,7 @@ class TestLedgerTail:
         last = path.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)[-1]
         cut = last.index("\u2713".encode()) + 1  # inside the 3-byte check mark
         self._tear(tmp_path, cut)
-        assert len(read_ledger(tmp_path, "run-t")) == 2
+        assert len(list(iter_ledger(tmp_path, "run-t"))) == 2
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -522,7 +540,7 @@ class TestLedgerTail:
         lines[1] = corrupt(lines[1])
         path.write_bytes(b"".join(lines))
         with pytest.raises(DataError, match=":2: corrupt ledger entry"):
-            read_ledger(tmp_path, "run-t")
+            list(iter_ledger(tmp_path, "run-t"))
 
     @pytest.mark.parametrize("strategy", ["few-shot", "ZS", "eot_detect"])
     def test_an_unknown_strategy_names_the_strategies(self, tmp_path, strategy):
@@ -532,7 +550,7 @@ class TestLedgerTail:
         lines[1] = json.dumps({**json.loads(lines[1]), "strategy": strategy}).encode() + b"\n"
         path.write_bytes(b"".join(lines))
         with pytest.raises(DataError) as excinfo:
-            read_ledger(tmp_path, "run-t")
+            list(iter_ledger(tmp_path, "run-t"))
         assert str(excinfo.value) == (
             f"{path}:2: corrupt ledger entry: strategy is not one of 'zs', 'zs-cot', 'eot-detect': {strategy!r}"
         )
@@ -543,18 +561,18 @@ class TestLedgerTail:
         with open(path, "ab") as fh:
             fh.write(b"\n")
         with pytest.raises(DataError, match=":3: corrupt ledger entry"):
-            read_ledger(tmp_path, "run-t")
+            list(iter_ledger(tmp_path, "run-t"))
 
     def test_deeply_nested_torn_final_line_is_skipped_then_cut_off(self, tmp_path):
         self._run(tmp_path, 2)
         path = ledger_path(tmp_path, "run-t")
         with open(path, "ab") as fh:
             fh.write(DEEPLY_NESTED.encode())
-        assert sorted(e["review_id"] for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1"]
+        assert sorted(e["review_id"] for e in iter_ledger(tmp_path, "run-t")) == ["r0", "r1"]
         session = self._run(tmp_path, 3)  # the resume seals the ledger first
         assert session.calls == 1
         assert not path.read_bytes().count(b"[[")
-        assert sorted(e["review_id"] for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
+        assert sorted(e["review_id"] for e in iter_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
 
     def test_resume_after_a_torn_tail_appends_on_a_fresh_line(self, tmp_path, caplog):
         self._run(tmp_path, 3)
@@ -563,7 +581,7 @@ class TestLedgerTail:
         assert session.calls == 2  # only r3 and r4
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="eotbench.inference"):
-            entries = read_ledger(tmp_path, "run-t")
+            entries = list(iter_ledger(tmp_path, "run-t"))
         assert sorted(e["review_id"] for e in entries) == ["r0", "r1", "r2", "r3", "r4"]
         assert not caplog.records  # the torn fragment is gone
         assert ledger_path(tmp_path, "run-t").read_bytes().endswith(b"\n")
@@ -572,10 +590,10 @@ class TestLedgerTail:
         self._run(tmp_path, 2)
         path = ledger_path(tmp_path, "run-t")
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        assert len(read_ledger(tmp_path, "run-t")) == 2
+        assert len(list(iter_ledger(tmp_path, "run-t"))) == 2
         session = self._run(tmp_path, 3)
         assert session.calls == 1
-        assert sorted(e["review_id"] for e in read_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
+        assert sorted(e["review_id"] for e in iter_ledger(tmp_path, "run-t")) == ["r0", "r1", "r2"]
 
 
 class TestProviderProfiles:

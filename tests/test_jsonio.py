@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from eotbench import inference
 from eotbench.cli import _write_text
 from eotbench.errors import DataError
-from eotbench.inference import ledger_path, read_ledger
+from eotbench.inference import iter_ledger, ledger_path
 from eotbench.jsonio import dump_json, encode_record, iter_jsonl, load_json, loads_line, write_jsonl
 from eotbench.prompting import Strategy
 from conftest import DEEPLY_NESTED, ledger_entry
@@ -131,12 +131,12 @@ def test_read_ledger_reads_what_json_loads_on_each_line_reads(tmp_path_factory, 
         expected = oracle_read_ledger(path)
     except DataError as exc:
         with pytest.raises(DataError) as raised:
-            read_ledger(runs, "run")
+            list(iter_ledger(runs, "run"))
         assert str(raised.value) == str(exc)
         return
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger=inference.__name__):
-        entries = read_ledger(runs, "run")
+        entries = list(iter_ledger(runs, "run"))
     assert (entries, [r.getMessage() for r in caplog.records]) == expected
 
 

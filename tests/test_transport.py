@@ -22,7 +22,7 @@ from eotbench.inference import (
     ProviderProfile,
     body_template,
     http_transport,
-    read_ledger,
+    iter_ledger,
     request_completion,
     run_experiment,
 )
@@ -146,7 +146,7 @@ class TestConnections:
                 reviews(3), zero_shot(), Pausing(transport), max_concurrency=1,
                 runs_dir=tmp_path, run_id="idle", sleep=NO_SLEEP,
             )
-        entries = read_ledger(tmp_path, "idle")
+        entries = list(iter_ledger(tmp_path, "idle"))
         assert [(e["status"], e["attempt_count"]) for e in entries] == [(LedgerStatus.OK, 1)] * 3
         assert server.targets == ["/chat/completions"] * 3
 
@@ -253,7 +253,7 @@ class TestResponseReader:
                 reviews(1), zero_shot(), http_transport(profile(url)), max_concurrency=1,
                 runs_dir=tmp_path, run_id="cl", max_attempts=2, sleep=NO_SLEEP,
             )
-        [entry] = read_ledger(tmp_path, "cl")
+        [entry] = iter_ledger(tmp_path, "cl")
         assert (entry["status"], entry["attempt_count"]) == (LedgerStatus.FAILED, 2)
         assert "malformed Content-Length" in entry["error"]
         assert state.failed == {"r0"}

@@ -18,14 +18,16 @@ import json
 import shutil
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from eotbench import annotation, extraction, inference, model
 from eotbench.cli import EXIT_OK, main
+from eotbench.prompting import PROMPT_VERSION
 from eotbench.transport import Response
-from conftest import DATA_DIR
+from conftest import DATA_DIR, ledger_entry
 
 HANDSCORED = DATA_DIR / "handscored"
 
@@ -224,22 +226,75 @@ def test_a_crlf_ledger_is_read_through_json_loads(counts, workdir, tmp_path, mon
     ledger = tmp_path / "hand-scored" / "ledger"
     ledger.parent.mkdir()
     shutil.copy(workdir / "runs" / "hand-scored" / "ledger", ledger)
-    entries = inference.read_ledger(tmp_path, "hand-scored")
+    entries = list(inference.iter_ledger(tmp_path, "hand-scored"))
     ledger.write_bytes(ledger.read_bytes().replace(b"\n", b"\r\n"))
     calls = Counter()
     monkeypatch.setattr(json, "loads", _counting_loads(calls))
-    assert inference.read_ledger(tmp_path, "hand-scored") == entries
+    assert list(inference.iter_ledger(tmp_path, "hand-scored")) == entries
     assert calls["json.loads"] == len(entries) == 10
 
 
-def test_ledger_entries_share_one_string_per_key(counts, workdir):
-    """A run's entries stay in memory while it is resumed or scored: each
-    entry is its line's dict, and all of them hold the same key strings."""
-    entries = inference.read_ledger(workdir / "runs", "hand-scored")
-    assert len(entries) == 10
-    assert all(list(entry) == [name for name, *_ in inference.LEDGER_SPEC] for entry in entries)
-    first = list(entries[0])
-    assert all(all(a is b for a, b in zip(entry, first)) for entry in entries[1:])
+def test_score_parses_each_ok_entry_of_the_manifests_prompt_version(counts, workdir, tmp_path, monkeypatch):
+    """`score` parses each Ok entry under the manifest's prompt version as it
+    reads the ledger: never a Failed entry, nor one of another version."""
+    run_dir = tmp_path / "hand-scored"
+    shutil.copytree(workdir / "runs" / "hand-scored", run_dir)
+    entries = sorted(map(json.loads, (run_dir / "ledger").read_text().splitlines()), key=lambda e: e["review_id"])
+    failed = {**entries[0], "status": "Failed", "raw_response": "", "error": "HTTP 503"}
+    ledger = [
+        failed,  # a review never answered
+        {**entries[1], "status": "Failed", "raw_response": "", "error": "HTTP 503"}, entries[1],  # failed, then Ok
+        {**entries[2], "prompt_version": "0.9"},  # answered under another prompt version only
+        *entries[3:],
+    ]
+    (run_dir / "ledger").write_text("".join(json.dumps(e) + "\n" for e in ledger))
+    calls = Counter()
+    for target in ("inference.read_ledger", "extraction.parse_output"):
+        _count_calls(monkeypatch, calls, target)
+    argv = ["score", "--run-id", "hand-scored", "--gold", str(HANDSCORED / "gold.jsonl"),
+            "--runs-dir", str(tmp_path), "--out", str(tmp_path / "score.txt")]
+    assert main(argv) == EXIT_OK
+    assert calls == {"inference.read_ledger": 1, "extraction.parse_output": 1 + 7}
+    scores = json.loads((run_dir / "scores.json").read_text())
+    assert (scores["n_reviews_scored"], scores["parse_stats"]["failed_requests"]) == (8, 1)
+
+
+def test_score_holds_no_ledger_in_memory(tmp_path):
+    """`score` drops each reply once it is parsed: over a ledger of 200 replies
+    with about 50 KB of reasoning each, its traced peak stays below a tenth
+    of the ledger's size. A first call, untraced, pays what a process pays
+    once (the parser, lazy imports, compiled patterns)."""
+    answer = '{"emotions": [{"emotion": "Joy", "triggers": ["boils fast"]}]}'
+    reasoning = "Let me weigh each phrase of the review against the nine labels once more. " * 680
+    reviews = [{"review_id": f"r{i:03}", "text": f"Kettle {i} boils fast.", "domain": "Home", "item_id": "k"}
+               for i in range(200)]
+    (tmp_path / "reviews.jsonl").write_text("".join(json.dumps(r) + "\n" for r in reviews))
+    (tmp_path / "gold.jsonl").write_text("".join(
+        json.dumps({"review_id": r["review_id"], "emotions": [{"emotion": "Joy", "triggers": ["boils fast"]}]}) + "\n"
+        for r in reviews
+    ))
+    run_dir = tmp_path / "runs" / "long"
+    run_dir.mkdir(parents=True)
+    (run_dir / "manifest.json").write_text(json.dumps({
+        "corpus": str(tmp_path / "reviews.jsonl"), "strategy": "zs-cot", "profile": "p",
+        "prompt_version": PROMPT_VERSION,
+    }))
+    ledger = run_dir / "ledger"
+    ledger.write_text("".join(
+        json.dumps(ledger_entry(r["review_id"], reasoning + answer, run_id="long", strategy="zs-cot")) + "\n"
+        for r in reviews
+    ))
+    argv = ["score", "--run-id", "long", "--gold", str(tmp_path / "gold.jsonl"), "--runs-dir", str(tmp_path / "runs"),
+            "--out", str(tmp_path / "score.txt")]
+    assert main(argv) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((run_dir / "scores.json").read_text())["n_reviews_scored"] == 200
+    assert peak < ledger.stat().st_size / 10, (peak, ledger.stat().st_size)
 
 
 @pytest.mark.parametrize(
