@@ -13,6 +13,11 @@ items over the 9-label space), plus token-level kappas for triggers so
 partially overlapping spans still earn credit. Every kappa is read from
 rater x rater co-counts of each review's items, the items packed one bit
 each into an int per rater.
+
+Gold statistics: per domain and overall, emotion counts and shares and
+trigger counts and lengths. The agreement report and the gold statistics are
+plain dicts, keyed as ``build_agreement_report`` and ``gold_statistics`` say,
+and the renderers read them by key.
 """
 
 from __future__ import annotations
@@ -277,40 +282,6 @@ def _fleiss(items: int, raters: float, sum_of_squared_cells: float, category_tot
     return (p_bar - p_bar_e) / (1 - p_bar_e)
 
 
-@dataclass
-class AgreementReport:
-    """Kappas per annotator pair and domain, plus Fleiss and averages.
-
-    Pair keys are (annotator_id, annotator_id) tuples in sorted id
-    order; domain keys are domain names. ``*_overall`` values pool items
-    across domains rather than averaging the per-domain kappas.
-    """
-
-    pairwise_emotion_kappa: dict[tuple[str, str], dict[str, float]]
-    pairwise_emotion_overall: dict[tuple[str, str], float]
-    fleiss_emotion_kappa: dict[str, float]
-    fleiss_emotion_overall: float | None
-    pairwise_trigger_token_kappa: dict[tuple[str, str], dict[str, float]]
-    pairwise_trigger_token_overall: dict[tuple[str, str], float]
-    fleiss_trigger_token_kappa: dict[str, float]
-    fleiss_trigger_token_overall: float | None
-
-    def domains(self) -> list[str]:
-        present: set[str] = set()
-        for by_domain in self.pairwise_emotion_kappa.values():
-            present.update(by_domain)
-        return [d.value for d in DOMAIN_ORDER if d.value in present]
-
-    def pairs(self) -> list[tuple[str, str]]:
-        # Table layout order: adjacent pairs first (A1/A2, A2/A3), then A1/A3
-        ids = sorted({a for pair in self.pairwise_emotion_kappa for a in pair})
-        ordered = list(zip(ids, ids[1:]))
-        if len(ids) > 2:
-            ordered.append((ids[0], ids[-1]))
-        ordered += sorted(p for p in self.pairwise_emotion_kappa if p not in ordered)
-        return [p for p in ordered if p in self.pairwise_emotion_kappa]
-
-
 def _safe_kappa(counts: Sequence[int]) -> float:
     try:
         return _kappa_from_counts(counts)
@@ -402,13 +373,21 @@ def trigger_token_kappa(
     that emotion, or not (character-range overlap).
     """
     report = build_agreement_report(annotations, reviews)
-    return report.pairwise_trigger_token_kappa, report.pairwise_trigger_token_overall
+    return report["pairwise_trigger_token_kappa"], report["pairwise_trigger_token_overall"]
 
 
 def build_agreement_report(
     annotations: Sequence[AnnotationRecord], reviews: Iterable[Review]
-) -> AgreementReport:
+) -> dict[str, Any]:
     """Every kappa, from binary items counted in one pass that tokenizes each review once.
+
+    The report's keys: ``pairwise_emotion_kappa`` and ``pairwise_trigger_token_kappa``
+    (pair -> domain -> kappa), ``pairwise_emotion_overall`` and
+    ``pairwise_trigger_token_overall`` (pair -> kappa), ``fleiss_emotion_kappa`` and
+    ``fleiss_trigger_token_kappa`` (domain -> kappa), and ``fleiss_emotion_overall``
+    and ``fleiss_trigger_token_overall`` (a kappa, or None when no review was rated
+    by every annotator). A pair is an (annotator_id, annotator_id) tuple in sorted
+    order, a domain its name; an ``*_overall`` kappa pools the items of every domain.
 
     Pairwise counts are ``pair -> domain -> [n, yes_a, yes_b, both]``; Fleiss
     counts, from the reviews every annotator rated, ``domain -> [n, sum of yes,
@@ -449,28 +428,39 @@ def build_agreement_report(
             for totals, n, co in fleiss:
                 trace = sum(co[i][i] for i in range(rater_count))
                 _add(totals, domain, (n, trace, sum(map(sum, co))))
-    return AgreementReport(
-        *_pairwise_kappas(emotion_pairs, unseen=float("nan")),
-        *_fleiss_kappas(emotion_fleiss, rater_count),
-        *_pairwise_kappas(trigger_pairs, unseen=1.0),
-        *_fleiss_kappas(trigger_fleiss, rater_count),
-    )
+    report = {}
+    for kind, pair_counts, fleiss_counts, unseen in (
+        ("emotion", emotion_pairs, emotion_fleiss, float("nan")),
+        ("trigger_token", trigger_pairs, trigger_fleiss, 1.0),
+    ):
+        per_pair, per_pair_overall = _pairwise_kappas(pair_counts, unseen)
+        fleiss, fleiss_overall = _fleiss_kappas(fleiss_counts, rater_count)
+        report[f"pairwise_{kind}_kappa"] = per_pair
+        report[f"pairwise_{kind}_overall"] = per_pair_overall
+        report[f"fleiss_{kind}_kappa"] = fleiss
+        report[f"fleiss_{kind}_overall"] = fleiss_overall
+    return report
 
 
-def render_agreement_report(report: AgreementReport, fmt: str = "table") -> str:
-    """Domain-by-pair agreement table, emotion section then trigger section."""
-    pairs = report.pairs()
-    domains = report.domains()
+def render_agreement_report(report: Mapping[str, Any], fmt: str = "table") -> str:
+    """Domain-by-pair agreement table, emotion section then trigger section.
+
+    Domains run in DOMAIN_ORDER; pairs run adjacent ones first (A1/A2,
+    A2/A3), then the first with the last (A1/A3), then any other in sorted order.
+    """
+    rated = report["pairwise_emotion_kappa"]
+    present = {domain for by_domain in rated.values() for domain in by_domain}
+    domains = [d.value for d in DOMAIN_ORDER if d.value in present]
+    ids = sorted({a for pair in rated for a in pair})
+    pairs = list(zip(ids, ids[1:])) + ([(ids[0], ids[-1])] if len(ids) > 2 else [])
+    pairs = [p for p in pairs if p in rated] + sorted(p for p in rated if p not in pairs)
     header = ["Domain"] + [f"{a}/{b}" for a, b in pairs] + ["Average", "Fleiss"]
     note = f"# {TRIGGER_KAPPA_POOLING_NOTE}"
     nan = float("nan")
 
-    def section(
-        title: str,
-        per_pair: dict[tuple[str, str], dict[str, float]],
-        fleiss: dict[str, float],
-        fleiss_overall: float | None,
-    ) -> list[list[str]]:
+    def section(title: str, kind: str) -> list[list[str]]:
+        per_pair, fleiss = report[f"pairwise_{kind}_kappa"], report[f"fleiss_{kind}_kappa"]
+        fleiss_overall = report[f"fleiss_{kind}_overall"]
         rows: list[list[str]] = [[f"[{title}]"] + [""] * (len(header) - 1)]
         values = [[per_pair.get(pair, {}).get(domain, nan) for pair in pairs] for domain in domains]
         for domain, row in zip(domains, values):
@@ -483,19 +473,7 @@ def render_agreement_report(report: AgreementReport, fmt: str = "table") -> str:
             rows.append(["Overall Average"] + [f"{v:.4f}" for v in col_means] + [overall])
         return rows
 
-    rows = [header]
-    rows += section(
-        "Emotion Agreement",
-        report.pairwise_emotion_kappa,
-        report.fleiss_emotion_kappa,
-        report.fleiss_emotion_overall,
-    )
-    rows += section(
-        "Trigger Agreement",
-        report.pairwise_trigger_token_kappa,
-        report.fleiss_trigger_token_kappa,
-        report.fleiss_trigger_token_overall,
-    )
+    rows = [header, *section("Emotion Agreement", "emotion"), *section("Trigger Agreement", "trigger_token")]
     return note + "\n" + render_table(rows, fmt)
 
 
@@ -504,53 +482,36 @@ def render_agreement_report(report: AgreementReport, fmt: str = "table") -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmotionStats:
-    count: int
-    share: float  # fraction of the domain's emotion occurrences
-    total_triggers: int
-    avg_triggers: float
-    avg_trigger_tokens: float
-
-
-@dataclass(frozen=True)
-class DomainStats:
-    n_reviews: int
-    total_emotions: int
-    avg_emotions_per_review: float
-    per_emotion: dict[str, EmotionStats]
-
-
-@dataclass(frozen=True)
-class GoldStatistics:
-    per_domain: dict[str, DomainStats]
-    overall: DomainStats
-
-
-def _domain_stats(n_reviews: int, counts: Sequence[Sequence[int]]) -> DomainStats:
+def _domain_stats(n_reviews: int, counts: Sequence[Sequence[int]]) -> dict[str, Any]:
     """A column's statistics from its review count and, per label, [records, triggers, trigger tokens]."""
     total_emotions = sum(count for count, _, _ in counts)
     per_emotion = {
-        label.value: EmotionStats(
-            count=count,
-            share=count / total_emotions if total_emotions else 0.0,
-            total_triggers=triggers,
-            avg_triggers=triggers / count if count else 0.0,
-            avg_trigger_tokens=tokens / triggers if triggers else 0.0,
-        )
+        label.value: {
+            "count": count,
+            "share": count / total_emotions if total_emotions else 0.0,  # of the column's emotions
+            "total_triggers": triggers,
+            "avg_triggers": triggers / count if count else 0.0,
+            "avg_trigger_tokens": tokens / triggers if triggers else 0.0,
+        }
         for label, (count, triggers, tokens) in zip(EMOTION_ORDER, counts)
     }
-    return DomainStats(
-        n_reviews=n_reviews,
-        total_emotions=total_emotions,
-        avg_emotions_per_review=total_emotions / n_reviews if n_reviews else 0.0,
-        per_emotion=per_emotion,
-    )
+    return {
+        "n_reviews": n_reviews,
+        "total_emotions": total_emotions,
+        "avg_emotions_per_review": total_emotions / n_reviews if n_reviews else 0.0,
+        "per_emotion": per_emotion,
+    }
 
 
-def gold_statistics(gold: Sequence[GoldRecord], reviews: Iterable[Review]) -> GoldStatistics:
+def gold_statistics(gold: Sequence[GoldRecord], reviews: Iterable[Review]) -> dict[str, Any]:
     """Per-domain and overall emotion/trigger statistics of a gold set, from one
-    pass that counts each trigger's tokens once; Overall sums the domains."""
+    pass that counts each trigger's tokens once; Overall sums the domains.
+
+    The result is ``{"per_domain": {domain: column}, "overall": column}``, a
+    column ``n_reviews``, ``total_emotions``, ``avg_emotions_per_review`` and
+    ``per_emotion`` (label -> ``count``, ``share`` of the column's emotions,
+    ``total_triggers``, ``avg_triggers``, ``avg_trigger_tokens``).
+    """
     review_map = reviews_by_id(reviews)
     n_reviews = {d.value: 0 for d in DOMAIN_ORDER}
     counts = {d.value: [[0, 0, 0] for _ in EMOTION_ORDER] for d in DOMAIN_ORDER}
@@ -566,30 +527,25 @@ def gold_statistics(gold: Sequence[GoldRecord], reviews: Iterable[Review]) -> Go
             cell[1] += len(pair.triggers)
             cell[2] += sum(count_tokens(span.text) for span in pair.triggers)
     overall = [list(map(sum, zip(*cells))) for cells in zip(*counts.values())]
-    return GoldStatistics(
-        per_domain={domain: _domain_stats(n_reviews[domain], counts[domain]) for domain in counts},
-        overall=_domain_stats(sum(n_reviews.values()), overall),
-    )
+    return {
+        "per_domain": {domain: _domain_stats(n_reviews[domain], counts[domain]) for domain in counts},
+        "overall": _domain_stats(sum(n_reviews.values()), overall),
+    }
 
 
-def render_gold_statistics(stats: GoldStatistics, fmt: str = "table") -> str:
+def render_gold_statistics(stats: Mapping[str, Any], fmt: str = "table") -> str:
     domains = [d.value for d in DOMAIN_ORDER]
     header = ["Metric"] + domains + ["Overall"]
-    columns = [stats.per_domain[d] for d in domains] + [stats.overall]
+    columns = [stats["per_domain"][d] for d in domains] + [stats["overall"]]
     rows: list[list[str]] = [header]
     rows.append(["[Overall Statistics]"] + [""] * (len(header) - 1))
-    rows.append(["Total Emotions"] + [str(c.total_emotions) for c in columns])
-    rows.append(["Avg Emotions per Review"] + [f"{c.avg_emotions_per_review:.2f}" for c in columns])
+    rows.append(["Total Emotions"] + [str(c["total_emotions"]) for c in columns])
+    rows.append(["Avg Emotions per Review"] + [f"{c['avg_emotions_per_review']:.2f}" for c in columns])
     for label in EMOTION_ORDER:
         rows.append([f"[Emotion: {label.value}]"] + [""] * (len(header) - 1))
-        stats_row = [c.per_emotion[label.value] for c in columns]
-        rows.append(
-            ["Count (Percentage)"]
-            + [f"{s.count} ({100 * s.share:.1f}%)" for s in stats_row]
-        )
-        rows.append(["Total Triggers"] + [str(s.total_triggers) for s in stats_row])
-        rows.append(["Avg Triggers per Emotion"] + [f"{s.avg_triggers:.2f}" for s in stats_row])
-        rows.append(
-            ["Avg Trigger Length (words)"] + [f"{s.avg_trigger_tokens:.2f}" for s in stats_row]
-        )
+        stats_row = [c["per_emotion"][label.value] for c in columns]
+        rows.append(["Count (Percentage)"] + [f"{s['count']} ({100 * s['share']:.1f}%)" for s in stats_row])
+        rows.append(["Total Triggers"] + [str(s["total_triggers"]) for s in stats_row])
+        rows.append(["Avg Triggers per Emotion"] + [f"{s['avg_triggers']:.2f}" for s in stats_row])
+        rows.append(["Avg Trigger Length (words)"] + [f"{s['avg_trigger_tokens']:.2f}" for s in stats_row])
     return render_table(rows, fmt)

@@ -248,7 +248,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     )
 
     predictions = [r.output for r in reports]
-    score = metrics.score_predictions(predictions, golds)
     statuses = Counter(r.parse_status for r in reports)
     parse_stats = {
         **{status.value.lower(): statuses[status] for status in extraction.ParseStatus},
@@ -263,7 +262,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         "prompt_version": manifest["prompt_version"],
         "n_reviews_scored": len(predictions),
         "parse_stats": parse_stats,
-        **metrics.score_report_to_dict(score),
+        **metrics.score_predictions(predictions, golds),
     }
     dump_json(run_dir / "scores.json", document)
 

@@ -203,7 +203,9 @@ def strata_in_order(reviews: Sequence[Review], granularity: StrataGranularity) -
     groups: dict[str, list[Review]] = {}
     for review in reviews:
         groups.setdefault(stratum_key(review, granularity), []).append(review)
-    return sorted(groups.items(), key=lambda kv: (kv[0] == UNKNOWN_STRATUM, kv[0]))
+    # a stratum is one span of time, so any of its reviews places it: keys
+    # compared as text would put year 999 after year 1000
+    return sorted(groups.items(), key=lambda kv: (kv[0] == UNKNOWN_STRATUM, kv[1][0].timestamp or 0))
 
 
 def stratified_review_sample(strata: list[tuple[str, list[Review]]], plan: SamplingPlan) -> list[Review]:

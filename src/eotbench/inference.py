@@ -92,7 +92,7 @@ def load_provider_profiles(path: Path | str) -> dict[str, ProviderProfile]:
     model_id, auth_env_var, supported_params (comma separated),
     max_concurrency, timeout.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # every value is literal: "%2F" stays "%2F"
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:

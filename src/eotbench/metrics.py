@@ -5,9 +5,10 @@ predictions: it takes each review's predicted and gold label sets once and
 tokenizes a trigger once, and only under an emotion that both the
 prediction and the gold of its review have, since a trigger under any other
 emotion matches nothing. Each aligned pair's ROUGE F1 comes from integer
-counts; identical token lists score 1.0 directly (P = R = 1). ``emotion_prf``,
-``trigger_em_pm``, ``align_and_average_rouge`` and ``confusion_matrix`` are
-views of its result.
+counts; identical token lists score 1.0 directly (P = R = 1). Its result is
+the ``emotion``, ``trigger`` and ``confusion`` objects of ``scores.json``, as
+plain dicts; ``emotion_prf``, ``trigger_em_pm``, ``align_and_average_rouge``
+and ``confusion_matrix`` are views of it.
 
 - Emotion P/R/F1 are micro-averaged over (review, emotion) pairs across the
   9-label space, with a one-vs-rest per-emotion breakdown.
@@ -25,52 +26,18 @@ views of its result.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .annotation import GoldRecord
 from .errors import DataError
 from .jsonio import NUMBER, STRING, render_table
-from .model import EMOTION_ORDER, LABEL_INDEX, EmotionLabel, EotOutput, normalize_text, tokenize
+from .model import EMOTION_ORDER, LABEL_INDEX, EotOutput, normalize_text, tokenize
 
 
 class RougeScore(NamedTuple):
     precision: float
     recall: float
     f1: float
-
-
-class TriggerCounts(NamedTuple):
-    n_pred: int
-    n_gold: int
-    n_em: int
-    n_pm: int
-    n_nomatch: int
-
-
-@dataclass(frozen=True)
-class PerEmotionScore:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass(frozen=True)
-class EmotionScores:
-    precision: float
-    recall: float
-    f1: float
-    per_emotion: dict[EmotionLabel, PerEmotionScore]
-
-
-@dataclass(frozen=True)
-class TriggerScores:
-    exact_match: float
-    partial_match: float
-    rouge1: float
-    rougeL: float
-    counts: TriggerCounts
 
 
 def _prf(hits: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
@@ -157,15 +124,10 @@ def _greedy_alignment(pred_tok: Sequence[list[str]], gold_tok: Sequence[list[str
         yield rl_f1, pred_tok[pi], gold_tok[gi]
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    emotion: EmotionScores
-    trigger: TriggerScores
-    confusion: dict[EmotionLabel, dict[EmotionLabel, float]]
-
-
-def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> ScoreReport:
-    """Run the full metric suite for one prediction set in one pass.
+def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> dict[str, Any]:
+    """Run the full metric suite for one prediction set in one pass: the
+    ``emotion``, ``trigger`` and ``confusion`` objects of ``scores.json``,
+    keys in file order and labels by name.
 
     Each aligned pair's ROUGE F1 goes straight into the run-wide sums, in
     review order, then gold-pair order, then alignment order: summing in
@@ -221,51 +183,49 @@ def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> 
                 sum_rl += rl_f1
                 sum_r1 += _rouge1_f1(pt, gt)
 
-    per_emotion = {
-        e: PerEmotionScore(*_prf(label_hits[i], label_pred[i], label_gold[i]), label_gold[i])
-        for i, e in enumerate(EMOTION_ORDER)
+    precision, recall, f1 = _prf(sum(label_hits), sum(label_pred), sum(label_gold))
+    per_emotion = {}
+    for i, label in enumerate(EMOTION_ORDER):
+        p, r, f = _prf(label_hits[i], label_pred[i], label_gold[i])
+        per_emotion[label.value] = {"precision": p, "recall": r, "f1": f, "support": label_gold[i]}
+    return {
+        "emotion": {"precision": precision, "recall": recall, "f1": f1, "per_emotion": per_emotion},
+        "trigger": {
+            "exact_match": n_em / n_pred if n_pred else 0.0,
+            "partial_match": n_pm / n_pred if n_pred else 0.0,
+            "rouge1": sum_r1 / n_gold if n_gold else 1.0,
+            "rougeL": sum_rl / n_gold if n_gold else 1.0,
+            "counts": {"n_pred": n_pred, "n_gold": n_gold, "n_em": n_em, "n_pm": n_pm,
+                       "n_nomatch": n_pred - n_em - n_pm},
+        },
+        "confusion": {p.value: {g.value: w for g, w in row.items()} for p, row in matrix.items()},
     }
-    micro = _prf(sum(label_hits), sum(label_pred), sum(label_gold))
-    counts = TriggerCounts(n_pred, n_gold, n_em, n_pm, n_pred - n_em - n_pm)
-    return ScoreReport(
-        emotion=EmotionScores(*micro, per_emotion),
-        trigger=TriggerScores(
-            exact_match=n_em / n_pred if n_pred else 0.0,
-            partial_match=n_pm / n_pred if n_pred else 0.0,
-            rouge1=sum_r1 / n_gold if n_gold else 1.0,
-            rougeL=sum_rl / n_gold if n_gold else 1.0,
-            counts=counts,
-        ),
-        confusion=matrix,
-    )
 
 
-def emotion_prf(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> EmotionScores:
-    """Micro P/R/F1 over (review, emotion) pairs, Neutral included."""
-    return score_predictions(pred, gold).emotion
+def emotion_prf(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> dict[str, Any]:
+    """Micro P/R/F1 over (review, emotion) pairs, Neutral included: the ``emotion`` object."""
+    return score_predictions(pred, gold)["emotion"]
 
 
 def trigger_em_pm(
     pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
-) -> tuple[float, float, TriggerCounts]:
-    """Exact-match and partial-match shares of the predicted triggers, with the counts."""
-    trigger = score_predictions(pred, gold).trigger
-    return trigger.exact_match, trigger.partial_match, trigger.counts
+) -> tuple[float, float, dict[str, int]]:
+    """Exact-match and partial-match shares of the predicted triggers, with the ``counts`` object."""
+    trigger = score_predictions(pred, gold)["trigger"]
+    return trigger["exact_match"], trigger["partial_match"], trigger["counts"]
 
 
 def align_and_average_rouge(
     pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
 ) -> tuple[float, float]:
     """Mean ROUGE-1 and ROUGE-L F1 over all gold triggers, greedily aligned."""
-    trigger = score_predictions(pred, gold).trigger
-    return trigger.rouge1, trigger.rougeL
+    trigger = score_predictions(pred, gold)["trigger"]
+    return trigger["rouge1"], trigger["rougeL"]
 
 
-def confusion_matrix(
-    pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
-) -> dict[EmotionLabel, dict[EmotionLabel, float]]:
-    """9x9 (predicted, gold) count matrix for the error analysis."""
-    return score_predictions(pred, gold).confusion
+def confusion_matrix(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> dict[str, dict[str, float]]:
+    """9x9 (predicted, gold) weight matrix for the error analysis, labels by name."""
+    return score_predictions(pred, gold)["confusion"]
 
 
 SCORE_COLUMNS = ("P", "R", "F1", "EM", "PM", "R1", "RL")
@@ -295,15 +255,3 @@ def render_score_rows(rows: Mapping[str, Sequence[float]], fmt: str = "table") -
     table = [["Model", *SCORE_COLUMNS]]
     table += [[name] + [f"{value:.4f}" for value in values] for name, values in rows.items()]
     return render_table(table, fmt)
-
-
-def _value_keys(mapping: Mapping[Any, Any]) -> dict[str, Any]:
-    return {key.value: value for key, value in mapping.items()}
-
-
-def score_report_to_dict(report: ScoreReport) -> dict[str, Any]:
-    document = asdict(report)
-    document["emotion"]["per_emotion"] = _value_keys(document["emotion"]["per_emotion"])
-    document["trigger"]["counts"] = report.trigger.counts._asdict()
-    document["confusion"] = {p.value: _value_keys(row) for p, row in report.confusion.items()}
-    return document

@@ -11,13 +11,16 @@ function an oracle is the reference for is imported here. The oracles share
 with the package only:
 
 - the record and error types (``Review``, ``EotOutput``, ``ParseReport``,
-  ``ScoreReport``, ``GoldRecord``, ``DataError``, ...), the drop reasons and
-  the ledger's ``LEDGER_SPEC`` with its checker ``check_fields``, so results
-  and failures compare with ``==``;
+  ``GoldRecord``, ``DataError``, ...), the drop reasons and the ledger's
+  ``LEDGER_SPEC`` with its checker ``check_fields``, so results and failures
+  compare with ``==``; the score and agreement reports are plain dicts, so
+  nothing is imported from ``eotbench.metrics``;
 - the label vocabulary: ``canonical_emotion`` and ``EMOTION_ORDER``;
-- the sampling draws: ``oracle_sample`` calls ``srswor``, ``derive_seed``,
-  ``strata_in_order`` and ``stratified_review_sample``, and differs in when
-  it length-filters: every review of the corpus, before any item is drawn.
+- the sampling draws: ``oracle_sample`` calls ``srswor`` and ``derive_seed``,
+  which define the draw. It builds its own strata (UTC year or quarter, the
+  unknown stratum last) and its own largest-remainder allocation, and differs
+  in when it length-filters: every review of the corpus, before any item is
+  drawn.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import re
 import unicodedata
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -33,14 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from eotbench.annotation import GoldRecord
-from eotbench.corpus import (
-    FORMAT_VERSION,
-    SamplingPlan,
-    derive_seed,
-    srswor,
-    strata_in_order,
-    stratified_review_sample,
-)
+from eotbench.corpus import FORMAT_VERSION, SamplingPlan, derive_seed, srswor
 from eotbench.errors import (
     DataError,
     DegenerateDistribution,
@@ -60,13 +57,6 @@ from eotbench.extraction import (
 )
 from eotbench.inference import LEDGER_SPEC
 from eotbench.jsonio import check_fields
-from eotbench.metrics import (
-    EmotionScores,
-    PerEmotionScore,
-    ScoreReport,
-    TriggerCounts,
-    TriggerScores,
-)
 from eotbench.model import (
     EMOTION_ORDER,
     Domain,
@@ -391,8 +381,8 @@ def _oracle_coverage(text: str, spans) -> list[bool]:
 
 
 def oracle_agreement_report(annotations, reviews) -> dict:
-    """Every kappa of ``build_agreement_report(annotations, reviews)``,
-    keyed by AgreementReport field; emotions are compared by name."""
+    """``build_agreement_report(annotations, reviews)``: the same eight keys,
+    every kappa recomputed; emotions are compared by name."""
     review_map = {r.review_id: r for r in reviews}
     grouped: dict[str, dict] = {}
     for record in annotations:
@@ -504,7 +494,7 @@ def _aligned(pred, gold):
         yield output, record
 
 
-def _oracle_emotion_prf(pred, gold) -> EmotionScores:
+def _oracle_emotion_prf(pred, gold) -> dict:
     hits = 0
     n_pred = 0
     n_gold = 0
@@ -526,8 +516,8 @@ def _oracle_emotion_prf(pred, gold) -> EmotionScores:
     for label in EMOTION_ORDER:
         p = label_hits[label] / label_pred[label] if label_pred[label] else 0.0
         r = label_hits[label] / label_gold[label] if label_gold[label] else 0.0
-        per_emotion[label] = PerEmotionScore(p, r, _oracle_f1(p, r), label_gold[label])
-    return EmotionScores(precision, recall, _oracle_f1(precision, recall), per_emotion)
+        per_emotion[label.value] = {"precision": p, "recall": r, "f1": _oracle_f1(p, r), "support": label_gold[label]}
+    return {"precision": precision, "recall": recall, "f1": _oracle_f1(precision, recall), "per_emotion": per_emotion}
 
 
 def _oracle_trigger_em_pm(pred, gold):
@@ -553,7 +543,7 @@ def _oracle_trigger_em_pm(pred, gold):
     n_nomatch = n_pred - n_em - n_pm
     em = n_em / n_pred if n_pred else 0.0
     pm = n_pm / n_pred if n_pred else 0.0
-    return em, pm, TriggerCounts(n_pred, n_gold, n_em, n_pm, n_nomatch)
+    return em, pm, {"n_pred": n_pred, "n_gold": n_gold, "n_em": n_em, "n_pm": n_pm, "n_nomatch": n_nomatch}
 
 
 def _oracle_align_and_average_rouge(pred, gold) -> tuple[float, float]:
@@ -592,14 +582,14 @@ def _oracle_align_and_average_rouge(pred, gold) -> tuple[float, float]:
 
 
 def _oracle_confusion_matrix(pred, gold):
-    matrix = {p: {g: 0.0 for g in EMOTION_ORDER} for p in EMOTION_ORDER}
+    matrix = {p: {g: 0.0 for g in EMOTIONS} for p in EMOTIONS}
     for output, record in _aligned(pred, gold):
-        predicted = output.emotions
-        expected = record.output.emotions
+        predicted = {e.value for e in output.emotions}
+        expected = {e.value for e in record.output.emotions}
         for label in predicted & expected:
             matrix[label][label] += 1.0
-        spurious = sorted(predicted - expected, key=EMOTION_ORDER.index)
-        missed = sorted(expected - predicted, key=EMOTION_ORDER.index)
+        spurious = sorted(predicted - expected, key=EMOTIONS.index)
+        missed = sorted(expected - predicted, key=EMOTIONS.index)
         if spurious and missed:
             weight = 1.0 / (len(spurious) * len(missed))
             for s in spurious:
@@ -608,16 +598,18 @@ def _oracle_confusion_matrix(pred, gold):
     return matrix
 
 
-def oracle_score_report(pred, gold) -> ScoreReport:
-    """The full metric suite as four independent walks over the predictions."""
+def oracle_score_report(pred, gold) -> dict:
+    """The full metric suite as four independent walks over the predictions:
+    the ``emotion``, ``trigger`` and ``confusion`` objects of ``scores.json``,
+    keys in the order the README lists them."""
     emotion = _oracle_emotion_prf(pred, gold)
     em, pm, counts = _oracle_trigger_em_pm(pred, gold)
     r1, rl = _oracle_align_and_average_rouge(pred, gold)
-    return ScoreReport(
-        emotion=emotion,
-        trigger=TriggerScores(em, pm, r1, rl, counts),
-        confusion=_oracle_confusion_matrix(pred, gold),
-    )
+    return {
+        "emotion": emotion,
+        "trigger": {"exact_match": em, "partial_match": pm, "rouge1": r1, "rougeL": rl, "counts": counts},
+        "confusion": _oracle_confusion_matrix(pred, gold),
+    }
 
 
 def oracle_score(
@@ -647,15 +639,15 @@ def oracle_score(
         for rid, pairs in gold.items()
     ]
     report = oracle_score_report(pred, gold_records)
-    emotion, trigger = report.emotion, report.trigger
+    emotion, trigger = report["emotion"], report["trigger"]
     return {
-        "P": emotion.precision,
-        "R": emotion.recall,
-        "F1": emotion.f1,
-        "EM": trigger.exact_match,
-        "PM": trigger.partial_match,
-        "R1": trigger.rouge1,
-        "RL": trigger.rougeL,
+        "P": emotion["precision"],
+        "R": emotion["recall"],
+        "F1": emotion["f1"],
+        "EM": trigger["exact_match"],
+        "PM": trigger["partial_match"],
+        "R1": trigger["rouge1"],
+        "RL": trigger["rougeL"],
     }
 
 
@@ -678,12 +670,42 @@ def load_handscored_fixture(data_dir: Path):
 # ---------------------------------------------------------------------------
 
 
+def _oracle_stratum(review: Review, granularity: str) -> tuple:
+    """(0, year, name) or (0, year, quarter, name) for a review's UTC year or
+    quarter, named "2021" or "2021-Q2"; (1, "unknown") without a timestamp, so
+    sorted strata run from the earliest, the unknown last."""
+    if review.timestamp is None:
+        return 1, "unknown"
+    moment = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=review.timestamp)
+    if granularity == "Year":
+        return 0, moment.year, str(moment.year)
+    quarter = (moment.month + 2) // 3
+    return 0, moment.year, quarter, f"{moment.year}-Q{quarter}"
+
+
+def _oracle_allocate(sizes: list[int], total: int) -> list[int]:
+    """Largest remainder: each stratum gets the floor of total * size / sum of
+    sizes, then the slots left go one each to the largest remainders, an equal
+    remainder to the earlier stratum. Quotas share the denominator sum(sizes),
+    so remainders compare as the integers total * size % sum(sizes)."""
+    grand = sum(sizes)
+    counts = [total * size // grand for size in sizes]
+    remainders = [total * size % grand for size in sizes]
+    for _ in range(total - sum(counts)):
+        best = max(range(len(sizes)), key=lambda i: (remainders[i], -i))
+        counts[best] += 1
+        remainders[best] = -1
+    return counts
+
+
 def oracle_sample(
     records: list[Review], plan: SamplingPlan, corpus_path: Path, plan_path: Path
 ) -> tuple[list[Review], dict]:
     """The reviews and the manifest ``eotbench sample`` writes for ``records``
     read from ``corpus_path`` under ``plan`` read from ``plan_path``; raises
-    what the command raises."""
+    what the command raises. Each drawn item's in-range reviews are split by
+    ``_oracle_stratum``, and ``_oracle_allocate`` shares its reviews_per_item
+    among the strata, each drawn from in turn with its own seed."""
     filtered = [
         r for r in records if plan.min_tokens <= len(oracle_tokenize(r.text)) <= plan.max_tokens
     ]
@@ -720,11 +742,16 @@ def oracle_sample(
             item_reviews = filtered_by_item.get(item_id, [])
             if len(item_reviews) < plan.reviews_per_item:
                 raise InsufficientReviews(item_id, len(item_reviews), plan.reviews_per_item)
-            strata = strata_in_order(item_reviews, plan.strata_granularity)
-            sample.extend(stratified_review_sample(strata, plan))
+            by_stratum: dict[tuple, list[Review]] = {}
+            for review in item_reviews:
+                by_stratum.setdefault(_oracle_stratum(review, plan.strata_granularity.value), []).append(review)
+            strata = sorted(by_stratum.items())
+            shares = _oracle_allocate([len(rs) for _, rs in strata], plan.reviews_per_item)
+            for ((*_, key), rs), k in zip(strata, shares):
+                sample.extend(srswor(rs, k, derive_seed(plan.seed, item_id, key)))
             manifest_items[item_id] = {
                 "domain": domain,
-                "strata": {key: len(rs) for key, rs in strata},
+                "strata": {key: len(rs) for (*_, key), rs in strata},
                 "sampling_fraction": plan.reviews_per_item / len(item_reviews),
             }
     manifest = {

@@ -387,26 +387,26 @@ def test_criterion_9_gold_statistics_shape():
     )
     stats = gold_statistics([g1, g2, g3], [r1, r2, r3])
 
-    home = stats.per_domain["Home"]
-    assert home.total_emotions == 3
-    assert home.avg_emotions_per_review == pytest.approx(1.5, abs=1e-9)
-    joy_home = home.per_emotion["Joy"]
-    assert joy_home.count == 1
-    assert joy_home.share == pytest.approx(1 / 3, abs=1e-9)
-    assert joy_home.total_triggers == 1
-    assert joy_home.avg_triggers == pytest.approx(1.0, abs=1e-9)
-    assert joy_home.avg_trigger_tokens == pytest.approx(5.0, abs=1e-9)
+    home = stats["per_domain"]["Home"]
+    assert home["total_emotions"] == 3
+    assert home["avg_emotions_per_review"] == pytest.approx(1.5, abs=1e-9)
+    joy_home = home["per_emotion"]["Joy"]
+    assert joy_home["count"] == 1
+    assert joy_home["share"] == pytest.approx(1 / 3, abs=1e-9)
+    assert joy_home["total_triggers"] == 1
+    assert joy_home["avg_triggers"] == pytest.approx(1.0, abs=1e-9)
+    assert joy_home["avg_trigger_tokens"] == pytest.approx(5.0, abs=1e-9)
 
-    yelp_joy = stats.per_domain["Yelp"].per_emotion["Joy"]
-    assert yelp_joy.total_triggers == 2
-    assert yelp_joy.avg_triggers == pytest.approx(2.0, abs=1e-9)
-    assert yelp_joy.avg_trigger_tokens == pytest.approx(3.0, abs=1e-9)  # (2 + 4) / 2
+    yelp_joy = stats["per_domain"]["Yelp"]["per_emotion"]["Joy"]
+    assert yelp_joy["total_triggers"] == 2
+    assert yelp_joy["avg_triggers"] == pytest.approx(2.0, abs=1e-9)
+    assert yelp_joy["avg_trigger_tokens"] == pytest.approx(3.0, abs=1e-9)  # (2 + 4) / 2
 
-    overall = stats.overall
-    assert overall.total_emotions == 4
-    assert overall.avg_emotions_per_review == pytest.approx(4 / 3, abs=1e-9)
-    assert overall.per_emotion["Joy"].count == 2
-    assert overall.per_emotion["Joy"].share == pytest.approx(0.5, abs=1e-9)
+    overall = stats["overall"]
+    assert overall["total_emotions"] == 4
+    assert overall["avg_emotions_per_review"] == pytest.approx(4 / 3, abs=1e-9)
+    assert overall["per_emotion"]["Joy"]["count"] == 2
+    assert overall["per_emotion"]["Joy"]["share"] == pytest.approx(0.5, abs=1e-9)
 
     table = render_gold_statistics(stats)
     lines = table.splitlines()

@@ -274,13 +274,20 @@ class TestAgreementReport:
     def test_report_structure(self):
         reviews, annotations = self._three_annotator_corpus()
         report = build_agreement_report(annotations, reviews)
-        assert set(report.pairwise_emotion_kappa) == {("A1", "A2"), ("A1", "A3"), ("A2", "A3")}
-        assert report.domains() == ["Beauty", "Yelp"]
-        assert report.pairs() == [("A1", "A2"), ("A2", "A3"), ("A1", "A3")]
-        for by_domain in report.pairwise_emotion_kappa.values():
+        assert list(report) == [
+            "pairwise_emotion_kappa", "pairwise_emotion_overall", "fleiss_emotion_kappa", "fleiss_emotion_overall",
+            "pairwise_trigger_token_kappa", "pairwise_trigger_token_overall",
+            "fleiss_trigger_token_kappa", "fleiss_trigger_token_overall",
+        ]
+        assert set(report["pairwise_emotion_kappa"]) == {("A1", "A2"), ("A1", "A3"), ("A2", "A3")}
+        # the table runs domains in DOMAIN_ORDER, adjacent pairs first, then the first with the last
+        table = list(csv.reader(render_agreement_report(report, "csv").splitlines()[1:]))
+        assert table[0] == ["Domain", "A1/A2", "A2/A3", "A1/A3", "Average", "Fleiss"]
+        assert [row[0] for row in table[1:4]] == ["[Emotion Agreement]", "Beauty", "Yelp"]
+        for by_domain in report["pairwise_emotion_kappa"].values():
             for value in by_domain.values():
                 assert -1.0 <= value <= 1.0 or value != value
-        assert report.fleiss_emotion_overall is not None
+        assert report["fleiss_emotion_overall"] is not None
 
     def test_identical_annotators_score_one_everywhere(self):
         reviews, _ = self._three_annotator_corpus()
@@ -289,12 +296,12 @@ class TestAgreementReport:
             for annotator in ("A1", "A2", "A3"):
                 annotations.append(annotate(review, annotator, {JOY: [review.text]}))
         report = build_agreement_report(annotations, reviews)
-        for by_domain in report.pairwise_emotion_kappa.values():
+        for by_domain in report["pairwise_emotion_kappa"].values():
             assert all(v == 1.0 for v in by_domain.values())
-        for by_domain in report.pairwise_trigger_token_kappa.values():
+        for by_domain in report["pairwise_trigger_token_kappa"].values():
             assert all(v == 1.0 for v in by_domain.values())
-        assert report.fleiss_emotion_overall == 1.0
-        assert report.fleiss_trigger_token_overall == 1.0
+        assert report["fleiss_emotion_overall"] == 1.0
+        assert report["fleiss_trigger_token_overall"] == 1.0
 
     def test_csv_keeps_a_comma_in_an_annotator_id(self):
         reviews, annotations = self._three_annotator_corpus()
@@ -384,17 +391,17 @@ class TestFleissWithoutTriggerItems:
         worded = make_review("b1", "A bright screen and a fast charger", Domain.ELECTRONICS, "i2")
         records = self._rated(bare, ["!!!"]) + self._rated(worded, ["bright screen"])
         report = build_agreement_report(records, [bare, worded])
-        assert math.isnan(report.fleiss_trigger_token_kappa["Home"])
-        assert report.fleiss_trigger_token_kappa["Electronics"] == 1.0
-        assert report.fleiss_trigger_token_overall == 1.0
+        assert math.isnan(report["fleiss_trigger_token_kappa"]["Home"])
+        assert report["fleiss_trigger_token_kappa"]["Electronics"] == 1.0
+        assert report["fleiss_trigger_token_overall"] == 1.0
         assert "nan" in render_agreement_report(report, "csv")
 
     def test_the_pool_is_nan_when_every_domain_is_empty(self):
         bare = make_review("p1", "!!! ...", Domain.HOME, "i1")
         report = build_agreement_report(self._rated(bare, ["..."]), [bare])
-        assert math.isnan(report.fleiss_trigger_token_kappa["Home"])
-        assert math.isnan(report.fleiss_trigger_token_overall)
-        assert report.fleiss_emotion_overall == 1.0
+        assert math.isnan(report["fleiss_trigger_token_kappa"]["Home"])
+        assert math.isnan(report["fleiss_trigger_token_overall"])
+        assert report["fleiss_emotion_overall"] == 1.0
 
 
 class TestAgreementMatchesOracle:
@@ -413,7 +420,7 @@ class TestAgreementMatchesOracle:
             assert any(math.isnan(k) for k in expected["fleiss_trigger_token_kappa"].values())
             if expected["fleiss_trigger_token_overall"] is None:
                 expected["fleiss_trigger_token_overall"] = float("nan")
-        _assert_same_kappas(vars(build_agreement_report(records, reviews)), expected)
+        _assert_same_kappas(build_agreement_report(records, reviews), expected)
         fields = ("pairwise_trigger_token_kappa", "pairwise_trigger_token_overall")
         _assert_same_kappas(
             dict(zip(fields, trigger_token_kappa(records, reviews))), {f: expected[f] for f in fields}
@@ -432,14 +439,14 @@ class TestGoldStatistics:
             ]
         )
         stats = gold_statistics([gold], [review])
-        home = stats.per_domain["Home"]
-        joy = home.per_emotion["Joy"]
-        assert home.total_emotions == 1
-        assert joy.count == 1
-        assert joy.total_triggers == 2
-        assert joy.avg_triggers == 2.0
-        assert joy.avg_trigger_tokens == 3.5  # (2 + 5) / 2
-        assert home.avg_emotions_per_review == 1.0
+        home = stats["per_domain"]["Home"]
+        joy = home["per_emotion"]["Joy"]
+        assert home["total_emotions"] == 1
+        assert joy["count"] == 1
+        assert joy["total_triggers"] == 2
+        assert joy["avg_triggers"] == 2.0
+        assert joy["avg_trigger_tokens"] == 3.5  # (2 + 5) / 2
+        assert home["avg_emotions_per_review"] == 1.0
 
     def test_share_is_fraction_of_domain_emotions(self):
         r1 = make_review("h1", "Great pan, heats evenly", Domain.HOME, "i1")
@@ -451,21 +458,21 @@ class TestGoldStatistics:
             [annotate(r2, a, {EmotionLabel.SADNESS: ["broke after a week"]}) for a in ("A1", "A2", "A3")]
         )
         stats = gold_statistics([g1, g2], [r1, r2])
-        home = stats.per_domain["Home"]
-        assert home.total_emotions == 3
-        assert home.per_emotion["Joy"].share == pytest.approx(1 / 3, abs=1e-12)
-        assert home.avg_emotions_per_review == pytest.approx(1.5, abs=1e-12)
-        assert stats.overall.total_emotions == 3
+        home = stats["per_domain"]["Home"]
+        assert home["total_emotions"] == 3
+        assert home["per_emotion"]["Joy"]["share"] == pytest.approx(1 / 3, abs=1e-12)
+        assert home["avg_emotions_per_review"] == pytest.approx(1.5, abs=1e-12)
+        assert stats["overall"]["total_emotions"] == 3
 
     def test_empty_gold_list_is_all_zero(self):
         stats = gold_statistics([], [])
-        assert stats.overall.total_emotions == 0
-        assert stats.overall.avg_emotions_per_review == 0.0
-        for domain_stats in stats.per_domain.values():
-            assert domain_stats.total_emotions == 0
-            for emotion_stats in domain_stats.per_emotion.values():
-                assert emotion_stats.count == 0
-                assert emotion_stats.share == 0.0
+        assert stats["overall"]["total_emotions"] == 0
+        assert stats["overall"]["avg_emotions_per_review"] == 0.0
+        for domain_stats in stats["per_domain"].values():
+            assert domain_stats["total_emotions"] == 0
+            for emotion_stats in domain_stats["per_emotion"].values():
+                assert emotion_stats["count"] == 0
+                assert emotion_stats["share"] == 0.0
 
 
 class TestAnnotationIo:

@@ -12,7 +12,7 @@ import pytest
 from collections import Counter
 from datetime import datetime, timezone
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from eotbench import annotation, corpus, inference
 from eotbench.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, _render_confusion, build_parser, main
@@ -115,7 +115,9 @@ _SAMPLE_LINES = st.lists(
         st.sampled_from(("Home", "Yelp", "Beauty")),
         st.sampled_from(("a", "b", "c", "d")),
         st.lists(st.sampled_from(_SAMPLE_WORDS), min_size=1, max_size=6).map(" ".join),
-        st.none() | st.sampled_from((_ts(2015, 2), _ts(2015, 8), _ts(2017, 11), MIN_TIMESTAMP, MAX_TIMESTAMP)),
+        st.none() | st.sampled_from(
+            (_ts(2015, 2), _ts(2015, 8), _ts(2017, 11), _ts(999), _ts(1000), MIN_TIMESTAMP, MAX_TIMESTAMP)
+        ),
     ),
     min_size=1,
     max_size=30,
@@ -132,6 +134,11 @@ _SAMPLE_PLANS = st.builds(
 )
 
 
+_YEARS_999_TO_2015 = [_review_line(i, "a", f"kettle works fine {i}", timestamp=_ts(year))
+                      for i, year in enumerate((2015, 1000, 999))]
+_ALL_THREE = {"seed": 1, "items_per_group": 1, "reviews_per_item": 3, "min_tokens": 2, "max_tokens": 4}
+
+
 def _seed_drawing(items: list[str], domain: str, wanted: str) -> int:
     """A plan seed whose one-item draw in ``domain`` is ``wanted``."""
     return next(s for s in range(100) if srswor(items, 1, derive_seed(s, "items", domain)) == [wanted])
@@ -143,6 +150,9 @@ class TestSampleAgainstOracle:
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=_SAMPLE_LINES, plan=_SAMPLE_PLANS)
+    # strata keys compared as text would put year 999 after year 1000
+    @example(lines=_YEARS_999_TO_2015, plan={**_ALL_THREE, "strata_granularity": "Year"})
+    @example(lines=_YEARS_999_TO_2015, plan={**_ALL_THREE, "strata_granularity": "Quarter"})
     def test_same_bytes_or_same_error(self, tmp_path, lines, plan):
         _assert_sample_matches_oracle(tmp_path, lines, plan)
 
@@ -525,6 +535,16 @@ class TestRunAndScoreCommands:
         reviews = [json.loads(l) for l in reviews_path.read_text().splitlines() if l.strip()]
         neutral = '{"emotions": [{"emotion": "Neutral", "triggers": []}]}'
         return MockProviderServer({r["text"]: neutral for r in reviews})
+
+    def test_a_percent_escape_in_the_base_url_is_sent_as_written(self, tmp_path, caplog):
+        with self._neutral_server() as server:
+            profile = tmp_path / "profiles.ini"
+            profile.write_text(f"[mock]\nbase_url = {server.base_url}/v1%2Fx\nmodel_id = m\n")
+            argv = ["run", "--corpus", str(DATA_DIR / "handscored" / "reviews.jsonl"), "--strategy", "zs",
+                    "--profile", str(profile), "--run-id", "pct", "--runs-dir", str(tmp_path / "runs")]
+            assert main(argv) in (EXIT_OK, EXIT_DATA, EXIT_PROVIDER)
+            assert set(server.targets) == {"/v1%2Fx/chat/completions"}
+        assert "Traceback" not in caplog.text
 
     def test_score_on_a_ledger_line_with_a_list_review_id(self, tmp_path, caplog):
         with self._neutral_server() as server:

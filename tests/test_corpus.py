@@ -289,9 +289,10 @@ class TestStratifiedSample:
         assert known == 2  # proportional 2/2 split
 
     def test_strata_are_in_chronological_order_with_unknown_last(self):
-        reviews = [make_review(review_id="u0")] + self._reviews({2021: 1, 2019: 2, 2020: 1})
+        reviews = [make_review(review_id="u0")] + self._reviews({2021: 1, 2019: 2, 2020: 1, 1000: 1, 999: 1})
         strata = strata_in_order(reviews, StrataGranularity.YEAR)
         assert [(key, [r.review_id for r in rs]) for key, rs in strata] == [
+            ("999", ["r999-0"]), ("1000", ["r1000-0"]),
             ("2019", ["r2019-0", "r2019-1"]), ("2020", ["r2020-0"]), ("2021", ["r2021-0"]), ("unknown", ["u0"]),
         ]
 

@@ -622,6 +622,12 @@ class TestProviderProfiles:
             "local": ProviderProfile("local", "http://127.0.0.1:9999/v1", "test-model")
         }
 
+    def test_a_percent_sign_is_read_literally(self, tmp_path):
+        path = tmp_path / "profiles.ini"
+        path.write_text("[local]\nbase_url = http://127.0.0.1:9/v1%2Fx\nmodel_id = 100%% m%(x)s\n")
+        loaded = load_provider_profiles(path)["local"]
+        assert (loaded.base_url, loaded.model_id) == ("http://127.0.0.1:9/v1%2Fx", "100%% m%(x)s")
+
     @pytest.mark.parametrize("concurrency", [0, MAX_CONCURRENCY + 1, 100_000])
     def test_max_concurrency_out_of_bounds_is_rejected(self, concurrency):
         # constructing the profile starts no thread; run_experiment would start

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from unittest import mock
 
@@ -16,7 +17,6 @@ from eotbench.metrics import (
     rouge1,
     rougeL,
     score_predictions,
-    score_report_to_dict,
     score_row,
     trigger_em_pm,
 )
@@ -59,24 +59,24 @@ class TestEmotionPrf:
         gold = gold_for(review, {JOY: ["works perfectly"], TRUST: ["arrived two days early"]})
         pred = output(review, {JOY: ["works perfectly"], TRUST: ["arrived"], ANGER: ["amazing"]})
         scores = emotion_prf([pred], [gold])
-        assert scores.precision == pytest.approx(2 / 3)
-        assert scores.recall == 1.0
-        assert scores.f1 == pytest.approx(0.8)
+        assert scores["precision"] == pytest.approx(2 / 3)
+        assert scores["recall"] == 1.0
+        assert scores["f1"] == pytest.approx(0.8)
 
     def test_identity(self):
         review = make_review()
         gold = gold_for(review, {JOY: ["works perfectly"]})
         scores = emotion_prf([gold.output], [gold])
-        assert (scores.precision, scores.recall, scores.f1) == (1.0, 1.0, 1.0)
+        assert (scores["precision"], scores["recall"], scores["f1"]) == (1.0, 1.0, 1.0)
 
     def test_neutral_participates_as_a_label(self):
         review = make_review()
         gold = gold_for(review, {JOY: ["works perfectly"]})
         pred = output(review, {NEUTRAL: []})
         scores = emotion_prf([pred], [gold])
-        assert scores.precision == 0.0
-        assert scores.recall == 0.0
-        assert scores.per_emotion[NEUTRAL].support == 0
+        assert scores["precision"] == 0.0
+        assert scores["recall"] == 0.0
+        assert scores["per_emotion"][NEUTRAL.value]["support"] == 0
 
     def test_missing_gold(self):
         review = make_review()
@@ -100,16 +100,16 @@ class TestEmotionPrf:
             ],
             golds,
         )
-        assert after.recall > before.recall
+        assert after["recall"] > before["recall"]
 
     def test_per_emotion_breakdown(self):
         review = make_review()
         gold = gold_for(review, {JOY: ["works perfectly"]})
         pred = output(review, {TRUST: ["works perfectly"]})
         scores = emotion_prf([pred], [gold])
-        assert scores.per_emotion[JOY].recall == 0.0
-        assert scores.per_emotion[JOY].support == 1
-        assert scores.per_emotion[TRUST].precision == 0.0
+        assert scores["per_emotion"][JOY.value]["recall"] == 0.0
+        assert scores["per_emotion"][JOY.value]["support"] == 1
+        assert scores["per_emotion"][TRUST.value]["precision"] == 0.0
 
 
 class TestTriggerEmPm:
@@ -126,7 +126,7 @@ class TestTriggerEmPm:
         em, pm, counts = trigger_em_pm([pred], [gold])
         assert em == 0.5
         assert pm == 0.0
-        assert counts.n_em + counts.n_pm + counts.n_nomatch == counts.n_pred == 2
+        assert counts["n_em"] + counts["n_pm"] + counts["n_nomatch"] == counts["n_pred"] == 2
 
     def test_token_overlap_is_partial_match(self):
         review = make_review(text="Non slip, great arch support")
@@ -140,8 +140,8 @@ class TestTriggerEmPm:
         gold = gold_for(review, {JOY: ["works perfectly"]})
         em, pm, counts = trigger_em_pm([EotOutput(review.review_id, ())], [gold])
         assert (em, pm) == (0.0, 0.0)
-        assert counts.n_pred == 0
-        assert counts.n_gold == 1
+        assert counts["n_pred"] == 0
+        assert counts["n_gold"] == 1
 
     def test_prediction_under_emotion_absent_from_gold_is_nomatch(self):
         review = make_review()
@@ -149,7 +149,7 @@ class TestTriggerEmPm:
         pred = output(review, {ANGER: ["works perfectly"]})
         em, pm, counts = trigger_em_pm([pred], [gold])
         assert (em, pm) == (0.0, 0.0)
-        assert counts.n_nomatch == 1
+        assert counts["n_nomatch"] == 1
 
     def test_em_uses_normalized_text(self):
         review = make_review(text="LOVE the fit. love the fit")
@@ -251,16 +251,16 @@ class TestConfusionMatrix:
         gold = gold_for(review, {JOY: ["works perfectly"]})
         pred = output(review, {TRUST: ["works perfectly"]})
         matrix = confusion_matrix([pred], [gold])
-        assert matrix[TRUST][JOY] == 1.0
+        assert matrix[TRUST.value][JOY.value] == 1.0
 
     def test_identity_hits_diagonal_only(self):
         review = make_review()
         gold = gold_for(review, {JOY: ["works perfectly"], TRUST: ["arrived two days early"]})
         matrix = confusion_matrix([gold.output], [gold])
-        assert matrix[JOY][JOY] == 1.0
-        assert matrix[TRUST][TRUST] == 1.0
+        assert matrix[JOY.value][JOY.value] == 1.0
+        assert matrix[TRUST.value][TRUST.value] == 1.0
         off_diagonal = sum(
-            matrix[p][g] for p in EmotionLabel for g in EmotionLabel if p is not g
+            matrix[p.value][g.value] for p in EmotionLabel for g in EmotionLabel if p is not g
         )
         assert off_diagonal == 0.0
 
@@ -269,8 +269,8 @@ class TestConfusionMatrix:
         gold = gold_for(review, {JOY: ["works perfectly"]})
         pred = output(review, {TRUST: ["works perfectly"], EmotionLabel.FEAR: ["arrived"]})
         matrix = confusion_matrix([pred], [gold])
-        assert matrix[TRUST][JOY] == 0.5
-        assert matrix[EmotionLabel.FEAR][JOY] == 0.5
+        assert matrix[TRUST.value][JOY.value] == 0.5
+        assert matrix[EmotionLabel.FEAR.value][JOY.value] == 0.5
 
 
 class TestGoldEcho:
@@ -286,7 +286,7 @@ class TestGoldEcho:
             gold_for(reviews[2], {NEUTRAL: []}),
         ]
         report = score_predictions([g.output for g in golds], golds)
-        assert score_row(score_report_to_dict(report)) == (1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        assert score_row(report) == (1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
 
 
 class TestRandomizedPartition:
@@ -316,7 +316,7 @@ class TestRandomizedPartition:
             gold = gold_for(review, gold_emos)
             pred = output(review, pred_emos) if pred_emos else EotOutput("r1", ())
             _, _, counts = trigger_em_pm([pred], [gold])
-            assert counts.n_em + counts.n_pm + counts.n_nomatch == counts.n_pred
+            assert counts["n_em"] + counts["n_pm"] + counts["n_nomatch"] == counts["n_pred"]
 
 
 # Reviews from a small vocabulary, so random triggers share tokens. Case and
@@ -391,19 +391,14 @@ class TestOnePassMatchesTheFourWalks:
     def test_every_field_is_identical(self, data):
         pred, gold = data
         report = score_predictions(pred, gold)
-        oracle = oracle_score_report(pred, gold)
-        assert report.emotion.per_emotion == oracle.emotion.per_emotion
-        assert report.emotion == oracle.emotion
-        assert report.trigger.counts == oracle.trigger.counts
-        assert report.trigger == oracle.trigger
-        assert sum(len(row) for row in report.confusion.values()) == 81
-        assert report.confusion == oracle.confusion
-        assert emotion_prf(pred, gold) == report.emotion
-        assert trigger_em_pm(pred, gold) == (
-            report.trigger.exact_match, report.trigger.partial_match, report.trigger.counts
-        )
-        assert align_and_average_rouge(pred, gold) == (report.trigger.rouge1, report.trigger.rougeL)
-        assert confusion_matrix(pred, gold) == report.confusion
+        # key order and every value, as scores.json holds them
+        assert json.dumps(report) == json.dumps(oracle_score_report(pred, gold))
+        assert sum(len(row) for row in report["confusion"].values()) == 81
+        emotion, trigger = report["emotion"], report["trigger"]
+        assert emotion_prf(pred, gold) == emotion
+        assert trigger_em_pm(pred, gold) == (trigger["exact_match"], trigger["partial_match"], trigger["counts"])
+        assert align_and_average_rouge(pred, gold) == (trigger["rouge1"], trigger["rougeL"])
+        assert confusion_matrix(pred, gold) == report["confusion"]
 
     @settings(max_examples=50, deadline=None)
     @given(scored_sets())
@@ -436,8 +431,9 @@ class TestOnePassMatchesTheFourWalks:
         with mock.patch.object(metrics, "tokenize", wraps=tokenize) as counted:
             report = score_predictions([pred], [gold])
         assert counted.call_count == 0
-        assert report.trigger.counts == (2, 2, 0, 0, 2)
-        assert (report.trigger.rouge1, report.trigger.rougeL) == (0.0, 0.0)
+        trigger = report["trigger"]
+        assert trigger["counts"] == {"n_pred": 2, "n_gold": 2, "n_em": 0, "n_pm": 0, "n_nomatch": 2}
+        assert (trigger["rouge1"], trigger["rougeL"]) == (0.0, 0.0)
 
 
 TOKEN_LISTS = st.lists(st.sampled_from("abcd"), max_size=8)

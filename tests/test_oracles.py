@@ -22,16 +22,24 @@ ORACLES = Path(__file__).resolve().parent / "oracles.py"
 # the package functions an oracle is the reference for
 REFERENCED = {
     "tokenize", "tokenize_with_spans", "count_tokens", "rouge1", "rougeL", "score_predictions", "parse_output",
+    "strata_in_order", "stratified_review_sample", "allocate_proportional", "stratum_key",
 }
 
 
 def test_the_oracles_use_none_of_the_functions_they_check():
-    """Neither imported by name nor read off an imported module."""
+    """Neither imported by name nor read off an imported module; and nothing
+    from ``eotbench.metrics``, whose reports the oracles restate as plain dicts."""
     tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
     imported = {}  # bound name -> the name imported
+    dotted = []  # every module and name imported, as a dotted path
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update({alias.asname or alias.name: alias.name for alias in node.names})
+            if isinstance(node, ast.ImportFrom):
+                dotted += [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                dotted += [alias.name for alias in node.names]
+    assert [d for d in dotted if d == "eotbench.metrics" or d.startswith("eotbench.metrics.")] == []
     used = set(imported.values())
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported:
