@@ -24,12 +24,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import FORMAT_VERSION, reviews_by_id
 from .errors import DataError, DegenerateDistribution
 from .jsonio import ARRAY, BOOLEAN, INTEGER, OBJECT, STRING, check_fields, iter_jsonl, render_table
 from .model import (
@@ -42,20 +40,6 @@ TRIGGER_KAPPA_POOLING_NOTE = (
     "emotions; items are generated for each emotion used by at least one rater of "
     "the pair on that review"
 )
-
-
-@dataclass(frozen=True, slots=True)
-class AnnotationRecord:
-    review_id: str
-    annotator_id: str
-    output: EotOutput
-
-
-@dataclass(frozen=True, slots=True)
-class GoldRecord:
-    review_id: str
-    output: EotOutput
-    provenance: dict[str, Any]  # aggregate_gold's, keys as _PROVENANCE_SPEC; {} once loaded
 
 
 _EMOTION_SPEC = (("emotion", STRING, True, None), ("triggers", ARRAY, False, STRING))
@@ -77,9 +61,9 @@ GOLD_SPEC = (
 
 def _iter_outputs(
     path: Path | str, reviews: Mapping[str, Review], spec: tuple
-) -> Iterator[tuple[dict[str, Any], EotOutput]]:
-    """Yield (object, output) per non-blank line of a trusted file of the
-    review_id / emotions shape whose lines meet ``spec``.
+) -> Iterator[tuple[int, dict[str, Any], EotOutput]]:
+    """Yield (line number, object, output) per non-blank line of a trusted
+    file of the review_id / emotions shape whose lines meet ``spec``.
 
     A line that is not UTF-8, not JSON or not of the spec, that names a
     review not in ``reviews``, or whose output has an unknown label, a
@@ -104,16 +88,24 @@ def _iter_outputs(
             ]))
         except (DataError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from None
-        yield obj, output
+        yield line_no, obj, output
 
 
-def load_annotations(path: Path | str, reviews: Mapping[str, Review]) -> list[AnnotationRecord]:
-    """Load annotator files: one JSON object per line, ``annotator_id`` plus
-    the review_id / emotions shape used everywhere else."""
-    return [
-        AnnotationRecord(output.review_id, obj["annotator_id"], output)
-        for obj, output in _iter_outputs(path, reviews, ANNOTATION_SPEC)
-    ]
+def load_annotations(path: Path | str, reviews: Mapping[str, Review]) -> dict[str, dict[str, EotOutput]]:
+    """Load an annotation file, one JSON object per line: ``annotator_id`` plus
+    the review_id / emotions shape used everywhere else. Returns review id ->
+    annotator id -> output, both in file order; one annotator twice on a
+    review is a DataError naming ``path:line``."""
+    outputs: dict[str, dict[str, EotOutput]] = {}
+    for line_no, obj, output in _iter_outputs(path, reviews, ANNOTATION_SPEC):
+        per_review = outputs.setdefault(output.review_id, {})
+        annotator_id = obj["annotator_id"]
+        if annotator_id in per_review:
+            raise DataError(
+                f"{path}:{line_no}: annotator {annotator_id!r} appears twice for review {output.review_id!r}"
+            )
+        per_review[annotator_id] = output
+    return outputs
 
 
 def _dedup_normalized(spans: Iterable[tuple[TriggerSpan, str]]) -> list[tuple[TriggerSpan, str]]:
@@ -140,57 +132,50 @@ def resolve_overlaps(spans: Sequence[TriggerSpan]) -> list[TriggerSpan]:
     return sorted(kept, key=lambda s: s.start)
 
 
-def aggregate_gold(annotations: Sequence[AnnotationRecord]) -> GoldRecord:
-    """Majority-vote aggregation of exactly three annotator records."""
-    if len(annotations) != 3:
-        raise DataError(f"need exactly 3 records, got {len(annotations)}")
-    review_ids = {a.review_id for a in annotations}
+def aggregate_gold(outputs: Mapping[str, EotOutput]) -> tuple[EotOutput, dict[str, Any]]:
+    """Majority-vote aggregation of exactly three annotators' outputs on one
+    review (annotator id -> output): the gold output, and its provenance as
+    the gold line's ``provenance`` object, annotators in ``outputs`` order."""
+    if len(outputs) != 3:
+        raise DataError(f"need exactly 3 records, got {len(outputs)}")
+    review_ids = {output.review_id for output in outputs.values()}
     if len(review_ids) != 1:
         raise DataError(f"records span several reviews: {sorted(review_ids)}")
-    review_id = annotations[0].review_id
+    [review_id] = review_ids
 
     votes: Counter[EmotionLabel] = Counter()
-    for record in annotations:
-        votes.update(record.output.emotions)
+    for output in outputs.values():
+        votes.update(output.emotions)
     emotion_votes = {e.value: votes[e] for e in EMOTION_ORDER if votes[e]}
 
     winners = [e for e in EMOTION_ORDER if e is not EmotionLabel.NEUTRAL and votes[e] >= 2]
     pairs = []
     trigger_annotators = []
     for emotion in winners:
-        # each record's spans with their normalized texts, each normalized once
+        # each annotator's spans with their normalized texts, each normalized once
         normed = [
-            [(span, normalize_text(span.text)) for span in record.output.triggers_for(emotion)]
-            for record in annotations
+            [(span, normalize_text(span.text)) for span in output.triggers_for(emotion)]
+            for output in outputs.values()
         ]
         deduped = _dedup_normalized([sn for spans in normed for sn in spans])
         norm_of = {span.text: norm for span, norm in deduped}  # one span per norm
         retained = resolve_overlaps([span for span, _ in deduped])
         for span in retained:
             norm = norm_of[span.text]
-            contributors = [
-                record.annotator_id
-                for record, spans in zip(annotations, normed)
-                if any(n == norm for _, n in spans)
-            ]
+            contributors = [annotator for annotator, spans in zip(outputs, normed) if any(n == norm for _, n in spans)]
             trigger_annotators.append({"emotion": emotion.value, "text": span.text, "annotators": contributors})
         pairs.append(EmotionTriggers(emotion, tuple(retained)))
     no_majority = not winners and votes[EmotionLabel.NEUTRAL] < 2
     if not winners:
         pairs.append(EmotionTriggers(EmotionLabel.NEUTRAL, ()))
     provenance = {"emotion_votes": emotion_votes, "trigger_annotators": trigger_annotators, "no_majority": no_majority}
-    return GoldRecord(review_id, EotOutput(review_id, tuple(pairs)), provenance)
+    return EotOutput(review_id, tuple(pairs)), provenance
 
 
-def gold_to_dict(gold: GoldRecord) -> dict[str, Any]:
-    return {**gold.output.to_dict(), "provenance": gold.provenance, "format_version": FORMAT_VERSION}
-
-
-def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[GoldRecord]:
+def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[EotOutput]:
     """Read a gold file back, relocating trigger spans. Each line's provenance
-    is checked but not kept: scoring and statistics never read it, so a
-    loaded record's provenance is {}."""
-    return [GoldRecord(output.review_id, output, {}) for _, output in _iter_outputs(path, reviews, GOLD_SPEC)]
+    is checked but not kept: scoring and statistics never read it."""
+    return [output for _, _, output in _iter_outputs(path, reviews, GOLD_SPEC)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,30 +274,17 @@ def _safe_kappa(counts: Sequence[int]) -> float:
         return float("nan")
 
 
-def records_by_review(annotations: Sequence[AnnotationRecord]) -> dict[str, dict[str, AnnotationRecord]]:
-    """Each review's records by annotator id; one annotator twice on a review is a DataError."""
-    grouped: dict[str, dict[str, AnnotationRecord]] = {}
-    for record in annotations:
-        per_review = grouped.setdefault(record.review_id, {})
-        if record.annotator_id in per_review:
-            raise DataError(
-                f"annotator {record.annotator_id!r} appears twice for review {record.review_id!r}"
-            )
-        per_review[record.annotator_id] = record
-    return grouped
-
-
 _PRIMARY = sum(1 << i for label, i in LABEL_INDEX.items() if label is not EmotionLabel.NEUTRAL)
 
 
-def _review_items(review: Review, records: Sequence[AnnotationRecord]) -> tuple[int, list, list]:
+def _review_items(review: Review, outputs: Sequence[EotOutput]) -> tuple[int, list, list]:
     """A review's token count, and per rater bitmasks of labels (bit i is EMOTION_ORDER[i])
     and of tokens covered (bit ``label * n_tokens + token``): a token is covered when
     one of the rater's spans for that label overlaps its ``tokenize_with_spans`` range."""
     starts, ends = tokenize_with_spans(review.text)
-    labels, covered = [0] * len(records), [0] * len(records)
-    for rater, record in enumerate(records):
-        for pair in record.output.pairs:
+    labels, covered = [0] * len(outputs), [0] * len(outputs)
+    for rater, output in enumerate(outputs):
+        for pair in output.pairs:
             label = LABEL_INDEX[pair.emotion]
             labels[rater] |= 1 << label
             for span in pair.triggers:
@@ -364,7 +336,7 @@ def _fleiss_kappas(counts: dict[str, list], raters: int) -> tuple[dict[str, floa
 
 
 def trigger_token_kappa(
-    annotations: Sequence[AnnotationRecord], reviews: Iterable[Review]
+    annotations: Mapping[str, Mapping[str, EotOutput]], reviews: Mapping[str, Review]
 ) -> tuple[dict[tuple[str, str], dict[str, float]], dict[tuple[str, str], float]]:
     """Pairwise token-level trigger agreement, per domain and pooled overall.
 
@@ -377,9 +349,12 @@ def trigger_token_kappa(
 
 
 def build_agreement_report(
-    annotations: Sequence[AnnotationRecord], reviews: Iterable[Review]
+    annotations: Mapping[str, Mapping[str, EotOutput]], reviews: Mapping[str, Review]
 ) -> dict[str, Any]:
     """Every kappa, from binary items counted in one pass that tokenizes each review once.
+
+    ``annotations`` maps review id -> annotator id -> output, as
+    ``load_annotations`` returns it; ``reviews`` maps review id -> review.
 
     The report's keys: ``pairwise_emotion_kappa`` and ``pairwise_trigger_token_kappa``
     (pair -> domain -> kappa), ``pairwise_emotion_overall`` and
@@ -394,16 +369,15 @@ def build_agreement_report(
     sum of yes squared]``, the trace and the total of the co-count matrix.
     Trigger items are pooled as TRIGGER_KAPPA_POOLING_NOTE says.
     """
-    review_map = reviews_by_id(reviews)
-    annotator_ids = sorted({a.annotator_id for a in annotations})
+    annotator_ids = sorted({annotator for per_review in annotations.values() for annotator in per_review})
     rater_count = len(annotator_ids)
     pairs = list(combinations(annotator_ids, 2))
     emotion_pairs: dict[tuple[str, str], dict[str, list[int]]] = {pair: {} for pair in pairs}
     trigger_pairs: dict[tuple[str, str], dict[str, list[int]]] = {pair: {} for pair in pairs}
     emotion_fleiss: dict[str, list[int]] = {}
     trigger_fleiss: dict[str, list[int]] = {}
-    for review_id, per_annotator in records_by_review(annotations).items():
-        review = review_map.get(review_id)
+    for review_id, per_annotator in annotations.items():
+        review = reviews.get(review_id)
         if review is None:
             raise DataError(f"annotations reference unknown review {review_id!r}")
         domain = review.domain.value
@@ -503,7 +477,7 @@ def _domain_stats(n_reviews: int, counts: Sequence[Sequence[int]]) -> dict[str, 
     }
 
 
-def gold_statistics(gold: Sequence[GoldRecord], reviews: Iterable[Review]) -> dict[str, Any]:
+def gold_statistics(gold: Sequence[EotOutput], reviews: Mapping[str, Review]) -> dict[str, Any]:
     """Per-domain and overall emotion/trigger statistics of a gold set, from one
     pass that counts each trigger's tokens once; Overall sums the domains.
 
@@ -512,16 +486,15 @@ def gold_statistics(gold: Sequence[GoldRecord], reviews: Iterable[Review]) -> di
     ``per_emotion`` (label -> ``count``, ``share`` of the column's emotions,
     ``total_triggers``, ``avg_triggers``, ``avg_trigger_tokens``).
     """
-    review_map = reviews_by_id(reviews)
     n_reviews = {d.value: 0 for d in DOMAIN_ORDER}
     counts = {d.value: [[0, 0, 0] for _ in EMOTION_ORDER] for d in DOMAIN_ORDER}
-    for record in gold:
-        review = review_map.get(record.review_id)
+    for output in gold:
+        review = reviews.get(output.review_id)
         if review is None:
-            raise DataError(f"gold references unknown review {record.review_id!r}")
+            raise DataError(f"gold references unknown review {output.review_id!r}")
         domain = review.domain.value
         n_reviews[domain] += 1
-        for pair in record.output.pairs:
+        for pair in output.pairs:
             cell = counts[domain][LABEL_INDEX[pair.emotion]]
             cell[0] += 1
             cell[1] += len(pair.triggers)

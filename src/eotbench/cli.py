@@ -37,13 +37,6 @@ RUN_MANIFEST_SPEC = (
 )
 
 
-def _load_reviews(path: str) -> corpus.CorpusFile:
-    loaded = corpus.load_corpus(path)
-    for rejection in loaded.rejections:
-        log.warning("%s:%d rejected: %s", path, rejection.line_no, rejection.reason)
-    return loaded
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out:
         with atomic_writer(out) as fh:
@@ -62,11 +55,11 @@ def _load_plan(args: argparse.Namespace) -> SamplingPlan:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
-    loaded = _load_reviews(args.corpus)
+    reviews = corpus.load_corpus(args.corpus)
 
     items_by_domain: dict[str, dict[str, None]] = {}  # item ids in first-seen order
     reviews_by_item: dict[str, list[Review]] = {}
-    for review in loaded.records:
+    for review in reviews.values():
         item_reviews = reviews_by_item.setdefault(review.item_id, [])
         if item_reviews and item_reviews[0].domain is not review.domain:
             # items are drawn per domain: one id in two would pool their reviews
@@ -104,6 +97,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 "sampling_fraction": plan.reviews_per_item / len(item_reviews),
             }
 
+    manifest_path = f"{args.out}.manifest.json"
+    # the manifest is written last: an earlier sample's must not outlive a failed write
+    Path(manifest_path).unlink(missing_ok=True)
     write_jsonl(args.out, (corpus.review_to_dict(r) for r in sample))
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -113,44 +109,36 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "items": manifest_items,
         "n_reviews": len(sample),
     }
-    dump_json(str(args.out) + ".manifest.json", manifest)
+    dump_json(manifest_path, manifest)
     print(f"wrote {len(sample)} reviews to {args.out}")
     return EXIT_OK
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    reviews = corpus.reviews_by_id(_load_reviews(args.corpus).records)
-    records = annotation.load_annotations(args.annotations, reviews)
-    try:
-        grouped = annotation.records_by_review(records)
-    except DataError as exc:
-        raise DataError(f"{args.annotations}: {exc}") from None
-    golds = []
-    for review_id, per_annotator in sorted(grouped.items()):
+    reviews = corpus.load_corpus(args.corpus)
+    annotations = annotation.load_annotations(args.annotations, reviews)
+    lines = []
+    for review_id, outputs in sorted(annotations.items()):
         try:
-            golds.append(annotation.aggregate_gold(list(per_annotator.values())))
+            gold, provenance = annotation.aggregate_gold(outputs)
         except DataError as exc:
             raise DataError(f"{args.annotations}: review {review_id!r}: {exc}") from None
-    write_jsonl(args.out, (annotation.gold_to_dict(g) for g in golds))
-    print(f"wrote {len(golds)} gold records to {args.out}")
+        lines.append({**gold.to_dict(), "provenance": provenance, "format_version": FORMAT_VERSION})
+    write_jsonl(args.out, lines)
+    print(f"wrote {len(lines)} gold records to {args.out}")
     return EXIT_OK
 
 
 def cmd_agreement(args: argparse.Namespace) -> int:
-    reviews = corpus.reviews_by_id(_load_reviews(args.corpus).records)
-    records = annotation.load_annotations(args.annotations, reviews)
-    try:
-        report = annotation.build_agreement_report(records, reviews.values())
-    except DataError as exc:
-        raise DataError(f"{args.annotations}: {exc}") from None
+    reviews = corpus.load_corpus(args.corpus)
+    report = annotation.build_agreement_report(annotation.load_annotations(args.annotations, reviews), reviews)
     _write_text(annotation.render_agreement_report(report, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    reviews = corpus.reviews_by_id(_load_reviews(args.corpus).records)
-    golds = annotation.load_gold(args.gold, reviews)
-    stats = annotation.gold_statistics(golds, reviews.values())
+    reviews = corpus.load_corpus(args.corpus)
+    stats = annotation.gold_statistics(annotation.load_gold(args.gold, reviews), reviews)
     _write_text(annotation.render_gold_statistics(stats, args.format), args.out)
     return EXIT_OK
 
@@ -171,7 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     strategy = Strategy(args.strategy)
     profile = _resolve_profile(args.profile)
     config = InferenceConfig.from_file(args.config) if args.config else default_config()
-    corpus_file = _load_reviews(args.corpus)
+    reviews = corpus.load_corpus(args.corpus)
     runs_dir = Path(args.runs_dir)
     run_id = args.run_id or time.strftime("run-%Y%m%d-%H%M%S")
     # a missing token, or a URL, proxy or header that cannot be sent, fails
@@ -210,7 +198,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         })
 
     state = inference.run_experiment(
-        corpus_file.records, template, http,
+        reviews.values(), template, http,
         max_concurrency=profile.max_concurrency, runs_dir=runs_dir, run_id=run_id,
     )
     print(run_id)
@@ -227,7 +215,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not manifest_path.exists():
         raise UnknownRun(args.run_id)
     manifest = load_json(manifest_path, RUN_MANIFEST_SPEC)
-    reviews = corpus.reviews_by_id(_load_reviews(args.corpus or manifest["corpus"]).records)
+    reviews = corpus.load_corpus(args.corpus or manifest["corpus"])
     golds = annotation.load_gold(args.gold, reviews)
 
     def parse(entry: dict[str, Any]) -> extraction.ParseReport:

@@ -10,17 +10,20 @@ perturbs another item's sample.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from random import Random
-from typing import Any, Iterable, Sequence, TypeVar
+from typing import Any, Sequence, TypeVar
 
 from .errors import DataError, InsufficientReviews
 from .jsonio import INTEGER, STRING, check_fields, iter_jsonl
 from .model import Domain, Review, count_tokens
+
+log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -74,20 +77,6 @@ class SamplingPlan:
         )
 
 
-@dataclass(frozen=True)
-class RejectedLine:
-    line_no: int
-    reason: str
-
-
-@dataclass
-class CorpusFile:
-    """Loaded corpus plus the rejection report for malformed lines."""
-
-    records: list[Review]
-    rejections: list[RejectedLine] = field(default_factory=list)
-
-
 _DOMAIN_BY_VALUE = {d.value: d for d in Domain}
 
 REVIEW_SPEC = (
@@ -96,33 +85,30 @@ REVIEW_SPEC = (
 )
 
 
-def load_corpus(path: Path | str) -> CorpusFile:
-    """Load a line-delimited review file.
+def load_corpus(path: Path | str) -> dict[str, Review]:
+    """Load a line-delimited review file: each review by id, in file order.
 
-    Well-formed records load; malformed lines are collected into
-    ``rejections`` with their line numbers. A DataError is raised when
-    nothing usable remains.
+    A malformed line, or one that repeats an id, is logged as rejected with
+    its line number and skipped. A DataError is raised when nothing usable
+    remains.
     """
-    records: list[Review] = []
-    rejections: list[RejectedLine] = []
-    seen_ids: set[str] = set()
+    reviews: dict[str, Review] = {}
     for line_no, obj, error in iter_jsonl(path):
         try:
             if error:
                 raise ValueError(error)
             check_fields(obj, REVIEW_SPEC)
-            if obj["review_id"] in seen_ids:
+            if obj["review_id"] in reviews:
                 raise ValueError(f"duplicate review_id {obj['review_id']!r}")
             review = Review(obj["review_id"], obj["text"], _DOMAIN_BY_VALUE[obj["domain"]], obj["item_id"],
                             obj.get("timestamp"))
         except ValueError as exc:
-            rejections.append(RejectedLine(line_no, str(exc)))
+            log.warning("%s:%d rejected: %s", path, line_no, exc)
             continue
-        seen_ids.add(review.review_id)
-        records.append(review)
-    if not records:
+        reviews[review.review_id] = review
+    if not reviews:
         raise DataError(f"no usable records in corpus file: {path}")
-    return CorpusFile(records=records, rejections=rejections)
+    return reviews
 
 
 def review_to_dict(review: Review) -> dict[str, Any]:
@@ -136,10 +122,6 @@ def review_to_dict(review: Review) -> dict[str, Any]:
         out["timestamp"] = review.timestamp
     out["format_version"] = FORMAT_VERSION
     return out
-
-
-def reviews_by_id(reviews: Iterable[Review]) -> dict[str, Review]:
-    return {r.review_id: r for r in reviews}
 
 
 def filter_by_length(reviews: Sequence[Review], plan: SamplingPlan) -> list[Review]:

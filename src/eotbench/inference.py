@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .errors import DataError, ProviderError, ProviderFailure, data_errors
@@ -374,7 +374,7 @@ class _Progress:
 
 
 def run_experiment(
-    reviews: Sequence[Review],
+    reviews: Iterable[Review],
     template: BodyTemplate,
     http: Any,
     *,

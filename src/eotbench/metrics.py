@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Mapping, NamedTuple, Sequence
 
-from .annotation import GoldRecord
 from .errors import DataError
 from .jsonio import NUMBER, STRING, render_table
 from .model import EMOTION_ORDER, LABEL_INDEX, EotOutput, normalize_text, tokenize
@@ -124,7 +123,7 @@ def _greedy_alignment(pred_tok: Sequence[list[str]], gold_tok: Sequence[list[str
         yield rl_f1, pred_tok[pi], gold_tok[gi]
 
 
-def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> dict[str, Any]:
+def score_predictions(pred: Sequence[EotOutput], gold: Sequence[EotOutput]) -> dict[str, Any]:
     """Run the full metric suite for one prediction set in one pass: the
     ``emotion``, ``trigger`` and ``confusion`` objects of ``scores.json``,
     keys in file order and labels by name.
@@ -133,7 +132,7 @@ def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> 
     review order, then gold-pair order, then alignment order: summing in
     another order can change the last digit of the means.
     """
-    gold_map = {g.review_id: g.output for g in gold}
+    gold_map = {g.review_id: g for g in gold}
     label_hits = [0] * len(EMOTION_ORDER)
     label_pred = [0] * len(EMOTION_ORDER)
     label_gold = [0] * len(EMOTION_ORDER)
@@ -202,28 +201,24 @@ def score_predictions(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> 
     }
 
 
-def emotion_prf(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> dict[str, Any]:
+def emotion_prf(pred: Sequence[EotOutput], gold: Sequence[EotOutput]) -> dict[str, Any]:
     """Micro P/R/F1 over (review, emotion) pairs, Neutral included: the ``emotion`` object."""
     return score_predictions(pred, gold)["emotion"]
 
 
-def trigger_em_pm(
-    pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
-) -> tuple[float, float, dict[str, int]]:
+def trigger_em_pm(pred: Sequence[EotOutput], gold: Sequence[EotOutput]) -> tuple[float, float, dict[str, int]]:
     """Exact-match and partial-match shares of the predicted triggers, with the ``counts`` object."""
     trigger = score_predictions(pred, gold)["trigger"]
     return trigger["exact_match"], trigger["partial_match"], trigger["counts"]
 
 
-def align_and_average_rouge(
-    pred: Sequence[EotOutput], gold: Sequence[GoldRecord]
-) -> tuple[float, float]:
+def align_and_average_rouge(pred: Sequence[EotOutput], gold: Sequence[EotOutput]) -> tuple[float, float]:
     """Mean ROUGE-1 and ROUGE-L F1 over all gold triggers, greedily aligned."""
     trigger = score_predictions(pred, gold)["trigger"]
     return trigger["rouge1"], trigger["rougeL"]
 
 
-def confusion_matrix(pred: Sequence[EotOutput], gold: Sequence[GoldRecord]) -> dict[str, dict[str, float]]:
+def confusion_matrix(pred: Sequence[EotOutput], gold: Sequence[EotOutput]) -> dict[str, dict[str, float]]:
     """9x9 (predicted, gold) weight matrix for the error analysis, labels by name."""
     return score_predictions(pred, gold)["confusion"]
 

@@ -169,32 +169,37 @@ class _Reader:
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._buf = b""
+        self._buf = bytearray()
         self._pos = 0  # where the bytes not yet consumed start in _buf
 
     def _recv(self) -> bool:
-        """Receive more bytes; False when the server has closed."""
+        """Receive more bytes; False when the server has closed. The consumed
+        bytes are dropped once they are more than half of the buffer, so a
+        byte is moved a bounded number of times however long the body."""
         chunk = self._sock.recv(_RECV_BYTES)
-        self._buf = self._buf[self._pos:] + chunk
-        self._pos = 0
+        if self._pos > len(self._buf) // 2:
+            del self._buf[:self._pos]
+            self._pos = 0
+        self._buf += chunk
         return bool(chunk)
 
     def _line(self, limit: int) -> bytes | None:
         """The next line without its line end, None when the server closed
         before sending another byte; ConnectionError when the line runs past
         ``limit`` bytes or the connection closes inside it."""
-        scanned = self._pos
-        while (end := self._buf.find(b"\n", scanned)) < 0:
+        scan_from = self._pos
+        while (end := self._buf.find(b"\n", scan_from)) < 0:
             if len(self._buf) - self._pos > limit:
                 raise ConnectionError(_TOO_LONG)
-            scanned = len(self._buf) - self._pos  # _recv drops the consumed bytes: the unsearched ones start here
+            searched = len(self._buf) - self._pos
             if not self._recv():
-                if self._buf:
+                if searched:
                     raise ConnectionError("connection closed inside a response line")
                 return None
+            scan_from = self._pos + searched  # _recv may move the unconsumed bytes to the front
         if end - self._pos > limit:
             raise ConnectionError(_TOO_LONG)
-        line = self._buf[self._pos:end]
+        line = bytes(self._buf[self._pos:end])
         self._pos = end + 1
         return line[:-1] if line.endswith(b"\r") else line
 
@@ -202,7 +207,7 @@ class _Reader:
         while len(self._buf) - self._pos < size:
             if not self._recv():
                 raise ConnectionError(f"response body cut short: {len(self._buf) - self._pos} of {size} bytes")
-        data = self._buf[self._pos:self._pos + size]
+        data = bytes(self._buf[self._pos:self._pos + size])
         self._pos += size
         return data
 

@@ -3,15 +3,16 @@
 Each oracle is written against the definitions, not with the package's code:
 tokens are the lower-cased texts of the spans a regex scan finds, ROUGE is a
 recursive LCS and per-token clipped counting, blocks are found by rescanning
-from every brace, the repair map is built one character at a time, and the
-metric suite is four walks over the predictions. ``oracle_score`` gives a
+from every brace, the repair map is built one character at a time, gold
+triggers are pooled by keeping the longest remaining span until none is left,
+and the metric suite is four walks over the predictions. ``oracle_score`` gives a
 metrics row by parsing with ``oracle_parse_output`` and scoring with
 ``oracle_score_report``. ``tests/test_oracles.py`` checks that no package
 function an oracle is the reference for is imported here. The oracles share
 with the package only:
 
-- the record and error types (``Review``, ``EotOutput``, ``ParseReport``,
-  ``GoldRecord``, ``DataError``, ...), the drop reasons and the ledger's
+- the record and error types (``Review``, ``TriggerSpan``, ``EotOutput``,
+  ``ParseReport``, ``DataError``, ...), the drop reasons and the ledger's
   ``LEDGER_SPEC`` with its checker ``check_fields``, so results and failures
   compare with ``==``; the score and agreement reports are plain dicts, so
   nothing is imported from ``eotbench.metrics``;
@@ -36,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from eotbench.annotation import GoldRecord
 from eotbench.corpus import FORMAT_VERSION, SamplingPlan, derive_seed, srswor
 from eotbench.errors import (
     DataError,
@@ -324,6 +324,65 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
 
 
 # ---------------------------------------------------------------------------
+# Gold aggregation, by brute force from the README's rules.
+# ---------------------------------------------------------------------------
+
+
+def oracle_aggregate_gold(outputs: dict[str, EotOutput]) -> tuple[EotOutput, dict]:
+    """``aggregate_gold(outputs)``: annotator id -> that annotator's output on
+    one review, to the gold output and its provenance.
+
+    An emotion other than Neutral that two or more annotators list is gold.
+    Its triggers are every annotator's triggers for it, one span per folded
+    text (the earliest start, then the earliest end, then the smallest text).
+    Then, until none is left, the longest remaining span (ties: leftmost
+    start, then smallest text) is kept and every span it overlaps is dropped.
+    With no such emotion the gold is Neutral, flagged ``no_majority`` unless
+    two annotators chose Neutral. A kept trigger credits, in ``outputs``
+    order, each annotator with a trigger of its folded text for that emotion.
+    """
+    if len(outputs) != 3:
+        raise DataError(f"need exactly 3 records, got {len(outputs)}")
+    review_ids = sorted({output.review_id for output in outputs.values()})
+    if len(review_ids) != 1:
+        raise DataError(f"records span several reviews: {review_ids}")
+
+    def triggers(annotator: str, label: str) -> list[TriggerSpan]:
+        return [s for p in outputs[annotator].pairs if p.emotion.value == label for s in p.triggers]
+
+    votes = {label: sum(any(p.emotion.value == label for p in o.pairs) for o in outputs.values()) for label in EMOTIONS}
+    winners = [label for label in EMOTIONS if label != "Neutral" and votes[label] >= 2]
+    pairs, credited = [], []
+    for label in winners:
+        pooled = [s for annotator in outputs for s in triggers(annotator, label)]
+        candidates = []
+        for span in pooled:
+            same_text = [s for s in pooled if oracle_fold(s.text) == oracle_fold(span.text)]
+            if span == min(same_text, key=lambda s: (s.start, s.end, s.text)) and span not in candidates:
+                candidates.append(span)
+        kept = []
+        while candidates:
+            best = min(candidates, key=lambda s: (s.start - s.end, s.start, s.text))
+            kept.append(best)
+            candidates = [s for s in candidates if s.end <= best.start or best.end <= s.start]
+        kept.sort(key=lambda s: s.start)
+        for span in kept:
+            annotators = [
+                a for a in outputs if any(oracle_fold(s.text) == oracle_fold(span.text) for s in triggers(a, label))
+            ]
+            credited.append({"emotion": label, "text": span.text, "annotators": annotators})
+        pairs.append(EmotionTriggers(EmotionLabel(label), tuple(kept)))
+    if not winners:
+        pairs.append(EmotionTriggers(EmotionLabel.NEUTRAL, ()))
+    provenance = {
+        "emotion_votes": {label: n for label, n in votes.items() if n},
+        "trigger_annotators": credited,
+        "no_majority": not winners and votes["Neutral"] < 2,
+    }
+    return EotOutput(review_ids[0], tuple(pairs)), provenance
+
+
+# ---------------------------------------------------------------------------
 # Agreement report: the per-(annotator, emotion) implementation that
 # re-tokenizes a review for every coverage list and tests every token
 # against every span.
@@ -382,28 +441,22 @@ def _oracle_coverage(text: str, spans) -> list[bool]:
 
 def oracle_agreement_report(annotations, reviews) -> dict:
     """``build_agreement_report(annotations, reviews)``: the same eight keys,
-    every kappa recomputed; emotions are compared by name."""
-    review_map = {r.review_id: r for r in reviews}
-    grouped: dict[str, dict] = {}
-    for record in annotations:
-        per_review = grouped.setdefault(record.review_id, {})
-        if record.annotator_id in per_review:
-            raise DataError(f"annotator {record.annotator_id!r} appears twice")
-        per_review[record.annotator_id] = record
-    annotator_ids = sorted({a.annotator_id for a in annotations})
+    every kappa recomputed; emotions are compared by name. ``annotations``
+    maps review id -> annotator id -> output, ``reviews`` review id -> review."""
+    annotator_ids = sorted({annotator for outputs in annotations.values() for annotator in outputs})
     rater_count = len(annotator_ids)
 
-    def emotions_of(record) -> set[str]:
-        return {e.value for e in record.output.emotions}
+    def emotions_of(output) -> set[str]:
+        return {p.emotion.value for p in output.pairs}
 
-    def triggers_for(record, emotion: str):
-        return next((p.triggers for p in record.output.pairs if p.emotion.value == emotion), ())
+    def triggers_for(output, emotion: str):
+        return next((p.triggers for p in output.pairs if p.emotion.value == emotion), ())
 
     emotion_sets: dict = {pair: {} for pair in combinations(annotator_ids, 2)}
     fleiss_rows: dict[str, list] = {}
     pools: dict = {pair: {} for pair in combinations(annotator_ids, 2)}
-    for review_id, per_annotator in grouped.items():
-        review = review_map.get(review_id)
+    for review_id, per_annotator in annotations.items():
+        review = reviews.get(review_id)
         if review is None:
             raise DataError(f"annotations reference unknown review {review_id!r}")
         domain = review.domain.value
@@ -436,10 +489,10 @@ def oracle_agreement_report(annotations, reviews) -> dict:
     pooled_rows = [row for rows in fleiss_rows.values() for row in rows]
 
     trig_fleiss_rows: dict[str, list] = {}
-    for review_id, per_annotator in grouped.items():
+    for review_id, per_annotator in annotations.items():
         if len(per_annotator) != rater_count or rater_count < 2:
             continue
-        review = review_map[review_id]
+        review = reviews[review_id]
         emotions = sorted(
             set().union(*(emotions_of(rec) for rec in per_annotator.values())) - {"Neutral"},
             key=EMOTIONS.index,
@@ -488,10 +541,10 @@ def oracle_agreement_report(annotations, reviews) -> dict:
 def _aligned(pred, gold):
     gold_map = {g.review_id: g for g in gold}
     for output in pred:
-        record = gold_map.get(output.review_id)
-        if record is None:
+        expected = gold_map.get(output.review_id)
+        if expected is None:
             raise DataError(f"no gold record for review {output.review_id!r}")
-        yield output, record
+        yield output, expected
 
 
 def _oracle_emotion_prf(pred, gold) -> dict:
@@ -501,9 +554,9 @@ def _oracle_emotion_prf(pred, gold) -> dict:
     label_hits: Counter = Counter()
     label_pred: Counter = Counter()
     label_gold: Counter = Counter()
-    for output, record in _aligned(pred, gold):
+    for output, expected_output in _aligned(pred, gold):
         predicted = output.emotions
-        expected = record.output.emotions
+        expected = expected_output.emotions
         hits += len(predicted & expected)
         n_pred += len(predicted)
         n_gold += len(expected)
@@ -523,10 +576,10 @@ def _oracle_emotion_prf(pred, gold) -> dict:
 def _oracle_trigger_em_pm(pred, gold):
     n_pred = n_em = n_pm = 0
     n_gold = 0
-    for output, record in _aligned(pred, gold):
+    for output, expected_output in _aligned(pred, gold):
         gold_norm = {}
         gold_tokens = {}
-        for pair in record.output.pairs:
+        for pair in expected_output.pairs:
             gold_norm[pair.emotion] = {oracle_fold(s.text) for s in pair.triggers}
             gold_tokens[pair.emotion] = [set(oracle_tokenize(s.text)) for s in pair.triggers]
             n_gold += len(pair.triggers)
@@ -550,8 +603,8 @@ def _oracle_align_and_average_rouge(pred, gold) -> tuple[float, float]:
     total_gold = 0
     sum_r1 = 0.0
     sum_rl = 0.0
-    for output, record in _aligned(pred, gold):
-        for pair in record.output.pairs:
+    for output, expected_output in _aligned(pred, gold):
+        for pair in expected_output.pairs:
             gold_spans = pair.triggers
             if not gold_spans:
                 continue
@@ -583,9 +636,9 @@ def _oracle_align_and_average_rouge(pred, gold) -> tuple[float, float]:
 
 def _oracle_confusion_matrix(pred, gold):
     matrix = {p: {g: 0.0 for g in EMOTIONS} for p in EMOTIONS}
-    for output, record in _aligned(pred, gold):
+    for output, expected_output in _aligned(pred, gold):
         predicted = {e.value for e in output.emotions}
-        expected = {e.value for e in record.output.emotions}
+        expected = {e.value for e in expected_output.emotions}
         for label in predicted & expected:
             matrix[label][label] += 1.0
         spurious = sorted(predicted - expected, key=EMOTIONS.index)
@@ -631,14 +684,14 @@ def oracle_score(
         oracle_parse_output(responses[rid], Review(rid, reviews[rid], Domain.HOME, "item")).output
         for rid in sorted(responses)
     ]
-    gold_records = [
-        GoldRecord(rid, EotOutput(rid, tuple(
+    gold_outputs = [
+        EotOutput(rid, tuple(
             EmotionTriggers(canonical_emotion(label), tuple(located(rid, t) for t in texts))
             for label, texts in pairs.items()
-        )), {})
+        ))
         for rid, pairs in gold.items()
     ]
-    report = oracle_score_report(pred, gold_records)
+    report = oracle_score_report(pred, gold_outputs)
     emotion, trigger = report["emotion"], report["trigger"]
     return {
         "P": emotion["precision"],

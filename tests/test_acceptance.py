@@ -37,7 +37,7 @@ from oracles import (
     oracle_score,
     prf_from_overlap,
 )
-from test_annotation import annotate, neutral_annotation
+from test_annotation import annotate, neutral_annotation, unanimous
 from test_cli import write_profile
 
 
@@ -74,11 +74,8 @@ def test_criterion_2_kappa_sanity():
     assert cohen_kappa(sets, list(sets)) == 1.0
     assert fleiss_kappa([(3, 0), (0, 3), (3, 0)]) == 1.0
     review = make_review(text="I am very happy with it")
-    annotations = [
-        annotate(review, "A1", {EmotionLabel.JOY: ["very happy"]}),
-        annotate(review, "A2", {EmotionLabel.JOY: ["very happy"]}),
-    ]
-    _, overall = trigger_token_kappa(annotations, [review])
+    annotations = {review.review_id: {a: annotate(review, {EmotionLabel.JOY: ["very happy"]}) for a in ("A1", "A2")}}
+    _, overall = trigger_token_kappa(annotations, {review.review_id: review})
     assert overall[("A1", "A2")] == 1.0
 
     # independent uniform-random labeling over 10,000 items stays near zero
@@ -142,9 +139,9 @@ def test_criterion_4_aggregation_properties():
         text = " ".join(rng.choice(words) for _ in range(rng.randrange(6, 14)))
         review = make_review("rx", text, Domain.HOME, "i1")
 
-        def random_annotation(annotator: str):
+        def random_annotation():
             if rng.random() < 0.15:
-                return neutral_annotation(review, annotator)
+                return neutral_annotation(review)
             emotions = {}
             for emotion in rng.sample(PRIMARY_EMOTIONS, rng.randrange(1, 4)):
                 triggers = []
@@ -157,52 +154,50 @@ def test_criterion_4_aggregation_properties():
                 if triggers:
                     emotions[emotion] = triggers
             if not emotions:
-                return neutral_annotation(review, annotator)
-            return annotate(review, annotator, emotions)
+                return neutral_annotation(review)
+            return annotate(review, emotions)
 
-        records = [random_annotation(a) for a in ("A1", "A2", "A3")]
-        gold = aggregate_gold(records)
+        records = [(a, random_annotation()) for a in ("A1", "A2", "A3")]
+        gold, _ = aggregate_gold(dict(records))
 
         # permutation invariance
         for order in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
-            shuffled = [records[i] for i in order]
-            assert aggregate_gold(shuffled).output == gold.output
+            shuffled = dict(records[i] for i in order)
+            assert aggregate_gold(shuffled)[0] == gold
 
         votes = {}
-        for record in records:
-            for emotion in record.output.emotions:
+        for _, output in records:
+            for emotion in output.emotions:
                 votes[emotion] = votes.get(emotion, 0) + 1
         for emotion, count in votes.items():
             if emotion is EmotionLabel.NEUTRAL:
                 continue
             if count == 3:
-                assert emotion in gold.output.emotions  # unanimous inclusion
+                assert emotion in gold.emotions  # unanimous inclusion
             if count == 1:
-                assert emotion not in gold.output.emotions  # singleton exclusion
+                assert emotion not in gold.emotions  # singleton exclusion
 
-        for pair in gold.output.pairs:  # post-resolution non-overlap
+        for pair in gold.pairs:  # post-resolution non-overlap
             spans = pair.triggers
             for i, a in enumerate(spans):
                 for b in spans[i + 1 :]:
                     assert not a.overlaps(b)
 
         annotator_texts = {
-            s.text for record in records for p in record.output.pairs for s in p.triggers
+            s.text for _, output in records for p in output.pairs for s in p.triggers
         }
-        for pair in gold.output.pairs:  # every gold trigger came from an annotator
+        for pair in gold.pairs:  # every gold trigger came from an annotator
             for span in pair.triggers:
                 assert span.text in annotator_texts
 
     # the overlapping very happy / happy case retains the longer span
     review = make_review("ry", "I am very happy today", Domain.BEAUTY, "i2")
-    gold = aggregate_gold(
-        [
-            annotate(review, "A1", {EmotionLabel.JOY: ["very happy"]}),
-            annotate(review, "A2", {EmotionLabel.JOY: ["happy"]}),
-            annotate(review, "A3", {EmotionLabel.JOY: ["very happy"]}),
-        ]
-    )
-    assert [s.text for s in gold.output.triggers_for(EmotionLabel.JOY)] == ["very happy"]
+    gold, _ = aggregate_gold({
+        "A1": annotate(review, {EmotionLabel.JOY: ["very happy"]}),
+        "A2": annotate(review, {EmotionLabel.JOY: ["happy"]}),
+        "A3": annotate(review, {EmotionLabel.JOY: ["very happy"]}),
+    })
+    assert [s.text for s in gold.triggers_for(EmotionLabel.JOY)] == ["very happy"]
     _pass(4, "aggregation properties hold on 1000 random instances; longest-span case retained")
 
 
@@ -370,22 +365,12 @@ def test_criterion_9_gold_statistics_shape():
     r1 = make_review("h1", "Great pan, heats evenly every single time", Domain.HOME, "i1")
     r2 = make_review("h2", "The lid broke after a week of use", Domain.HOME, "i2")
     r3 = make_review("y1", "Lovely patio and the espresso is amazing", Domain.YELP, "i3")
-    g1 = aggregate_gold(
-        [
-            annotate(r1, a, {EmotionLabel.JOY: ["heats evenly every single time"], EmotionLabel.TRUST: ["Great pan"]})
-            for a in ("A1", "A2", "A3")
-        ]
-    )
-    g2 = aggregate_gold(
-        [annotate(r2, a, {EmotionLabel.SADNESS: ["broke after a week"]}) for a in ("A1", "A2", "A3")]
-    )
-    g3 = aggregate_gold(
-        [
-            annotate(r3, a, {EmotionLabel.JOY: ["Lovely patio", "the espresso is amazing"]})
-            for a in ("A1", "A2", "A3")
-        ]
-    )
-    stats = gold_statistics([g1, g2, g3], [r1, r2, r3])
+    g1, _ = aggregate_gold(unanimous(
+        annotate(r1, {EmotionLabel.JOY: ["heats evenly every single time"], EmotionLabel.TRUST: ["Great pan"]})
+    ))
+    g2, _ = aggregate_gold(unanimous(annotate(r2, {EmotionLabel.SADNESS: ["broke after a week"]})))
+    g3, _ = aggregate_gold(unanimous(annotate(r3, {EmotionLabel.JOY: ["Lovely patio", "the espresso is amazing"]})))
+    stats = gold_statistics([g1, g2, g3], {"h1": r1, "h2": r2, "y1": r3})
 
     home = stats["per_domain"]["Home"]
     assert home["total_emotions"] == 3

@@ -9,20 +9,17 @@ from unittest import mock
 
 import oracles
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eotbench.annotation import (
-    AnnotationRecord,
     aggregate_gold,
     build_agreement_report,
     cohen_kappa,
     fleiss_kappa,
     gold_statistics,
-    gold_to_dict,
     kappa_from_binary_pairs,
     load_annotations,
     load_gold,
-    records_by_review,
     render_agreement_report,
     resolve_overlaps,
     trigger_token_kappa,
@@ -35,6 +32,7 @@ from eotbench.model import (
     EmotionTriggers,
     EotOutput,
     Review,
+    TriggerSpan,
     locate_span,
 )
 from conftest import DEEPLY_NESTED, make_review, over_long_integer
@@ -45,104 +43,91 @@ TRUST = EmotionLabel.TRUST
 NEUTRAL = EmotionLabel.NEUTRAL
 
 
-def annotate(review: Review, annotator_id: str, emotions: dict[EmotionLabel, list[str]]) -> AnnotationRecord:
+def annotate(review: Review, emotions: dict[EmotionLabel, list[str]]) -> EotOutput:
+    """One annotator's output on ``review``: each emotion with its triggers, located in the text."""
     pairs = tuple(
         EmotionTriggers(emotion, tuple(locate_span(review.text, t) for t in triggers))
         for emotion, triggers in emotions.items()
     )
-    return AnnotationRecord(review.review_id, annotator_id, EotOutput(review.review_id, pairs))
+    return EotOutput(review.review_id, pairs)
 
 
-def neutral_annotation(review: Review, annotator_id: str) -> AnnotationRecord:
-    return annotate(review, annotator_id, {NEUTRAL: []})
+def neutral_annotation(review: Review) -> EotOutput:
+    return annotate(review, {NEUTRAL: []})
 
 
-class TestRecordsByReview:
-    def test_groups_each_reviews_records_by_annotator(self, sample_review):
-        other = make_review(review_id="r2")
-        a1, a2 = annotate(sample_review, "A1", {JOY: ["perfectly"]}), neutral_annotation(sample_review, "A2")
-        b1 = neutral_annotation(other, "A1")
-        assert records_by_review([a1, b1, a2]) == {"r1": {"A1": a1, "A2": a2}, "r2": {"A1": b1}}
-
-    def test_an_annotator_twice_on_one_review_is_a_data_error(self, sample_review):
-        twice = [annotate(sample_review, "A1", {JOY: ["perfectly"]}), neutral_annotation(sample_review, "A1")]
-        with pytest.raises(DataError, match="annotator 'A1' appears twice for review 'r1'"):
-            records_by_review(twice)
+def unanimous(output: EotOutput) -> dict[str, EotOutput]:
+    """Annotators A1, A2 and A3, each giving ``output``."""
+    return {annotator: output for annotator in ("A1", "A2", "A3")}
 
 
 class TestAggregateGold:
     def test_majority_vote_inclusion(self, sample_review):
         r = sample_review
-        records = [
-            annotate(r, "A1", {JOY: ["works perfectly"]}),
-            annotate(r, "A2", {JOY: ["works perfectly"], TRUST: ["arrived two days early"]}),
-            annotate(r, "A3", {JOY: ["works perfectly"]}),
-        ]
-        gold = aggregate_gold(records)
-        assert gold.output.emotions == {JOY}
-        assert gold.provenance["emotion_votes"] == {"Joy": 3, "Trust": 1}
+        gold, provenance = aggregate_gold({
+            "A1": annotate(r, {JOY: ["works perfectly"]}),
+            "A2": annotate(r, {JOY: ["works perfectly"], TRUST: ["arrived two days early"]}),
+            "A3": annotate(r, {JOY: ["works perfectly"]}),
+        })
+        assert gold.emotions == {JOY}
+        assert provenance["emotion_votes"] == {"Joy": 3, "Trust": 1}
 
     def test_longest_overlapping_span_retained(self):
         review = make_review(text="I am very happy today with it")
-        records = [
-            annotate(review, "A1", {JOY: ["very happy"]}),
-            annotate(review, "A2", {JOY: ["happy"]}),
-            annotate(review, "A3", {JOY: ["very happy"]}),
-        ]
-        gold = aggregate_gold(records)
-        assert [s.text for s in gold.output.triggers_for(JOY)] == ["very happy"]
+        gold, _ = aggregate_gold({
+            "A1": annotate(review, {JOY: ["very happy"]}),
+            "A2": annotate(review, {JOY: ["happy"]}),
+            "A3": annotate(review, {JOY: ["very happy"]}),
+        })
+        assert [s.text for s in gold.triggers_for(JOY)] == ["very happy"]
 
     def test_unanimous_neutral(self, sample_review):
-        records = [neutral_annotation(sample_review, a) for a in ("A1", "A2", "A3")]
-        gold = aggregate_gold(records)
-        assert gold.output.emotions == {NEUTRAL}
-        assert gold.provenance["no_majority"] is False
+        gold, provenance = aggregate_gold(unanimous(neutral_annotation(sample_review)))
+        assert gold.emotions == {NEUTRAL}
+        assert provenance["no_majority"] is False
 
     def test_no_majority_falls_back_to_neutral(self, sample_review):
         r = sample_review
-        records = [
-            annotate(r, "A1", {JOY: ["works perfectly"]}),
-            annotate(r, "A2", {TRUST: ["arrived two days early"]}),
-            annotate(r, "A3", {EmotionLabel.SURPRISE: ["arrived two days early"]}),
-        ]
-        gold = aggregate_gold(records)
-        assert gold.output.emotions == {NEUTRAL}
-        assert gold.provenance["no_majority"] is True
+        gold, provenance = aggregate_gold({
+            "A1": annotate(r, {JOY: ["works perfectly"]}),
+            "A2": annotate(r, {TRUST: ["arrived two days early"]}),
+            "A3": annotate(r, {EmotionLabel.SURPRISE: ["arrived two days early"]}),
+        })
+        assert gold.emotions == {NEUTRAL}
+        assert provenance["no_majority"] is True
 
     def test_permutation_invariance(self, sample_review):
         r = sample_review
         records = [
-            annotate(r, "A1", {JOY: ["works perfectly"]}),
-            annotate(r, "A2", {JOY: ["works perfectly and arrived"], TRUST: ["arrived two days early"]}),
-            annotate(r, "A3", {JOY: ["perfectly"], TRUST: ["two days early"]}),
+            ("A1", annotate(r, {JOY: ["works perfectly"]})),
+            ("A2", annotate(r, {JOY: ["works perfectly and arrived"], TRUST: ["arrived two days early"]})),
+            ("A3", annotate(r, {JOY: ["perfectly"], TRUST: ["two days early"]})),
         ]
-        baseline = aggregate_gold(records)
+        baseline, _ = aggregate_gold(dict(records))
         for permutation in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-            shuffled = [records[i] for i in permutation]
-            assert aggregate_gold(shuffled).output == baseline.output
+            shuffled = dict(records[i] for i in permutation)
+            assert aggregate_gold(shuffled)[0] == baseline
 
     def test_trigger_union_deduplicates_normalized_text(self):
         review = make_review(text="Loved the fit. loved the fit again")
-        records = [
-            annotate(review, "A1", {JOY: ["Loved the fit"]}),
-            annotate(review, "A2", {JOY: ["loved the fit"]}),
-            annotate(review, "A3", {NEUTRAL: []}),
-        ]
-        gold = aggregate_gold(records)
-        triggers = gold.output.triggers_for(JOY)
+        gold, provenance = aggregate_gold({
+            "A1": annotate(review, {JOY: ["Loved the fit"]}),
+            "A2": annotate(review, {JOY: ["loved the fit"]}),
+            "A3": annotate(review, {NEUTRAL: []}),
+        })
+        triggers = gold.triggers_for(JOY)
         assert len(triggers) == 1
-        prov = gold.provenance["trigger_annotators"][0]
+        prov = provenance["trigger_annotators"][0]
         assert set(prov["annotators"]) == {"A1", "A2"}
 
     def test_pooled_spans_credit_every_annotator_of_their_normalized_text(self):
         review = make_review(text="Loved the fit. loved the fit again, very happy today")
-        records = [
-            annotate(review, "A1", {JOY: ["Loved the fit", "very happy"], TRUST: ["today"]}),
-            annotate(review, "A2", {JOY: ["loved the fit", "happy today"]}),
-            annotate(review, "A3", {JOY: ["very happy today"], TRUST: ["fit again"]}),
-        ]
-        gold = aggregate_gold(records)
-        assert gold.provenance["trigger_annotators"] == [
+        _, provenance = aggregate_gold({
+            "A1": annotate(review, {JOY: ["Loved the fit", "very happy"], TRUST: ["today"]}),
+            "A2": annotate(review, {JOY: ["loved the fit", "happy today"]}),
+            "A3": annotate(review, {JOY: ["very happy today"], TRUST: ["fit again"]}),
+        })
+        assert provenance["trigger_annotators"] == [
             {"emotion": "Joy", "text": "Loved the fit", "annotators": ["A1", "A2"]},
             {"emotion": "Joy", "text": "very happy today", "annotators": ["A3"]},
             {"emotion": "Trust", "text": "fit again", "annotators": ["A3"]},
@@ -150,12 +135,12 @@ class TestAggregateGold:
         ]
 
     def test_wrong_count_and_mismatched_ids(self, sample_review):
-        records = [neutral_annotation(sample_review, a) for a in ("A1", "A2")]
+        outputs = {a: neutral_annotation(sample_review) for a in ("A1", "A2")}
         with pytest.raises(DataError, match="^need exactly 3 records, got 2$"):
-            aggregate_gold(records)
+            aggregate_gold(outputs)
         other = make_review(review_id="other")
         with pytest.raises(DataError, match=re.escape("records span several reviews: ['other', 'r1']")):
-            aggregate_gold(records + [neutral_annotation(other, "A3")])
+            aggregate_gold({**outputs, "A3": neutral_annotation(other)})
 
     def test_retained_triggers_never_overlap(self):
         review = make_review(text="abcdefghij klmnop qrstuv wxyz abc")
@@ -172,6 +157,59 @@ class TestAggregateGold:
                     assert not a.overlaps(b)
             longest = max(len(s.text) for s in spans)
             assert max(len(s.text) for s in kept) == longest
+
+
+# Words of the pooled reviews: case variants, a trailing comma, repeats.
+_POOL_WORDS = ("good", "Good", "GOOD", "fit", "Fit", "very", "good,")
+_POOL_SEPARATORS = (" ", " ", "  ", "\t", " \n")
+_POOL_LABELS = (JOY, TRUST, EmotionLabel.ANGER)
+
+
+@st.composite
+def pooled_annotations(draw):
+    """Three annotators' outputs on one review, as annotator id -> output, in
+    a drawn order. Each annotator marks Neutral, nothing, or one to three
+    emotions whose triggers come from one pool of substrings: shared spans,
+    spans of one text at two places, spans that fold to one text, overlaps."""
+    words = draw(st.lists(st.sampled_from(_POOL_WORDS), min_size=2, max_size=8))
+    seps = draw(st.lists(st.sampled_from(_POOL_SEPARATORS), min_size=len(words) - 1, max_size=len(words) - 1))
+    text = words[0] + "".join(sep + word for sep, word in zip(seps, words[1:]))
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, len(text) - 1))
+        end = draw(st.integers(start + 1, min(len(text), start + 16)))
+        pool.append(TriggerSpan(text[start:end], start, end))
+    outputs = {}
+    for annotator in draw(st.permutations(["A1", "A2", "A3"])):
+        kind = draw(st.sampled_from(["emotions", "emotions", "emotions", "neutral", "empty"]))
+        labels = [] if kind == "empty" else [NEUTRAL] if kind == "neutral" else draw(
+            st.lists(st.sampled_from(_POOL_LABELS), min_size=1, max_size=3, unique=True)
+        )
+        pairs = []
+        for label in labels:
+            spans = [] if label is NEUTRAL else draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+            pairs.append(EmotionTriggers(label, spans))
+        outputs[annotator] = EotOutput("r1", tuple(pairs))
+    return outputs
+
+
+def _joy(*spans: tuple[str, int]) -> EotOutput:
+    return EotOutput("r1", (EmotionTriggers(JOY, tuple(TriggerSpan(t, at, at + len(t)) for t, at in spans)),))
+
+
+class TestAggregateGoldMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(pooled_annotations())
+    # "good fit" and "fit good" overlap and are as long: the leftmost is kept
+    @example({"A1": _joy(("fit good", 5)), "A2": _joy(("good fit", 0)), "A3": _joy(("good", 9))})
+    # one text at two places, and its case variant: the earliest is kept
+    @example({"A1": _joy(("good", 9)), "A2": _joy(("Good", 0)), "A3": _joy(("good", 5))})
+    def test_gold_and_provenance_match_the_brute_force_oracle(self, outputs):
+        expected_output, expected_provenance = oracles.oracle_aggregate_gold(outputs)
+        gold, provenance = aggregate_gold(outputs)
+        assert gold == expected_output
+        # key order and every value, as the gold line holds them
+        assert json.dumps(provenance) == json.dumps(expected_provenance)
 
 
 class TestKappa:
@@ -226,11 +264,8 @@ class TestKappa:
 class TestTriggerTokenKappa:
     def test_identical_spans_everywhere(self):
         review = make_review(text="I am very happy today")
-        annotations = [
-            annotate(review, "A1", {JOY: ["very happy"]}),
-            annotate(review, "A2", {JOY: ["very happy"]}),
-        ]
-        per_domain, overall = trigger_token_kappa(annotations, [review])
+        annotations = {"r1": {a: annotate(review, {JOY: ["very happy"]}) for a in ("A1", "A2")}}
+        per_domain, overall = trigger_token_kappa(annotations, {"r1": review})
         assert per_domain[("A1", "A2")][review.domain.value] == 1.0
         assert overall[("A1", "A2")] == 1.0
 
@@ -238,38 +273,34 @@ class TestTriggerTokenKappa:
         # tokens: i, am, very, happy, today; A1 covers very+happy, A2 covers happy
         # observed agreement 4/5, marginals 2/5 and 1/5 -> kappa = 6/11
         review = make_review(text="I am very happy today")
-        annotations = [
-            annotate(review, "A1", {JOY: ["very happy"]}),
-            annotate(review, "A2", {JOY: ["happy"]}),
-        ]
-        _, overall = trigger_token_kappa(annotations, [review])
+        annotations = {"r1": {"A1": annotate(review, {JOY: ["very happy"]}), "A2": annotate(review, {JOY: ["happy"]})}}
+        _, overall = trigger_token_kappa(annotations, {"r1": review})
         assert overall[("A1", "A2")] == pytest.approx(6 / 11, abs=1e-12)
 
     def test_no_triggers_on_either_side_is_vacuously_perfect(self):
         review = make_review()
-        annotations = [
-            neutral_annotation(review, "A1"),
-            neutral_annotation(review, "A2"),
-        ]
-        _, overall = trigger_token_kappa(annotations, [review])
+        annotations = {"r1": {"A1": neutral_annotation(review), "A2": neutral_annotation(review)}}
+        _, overall = trigger_token_kappa(annotations, {"r1": review})
         assert overall[("A1", "A2")] == 1.0
 
 
 class TestAgreementReport:
     def _three_annotator_corpus(self):
-        reviews = [
-            make_review("b1", "I am very happy with this cream", Domain.BEAUTY, "i1"),
-            make_review("y1", "The soup was cold and the staff was rude", Domain.YELP, "i2"),
-        ]
-        annotations = [
-            annotate(reviews[0], "A1", {JOY: ["very happy"]}),
-            annotate(reviews[0], "A2", {JOY: ["very happy"]}),
-            annotate(reviews[0], "A3", {JOY: ["happy"]}),
-            annotate(reviews[1], "A1", {EmotionLabel.ANGER: ["the staff was rude"]}),
-            annotate(reviews[1], "A2", {EmotionLabel.ANGER: ["staff was rude"]}),
-            annotate(reviews[1], "A3", {EmotionLabel.DISGUST: ["The soup was cold"]}),
-        ]
-        return reviews, annotations
+        beauty = make_review("b1", "I am very happy with this cream", Domain.BEAUTY, "i1")
+        yelp = make_review("y1", "The soup was cold and the staff was rude", Domain.YELP, "i2")
+        annotations = {
+            "b1": {
+                "A1": annotate(beauty, {JOY: ["very happy"]}),
+                "A2": annotate(beauty, {JOY: ["very happy"]}),
+                "A3": annotate(beauty, {JOY: ["happy"]}),
+            },
+            "y1": {
+                "A1": annotate(yelp, {EmotionLabel.ANGER: ["the staff was rude"]}),
+                "A2": annotate(yelp, {EmotionLabel.ANGER: ["staff was rude"]}),
+                "A3": annotate(yelp, {EmotionLabel.DISGUST: ["The soup was cold"]}),
+            },
+        }
+        return {"b1": beauty, "y1": yelp}, annotations
 
     def test_report_structure(self):
         reviews, annotations = self._three_annotator_corpus()
@@ -291,10 +322,7 @@ class TestAgreementReport:
 
     def test_identical_annotators_score_one_everywhere(self):
         reviews, _ = self._three_annotator_corpus()
-        annotations = []
-        for review in reviews:
-            for annotator in ("A1", "A2", "A3"):
-                annotations.append(annotate(review, annotator, {JOY: [review.text]}))
+        annotations = {rid: unanimous(annotate(review, {JOY: [review.text]})) for rid, review in reviews.items()}
         report = build_agreement_report(annotations, reviews)
         for by_domain in report["pairwise_emotion_kappa"].values():
             assert all(v == 1.0 for v in by_domain.values())
@@ -305,10 +333,10 @@ class TestAgreementReport:
 
     def test_csv_keeps_a_comma_in_an_annotator_id(self):
         reviews, annotations = self._three_annotator_corpus()
-        renamed = [
-            AnnotationRecord(a.review_id, "A,1" if a.annotator_id == "A1" else a.annotator_id, a.output)
-            for a in annotations
-        ]
+        renamed = {
+            review_id: {"A,1" if a == "A1" else a: output for a, output in outputs.items()}
+            for review_id, outputs in annotations.items()
+        }
         text = render_agreement_report(build_agreement_report(renamed, reviews), "csv")
         note, *lines = text.splitlines()
         assert note.startswith("# ")
@@ -354,16 +382,16 @@ def annotated_corpora(draw):
     A1-A3: emotions whose triggers are random substrings (punctuation and
     whitespace included), Neutral, or an empty output."""
     domains = draw(st.lists(st.sampled_from(list(Domain)), min_size=1, max_size=2, unique=True))
-    reviews, records = [], []
+    reviews, annotations = {}, {}
     for i in range(draw(st.integers(1, 4))):
         words = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=8))
-        review = make_review(f"r{i}", " ".join(words), draw(st.sampled_from(domains)), f"item{i}")
-        reviews.append(review)
+        review = reviews[f"r{i}"] = make_review(f"r{i}", " ".join(words), draw(st.sampled_from(domains)), f"item{i}")
+        outputs = annotations[review.review_id] = {}
         raters = draw(st.sampled_from([("A1", "A2", "A3"), ("A1", "A2"), ("A2", "A3"), ("A1", "A3"), ("A2",)]))
         for rater in raters:
             kind = draw(st.sampled_from(["emotions", "emotions", "neutral", "empty"]))
             if kind == "neutral":
-                records.append(neutral_annotation(review, rater))
+                outputs[rater] = neutral_annotation(review)
                 continue
             emotions = [] if kind == "empty" else draw(
                 st.lists(st.sampled_from(EMOTIONS[:-1]), min_size=1, max_size=3, unique=True)
@@ -376,21 +404,21 @@ def annotated_corpora(draw):
                     end = draw(st.integers(start + 1, len(review.text)))
                     spans.append(locate_span(review.text, review.text[start:end]))
                 pairs.append(EmotionTriggers(EmotionLabel(emotion), tuple(spans)))
-            records.append(AnnotationRecord(review.review_id, rater, EotOutput(review.review_id, tuple(pairs))))
-    return reviews, records
+            outputs[rater] = EotOutput(review.review_id, tuple(pairs))
+    return reviews, annotations
 
 
 class TestFleissWithoutTriggerItems:
     """Fully rated non-Neutral reviews without tokens give no Fleiss trigger items."""
 
     def _rated(self, review, triggers):
-        return [annotate(review, a, {JOY: triggers}) for a in ("A1", "A2", "A3")]
+        return {review.review_id: unanimous(annotate(review, {JOY: triggers}))}
 
     def test_an_empty_domain_is_nan_and_the_pool_keeps_the_rest(self):
         bare = make_review("p1", "!!! ...", Domain.HOME, "i1")
         worded = make_review("b1", "A bright screen and a fast charger", Domain.ELECTRONICS, "i2")
-        records = self._rated(bare, ["!!!"]) + self._rated(worded, ["bright screen"])
-        report = build_agreement_report(records, [bare, worded])
+        annotations = {**self._rated(bare, ["!!!"]), **self._rated(worded, ["bright screen"])}
+        report = build_agreement_report(annotations, {"p1": bare, "b1": worded})
         assert math.isnan(report["fleiss_trigger_token_kappa"]["Home"])
         assert report["fleiss_trigger_token_kappa"]["Electronics"] == 1.0
         assert report["fleiss_trigger_token_overall"] == 1.0
@@ -398,7 +426,7 @@ class TestFleissWithoutTriggerItems:
 
     def test_the_pool_is_nan_when_every_domain_is_empty(self):
         bare = make_review("p1", "!!! ...", Domain.HOME, "i1")
-        report = build_agreement_report(self._rated(bare, ["..."]), [bare])
+        report = build_agreement_report(self._rated(bare, ["..."]), {"p1": bare})
         assert math.isnan(report["fleiss_trigger_token_kappa"]["Home"])
         assert math.isnan(report["fleiss_trigger_token_overall"])
         assert report["fleiss_emotion_overall"] == 1.0
@@ -408,22 +436,22 @@ class TestAgreementMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(annotated_corpora())
     def test_every_kappa_matches_the_per_token_oracle(self, corpus):
-        reviews, records = corpus
+        reviews, annotations = corpus
         try:
-            expected = oracle_agreement_report(records, reviews)
+            expected = oracle_agreement_report(annotations, reviews)
         except DataError:
             # a domain whose fully rated non-Neutral reviews are all punctuation:
             # its Fleiss trigger matrix has no items, and the report gives NaN
             # there (and pooled, when every domain is like that)
             with mock.patch.object(oracles, "_oracle_fleiss", _nan_when_empty):
-                expected = oracle_agreement_report(records, reviews)
+                expected = oracle_agreement_report(annotations, reviews)
             assert any(math.isnan(k) for k in expected["fleiss_trigger_token_kappa"].values())
             if expected["fleiss_trigger_token_overall"] is None:
                 expected["fleiss_trigger_token_overall"] = float("nan")
-        _assert_same_kappas(build_agreement_report(records, reviews), expected)
+        _assert_same_kappas(build_agreement_report(annotations, reviews), expected)
         fields = ("pairwise_trigger_token_kappa", "pairwise_trigger_token_overall")
         _assert_same_kappas(
-            dict(zip(fields, trigger_token_kappa(records, reviews))), {f: expected[f] for f in fields}
+            dict(zip(fields, trigger_token_kappa(annotations, reviews))), {f: expected[f] for f in fields}
         )
 
 
@@ -432,13 +460,8 @@ class TestGoldStatistics:
         review = make_review(
             "h1", "The pan heats evenly and cleanup takes ten seconds flat", Domain.HOME, "i1"
         )
-        gold = aggregate_gold(
-            [
-                annotate(review, a, {JOY: ["heats evenly", "cleanup takes ten seconds flat"]})
-                for a in ("A1", "A2", "A3")
-            ]
-        )
-        stats = gold_statistics([gold], [review])
+        gold, _ = aggregate_gold(unanimous(annotate(review, {JOY: ["heats evenly", "cleanup takes ten seconds flat"]})))
+        stats = gold_statistics([gold], {"h1": review})
         home = stats["per_domain"]["Home"]
         joy = home["per_emotion"]["Joy"]
         assert home["total_emotions"] == 1
@@ -451,13 +474,9 @@ class TestGoldStatistics:
     def test_share_is_fraction_of_domain_emotions(self):
         r1 = make_review("h1", "Great pan, heats evenly", Domain.HOME, "i1")
         r2 = make_review("h2", "The lid broke after a week", Domain.HOME, "i2")
-        g1 = aggregate_gold(
-            [annotate(r1, a, {JOY: ["heats evenly"], TRUST: ["Great pan"]}) for a in ("A1", "A2", "A3")]
-        )
-        g2 = aggregate_gold(
-            [annotate(r2, a, {EmotionLabel.SADNESS: ["broke after a week"]}) for a in ("A1", "A2", "A3")]
-        )
-        stats = gold_statistics([g1, g2], [r1, r2])
+        g1, _ = aggregate_gold(unanimous(annotate(r1, {JOY: ["heats evenly"], TRUST: ["Great pan"]})))
+        g2, _ = aggregate_gold(unanimous(annotate(r2, {EmotionLabel.SADNESS: ["broke after a week"]})))
+        stats = gold_statistics([g1, g2], {"h1": r1, "h2": r2})
         home = stats["per_domain"]["Home"]
         assert home["total_emotions"] == 3
         assert home["per_emotion"]["Joy"]["share"] == pytest.approx(1 / 3, abs=1e-12)
@@ -465,7 +484,7 @@ class TestGoldStatistics:
         assert stats["overall"]["total_emotions"] == 3
 
     def test_empty_gold_list_is_all_zero(self):
-        stats = gold_statistics([], [])
+        stats = gold_statistics([], {})
         assert stats["overall"]["total_emotions"] == 0
         assert stats["overall"]["avg_emotions_per_review"] == 0.0
         for domain_stats in stats["per_domain"].values():
@@ -493,12 +512,62 @@ class TestAnnotationIo:
         ]
         path = tmp_path / "annotations.jsonl"
         write_jsonl(path, lines)
-        records = load_annotations(path, reviews)
-        assert len(records) == 3
-        gold = aggregate_gold(records)
-        as_dict = gold_to_dict(gold)
-        assert as_dict["emotions"] == [{"emotion": "Joy", "triggers": ["very happy"]}]
-        assert as_dict["provenance"]["emotion_votes"] == {"Joy": 3}
+        annotations = load_annotations(path, reviews)
+        assert list(annotations) == ["b1"] and list(annotations["b1"]) == ["A1", "A2", "A3"]
+        gold, provenance = aggregate_gold(annotations["b1"])
+        assert gold.to_dict()["emotions"] == [{"emotion": "Joy", "triggers": ["very happy"]}]
+        assert provenance["emotion_votes"] == {"Joy": 3}
+        assert provenance["trigger_annotators"] == [
+            {"emotion": "Joy", "text": "very happy", "annotators": ["A1", "A2"]}
+        ]
+
+    def test_groups_each_reviews_outputs_by_annotator_in_file_order(self, tmp_path):
+        first, second = make_review("r1", "I am very happy"), make_review("r2", "I trust this brand")
+        path = tmp_path / "annotations.jsonl"
+        write_jsonl(path, [
+            {"review_id": review_id, "annotator_id": annotator, "emotions": emotions}
+            for review_id, annotator, emotions in (
+                ("r2", "A2", [{"emotion": "Trust", "triggers": ["trust this brand"]}]),
+                ("r1", "A1", [{"emotion": "Joy", "triggers": ["very happy"]}]),
+                ("r2", "A1", [{"emotion": "Neutral"}]),
+                ("r1", "A2", [{"emotion": "Neutral"}]),
+            )
+        ])
+        annotations = load_annotations(path, {"r1": first, "r2": second})
+        assert {review_id: list(outputs) for review_id, outputs in annotations.items()} == {
+            "r2": ["A2", "A1"], "r1": ["A1", "A2"],
+        }
+        assert list(annotations) == ["r2", "r1"]
+        assert annotations["r1"]["A1"] == annotate(first, {JOY: ["very happy"]})
+        assert annotations["r2"]["A2"] == annotate(second, {TRUST: ["trust this brand"]})
+        assert annotations["r2"]["A1"] == neutral_annotation(second)
+
+    def test_an_annotator_twice_on_one_review_is_a_data_error_with_its_line(self, tmp_path):
+        reviews = {"r1": make_review("r1", "I am very happy"), "r2": make_review("r2", "I am very happy")}
+        path = tmp_path / "annotations.jsonl"
+        write_jsonl(path, [
+            {"review_id": review_id, "annotator_id": "A1", "emotions": [{"emotion": "Neutral"}]}
+            for review_id in ("r1", "r2", "r1")
+        ])
+        with pytest.raises(DataError) as excinfo:
+            load_annotations(path, reviews)
+        assert str(excinfo.value) == f"{path}:3: annotator 'A1' appears twice for review 'r1'"
+
+    def test_a_line_of_a_review_not_in_the_corpus_is_a_data_error_with_its_line(self, tmp_path):
+        reviews = {"b1": make_review("b1", "I am very happy", Domain.BEAUTY, "i1")}
+        annotations = tmp_path / "annotations.jsonl"
+        write_jsonl(annotations, [
+            {"review_id": review_id, "annotator_id": "A1", "emotions": [{"emotion": "Neutral"}]}
+            for review_id in ("b1", "b2")
+        ])
+        with pytest.raises(DataError) as excinfo:
+            load_annotations(annotations, reviews)
+        assert str(excinfo.value) == f"{annotations}:2: unknown review_id 'b2'"
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(gold, [{"review_id": "b2", "emotions": [{"emotion": "Neutral"}]}])
+        with pytest.raises(DataError) as excinfo:
+            load_gold(gold, reviews)
+        assert str(excinfo.value) == f"{gold}:1: unknown review_id 'b2'"
 
     def test_a_loaded_gold_record_keeps_no_provenance(self, tmp_path):
         review = make_review("b1", "I am very happy", Domain.BEAUTY, "i1")
@@ -513,8 +582,7 @@ class TestAnnotationIo:
         path = tmp_path / "gold.jsonl"
         write_jsonl(path, [line])
         [gold] = load_gold(path, {"b1": review})
-        assert gold.provenance == {}
-        assert gold.output.to_dict() == {"review_id": "b1", "emotions": line["emotions"]}
+        assert gold.to_dict() == {"review_id": "b1", "emotions": line["emotions"]}
 
     def test_non_utf8_line_is_a_data_error_with_its_line(self, tmp_path):
         review = make_review("b1", "I am very happy", Domain.BEAUTY, "i1")

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from eotbench import annotation, corpus, inference
+from eotbench import annotation, cli, corpus, inference
 from eotbench.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, _render_confusion, build_parser, main
 from eotbench.corpus import MAX_TIMESTAMP, MIN_TIMESTAMP, SamplingPlan, derive_seed, load_corpus, srswor
 from eotbench.errors import DataError, InsufficientReviews
@@ -76,8 +76,7 @@ def _sample_outcome(work: Path, lines: list[dict], plan: dict, oracle: bool) -> 
     out.unlink(missing_ok=True)
     try:
         if oracle:
-            records = load_corpus(corpus_path).records
-            sample, manifest = oracle_sample(records, SamplingPlan.from_dict(plan), corpus_path, plan_path)
+            sample, manifest = oracle_sample(list(load_corpus(corpus_path).values()), SamplingPlan.from_dict(plan), corpus_path, plan_path)
             write_jsonl(out, (corpus.review_to_dict(r) for r in sample))
             dump_json(str(out) + ".manifest.json", manifest)
         else:
@@ -286,6 +285,24 @@ class TestSampleCommand:
         main(["sample", "--corpus", str(corpus), "--plan", str(plan), "--seed", "8", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_a_failed_manifest_write_leaves_no_manifest_of_an_earlier_sample(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, toy_corpus_lines())
+        plan = write_plan(tmp_path / "plan.json")
+        out = tmp_path / "s.jsonl"
+        manifest = Path(f"{out}.manifest.json")
+        assert main(["sample", "--corpus", str(corpus), "--plan", str(plan), "--out", str(out)]) == EXIT_OK
+        assert manifest.exists()
+
+        def disk_full(path, document):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "dump_json", disk_full)
+        argv = ["sample", "--corpus", str(corpus), "--plan", str(plan), "--seed", "8", "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        # the new sample stands without a manifest, not beside the seed-7 one
+        assert not manifest.exists()
+
 
 class TestAggregateCommand:
     def _setup(self, tmp_path, annotator_emotions):
@@ -365,7 +382,7 @@ class TestAggregateCommand:
         out = tmp_path / "out"
         argv = [command, "--annotations", str(annotations), "--corpus", str(corpus), "--out", str(out)]
         assert main(argv) == EXIT_DATA
-        assert f"{annotations}: annotator 'A1' appears twice for review 'r1'" in caplog.text
+        assert f"{annotations}:2: annotator 'A1' appears twice for review 'r1'" in caplog.text
         assert not out.exists()
 
 

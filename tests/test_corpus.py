@@ -61,19 +61,30 @@ class TestLoadCorpus:
         obj.update(overrides)
         return json.dumps(obj)
 
-    def test_loads_valid_lines(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        path.write_text("\n".join(self._line(i) for i in range(3)) + "\n")
-        loaded = load_corpus(path)
-        assert len(loaded.records) == 3
-        assert loaded.rejections == []
+    @staticmethod
+    def _load(path, caplog) -> tuple[dict, list[tuple[int, str]]]:
+        """The loaded reviews, and the line number and reason of each line logged as rejected."""
+        caplog.clear()
+        reviews = load_corpus(path)
+        return reviews, [(r.args[1], str(r.args[2])) for r in caplog.records if r.name == "eotbench.corpus"]
 
-    def test_collects_rejections_with_line_numbers(self, tmp_path):
+    def test_loads_valid_lines(self, tmp_path, caplog):
+        """Each review keyed by its id, in file order."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(self._line(i) for i in (2, 0, 1)) + "\n")
+        reviews, rejected = self._load(path, caplog)
+        assert list(reviews) == ["r2", "r0", "r1"]
+        assert all(review.review_id == review_id for review_id, review in reviews.items())
+        assert rejected == []
+
+    def test_logs_rejections_with_line_numbers(self, tmp_path, caplog):
         path = tmp_path / "corpus.jsonl"
         path.write_text(self._line(1) + "\n" + "{not json\n" + self._line(2) + "\n")
-        loaded = load_corpus(path)
-        assert len(loaded.records) == 2
-        assert [r.line_no for r in loaded.rejections] == [2]
+        reviews, rejected = self._load(path, caplog)
+        assert list(reviews) == ["r1", "r2"]
+        assert [line_no for line_no, _ in rejected] == [2]
+        [record] = caplog.records
+        assert (record.levelname, record.getMessage()) == ("WARNING", f"{path}:2 rejected: {rejected[0][1]}")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -81,49 +92,45 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match=f"^no usable records in corpus file: {re.escape(str(path))}$"):
             load_corpus(path)
 
-    def test_duplicate_ids_rejected(self, tmp_path):
+    def test_duplicate_ids_rejected(self, tmp_path, caplog):
         path = tmp_path / "corpus.jsonl"
-        path.write_text(self._line(1) + "\n" + self._line(1) + "\n")
-        loaded = load_corpus(path)
-        assert len(loaded.records) == 1
-        assert "duplicate" in loaded.rejections[0].reason
+        path.write_text(self._line(1) + "\n" + self._line(1, text="a second text") + "\n")
+        reviews, rejected = self._load(path, caplog)
+        assert reviews["r1"].text == "perfectly fine product overall"
+        assert rejected == [(2, "duplicate review_id 'r1'")]
 
     def test_a_file_may_mix_domains(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(self._line(1) + "\n" + self._line(2, domain="Yelp") + "\n")
-        assert [r.domain for r in load_corpus(path).records] == [Domain.BEAUTY, Domain.YELP]
+        assert [r.domain for r in load_corpus(path).values()] == [Domain.BEAUTY, Domain.YELP]
 
-    def test_non_utf8_line_is_rejected_not_raised(self, tmp_path):
+    def test_non_utf8_line_is_rejected_not_raised(self, tmp_path, caplog):
         path = tmp_path / "corpus.jsonl"
         bad = self._line(2, text="cafe is fine").encode().replace(b"cafe", b"caf\xe9")
         path.write_bytes(self._line(1).encode() + b"\n" + bad + b"\n" + self._line(3).encode() + b"\n")
-        loaded = load_corpus(path)
-        assert [r.review_id for r in loaded.records] == ["r1", "r3"]
-        assert [r.line_no for r in loaded.rejections] == [2]
-        assert "UTF-8" in loaded.rejections[0].reason
+        reviews, [(line_no, reason)] = self._load(path, caplog)
+        assert list(reviews) == ["r1", "r3"]
+        assert line_no == 2 and "UTF-8" in reason
 
-    def test_over_long_integer_is_rejected_not_raised(self, tmp_path):
+    def test_over_long_integer_is_rejected_not_raised(self, tmp_path, caplog):
         path = tmp_path / "corpus.jsonl"
         long_line = self._line(2).replace("}", f', "timestamp": {over_long_integer()}}}')
         path.write_text(self._line(1) + "\n" + long_line + "\n" + self._line(3) + "\n")
-        loaded = load_corpus(path)
-        assert [r.review_id for r in loaded.records] == ["r1", "r3"]
-        assert [r.line_no for r in loaded.rejections] == [2]
-        assert loaded.rejections[0].reason.startswith("invalid JSON: ")
+        reviews, [(line_no, reason)] = self._load(path, caplog)
+        assert list(reviews) == ["r1", "r3"]
+        assert line_no == 2 and reason.startswith("invalid JSON: ")
 
-    def test_deeply_nested_line_is_rejected_not_raised(self, tmp_path):
+    def test_deeply_nested_line_is_rejected_not_raised(self, tmp_path, caplog):
         path = tmp_path / "corpus.jsonl"
         path.write_text(self._line(1) + "\n" + DEEPLY_NESTED + "\n" + self._line(3) + "\n")
-        loaded = load_corpus(path)
-        assert [r.review_id for r in loaded.records] == ["r1", "r3"]
-        assert [r.line_no for r in loaded.rejections] == [2]
-        assert loaded.rejections[0].reason.startswith("invalid JSON: ")
+        reviews, [(line_no, reason)] = self._load(path, caplog)
+        assert list(reviews) == ["r1", "r3"]
+        assert line_no == 2 and reason.startswith("invalid JSON: ")
 
     def test_bad_timestamp_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(self._line(1, timestamp="june") + "\n" + self._line(2) + "\n")
-        loaded = load_corpus(path)
-        assert len(loaded.records) == 1
+        assert list(load_corpus(path)) == ["r2"]
 
     @pytest.mark.parametrize("domain, reason", [
         *((value, "domain is not one of 'Beauty', 'Clothing', 'Home', 'Electronics', 'TripAdvisor', 'Yelp': "
@@ -131,12 +138,12 @@ class TestLoadCorpus:
         (None, "domain is required"),
         *((value, f"domain is not a string: {value!r}") for value in (7, ["Beauty"], {"Beauty": 1})),
     ])
-    def test_a_domain_that_is_not_a_domain_value_is_rejected(self, tmp_path, domain, reason):
+    def test_a_domain_that_is_not_a_domain_value_is_rejected(self, tmp_path, caplog, domain, reason):
         path = tmp_path / "corpus.jsonl"
         path.write_text(self._line(1) + "\n" + self._line(2, domain=domain) + "\n")
-        loaded = load_corpus(path)
-        assert [r.review_id for r in loaded.records] == ["r1"]
-        assert [(r.line_no, r.reason) for r in loaded.rejections] == [(2, reason)]
+        reviews, rejected = self._load(path, caplog)
+        assert list(reviews) == ["r1"]
+        assert rejected == [(2, reason)]
 
     def test_timestamp_bounds_are_years_1_to_9999(self):
         assert MIN_TIMESTAMP == datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
@@ -151,17 +158,19 @@ class TestLoadCorpus:
         MAX_TIMESTAMP - 1, MAX_TIMESTAMP, MAX_TIMESTAMP + 1,
         1_600_000_000_000, 10**20, -(10**20),
     ])
-    def test_timestamp_outside_the_stratum_range_is_rejected(self, tmp_path, granularity, low, high, timestamp):
+    def test_timestamp_outside_the_stratum_range_is_rejected(
+        self, tmp_path, caplog, granularity, low, high, timestamp
+    ):
         path = tmp_path / "corpus.jsonl"
         path.write_text(self._line(1, timestamp=timestamp) + "\n" + self._line(2) + "\n")
-        loaded = load_corpus(path)
+        reviews, rejected = self._load(path, caplog)
         if MIN_TIMESTAMP <= timestamp <= MAX_TIMESTAMP:
-            assert loaded.rejections == []
-            key = stratum_key(loaded.records[0], granularity)
+            assert rejected == []
+            key = stratum_key(reviews["r1"], granularity)
             assert key == (low if timestamp < 0 else high)
         else:
-            assert [r.review_id for r in loaded.records] == ["r2"]
-            assert [(r.line_no, r.reason) for r in loaded.rejections] == [
+            assert list(reviews) == ["r2"]
+            assert rejected == [
                 (1, f"timestamp is out of range [{MIN_TIMESTAMP}, {MAX_TIMESTAMP}]: {timestamp}")
             ]
             # the bounds are tight: a stratum key cannot be computed just outside them

@@ -15,7 +15,7 @@ import pytest
 from eotbench import inference
 from eotbench.annotation import aggregate_gold, load_annotations
 from eotbench.cli import EXIT_DATA, EXIT_PROVIDER, main
-from eotbench.corpus import load_corpus, reviews_by_id
+from eotbench.corpus import load_corpus
 from eotbench.errors import DataError, ProviderFailure
 from eotbench.prompting import PROMPT_VERSION, Strategy, default_config
 from conftest import DATA_DIR, ledger_entry, make_review
@@ -77,9 +77,10 @@ def wrong_annotator_count(tmp_path, caplog, monkeypatch):
 
 def mismatched_review_ids(tmp_path, caplog, monkeypatch):
     # unreachable from the CLI, which groups annotations by review
-    reviews = reviews_by_id(load_corpus(DATA_DIR / "agreement" / "corpus.jsonl").records)
-    records = load_annotations(DATA_DIR / "agreement" / "annotations.jsonl", reviews)
-    return _raised(lambda: aggregate_gold([records[0], records[1], records[3]]))
+    reviews = load_corpus(DATA_DIR / "agreement" / "corpus.jsonl")
+    annotations = load_annotations(DATA_DIR / "agreement" / "annotations.jsonl", reviews)
+    a1, a2 = annotations["a1"], annotations["a2"]
+    return _raised(lambda: aggregate_gold({"A1": a1["A1"], "A2": a1["A2"], "A3": a2["A1"]}))
 
 
 def missing_gold(tmp_path, caplog, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eotbench import metrics
-from eotbench.annotation import GoldRecord, aggregate_gold
+from eotbench.annotation import aggregate_gold
 from eotbench.errors import DataError
 from eotbench.metrics import (
     align_and_average_rouge,
@@ -33,7 +33,7 @@ from eotbench.model import (
 )
 from conftest import make_review
 from oracles import brute_clipped_overlap, brute_lcs, oracle_score_report, prf_from_overlap
-from test_annotation import annotate
+from test_annotation import annotate, unanimous
 
 JOY = EmotionLabel.JOY
 TRUST = EmotionLabel.TRUST
@@ -49,8 +49,8 @@ def output(review: Review, emotions: dict[EmotionLabel, list[str]]) -> EotOutput
     return EotOutput(review.review_id, pairs)
 
 
-def gold_for(review: Review, emotions: dict[EmotionLabel, list[str]]):
-    return aggregate_gold([annotate(review, a, emotions) for a in ("A1", "A2", "A3")])
+def gold_for(review: Review, emotions: dict[EmotionLabel, list[str]]) -> EotOutput:
+    return aggregate_gold(unanimous(annotate(review, emotions)))[0]
 
 
 class TestEmotionPrf:
@@ -66,7 +66,7 @@ class TestEmotionPrf:
     def test_identity(self):
         review = make_review()
         gold = gold_for(review, {JOY: ["works perfectly"]})
-        scores = emotion_prf([gold.output], [gold])
+        scores = emotion_prf([gold], [gold])
         assert (scores["precision"], scores["recall"], scores["f1"]) == (1.0, 1.0, 1.0)
 
     def test_neutral_participates_as_a_label(self):
@@ -119,7 +119,7 @@ class TestTriggerEmPm:
         )
         gold = gold_for(review, {JOY: ["Non slip, great arch support", "great arch"]})
         # gold aggregation retains only the longest overlapping span
-        assert [s.text for s in gold.output.triggers_for(JOY)] == [
+        assert [s.text for s in gold.triggers_for(JOY)] == [
             "Non slip, great arch support"
         ]
         pred = output(review, {JOY: ["Non slip, great arch support", "it fits well"]})
@@ -213,7 +213,7 @@ class TestAlignAndAverageRouge:
     def test_perfect_predictions(self):
         review = make_review()
         gold = gold_for(review, {JOY: ["works perfectly", "arrived two days early"]})
-        r1, rl = align_and_average_rouge([gold.output], [gold])
+        r1, rl = align_and_average_rouge([gold], [gold])
         assert (r1, rl) == (1.0, 1.0)
 
     def test_no_predictions(self):
@@ -241,7 +241,7 @@ class TestAlignAndAverageRouge:
     def test_all_neutral_gold_is_vacuously_perfect(self):
         review = make_review()
         gold = gold_for(review, {NEUTRAL: []})
-        r1, rl = align_and_average_rouge([gold.output], [gold])
+        r1, rl = align_and_average_rouge([gold], [gold])
         assert (r1, rl) == (1.0, 1.0)
 
 
@@ -256,7 +256,7 @@ class TestConfusionMatrix:
     def test_identity_hits_diagonal_only(self):
         review = make_review()
         gold = gold_for(review, {JOY: ["works perfectly"], TRUST: ["arrived two days early"]})
-        matrix = confusion_matrix([gold.output], [gold])
+        matrix = confusion_matrix([gold], [gold])
         assert matrix[JOY.value][JOY.value] == 1.0
         assert matrix[TRUST.value][TRUST.value] == 1.0
         off_diagonal = sum(
@@ -285,7 +285,7 @@ class TestGoldEcho:
             gold_for(reviews[1], {EmotionLabel.SADNESS: ["screen cracked on the first day"]}),
             gold_for(reviews[2], {NEUTRAL: []}),
         ]
-        report = score_predictions([g.output for g in golds], golds)
+        report = score_predictions(golds, golds)
         assert score_row(report) == (1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
 
 
@@ -372,14 +372,14 @@ def eot_output(draw, review_id: str, text: str, labels, gold: EotOutput | None =
 
 @st.composite
 def scored_sets(draw):
-    """(predictions, gold records), with gold for some reviews that are not predicted."""
+    """(predictions, gold outputs), with gold for some reviews that are not predicted."""
     pred, gold = [], []
     for i in range(draw(st.integers(1, 10))):
         words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12))
         seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(words), max_size=len(words)))
         text = "".join(w + s for w, s in zip(words, seps))
         expected = draw(eot_output(f"r{i}", text, GOLD_LABELS))
-        gold.append(GoldRecord(f"r{i}", expected, {}))
+        gold.append(expected)
         if draw(st.integers(0, 4)):
             pred.append(draw(eot_output(f"r{i}", text, PRED_LABELS, expected)))
     return draw(st.permutations(pred)), draw(st.permutations(gold))
@@ -414,7 +414,7 @@ class TestOnePassMatchesTheFourWalks:
     def test_each_trigger_is_tokenized_once(self, data):
         # only a (review, emotion) pair that both sides have is tokenized
         pred, gold = data
-        gold_map = {g.review_id: g.output for g in gold}
+        gold_map = {g.review_id: g for g in gold}
         expected = sum(
             len(output.triggers_for(emotion)) + len(gold_map[output.review_id].triggers_for(emotion))
             for output in pred

@@ -23,6 +23,7 @@ ORACLES = Path(__file__).resolve().parent / "oracles.py"
 REFERENCED = {
     "tokenize", "tokenize_with_spans", "count_tokens", "rouge1", "rougeL", "score_predictions", "parse_output",
     "strata_in_order", "stratified_review_sample", "allocate_proportional", "stratum_key",
+    "aggregate_gold", "resolve_overlaps",
 }
 
 

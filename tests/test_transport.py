@@ -27,7 +27,7 @@ from eotbench.inference import (
     run_experiment,
 )
 from eotbench.prompting import Strategy, default_config
-from eotbench.transport import HttpTransport
+from eotbench.transport import HttpTransport, _Reader
 from conftest import make_review, src_env
 from mock_provider import MockProviderServer
 
@@ -116,6 +116,16 @@ def raw_server(*replies: bytes | list[bytes]):
 
 
 PAYLOAD = json.dumps({"choices": [{"message": {"content": "hello"}}]}).encode()
+
+
+class _Trickle:
+    """A socket whose ``recv`` hands out ``data`` ``size`` bytes at a time, then b""."""
+
+    def __init__(self, data: bytes, size: int):
+        self._chunks = iter([data[i:i + size] for i in range(0, len(data), size)])
+
+    def recv(self, bufsize: int) -> bytes:
+        return next(self._chunks, b"")
 
 
 @contextmanager
@@ -265,6 +275,51 @@ class TestResponseReader:
                 ask(url, max_attempts=2)
         assert (excinfo.value.status, excinfo.value.attempts) == (0, 2)
         assert "64 KiB" in str(excinfo.value)
+
+    @pytest.mark.parametrize("framing", ["content-length", "chunked"])
+    def test_an_8_mib_body_in_1_kib_reads_takes_linear_time(self, framing):
+        """Each byte is copied a bounded number of times, so this takes well
+        under 0.1 s on 2 vCPUs; copying the unread bytes on every read takes
+        seconds."""
+        body = bytes(range(256)) * (32 * 1024)
+        if framing == "chunked":
+            # chunk sizes that put chunk lines across the reads, and across the buffer's compactions
+            sizes = [1000, 3, 7000, 65_536 + 5] * 32
+            cuts = [sum(sizes[:i]) for i in range(len(sizes))] + [len(body)]
+            chunks = b"".join(b"%x\r\n%s\r\n" % (b - a, body[a:b]) for a, b in zip(cuts, cuts[1:]))
+            head, wire = b"Transfer-Encoding: chunked\r\n", chunks + b"0\r\n\r\n"
+        else:
+            head, wire = b"Content-Length: %d\r\n" % len(body), body
+        sock = _Trickle(b"HTTP/1.1 200 OK\r\n%s\r\n%s" % (head, wire), 1024)
+        started = time.perf_counter()
+        response = _Reader(sock).response()
+        elapsed = time.perf_counter() - started
+        assert (response.status, response.body == body, type(response.body)) == (200, True, bytes)
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+    def test_a_response_read_one_byte_at_a_time_is_whole(self):
+        """Every line is then resumed across many drops of the consumed bytes."""
+        wire = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nX-Folded: a\r\n\tb\r\n\r\n"
+                b"%x;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nTrailer: t\r\n\r\n"
+                % (10, PAYLOAD[:10], len(PAYLOAD) - 10, PAYLOAD[10:]))
+        response = _Reader(_Trickle(wire, 1)).response()
+        assert response == (200, {"transfer-encoding": "chunked", "x-folded": "a b"}, PAYLOAD)
+
+    def test_a_close_after_a_whole_response_is_no_response_not_a_torn_line(self):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(PAYLOAD), PAYLOAD)
+        reader = _Reader(_Trickle(reply, 7))
+        assert reader.response().body == PAYLOAD
+        with pytest.raises(ConnectionError, match="^the server closed the connection without a response$"):
+            reader.response()
+        torn = _Reader(_Trickle(reply + b"HTTP/1.1 2", 7))
+        assert torn.response().body == PAYLOAD
+        with pytest.raises(ConnectionError, match="^connection closed inside a response line$"):
+            torn.response()
+
+    def test_a_body_read_to_the_close_is_bytes(self):
+        reply = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n%s" % PAYLOAD
+        body = _Reader(_Trickle(reply, 5)).response().body
+        assert (type(body), body) == (bytes, PAYLOAD)
 
     @pytest.mark.parametrize("through_proxy", [False, True], ids=["direct", "plain-proxy"])
     def test_the_request_head_is_sent_exactly(self, monkeypatch, through_proxy):

@@ -23,7 +23,7 @@ from collections import Counter
 
 import pytest
 
-from eotbench import annotation, extraction, inference, model
+from eotbench import extraction, inference, model
 from eotbench.cli import EXIT_OK, main
 from eotbench.prompting import PROMPT_VERSION
 from eotbench.transport import Response
@@ -37,10 +37,7 @@ COUNTED = (
     "model.locate_span", "corpus.stratum_key", "prompting.build_prompt", "inference.read_ledger",
     "extraction.parse_output", "jsonio.check_fields",
 )
-RECORDS = (
-    model.Review, model.TriggerSpan, model.EmotionTriggers, model.EotOutput,
-    annotation.AnnotationRecord, annotation.GoldRecord, extraction.ParseReport,
-)
+RECORDS = (model.Review, model.TriggerSpan, model.EmotionTriggers, model.EotOutput, extraction.ParseReport)
 
 # (command, what is counted, the count): every count that is not zero. The
 # hand-scored run has 10 reviews, all answered, one answer unparseable; its
@@ -53,7 +50,6 @@ PINS = [
     ("run", "json.loads", 10),  # each reply body, once
     ("run", "jsonio.check_fields", 10 + 10 * 3),  # each review; each reply, its choice and its message
     ("score", "Review", 10),
-    ("score", "GoldRecord", 10),
     ("score", "extraction.parse_output", 10),
     ("score", "ParseReport", 10),
     ("score", "EotOutput", 10 + 10),  # one per gold record and per parsed response, none as a placeholder
@@ -73,16 +69,13 @@ PINS = [
     ("sample", "json.loads", 1),  # the plan
     ("sample", "jsonio.check_fields", 22 + 2),  # each review; the plan as an object, then against PLAN_SPEC
     ("aggregate", "Review", 4),
-    ("aggregate", "AnnotationRecord", 12),
     ("aggregate", "EotOutput", 12 + 4),  # each annotation, each gold record
     ("aggregate", "EmotionTriggers", 14 + 4),
     ("aggregate", "TriggerSpan", 12),
     ("aggregate", "model.locate_span", 12),
-    ("aggregate", "GoldRecord", 4),
     ("aggregate", "model.normalize_text", 7),  # one per span pooled under an emotion that wins
     ("aggregate", "jsonio.check_fields", 4 + 12 + 14),  # each review, annotation and annotated emotion
     ("agreement", "Review", 4 + 1),  # the annotated reviews, and one nobody annotated
-    ("agreement", "AnnotationRecord", 12),
     ("agreement", "EotOutput", 12),
     ("agreement", "EmotionTriggers", 14),
     ("agreement", "TriggerSpan", 12),
@@ -90,7 +83,6 @@ PINS = [
     ("agreement", "model.tokenize_with_spans", 4),  # each annotated review, once; the other, never
     ("agreement", "jsonio.check_fields", 5 + 12 + 14),
     ("stats", "Review", 10),
-    ("stats", "GoldRecord", 10),
     ("stats", "EotOutput", 10),
     ("stats", "EmotionTriggers", 16),
     ("stats", "TriggerSpan", 17),
