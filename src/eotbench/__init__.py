@@ -15,20 +15,18 @@ from .model import (
     normalize_text,
     tokenize,
 )
-from .prompting import InferenceConfig, Strategy, build_prompt, default_config, render_messages
+from .prompting import Strategy, build_prompt, render_messages
 
 __all__ = [
     "Domain",
     "EmotionLabel",
     "EmotionTriggers",
     "EotOutput",
-    "InferenceConfig",
     "Review",
     "Strategy",
     "TriggerSpan",
     "build_prompt",
     "canonical_emotion",
-    "default_config",
     "locate_span",
     "normalize_text",
     "render_messages",

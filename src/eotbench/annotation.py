@@ -173,9 +173,15 @@ def aggregate_gold(outputs: Mapping[str, EotOutput]) -> tuple[EotOutput, dict[st
 
 
 def load_gold(path: Path | str, reviews: Mapping[str, Review]) -> list[EotOutput]:
-    """Read a gold file back, relocating trigger spans. Each line's provenance
-    is checked but not kept: scoring and statistics never read it."""
-    return [output for _, _, output in _iter_outputs(path, reviews, GOLD_SPEC)]
+    """Read a gold file back, relocating trigger spans; a review on two lines
+    is a DataError naming ``path:line``. Each line's provenance is checked but
+    not kept: scoring and statistics never read it."""
+    golds: dict[str, EotOutput] = {}
+    for line_no, _, output in _iter_outputs(path, reviews, GOLD_SPEC):
+        if output.review_id in golds:
+            raise DataError(f"{path}:{line_no}: review {output.review_id!r} appears twice")
+        golds[output.review_id] = output
+    return list(golds.values())
 
 
 # ---------------------------------------------------------------------------

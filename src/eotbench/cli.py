@@ -17,11 +17,11 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import annotation, corpus, extraction, inference, metrics
-from .corpus import FORMAT_VERSION, SamplingPlan
-from .errors import DataError, InsufficientReviews, ProviderFailure, UnknownRun, data_errors
+from .corpus import FORMAT_VERSION
+from .errors import DataError, InsufficientReviews, ProviderFailure, UnknownRun
 from .jsonio import STRING, atomic_writer, dump_json, load_json, render_table, write_jsonl
-from .model import Review
-from .prompting import PROMPT_VERSION, InferenceConfig, Strategy, default_config
+from .model import EotOutput, Review
+from .prompting import PROMPT_VERSION, Strategy, load_config
 
 log = logging.getLogger(__name__)
 
@@ -45,16 +45,8 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_plan(args: argparse.Namespace) -> SamplingPlan:
-    data = load_json(args.plan)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    with data_errors(args.plan, "sampling plan"):
-        return SamplingPlan.from_dict(data)
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
-    plan = _load_plan(args)
+    plan = corpus.load_plan(args.plan, args.seed)
     reviews = corpus.load_corpus(args.corpus)
 
     items_by_domain: dict[str, dict[str, None]] = {}  # item ids in first-seen order
@@ -76,25 +68,25 @@ def cmd_sample(args: argparse.Namespace) -> int:
     for domain in sorted(items_by_domain):
         items = list(items_by_domain[domain])
         try:
-            chosen = corpus.srswor(items, plan.items_per_group, corpus.derive_seed(plan.seed, "items", domain))
+            chosen = corpus.srswor(items, plan["items_per_group"], corpus.derive_seed(plan["seed"], "items", domain))
         except DataError as exc:
             raise DataError(f"domain {domain} of {args.corpus}, items_per_group of {args.plan}: {exc}") from None
         domain_summary[domain] = {
             "items_available": len(items),
             "items_sampled": len(chosen),
-            "inclusion_probability": plan.items_per_group / len(items),
+            "inclusion_probability": plan["items_per_group"] / len(items),
         }
         for item_id in chosen:
             # filtered per drawn item: the corpus can be far larger than the sample
             item_reviews = corpus.filter_by_length(reviews_by_item[item_id], plan)
-            if len(item_reviews) < plan.reviews_per_item:
-                raise InsufficientReviews(item_id, len(item_reviews), plan.reviews_per_item)
-            strata = corpus.strata_in_order(item_reviews, plan.strata_granularity)
+            if len(item_reviews) < plan["reviews_per_item"]:
+                raise InsufficientReviews(item_id, len(item_reviews), plan["reviews_per_item"])
+            strata = corpus.strata_in_order(item_reviews, plan["strata_granularity"])
             sample.extend(corpus.stratified_review_sample(strata, plan))
             manifest_items[item_id] = {
                 "domain": domain,
                 "strata": {key: len(reviews) for key, reviews in strata},
-                "sampling_fraction": plan.reviews_per_item / len(item_reviews),
+                "sampling_fraction": plan["reviews_per_item"] / len(item_reviews),
             }
 
     manifest_path = f"{args.out}.manifest.json"
@@ -103,8 +95,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     write_jsonl(args.out, (corpus.review_to_dict(r) for r in sample))
     manifest = {
         "format_version": FORMAT_VERSION,
-        "seed": plan.seed,
-        "plan": plan.to_dict(),
+        "seed": plan["seed"],
+        "plan": plan,
         "domains": domain_summary,
         "items": manifest_items,
         "n_reviews": len(sample),
@@ -158,7 +150,7 @@ def _resolve_profile(spec: str) -> inference.ProviderProfile:
 def cmd_run(args: argparse.Namespace) -> int:
     strategy = Strategy(args.strategy)
     profile = _resolve_profile(args.profile)
-    config = InferenceConfig.from_file(args.config) if args.config else default_config()
+    config = load_config(args.config)
     reviews = corpus.load_corpus(args.corpus)
     runs_dir = Path(args.runs_dir)
     run_id = args.run_id or time.strftime("run-%Y%m%d-%H%M%S")
@@ -174,7 +166,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "strategy": strategy.value,
         "profile": profile.name,
         "prompt_version": PROMPT_VERSION,
-        "config": config.to_dict(),
+        "config": config,
     }
     if manifest_path.exists():
         if not args.resume:
@@ -218,7 +210,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     reviews = corpus.load_corpus(args.corpus or manifest["corpus"])
     golds = annotation.load_gold(args.gold, reviews)
 
-    def parse(entry: dict[str, Any]) -> extraction.ParseReport:
+    def parse(entry: dict[str, Any]) -> tuple[EotOutput, dict[str, Any]]:
         review = reviews.get(entry["review_id"])
         if review is None:
             raise DataError(f"run references review {entry['review_id']!r} missing from the corpus")
@@ -226,22 +218,20 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     # parsed as the ledger is read: no reply outlives its parse
     state = inference.read_ledger(runs_dir, args.run_id, manifest["prompt_version"], parse)
-    reports = [state.ok[review_id] for review_id in sorted(state.ok)]
+    parses = [state.ok[review_id] for review_id in sorted(state.ok)]
     write_jsonl(
         run_dir / "parsed",
-        (
-            {**extraction.parse_report_to_dict(r), "format_version": FORMAT_VERSION}
-            for r in reports
-        ),
+        ({**output.to_dict(), **report, "format_version": FORMAT_VERSION} for output, report in parses),
     )
 
-    predictions = [r.output for r in reports]
-    statuses = Counter(r.parse_status for r in reports)
+    predictions = [output for output, _ in parses]
+    reports = [report for _, report in parses]
+    statuses = Counter(r["parse_status"] for r in reports)
     parse_stats = {
-        **{status.value.lower(): statuses[status] for status in extraction.ParseStatus},
+        **{status.lower(): statuses[status] for status in extraction.PARSE_STATUSES},
         "failed_requests": len(state.failed),
-        "dropped_triggers": sum(len(r.dropped_triggers) for r in reports),
-        "dropped_emotions": sum(len(r.dropped_emotions) for r in reports),
+        "dropped_triggers": sum(len(r["dropped_triggers"]) for r in reports),
+        "dropped_emotions": sum(len(r["dropped_emotions"]) for r in reports),
     }
     document = {
         "format_version": FORMAT_VERSION,

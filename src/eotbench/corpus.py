@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 from typing import Any, Sequence, TypeVar
 
-from .errors import DataError, InsufficientReviews
-from .jsonio import INTEGER, STRING, check_fields, iter_jsonl
+from .errors import DataError, InsufficientReviews, data_errors
+from .jsonio import INTEGER, STRING, check_fields, iter_jsonl, load_json
 from .model import Domain, Review, count_tokens
 
 log = logging.getLogger(__name__)
@@ -28,11 +26,6 @@ log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 FORMAT_VERSION = "1"
-
-
-class StrataGranularity(Enum):
-    YEAR = "Year"
-    QUARTER = "Quarter"
 
 
 UNKNOWN_STRATUM = "unknown"
@@ -50,31 +43,20 @@ PLAN_SPEC = (
 )
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    seed: int
-    items_per_group: int
-    reviews_per_item: int
-    min_tokens: int
-    max_tokens: int
-    strata_granularity: StrataGranularity = StrataGranularity.YEAR
-
-    def __post_init__(self):
-        if not (0 < self.min_tokens <= self.max_tokens):
-            raise ValueError("need 0 < min_tokens <= max_tokens")
-        if self.items_per_group < 1 or self.reviews_per_item < 1:
-            raise ValueError("items_per_group and reviews_per_item must be >= 1")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {**vars(self), "strata_granularity": self.strata_granularity.value}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SamplingPlan":
+def load_plan(path: Path | str, seed: int | None = None) -> dict[str, Any]:
+    """The sampling plan in ``path``: its fields in ``PLAN_SPEC`` order,
+    ``strata_granularity`` "Year" when absent, and ``seed``, when given, in
+    place of the file's."""
+    data = load_json(path)
+    if seed is not None:
+        data["seed"] = seed
+    with data_errors(path, "sampling plan"):
         check_fields(data, PLAN_SPEC)
-        return cls(
-            data["seed"], data["items_per_group"], data["reviews_per_item"], data["min_tokens"],
-            data["max_tokens"], StrataGranularity(data.get("strata_granularity", "Year")),
-        )
+        if not (0 < data["min_tokens"] <= data["max_tokens"]):
+            raise ValueError("need 0 < min_tokens <= max_tokens")
+        if data["items_per_group"] < 1 or data["reviews_per_item"] < 1:
+            raise ValueError("items_per_group and reviews_per_item must be >= 1")
+    return {name: data.get(name, "Year") for name, *_ in PLAN_SPEC}
 
 
 _DOMAIN_BY_VALUE = {d.value: d for d in Domain}
@@ -124,13 +106,13 @@ def review_to_dict(review: Review) -> dict[str, Any]:
     return out
 
 
-def filter_by_length(reviews: Sequence[Review], plan: SamplingPlan) -> list[Review]:
+def filter_by_length(reviews: Sequence[Review], plan: dict[str, Any]) -> list[Review]:
     """Keep reviews whose token count lies in [min_tokens, max_tokens].
 
     ``sample`` calls it on the reviews of each drawn item only: items are
     drawn from every item of the corpus, before any length filter.
     """
-    return [r for r in reviews if plan.min_tokens <= count_tokens(r.text) <= plan.max_tokens]
+    return [r for r in reviews if plan["min_tokens"] <= count_tokens(r.text) <= plan["max_tokens"]]
 
 
 def derive_seed(*parts: Any) -> int:
@@ -155,11 +137,11 @@ def srswor(population: Sequence[T], n: int, seed: int) -> list[T]:
     return pool[:n]
 
 
-def stratum_key(review: Review, granularity: StrataGranularity) -> str:
+def stratum_key(review: Review, granularity: str) -> str:
     if review.timestamp is None:
         return UNKNOWN_STRATUM
     moment = datetime.fromtimestamp(review.timestamp, tz=timezone.utc)
-    if granularity is StrataGranularity.YEAR:
+    if granularity == "Year":
         return str(moment.year)
     return f"{moment.year}-Q{(moment.month - 1) // 3 + 1}"
 
@@ -179,7 +161,7 @@ def allocate_proportional(sizes: Sequence[int], total: int) -> list[int]:
     return counts
 
 
-def strata_in_order(reviews: Sequence[Review], granularity: StrataGranularity) -> list[tuple[str, list[Review]]]:
+def strata_in_order(reviews: Sequence[Review], granularity: str) -> list[tuple[str, list[Review]]]:
     """The reviews grouped by ``stratum_key``: (key, reviews in input order)
     per stratum, in chronological order with the unknown stratum last."""
     groups: dict[str, list[Review]] = {}
@@ -190,15 +172,15 @@ def strata_in_order(reviews: Sequence[Review], granularity: StrataGranularity) -
     return sorted(groups.items(), key=lambda kv: (kv[0] == UNKNOWN_STRATUM, kv[1][0].timestamp or 0))
 
 
-def stratified_review_sample(strata: list[tuple[str, list[Review]]], plan: SamplingPlan) -> list[Review]:
+def stratified_review_sample(strata: list[tuple[str, list[Review]]], plan: dict[str, Any]) -> list[Review]:
     """Sample ``reviews_per_item`` reviews of one item, allocated proportionally
     to its time strata, ``strata_in_order`` of its reviews."""
-    m = plan.reviews_per_item
+    m = plan["reviews_per_item"]
     sizes = [len(rs) for _, rs in strata]
     item_id = strata[0][1][0].item_id if strata else "?"
     if sum(sizes) < m:
         raise InsufficientReviews(item_id, sum(sizes), m)
     sample: list[Review] = []
     for (key, stratum_reviews), k in zip(strata, allocate_proportional(sizes, m)):
-        sample.extend(srswor(stratum_reviews, k, derive_seed(plan.seed, item_id, key)))
+        sample.extend(srswor(stratum_reviews, k, derive_seed(plan["seed"], item_id, key)))
     return sample

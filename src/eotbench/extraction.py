@@ -1,13 +1,15 @@
 """Parse raw model responses into validated emotion-trigger outputs.
 
-Parsing is total: any byte string yields a ParseReport, never an
-exception. The machine-checkable half of the final self-check is
-enforced here: labels outside the 9-label vocabulary are dropped
-(emotion faithfulness) and triggers that cannot be located verbatim in
-the review are dropped (opinion trigger verifiability). The only repair
-attempted is relocation under ``normalize_text``, the case/whitespace
-fold of exact matching and gold dedup; no fuzzy matching, since
-aggressive repair would inflate scores.
+Parsing is total: any byte string yields an output and its report, never
+an exception. The report is the dict of parse keys a ``parsed`` line holds:
+``parse_status`` (one of ``PARSE_STATUSES``), ``repair_applied``,
+``dropped_triggers`` and ``dropped_emotions``. The machine-checkable half
+of the final self-check is enforced here: labels outside the 9-label
+vocabulary are dropped (emotion faithfulness) and triggers that cannot be
+located verbatim in the review are dropped (opinion trigger
+verifiability). The only repair attempted is relocation under
+``normalize_text``, the case/whitespace fold of exact matching and gold
+dedup; no fuzzy matching, since aggressive repair would inflate scores.
 
 The structured block is the first balanced top-level object that parses
 as a JSON object, otherwise the first balanced candidate. Most responses
@@ -24,8 +26,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from enum import Enum
 from heapq import heapify, heappop, heapreplace
 from typing import Any, Callable
 
@@ -50,20 +50,7 @@ REASON_NEUTRAL_WITH_OTHERS = "NeutralWithOthers"
 REASON_NEUTRAL_TRIGGER = "NeutralCarriesNoTriggers"
 
 
-class ParseStatus(Enum):
-    CLEAN = "Clean"
-    REPAIRED = "Repaired"
-    UNPARSEABLE = "Unparseable"
-
-
-@dataclass
-class ParseReport:
-    """A parsed output and its drops, the dicts that a ``parsed`` line holds."""
-
-    output: EotOutput
-    dropped_triggers: list[dict[str, str]] = field(default_factory=list)
-    dropped_emotions: list[dict[str, str]] = field(default_factory=list)
-    parse_status: ParseStatus = ParseStatus.CLEAN
+PARSE_STATUSES = ("Clean", "Repaired", "Unparseable")
 
 
 _SCAN_CHARS = '{}"\\'  # the characters a brace scan reads
@@ -253,8 +240,8 @@ def _repair_locate(
     return TriggerSpan(text=review_text[start:end], start=start, end=end)
 
 
-def parse_output(raw: str, review: Review) -> ParseReport:
-    """Parse one raw response against one review.
+def parse_output(raw: str, review: Review) -> tuple[EotOutput, dict[str, Any]]:
+    """Parse one raw response against one review: the output and its report.
 
     All failures are recorded in the report, never raised: an
     unparseable response, or a ``raw`` that is not a str, yields an empty
@@ -268,7 +255,9 @@ def parse_output(raw: str, review: Review) -> ParseReport:
         parsed = None
     emotions = parsed.get("emotions") if parsed is not None else None
     if not isinstance(emotions, list):
-        return ParseReport(EotOutput(review.review_id, ()), parse_status=ParseStatus.UNPARSEABLE)
+        return EotOutput(review.review_id, ()), {
+            "parse_status": "Unparseable", "repair_applied": False, "dropped_triggers": [], "dropped_emotions": [],
+        }
 
     dropped_triggers: list[dict[str, str]] = []
     dropped_emotions: list[dict[str, str]] = []
@@ -330,16 +319,7 @@ def parse_output(raw: str, review: Review) -> ParseReport:
         review.review_id,
         tuple(EmotionTriggers(label, tuple(spans)) for label, spans in survivors),
     )
-    status = ParseStatus.REPAIRED if repair_applied else ParseStatus.CLEAN
-    return ParseReport(output, dropped_triggers, dropped_emotions, status)
-
-
-def parse_report_to_dict(report: ParseReport) -> dict[str, Any]:
-    """Line-record form of a parse report (annotation shape + parse_status)."""
-    return {
-        **report.output.to_dict(),
-        "parse_status": report.parse_status.value,
-        "repair_applied": report.parse_status is ParseStatus.REPAIRED,
-        "dropped_triggers": report.dropped_triggers,
-        "dropped_emotions": report.dropped_emotions,
+    return output, {
+        "parse_status": "Repaired" if repair_applied else "Clean", "repair_applied": repair_applied,
+        "dropped_triggers": dropped_triggers, "dropped_emotions": dropped_emotions,
     }

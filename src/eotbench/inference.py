@@ -29,7 +29,7 @@ from . import __version__
 from .errors import DataError, ProviderError, ProviderFailure, data_errors
 from .jsonio import ARRAY, DECODE_ERRORS, INTEGER, STRING, check_fields, encode_record, loads_line
 from .model import Domain, Review
-from .prompting import CONFIG_SPEC, PROMPT_VERSION, InferenceConfig, Strategy, build_prompt, render_messages
+from .prompting import DEFAULT_CONFIG, PROMPT_VERSION, Strategy, build_prompt, render_messages
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +63,7 @@ class ProviderProfile:
                 f"timeout must be a number of seconds > 0 and <= {threading.TIMEOUT_MAX:.0f},"
                 f" not {self.timeout!r}"
             )
-        unknown = sorted(self.supported_params.difference(name for name, *_ in CONFIG_SPEC))
+        unknown = sorted(self.supported_params.difference(DEFAULT_CONFIG))
         if unknown:
             raise ValueError(f"supported_params names no config field: {', '.join(map(repr, unknown))}")
 
@@ -151,13 +151,13 @@ class BodyTemplate(NamedTuple):
         return self.prefix + encode_basestring_ascii(text)[1:-1].encode("ascii") + self.suffix
 
 
-def body_template(profile: ProviderProfile, config: InferenceConfig, strategy: Strategy) -> BodyTemplate:
+def body_template(profile: ProviderProfile, config: dict[str, Any], strategy: Strategy) -> BodyTemplate:
     """The chat-completion body of ``strategy`` for ``profile``, rendered and
     encoded once around a sentinel review: the model, the config params the
     profile supports, then the messages."""
     body: dict[str, Any] = {"model": profile.model_id}
     dropped = []
-    for param, value in config.to_dict().items():
+    for param, value in config.items():
         if param in profile.supported_params:
             body[param] = value
         else:

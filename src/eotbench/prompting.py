@@ -6,11 +6,15 @@ snapshot tests. The structured strategy decomposes into a system
 message, a task description, five ordered instruction steps ending in a
 four-condition self-check, and the review block; the other two carry the
 task description and review only.
+
+The inference configuration is a plain dict, keyed as the run manifest's
+``config``: ``DEFAULT_CONFIG``, or ``load_config`` of a ``--config`` file
+laid over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any
@@ -121,45 +125,33 @@ class PromptSpec:
             raise ValueError("only the structured strategy carries instruction steps")
 
 
-# every field of InferenceConfig; a config file may set any of them, and no other key
+# the standardized sampling configuration used across providers; a config
+# file may set any of its keys, and no other
+DEFAULT_CONFIG = {"temperature": 0.2, "top_p": 0.95, "top_k": 25, "max_tokens": 2500, "n": 1}
 CONFIG_SPEC = (
     ("temperature", NUMBER, False, None), ("top_p", NUMBER, False, None), ("top_k", INTEGER, False, None),
     ("max_tokens", INTEGER, False, None), ("n", INTEGER, False, None),
 )
 
 
-@dataclass(frozen=True)
-class InferenceConfig:
-    temperature: float = 0.2
-    top_p: float = 0.95
-    top_k: int = 25
-    max_tokens: int = 2500
-    n: int = 1
-
-    def __post_init__(self):
-        if self.temperature < 0:
+def load_config(path: Path | str | None = None) -> dict[str, Any]:
+    """The inference config in ``path`` laid over ``DEFAULT_CONFIG``, in its
+    key order; a copy of ``DEFAULT_CONFIG`` when there is no path."""
+    if path is None:
+        return dict(DEFAULT_CONFIG)
+    data = load_json(path)
+    with data_errors(path, "inference config"):
+        check_fields(data, CONFIG_SPEC, closed=True)
+        config = {**DEFAULT_CONFIG, **data}
+        if config["temperature"] < 0:
             raise ValueError("temperature must be >= 0")
-        if not (0 < self.top_p <= 1):
+        if not (0 < config["top_p"] <= 1):
             raise ValueError("top_p must be in (0, 1]")
-        if self.top_k < 1 or self.max_tokens < 1:
+        if config["top_k"] < 1 or config["max_tokens"] < 1:
             raise ValueError("top_k and max_tokens must be >= 1")
-        if self.n != 1:  # the ledger keeps one answer per review, as the paper samples one
-            raise ValueError(f"n must be 1, not {self.n!r}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_file(cls, path: Path | str) -> "InferenceConfig":
-        data = load_json(path)
-        with data_errors(path, "inference config"):
-            check_fields(data, CONFIG_SPEC, closed=True)
-            return cls(**data)
-
-
-def default_config() -> InferenceConfig:
-    """The standardized sampling configuration used across providers."""
-    return InferenceConfig()
+        if config["n"] != 1:  # the ledger keeps one answer per review, as the paper samples one
+            raise ValueError(f"n must be 1, not {config['n']!r}")
+    return config
 
 
 def build_prompt(strategy: Strategy, review: Review) -> PromptSpec:

@@ -12,13 +12,13 @@ function an oracle is the reference for is imported here. The oracles share
 with the package only:
 
 - the record and error types (``Review``, ``TriggerSpan``, ``EotOutput``,
-  ``ParseReport``, ``DataError``, ...), the drop reasons and the ledger's
-  ``LEDGER_SPEC`` with its checker ``check_fields``, so results and failures
-  compare with ``==``; the score and agreement reports are plain dicts, so
-  nothing is imported from ``eotbench.metrics``;
+  ``DataError``, ...), the drop reasons and the ledger's ``LEDGER_SPEC`` with
+  its checker ``check_fields``, so results and failures compare with ``==``;
+  the parse, score and agreement reports are plain dicts, so nothing is
+  imported from ``eotbench.metrics``;
 - the label vocabulary: ``canonical_emotion`` and ``EMOTION_ORDER``;
 - the sampling draws: ``oracle_sample`` calls ``srswor`` and ``derive_seed``,
-  which define the draw. It builds its own strata (UTC year or quarter, the
+  which define the draw, on the plan dict ``corpus.load_plan`` returns. It builds its own strata (UTC year or quarter, the
   unknown stratum last) and its own largest-remainder allocation, and differs
   in when it length-filters: every review of the corpus, before any item is
   drawn.
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from eotbench.corpus import FORMAT_VERSION, SamplingPlan, derive_seed, srswor
+from eotbench.corpus import FORMAT_VERSION, derive_seed, srswor
 from eotbench.errors import (
     DataError,
     DegenerateDistribution,
@@ -52,8 +52,6 @@ from eotbench.extraction import (
     REASON_NO_VERIFIABLE_TRIGGER,
     REASON_NOT_EXTRACTIVE,
     REASON_OOV,
-    ParseReport,
-    ParseStatus,
 )
 from eotbench.inference import LEDGER_SPEC
 from eotbench.jsonio import check_fields
@@ -234,47 +232,46 @@ def _utf8_str(value) -> bool:
     return True
 
 
-def oracle_parse_output(raw: str, review: Review) -> ParseReport:
+def oracle_parse_output(raw: str, review: Review) -> tuple[EotOutput, dict]:
     """``extraction.parse_output`` as two decodes of the rescanning oracle's
-    block and a repair map built one character at a time. A label or trigger
-    that is not a str UTF-8 can encode is dropped as Malformed."""
-    report = ParseReport(output=EotOutput(review.review_id, ()))
+    block and a repair map built one character at a time: the output and the
+    parse keys of its ``parsed`` line. A label or trigger that is not a str
+    UTF-8 can encode is dropped as Malformed."""
+    report = {"parse_status": "Clean", "repair_applied": False, "dropped_triggers": [], "dropped_emotions": []}
     try:
         parsed = json.loads(oracle_extract_structured_block(raw))
     except (NoStructuredBlock, ValueError, RecursionError):
-        report.parse_status = ParseStatus.UNPARSEABLE
-        return report
+        return EotOutput(review.review_id, ()), {**report, "parse_status": "Unparseable"}
     emotions = parsed.get("emotions") if isinstance(parsed, dict) else None
     if not isinstance(emotions, list):
-        report.parse_status = ParseStatus.UNPARSEABLE
-        return report
+        return EotOutput(review.review_id, ()), {**report, "parse_status": "Unparseable"}
 
     merged: dict[EmotionLabel, list[TriggerSpan]] = {}
     normalized = None
     for entry in emotions:
         if not isinstance(entry, dict) or not _utf8_str(entry.get("emotion")):
-            report.dropped_emotions.append({"label": repr(entry)[:120], "reason": REASON_MALFORMED})
+            report["dropped_emotions"].append({"label": repr(entry)[:120], "reason": REASON_MALFORMED})
             continue
         try:
             label = canonical_emotion(entry["emotion"])
         except UnknownEmotion:
-            report.dropped_emotions.append({"label": entry["emotion"], "reason": REASON_OOV})
+            report["dropped_emotions"].append({"label": entry["emotion"], "reason": REASON_OOV})
             continue
         triggers = entry.get("triggers", [])
         if not isinstance(triggers, list):
-            report.dropped_triggers.append(
+            report["dropped_triggers"].append(
                 {"emotion": label.value, "text": repr(triggers)[:120], "reason": REASON_MALFORMED}
             )
             triggers = []
         spans = merged.setdefault(label, [])
         for trigger in triggers:
             if not _utf8_str(trigger):
-                report.dropped_triggers.append(
+                report["dropped_triggers"].append(
                     {"emotion": label.value, "text": repr(trigger)[:120], "reason": REASON_MALFORMED}
                 )
                 continue
             if label is EmotionLabel.NEUTRAL:
-                report.dropped_triggers.append(
+                report["dropped_triggers"].append(
                     {"emotion": label.value, "text": trigger, "reason": REASON_NEUTRAL_TRIGGER}
                 )
                 continue
@@ -288,14 +285,14 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
                 normalized_trigger = oracle_fold(trigger)
                 at = normalized_review.find(normalized_trigger) if normalized_trigger else -1
                 if at < 0:
-                    report.dropped_triggers.append(
+                    report["dropped_triggers"].append(
                         {"emotion": label.value, "text": trigger, "reason": REASON_NOT_EXTRACTIVE}
                     )
                     continue
                 start = index_map[at]
                 end = index_map[at + len(normalized_trigger) - 1] + 1
                 span = TriggerSpan(review.text[start:end], start, end)
-                report.parse_status = ParseStatus.REPAIRED
+                report["parse_status"], report["repair_applied"] = "Repaired", True
             if not any(s.start == span.start and s.end == span.end for s in spans):
                 spans.append(span)
 
@@ -306,21 +303,21 @@ def oracle_parse_output(raw: str, review: Review) -> ParseReport:
         if spans:
             survivors.append((label, spans))
         else:
-            report.dropped_emotions.append(
+            report["dropped_emotions"].append(
                 {"label": label.value, "reason": REASON_NO_VERIFIABLE_TRIGGER}
             )
     if EmotionLabel.NEUTRAL in merged:
         if survivors:
-            report.dropped_emotions.append(
+            report["dropped_emotions"].append(
                 {"label": EmotionLabel.NEUTRAL.value, "reason": REASON_NEUTRAL_WITH_OTHERS}
             )
         else:
             survivors = [(EmotionLabel.NEUTRAL, [])]
-    report.output = EotOutput(
+    output = EotOutput(
         review.review_id,
         tuple(EmotionTriggers(label, tuple(spans)) for label, spans in survivors),
     )
-    return report
+    return output, report
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +678,7 @@ def oracle_score(
 
     # parsing reads a review's id and text only
     pred = [
-        oracle_parse_output(responses[rid], Review(rid, reviews[rid], Domain.HOME, "item")).output
+        oracle_parse_output(responses[rid], Review(rid, reviews[rid], Domain.HOME, "item"))[0]
         for rid in sorted(responses)
     ]
     gold_outputs = [
@@ -752,7 +749,7 @@ def _oracle_allocate(sizes: list[int], total: int) -> list[int]:
 
 
 def oracle_sample(
-    records: list[Review], plan: SamplingPlan, corpus_path: Path, plan_path: Path
+    records: list[Review], plan: dict, corpus_path: Path, plan_path: Path
 ) -> tuple[list[Review], dict]:
     """The reviews and the manifest ``eotbench sample`` writes for ``records``
     read from ``corpus_path`` under ``plan`` read from ``plan_path``; raises
@@ -760,7 +757,7 @@ def oracle_sample(
     ``_oracle_stratum``, and ``_oracle_allocate`` shares its reviews_per_item
     among the strata, each drawn from in turn with its own seed."""
     filtered = [
-        r for r in records if plan.min_tokens <= len(oracle_tokenize(r.text)) <= plan.max_tokens
+        r for r in records if plan["min_tokens"] <= len(oracle_tokenize(r.text)) <= plan["max_tokens"]
     ]
     items_by_domain: dict[str, dict[str, None]] = {}
     domain_of_item: dict[str, str] = {}
@@ -780,37 +777,37 @@ def oracle_sample(
     domain_summary = {}
     for domain in sorted(items_by_domain):
         items = list(items_by_domain[domain])
-        if plan.items_per_group > len(items):
+        if plan["items_per_group"] > len(items):
             raise DataError(
                 f"domain {domain} of {corpus_path}, items_per_group of {plan_path}:"
-                f" cannot draw {plan.items_per_group} from a population of {len(items)}"
+                f" cannot draw {plan['items_per_group']} from a population of {len(items)}"
             )
-        chosen = srswor(items, plan.items_per_group, derive_seed(plan.seed, "items", domain))
+        chosen = srswor(items, plan["items_per_group"], derive_seed(plan["seed"], "items", domain))
         domain_summary[domain] = {
             "items_available": len(items),
             "items_sampled": len(chosen),
-            "inclusion_probability": plan.items_per_group / len(items),
+            "inclusion_probability": plan["items_per_group"] / len(items),
         }
         for item_id in chosen:
             item_reviews = filtered_by_item.get(item_id, [])
-            if len(item_reviews) < plan.reviews_per_item:
-                raise InsufficientReviews(item_id, len(item_reviews), plan.reviews_per_item)
+            if len(item_reviews) < plan["reviews_per_item"]:
+                raise InsufficientReviews(item_id, len(item_reviews), plan["reviews_per_item"])
             by_stratum: dict[tuple, list[Review]] = {}
             for review in item_reviews:
-                by_stratum.setdefault(_oracle_stratum(review, plan.strata_granularity.value), []).append(review)
+                by_stratum.setdefault(_oracle_stratum(review, plan["strata_granularity"]), []).append(review)
             strata = sorted(by_stratum.items())
-            shares = _oracle_allocate([len(rs) for _, rs in strata], plan.reviews_per_item)
+            shares = _oracle_allocate([len(rs) for _, rs in strata], plan["reviews_per_item"])
             for ((*_, key), rs), k in zip(strata, shares):
-                sample.extend(srswor(rs, k, derive_seed(plan.seed, item_id, key)))
+                sample.extend(srswor(rs, k, derive_seed(plan["seed"], item_id, key)))
             manifest_items[item_id] = {
                 "domain": domain,
                 "strata": {key: len(rs) for (*_, key), rs in strata},
-                "sampling_fraction": plan.reviews_per_item / len(item_reviews),
+                "sampling_fraction": plan["reviews_per_item"] / len(item_reviews),
             }
     manifest = {
         "format_version": FORMAT_VERSION,
-        "seed": plan.seed,
-        "plan": plan.to_dict(),
+        "seed": plan["seed"],
+        "plan": plan,
         "domains": domain_summary,
         "items": manifest_items,
         "n_reviews": len(sample),

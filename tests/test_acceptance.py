@@ -22,7 +22,7 @@ from eotbench.annotation import (
     trigger_token_kappa,
 )
 from eotbench.cli import EXIT_OK, main
-from eotbench.corpus import SamplingPlan, filter_by_length, srswor
+from eotbench.corpus import filter_by_length, srswor
 from eotbench.extraction import parse_output
 from eotbench.jsonio import load_json, write_jsonl
 from eotbench.metrics import rouge1, rougeL
@@ -119,10 +119,10 @@ def test_criterion_3_extractive_constraint_fuzz():
         raw = json.dumps(
             {"emotions": [{"emotion": rng.choice(PRIMARY_EMOTIONS).value, "triggers": [trigger]}]}
         )
-        report = parse_output(raw, review)
+        output, _ = parse_output(raw, review)
         # every accepted trigger must satisfy the substring check exactly
-        assert_extractive(review.text, report.output)
-        accepted += sum(len(p.triggers) for p in report.output.pairs)
+        assert_extractive(review.text, output)
+        accepted += sum(len(p.triggers) for p in output.pairs)
 
     crash_rng = random.Random(3033)
     for _ in range(10_000):
@@ -342,7 +342,7 @@ def test_criterion_7_prompt_snapshots():
 
 
 def test_criterion_8_sampling():
-    plan = SamplingPlan(seed=7, items_per_group=1, reviews_per_item=1, min_tokens=10, max_tokens=100)
+    plan = {"seed": 7, "items_per_group": 1, "reviews_per_item": 1, "min_tokens": 10, "max_tokens": 100}
     reviews = [
         make_review(f"t{n}", " ".join(f"w{k}" for k in range(n)), Domain.HOME, "i1")
         for n in (9, 10, 100, 101)

@@ -16,10 +16,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from eotbench import annotation, cli, corpus, inference
 from eotbench.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, _render_confusion, build_parser, main
-from eotbench.corpus import MAX_TIMESTAMP, MIN_TIMESTAMP, SamplingPlan, derive_seed, load_corpus, srswor
+from eotbench.corpus import MAX_TIMESTAMP, MIN_TIMESTAMP, derive_seed, load_corpus, srswor
 from eotbench.errors import DataError, InsufficientReviews
 from eotbench.jsonio import dump_json, load_json, write_jsonl
-from eotbench.prompting import PROMPT_VERSION
+from eotbench.prompting import DEFAULT_CONFIG, PROMPT_VERSION, Strategy, load_config
 from conftest import DATA_DIR, ledger_entry
 from mock_provider import MockProviderServer
 from oracles import oracle_sample
@@ -76,7 +76,7 @@ def _sample_outcome(work: Path, lines: list[dict], plan: dict, oracle: bool) -> 
     out.unlink(missing_ok=True)
     try:
         if oracle:
-            sample, manifest = oracle_sample(list(load_corpus(corpus_path).values()), SamplingPlan.from_dict(plan), corpus_path, plan_path)
+            sample, manifest = oracle_sample(list(load_corpus(corpus_path).values()), corpus.load_plan(plan_path), corpus_path, plan_path)
             write_jsonl(out, (corpus.review_to_dict(r) for r in sample))
             dump_json(str(out) + ".manifest.json", manifest)
         else:
@@ -632,6 +632,19 @@ class TestRunAndScoreCommands:
             assert self._neutral_run(tmp_path, server, "--resume", "--config", str(config)) == EXIT_DATA
             assert server.request_count == sent
 
+    def test_a_config_in_another_key_order_reaches_no_output(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 1, "max_tokens": 2500, "temperature": 0.2}))
+        with self._neutral_server() as server:
+            assert self._neutral_run(tmp_path, server, "--config", str(config)) == EXIT_OK
+        manifest = load_json(tmp_path / "runs" / "drift" / "manifest.json")
+        assert list(manifest["config"].items()) == list(DEFAULT_CONFIG.items())
+        every = inference.ProviderProfile("every", "http://127.0.0.1:9/v1", "m",
+                                          supported_params=frozenset(DEFAULT_CONFIG))
+        for strategy in Strategy:
+            with_file = inference.body_template(every, load_config(config), strategy)
+            assert with_file == inference.body_template(every, load_config(), strategy)
+
     def test_resume_refuses_a_different_prompt_version(self, tmp_path):
         with self._neutral_server() as server:
             assert self._neutral_run(tmp_path, server) == EXIT_OK
@@ -749,6 +762,32 @@ class TestBadInputFiles:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         argv = ["stats", "--gold", path, "--corpus", DATA_DIR / "handscored" / "reviews.jsonl"]
         self._assert_data_error(caplog, argv, f"{path}:2: provenance.no_majority is not true or false")
+
+    def _gold_with_r01_twice(self, tmp_path) -> tuple[Path, int]:
+        lines = (DATA_DIR / "handscored" / "gold.jsonl").read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "gold.jsonl"
+        path.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        return path, len(lines) + 1
+
+    def test_stats_on_a_gold_file_that_holds_a_review_twice(self, tmp_path, caplog):
+        gold, line_no = self._gold_with_r01_twice(tmp_path)
+        out = tmp_path / "stats.txt"
+        argv = ["stats", "--gold", gold, "--corpus", DATA_DIR / "handscored" / "reviews.jsonl", "--out", out]
+        self._assert_data_error(caplog, argv, f"{gold}:{line_no}: review 'r01' appears twice")
+        assert not out.exists()
+
+    def test_score_on_a_gold_file_that_holds_a_review_twice(self, tmp_path, caplog):
+        gold, line_no = self._gold_with_r01_twice(tmp_path)
+        run_dir = tmp_path / "runs" / "r"
+        run_dir.mkdir(parents=True)
+        dump_json(run_dir / "manifest.json", {
+            "run_id": "r", "corpus": str(DATA_DIR / "handscored" / "reviews.jsonl"), "strategy": "zs",
+            "profile": "mock", "prompt_version": PROMPT_VERSION,
+        })
+        (run_dir / "ledger").write_text(json.dumps(ledger_entry()) + "\n")
+        argv = ["score", "--run-id", "r", "--gold", gold, "--runs-dir", tmp_path / "runs"]
+        self._assert_data_error(caplog, argv, f"{gold}:{line_no}: review 'r01' appears twice")
+        assert not (run_dir / "scores.json").exists()
 
     def _run_argv(self, tmp_path, profile_text, config_text=None):
         profile = tmp_path / "profiles.ini"

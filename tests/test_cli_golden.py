@@ -131,6 +131,19 @@ def test_sample_keeps_a_review_without_timestamp(work):
     assert any("timestamp" in line for line in lines)
 
 
+def test_plan_key_order_reaches_no_output(tmp_path):
+    # the plan of tests/data/sample with its keys shuffled, no strata_granularity
+    # (Year, the default) and another seed, which --seed replaces
+    plan = json.loads((SAMPLE_INPUTS / "plan.json").read_text(encoding="utf-8"))
+    assert plan.pop("strata_granularity") == "Year"
+    shuffled = {key: plan[key] for key in ("max_tokens", "reviews_per_item", "min_tokens", "items_per_group")}
+    (tmp_path / "plan.json").write_text(json.dumps({**shuffled, "seed": plan["seed"] + 1}))
+    _run("sample", "--corpus", str(SAMPLE_INPUTS / "corpus.jsonl"), "--plan", str(tmp_path / "plan.json"),
+         "--seed", str(plan["seed"]), "--out", str(tmp_path / "sample.jsonl"))
+    for name in ("sample.jsonl", "sample.manifest.json"):
+        assert (tmp_path / OUTPUTS[name]).read_bytes() == (CLI_GOLDEN_DIR / name).read_bytes(), name
+
+
 def test_agreement_and_stats_run_without_numpy(tmp_path):
     # numpy set to None in sys.modules makes any import of it an ImportError
     probe = (

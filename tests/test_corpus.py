@@ -12,12 +12,11 @@ from scipy.stats import chisquare
 from eotbench.corpus import (
     MAX_TIMESTAMP,
     MIN_TIMESTAMP,
-    SamplingPlan,
-    StrataGranularity,
     allocate_proportional,
     derive_seed,
     filter_by_length,
     load_corpus,
+    load_plan,
     srswor,
     strata_in_order,
     stratified_review_sample,
@@ -32,22 +31,42 @@ def _ts(year: int, month: int = 6) -> int:
     return int(datetime(year, month, 15, tzinfo=timezone.utc).timestamp())
 
 
-def _plan(**overrides) -> SamplingPlan:
-    defaults = dict(seed=7, items_per_group=2, reviews_per_item=3, min_tokens=1, max_tokens=100)
-    defaults.update(overrides)
-    return SamplingPlan(**defaults)
+def _plan(**overrides) -> dict:
+    return {"seed": 7, "items_per_group": 2, "reviews_per_item": 3, "min_tokens": 1, "max_tokens": 100,
+            "strata_granularity": "Year", **overrides}
 
 
-class TestSamplingPlan:
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            _plan(min_tokens=5, max_tokens=4)
-        with pytest.raises(ValueError):
-            _plan(min_tokens=0)
+class TestLoadPlan:
+    @pytest.mark.parametrize("overrides, reason", [
+        ({"min_tokens": 5, "max_tokens": 4}, "need 0 < min_tokens <= max_tokens"),
+        ({"min_tokens": 0}, "need 0 < min_tokens <= max_tokens"),
+        ({"reviews_per_item": 0}, "items_per_group and reviews_per_item must be >= 1"),
+    ])
+    def test_rejects_bad_bounds(self, tmp_path, overrides, reason):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(_plan(**overrides)))
+        with pytest.raises(DataError, match=rf"plan\.json: bad sampling plan: {reason}$"):
+            load_plan(path)
 
-    def test_roundtrip(self):
-        plan = _plan(strata_granularity=StrataGranularity.QUARTER)
-        assert SamplingPlan.from_dict(plan.to_dict()) == plan
+    def test_roundtrip(self, tmp_path):
+        plan = _plan(strata_granularity="Quarter")
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert load_plan(path) == plan
+
+    def test_fields_in_spec_order_with_the_default_granularity_and_the_given_seed(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"max_tokens": 100, "min_tokens": 1, "reviews_per_item": 3,
+                                    "items_per_group": 2, "seed": 7, "note": "kept out"}))
+        plan = load_plan(path, seed=11)
+        assert list(plan.items()) == list(_plan(seed=11).items())
+
+    def test_the_given_seed_stands_in_for_a_missing_one(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({key: value for key, value in _plan().items() if key != "seed"}))
+        with pytest.raises(DataError, match="seed is required"):
+            load_plan(path)
+        assert load_plan(path, seed=0)["seed"] == 0
 
 
 class TestLoadCorpus:
@@ -150,8 +169,8 @@ class TestLoadCorpus:
         assert MAX_TIMESTAMP == datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
 
     @pytest.mark.parametrize("granularity, low, high", [
-        (StrataGranularity.YEAR, "1", "9999"),
-        (StrataGranularity.QUARTER, "1-Q1", "9999-Q4"),
+        ("Year", "1", "9999"),
+        ("Quarter", "1-Q1", "9999-Q4"),
     ])
     @pytest.mark.parametrize("timestamp", [
         MIN_TIMESTAMP - 1, MIN_TIMESTAMP, MIN_TIMESTAMP + 1,
@@ -244,7 +263,7 @@ class TestAllocateProportional:
 
 
 def _sample(reviews, plan):
-    return stratified_review_sample(strata_in_order(reviews, plan.strata_granularity), plan)
+    return stratified_review_sample(strata_in_order(reviews, plan["strata_granularity"]), plan)
 
 
 class TestStratifiedSample:
@@ -265,7 +284,7 @@ class TestStratifiedSample:
         plan = _plan(reviews_per_item=10)
         reviews = self._reviews({2020: 20})
         sample = _sample(reviews, plan)
-        expected = srswor(reviews, 10, derive_seed(plan.seed, "item-1", "2020"))
+        expected = srswor(reviews, 10, derive_seed(plan["seed"], "item-1", "2020"))
         assert sample == expected
 
     def test_largest_remainder_tie_goes_to_earlier_stratum(self):
@@ -299,7 +318,7 @@ class TestStratifiedSample:
 
     def test_strata_are_in_chronological_order_with_unknown_last(self):
         reviews = [make_review(review_id="u0")] + self._reviews({2021: 1, 2019: 2, 2020: 1, 1000: 1, 999: 1})
-        strata = strata_in_order(reviews, StrataGranularity.YEAR)
+        strata = strata_in_order(reviews, "Year")
         assert [(key, [r.review_id for r in rs]) for key, rs in strata] == [
             ("999", ["r999-0"]), ("1000", ["r1000-0"]),
             ("2019", ["r2019-0", "r2019-1"]), ("2020", ["r2020-0"]), ("2021", ["r2021-0"]), ("unknown", ["u0"]),
@@ -315,5 +334,5 @@ class TestStratifiedSample:
 
     def test_quarter_granularity(self):
         review = make_review(timestamp=_ts(2021, 5))
-        assert stratum_key(review, StrataGranularity.QUARTER) == "2021-Q2"
-        assert stratum_key(review, StrataGranularity.YEAR) == "2021"
+        assert stratum_key(review, "Quarter") == "2021-Q2"
+        assert stratum_key(review, "Year") == "2021"

@@ -17,7 +17,7 @@ from eotbench.annotation import aggregate_gold, load_annotations
 from eotbench.cli import EXIT_DATA, EXIT_PROVIDER, main
 from eotbench.corpus import load_corpus
 from eotbench.errors import DataError, ProviderFailure
-from eotbench.prompting import PROMPT_VERSION, Strategy, default_config
+from eotbench.prompting import DEFAULT_CONFIG, PROMPT_VERSION, Strategy
 from conftest import DATA_DIR, ledger_entry, make_review
 from mock_provider import MockProviderServer
 
@@ -105,7 +105,7 @@ def unset_token(tmp_path, caplog, monkeypatch):
 
 def _failed_entry(tmp_path, base_url: str, timeout: float) -> tuple[int, str]:
     profile = inference.ProviderProfile("local", base_url, "m", timeout=timeout)
-    template = inference.body_template(profile, default_config(), Strategy.ZS)
+    template = inference.body_template(profile, DEFAULT_CONFIG, Strategy.ZS)
     state = inference.run_experiment(
         [make_review()], template, inference.http_transport(profile), max_concurrency=1,
         runs_dir=tmp_path, run_id="r", max_attempts=2, sleep=lambda seconds: None,

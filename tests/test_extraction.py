@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from eotbench import extraction
 from eotbench.errors import NoStructuredBlock
 from eotbench.extraction import (
-    ParseStatus,
     REASON_NEUTRAL_WITH_OTHERS,
     REASON_NOT_EXTRACTIVE,
     REASON_NO_VERIFIABLE_TRIGGER,
@@ -19,11 +18,16 @@ from eotbench.extraction import (
     _close_table,
     extract_structured_block,
     parse_output,
-    parse_report_to_dict,
 )
 from eotbench.model import EmotionLabel
 from conftest import assert_extractive, make_review, over_long_integer
 from oracles import _balanced_block, oracle_extract_structured_block, oracle_parse_output
+
+
+def parsed_line(parsed: tuple) -> dict:
+    """The ``parsed`` line of an (output, report) pair, without its format_version."""
+    output, report = parsed
+    return {**output.to_dict(), **report}
 
 
 def response(emotions: list[dict]) -> str:
@@ -108,43 +112,43 @@ class TestExtractTimeBound:
 
 class TestParseOutput:
     def test_clean_parse(self, sample_review):
-        report = parse_output(
+        output, report = parse_output(
             response([{"emotion": "Joy", "triggers": ["works perfectly"]}]), sample_review
         )
-        assert report.parse_status is ParseStatus.CLEAN
-        [pair] = report.output.pairs
+        assert report["parse_status"] == "Clean"
+        [pair] = output.pairs
         assert pair.emotion is EmotionLabel.JOY
         assert [s.text for s in pair.triggers] == ["works perfectly"]
-        assert_extractive(sample_review.text, report.output)
+        assert_extractive(sample_review.text, output)
 
     def test_whitespace_repair(self):
         review = make_review(text="Non slip, great arch support")
-        report = parse_output(
+        output, report = parse_output(
             response([{"emotion": "Joy", "triggers": ["Non  slip, great arch support"]}]), review
         )
-        assert report.parse_status is ParseStatus.REPAIRED
-        [pair] = report.output.pairs
+        assert report["parse_status"] == "Repaired"
+        [pair] = output.pairs
         assert pair.triggers[0].text == "Non slip, great arch support"
-        assert_extractive(review.text, report.output)
+        assert_extractive(review.text, output)
 
     def test_case_repair_recovers_original_case(self):
         review = make_review(text="LOVE the fit and the color")
-        report = parse_output(
+        output, report = parse_output(
             response([{"emotion": "Joy", "triggers": ["love the fit"]}]), review
         )
-        assert report.parse_status is ParseStatus.REPAIRED
-        assert report.output.pairs[0].triggers[0].text == "LOVE the fit"
+        assert report["parse_status"] == "Repaired"
+        assert output.pairs[0].triggers[0].text == "LOVE the fit"
 
     def test_non_extractive_trigger_dropped_then_emotion_dropped(self, sample_review):
-        report = parse_output(
+        output, report = parse_output(
             response([{"emotion": "Joy", "triggers": ["amazing quality!!!"]}]), sample_review
         )
-        assert report.output.pairs == ()
-        assert [d["reason"] for d in report.dropped_triggers] == [REASON_NOT_EXTRACTIVE]
-        assert [d["reason"] for d in report.dropped_emotions] == [REASON_NO_VERIFIABLE_TRIGGER]
+        assert output.pairs == ()
+        assert [d["reason"] for d in report["dropped_triggers"]] == [REASON_NOT_EXTRACTIVE]
+        assert [d["reason"] for d in report["dropped_emotions"]] == [REASON_NO_VERIFIABLE_TRIGGER]
 
     def test_oov_emotion_dropped(self, sample_review):
-        report = parse_output(
+        output, report = parse_output(
             response(
                 [
                     {"emotion": "happiness", "triggers": ["works perfectly"]},
@@ -153,11 +157,11 @@ class TestParseOutput:
             ),
             sample_review,
         )
-        assert report.output.emotions == {EmotionLabel.JOY}
-        assert [d["reason"] for d in report.dropped_emotions] == [REASON_OOV]
+        assert output.emotions == {EmotionLabel.JOY}
+        assert [d["reason"] for d in report["dropped_emotions"]] == [REASON_OOV]
 
     def test_neutral_dropped_when_others_survive(self, sample_review):
-        report = parse_output(
+        output, report = parse_output(
             response(
                 [
                     {"emotion": "Neutral", "triggers": []},
@@ -166,15 +170,15 @@ class TestParseOutput:
             ),
             sample_review,
         )
-        assert report.output.emotions == {EmotionLabel.JOY}
-        assert any(d["reason"] == REASON_NEUTRAL_WITH_OTHERS for d in report.dropped_emotions)
+        assert output.emotions == {EmotionLabel.JOY}
+        assert any(d["reason"] == REASON_NEUTRAL_WITH_OTHERS for d in report["dropped_emotions"])
 
     def test_neutral_survives_alone(self, sample_review):
-        report = parse_output(response([{"emotion": "Neutral", "triggers": []}]), sample_review)
-        assert report.output.emotions == {EmotionLabel.NEUTRAL}
+        output, report = parse_output(response([{"emotion": "Neutral", "triggers": []}]), sample_review)
+        assert output.emotions == {EmotionLabel.NEUTRAL}
 
     def test_neutral_kept_when_other_emotions_lose_their_triggers(self, sample_review):
-        report = parse_output(
+        output, report = parse_output(
             response(
                 [
                     {"emotion": "Neutral", "triggers": []},
@@ -183,10 +187,10 @@ class TestParseOutput:
             ),
             sample_review,
         )
-        assert report.output.emotions == {EmotionLabel.NEUTRAL}
+        assert output.emotions == {EmotionLabel.NEUTRAL}
 
     def test_duplicate_emotions_merged(self, sample_review):
-        report = parse_output(
+        output, report = parse_output(
             response(
                 [
                     {"emotion": "Joy", "triggers": ["works perfectly"]},
@@ -195,31 +199,31 @@ class TestParseOutput:
             ),
             sample_review,
         )
-        [pair] = report.output.pairs
+        [pair] = output.pairs
         assert [s.text for s in pair.triggers] == ["works perfectly", "arrived two days early"]
 
     def test_unparseable_prose(self, sample_review):
-        report = parse_output("It mostly expresses joy about the blender.", sample_review)
-        assert report.parse_status is ParseStatus.UNPARSEABLE
-        assert report.output.pairs == ()
+        output, report = parse_output("It mostly expresses joy about the blender.", sample_review)
+        assert report["parse_status"] == "Unparseable"
+        assert output.pairs == ()
 
     @pytest.mark.parametrize("raw", [None, 42, b'{"emotions": []}'])
     def test_a_raw_that_is_not_a_str_is_unparseable(self, sample_review, raw):
-        report = parse_output(raw, sample_review)
-        assert report.parse_status is ParseStatus.UNPARSEABLE
-        assert report.output.pairs == ()
+        output, report = parse_output(raw, sample_review)
+        assert report["parse_status"] == "Unparseable"
+        assert output.pairs == ()
 
     def test_wrong_schema_is_unparseable(self, sample_review):
-        report = parse_output('{"labels": ["Joy"]}', sample_review)
-        assert report.parse_status is ParseStatus.UNPARSEABLE
+        output, report = parse_output('{"labels": ["Joy"]}', sample_review)
+        assert report["parse_status"] == "Unparseable"
 
     def test_malformed_entries_skipped(self, sample_review):
-        report = parse_output(
+        output, report = parse_output(
             response(["what", {"emotion": 3}, {"emotion": "Joy", "triggers": ["works perfectly"]}]),
             sample_review,
         )
-        assert report.output.emotions == {EmotionLabel.JOY}
-        assert len(report.dropped_emotions) == 2
+        assert output.emotions == {EmotionLabel.JOY}
+        assert len(report["dropped_emotions"]) == 2
 
 
 class TestOverLongInteger:
@@ -228,15 +232,15 @@ class TestOverLongInteger:
 
     def test_a_response_holding_one_is_unparseable(self, sample_review):
         raw = f'{{"emotions": [{{"emotion": "Joy", "triggers": ["works perfectly"]}}], "n": {over_long_integer()}}}'
-        assert parse_output(raw, sample_review).parse_status is ParseStatus.UNPARSEABLE
+        assert parse_output(raw, sample_review)[1]["parse_status"] == "Unparseable"
 
     def test_a_later_candidate_that_parses_wins(self, sample_review):
         later = response([{"emotion": "Joy", "triggers": ["works perfectly"]}])
         raw = f'{{"n": {over_long_integer()}}} then {later}'
         assert extract_structured_block(raw) == later
-        report = parse_output(raw, sample_review)
-        assert report.parse_status is ParseStatus.CLEAN
-        assert report.output.emotions == {EmotionLabel.JOY}
+        output, report = parse_output(raw, sample_review)
+        assert report["parse_status"] == "Clean"
+        assert output.emotions == {EmotionLabel.JOY}
 
 
 class TestCloseTableOnlyAsFallback:
@@ -261,7 +265,7 @@ class TestCloseTableOnlyAsFallback:
 
     def test_built_once_for_a_truncated_response(self, close_table_calls, sample_review):
         raw = '{"emotions": [{"emotion": "Joy", "triggers": ["works perf'
-        assert parse_output(raw, sample_review).parse_status is ParseStatus.UNPARSEABLE
+        assert parse_output(raw, sample_review)[1]["parse_status"] == "Unparseable"
         assert close_table_calls == [raw]
 
 
@@ -337,7 +341,7 @@ class TestParseMatchesOracle:
     def test_equals_the_two_decode_per_character_oracle(self, data):
         review = make_review(text=data.draw(review_texts()))
         raw = data.draw(responses(review.text))
-        assert parse_report_to_dict(parse_output(raw, review)) == parse_report_to_dict(
+        assert parsed_line(parse_output(raw, review)) == parsed_line(
             oracle_parse_output(raw, review)
         )
 
@@ -378,7 +382,7 @@ class TestAsciiRepairMatchesOracle:
     def test_equals_the_per_character_oracle(self, data):
         review = make_review(text=data.draw(ascii_review_texts()))
         raw = data.draw(responses(review.text, ascii_triggers_for))
-        assert parse_report_to_dict(parse_output(raw, review)) == parse_report_to_dict(
+        assert parsed_line(parse_output(raw, review)) == parsed_line(
             oracle_parse_output(raw, review)
         )
 
@@ -391,9 +395,9 @@ class TestAsciiRepairMatchesOracle:
         ],
     )
     def test_hand_cases(self, text, trigger, found):
-        report = parse_output(response([{"emotion": "Joy", "triggers": [trigger]}]), make_review(text=text))
-        assert report.parse_status is ParseStatus.REPAIRED
-        assert [s.text for s in report.output.triggers_for(EmotionLabel.JOY)] == [found]
+        output, report = parse_output(response([{"emotion": "Joy", "triggers": [trigger]}]), make_review(text=text))
+        assert report["parse_status"] == "Repaired"
+        assert [s.text for s in output.triggers_for(EmotionLabel.JOY)] == [found]
 
 
 class TestOneFold:
@@ -410,13 +414,13 @@ class TestOneFold:
         ],
     )
     def test_hand_cases(self, text, trigger, found):
-        report = parse_output(response([{"emotion": "Joy", "triggers": [trigger]}]), make_review(text=text))
-        assert report.parse_status is ParseStatus.REPAIRED
-        assert [s.text for s in report.output.triggers_for(EmotionLabel.JOY)] == [found]
+        output, report = parse_output(response([{"emotion": "Joy", "triggers": [trigger]}]), make_review(text=text))
+        assert report["parse_status"] == "Repaired"
+        assert [s.text for s in output.triggers_for(EmotionLabel.JOY)] == [found]
 
     def test_a_medial_sigma_no_longer_matches_a_final_one(self):
-        report = parse_output(response([{"emotion": "Joy", "triggers": ["καλοσ"]}]), make_review(text="ΚΑΛΟΣ here"))
-        assert [d["reason"] for d in report.dropped_triggers] == [REASON_NOT_EXTRACTIVE]
+        output, report = parse_output(response([{"emotion": "Joy", "triggers": ["καλοσ"]}]), make_review(text="ΚΑΛΟΣ here"))
+        assert [d["reason"] for d in report["dropped_triggers"]] == [REASON_NOT_EXTRACTIVE]
 
     @pytest.mark.parametrize(
         "triggers, calls",
@@ -432,9 +436,9 @@ class TestOneFold:
 
         monkeypatch.setattr(extraction, "_WORD", CountingWord())
         review = make_review(text="The BLENDER works, ΟΔΟΣ")
-        report = parse_output(response([{"emotion": "Joy", "triggers": triggers}]), review)
+        output, report = parse_output(response([{"emotion": "Joy", "triggers": triggers}]), review)
         assert len(counted) == calls
-        assert report.parse_status is (ParseStatus.REPAIRED if calls else ParseStatus.CLEAN)
+        assert report["parse_status"] == ("Repaired" if calls else "Clean")
 
     def test_word_pattern_and_lowering_agree_with_split_on_every_code_point(self):
         # one plane at a time, each character between two "a"s, to keep memory small
@@ -453,8 +457,8 @@ class TestFuzz:
         for _ in range(10_000):
             length = rng.randrange(0, 60)
             raw = bytes(rng.randrange(256) for _ in range(length)).decode("latin-1")
-            report = parse_output(raw, sample_review)
-            assert_extractive(sample_review.text, report.output)
+            output, report = parse_output(raw, sample_review)
+            assert_extractive(sample_review.text, output)
 
     def test_mutated_triggers_never_accepted_unverified(self):
         review = make_review(
@@ -477,5 +481,5 @@ class TestFuzz:
             else:
                 trigger = trigger[:pos] + rng.choice(alphabet) + trigger[pos + 1 :]
             raw = response([{"emotion": rng.choice(emotions), "triggers": [trigger]}])
-            report = parse_output(raw, review)
-            assert_extractive(review.text, report.output)
+            output, report = parse_output(raw, review)
+            assert_extractive(review.text, output)

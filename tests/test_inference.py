@@ -24,7 +24,7 @@ from eotbench.inference import (
     request_completion,
     run_experiment,
 )
-from eotbench.prompting import PROMPT_VERSION, Strategy, build_prompt, default_config, render_messages
+from eotbench.prompting import DEFAULT_CONFIG, PROMPT_VERSION, Strategy, build_prompt, render_messages
 from eotbench.transport import Response
 from conftest import DEEPLY_NESTED, ledger_entry, make_review
 
@@ -45,12 +45,12 @@ def profile(**overrides) -> ProviderProfile:
 
 
 def template(strategy: Strategy = Strategy.ZS) -> BodyTemplate:
-    return body_template(profile(), default_config(), strategy)
+    return body_template(profile(), DEFAULT_CONFIG, strategy)
 
 
 def hi(under: ProviderProfile | None = None) -> bytes:
     """The zero-shot request body of the review "hi" with the params of ``under``."""
-    return body_template(under or profile(), default_config(), Strategy.ZS).encode("hi")
+    return body_template(under or profile(), DEFAULT_CONFIG, Strategy.ZS).encode("hi")
 
 
 def response(status: int, payload=None, text: str = "") -> Response:
@@ -199,12 +199,12 @@ class TestBodyTemplate:
         model_id=st.sampled_from(("test-model", "m\x00", "\x00\u00e9\\")),
     )
     def test_bytes_equal_the_body_json_dumps_encodes(self, strategy, text, supported, model_id):
-        config = default_config()
+        config = DEFAULT_CONFIG
         template = body_template(profile(supported_params=supported, model_id=model_id), config, strategy)
         messages = render_messages(build_prompt(strategy, make_review(text=text)))
         body = {
             "model": model_id,
-            **{param: value for param, value in config.to_dict().items() if param in supported},
+            **{param: value for param, value in config.items() if param in supported},
             "messages": [{"role": role, "content": content} for role, content in messages],
         }
         assert template.strategy is strategy

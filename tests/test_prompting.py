@@ -7,11 +7,11 @@ import pytest
 from eotbench.errors import DataError
 from eotbench.model import Domain, Review
 from eotbench.prompting import (
-    InferenceConfig,
+    DEFAULT_CONFIG,
     PromptSpec,
     Strategy,
     build_prompt,
-    default_config,
+    load_config,
     render_messages,
 )
 from conftest import GOLDEN_DIR
@@ -116,40 +116,38 @@ class TestGoldenSnapshots:
         assert rendered_text(strategy, snapshot_review()) + "\n" == expected
 
 
-class TestInferenceConfig:
+class TestLoadConfig:
     def test_defaults_match_standard_configuration(self):
-        config = default_config()
-        assert config.temperature == 0.2
-        assert config.top_p == 0.95
-        assert config.top_k == 25
-        assert config.max_tokens == 2500
-        assert config.n == 1
+        assert load_config() == DEFAULT_CONFIG == {
+            "temperature": 0.2, "top_p": 0.95, "top_k": 25, "max_tokens": 2500, "n": 1,
+        }
+        assert load_config() is not DEFAULT_CONFIG
 
     def test_file_roundtrip(self, tmp_path):
-        config = InferenceConfig(temperature=0.7, top_p=0.8, top_k=10, max_tokens=128, n=1)
+        config = {"temperature": 0.7, "top_p": 0.8, "top_k": 10, "max_tokens": 128, "n": 1}
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config.to_dict()))
-        assert InferenceConfig.from_file(path) == config
+        path.write_text(json.dumps(config))
+        assert load_config(path) == config
 
     def test_unknown_key_is_a_data_error_naming_key_and_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"temprature": 0.7}))
         with pytest.raises(DataError, match=r"config\.json.*'temprature'"):
-            InferenceConfig.from_file(path)
+            load_config(path)
 
     @pytest.mark.parametrize("field, kind", [("temperature", "a number"), ("top_k", "an integer"), ("n", "an integer")])
     def test_a_boolean_is_not_a_number(self, tmp_path, field, kind):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({field: True}))
         with pytest.raises(DataError, match=rf"config\.json.*{field} is not {kind}: True$"):
-            InferenceConfig.from_file(path)
+            load_config(path)
 
     @pytest.mark.parametrize("field, value", [("top_k", 2.5), ("max_tokens", 1e3), ("n", 1.0)])
     def test_a_float_for_an_integer_field_is_a_data_error(self, tmp_path, field, value):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({field: value}))
         with pytest.raises(DataError, match=rf"config\.json.*{field} is not an integer: {value!r}$"):
-            InferenceConfig.from_file(path)
+            load_config(path)
 
     @pytest.mark.parametrize("field, value, decoded", [
         ("temperature", "NaN", "nan"), ("temperature", "Infinity", "inf"), ("top_p", "NaN", "nan"),
@@ -159,12 +157,15 @@ class TestInferenceConfig:
         path = tmp_path / "config.json"
         path.write_text(f'{{"{field}": {value}}}')
         with pytest.raises(DataError, match=rf"config\.json.*{field} is not a number: {decoded}$"):
-            InferenceConfig.from_file(path)
+            load_config(path)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InferenceConfig(temperature=-0.1)
-        with pytest.raises(ValueError):
-            InferenceConfig(top_p=0.0)
-        with pytest.raises(ValueError):
-            InferenceConfig(max_tokens=0)
+    @pytest.mark.parametrize("field, value, reason", [
+        ("temperature", -0.1, "temperature must be >= 0"),
+        ("top_p", 0.0, r"top_p must be in \(0, 1\]"),
+        ("max_tokens", 0, "top_k and max_tokens must be >= 1"),
+    ])
+    def test_validation(self, tmp_path, field, value, reason):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(DataError, match=rf"config\.json: bad inference config: {reason}$"):
+            load_config(path)

@@ -26,7 +26,7 @@ from eotbench.inference import (
     request_completion,
     run_experiment,
 )
-from eotbench.prompting import Strategy, default_config
+from eotbench.prompting import DEFAULT_CONFIG, Strategy
 from eotbench.transport import HttpTransport, _Reader
 from conftest import make_review, src_env
 from mock_provider import MockProviderServer
@@ -61,12 +61,12 @@ def profile(base_url: str, **overrides) -> ProviderProfile:
 
 def ask(base_url: str, max_attempts: int = 3, **overrides):
     local = profile(base_url, **overrides)
-    body = body_template(local, default_config(), Strategy.ZS).encode("hi")
+    body = body_template(local, DEFAULT_CONFIG, Strategy.ZS).encode("hi")
     return request_completion(http_transport(local), body, max_attempts=max_attempts, sleep=NO_SLEEP)
 
 
 def zero_shot():
-    return body_template(profile("http://127.0.0.1:9/v1"), default_config(), Strategy.ZS)
+    return body_template(profile("http://127.0.0.1:9/v1"), DEFAULT_CONFIG, Strategy.ZS)
 
 
 def reviews(n: int):

@@ -23,7 +23,7 @@ from collections import Counter
 
 import pytest
 
-from eotbench import extraction, inference, model
+from eotbench import inference, model
 from eotbench.cli import EXIT_OK, main
 from eotbench.prompting import PROMPT_VERSION
 from eotbench.transport import Response
@@ -37,7 +37,7 @@ COUNTED = (
     "model.locate_span", "corpus.stratum_key", "prompting.build_prompt", "inference.read_ledger",
     "extraction.parse_output", "jsonio.check_fields",
 )
-RECORDS = (model.Review, model.TriggerSpan, model.EmotionTriggers, model.EotOutput, extraction.ParseReport)
+RECORDS = (model.Review, model.TriggerSpan, model.EmotionTriggers, model.EotOutput)
 
 # (command, what is counted, the count): every count that is not zero. The
 # hand-scored run has 10 reviews, all answered, one answer unparseable; its
@@ -51,7 +51,6 @@ PINS = [
     ("run", "jsonio.check_fields", 10 + 10 * 3),  # each review; each reply, its choice and its message
     ("score", "Review", 10),
     ("score", "extraction.parse_output", 10),
-    ("score", "ParseReport", 10),
     ("score", "EotOutput", 10 + 10),  # one per gold record and per parsed response, none as a placeholder
     ("score", "EmotionTriggers", 16 + 12),
     ("score", "TriggerSpan", 17 + 12),  # each gold trigger, each response trigger found or repaired
@@ -289,9 +288,7 @@ def test_score_holds_no_ledger_in_memory(tmp_path):
     assert peak < ledger.stat().st_size / 10, (peak, ledger.stat().st_size)
 
 
-@pytest.mark.parametrize(
-    "cls", [cls for cls in RECORDS if cls is not extraction.ParseReport], ids=lambda cls: cls.__name__
-)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_each_record_is_frozen_and_holds_its_fields_in_slots(cls):
     names = tuple(field.name for field in dataclasses.fields(cls))
     assert cls.__dataclass_params__.frozen
